@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +14,7 @@ import (
 // bounded top-k selection and the Session statistics cache to the
 // map-based reference evaluator: scores must be float-equal (==, no
 // tolerance) and orderings identical, for every query type, across
-// shard counts {1, 3, NumCPU}, with tombstones present, for both
+// shard counts {1, 3, 8}, with tombstones present, for both
 // rankers.
 
 // equivCorpus builds a corpus with shared/rare terms, phrases, field
@@ -103,7 +102,7 @@ func mustEqualResults(t *testing.T, label string, got, want []Result) {
 }
 
 func TestEvalEquivalence(t *testing.T) {
-	shardCounts := []int{1, 3, runtime.NumCPU()}
+	shardCounts := []int{1, 3, 8}
 	for _, ranker := range []Ranker{RankerBM25, RankerTFIDF} {
 		for _, n := range shardCounts {
 			ix := equivCorpus(t, n)
@@ -170,7 +169,7 @@ func mappedCopy(t testing.TB, ix *Index) *Index {
 // materialization from post-boot writes.
 func TestEvalEquivalenceMapped(t *testing.T) {
 	for _, ranker := range []Ranker{RankerBM25, RankerTFIDF} {
-		for _, n := range []int{1, 3, runtime.NumCPU()} {
+		for _, n := range []int{1, 3, 8} {
 			ix := equivCorpus(t, n)
 			ix.SetRanker(ranker)
 			mx := mappedCopy(t, ix)
@@ -336,7 +335,7 @@ func TestEvalEquivalenceFuzz(t *testing.T) {
 				})
 			}
 		}
-		for _, n := range []int{1, 3, runtime.NumCPU()} {
+		for _, n := range []int{1, 3, 8} {
 			ix := New(WithShards(n))
 			ix.SetFieldOptions("title", FieldOptions{Boost: 1.5})
 			for _, sp := range specs {

@@ -102,6 +102,51 @@ type shard struct {
 	// mutation since attach: a clean mapped shard snapshots verbatim.
 	ms    *mappedShard
 	dirty bool
+
+	// groups is addLocked's per-field token grouping scratch, reused
+	// across documents under the write lock.
+	groups termGroups
+}
+
+// termGroups groups one field's tokens by term, in first-occurrence
+// order, without allocating per document: the term→slot map is
+// emptied with clear and the position slices keep their capacity.
+// Callers must hold the owning shard's write lock, and must not
+// retain terms or pos past the next group call — appendPosting
+// encodes positions, it does not keep the slice.
+type termGroups struct {
+	slot  map[string]int
+	terms []string
+	pos   [][]int
+}
+
+// maxGroupSlots bounds the scratch group keeps between documents: a
+// field with more distinct terms than this drops the map, terms and
+// position slices, so one huge field pins no memory after it is
+// indexed and leaves no later clear paying for its buckets.
+const maxGroupSlots = 4096
+
+func (g *termGroups) group(toks []textproc.Token) {
+	if g.slot == nil || len(g.terms) > maxGroupSlots {
+		g.slot = make(map[string]int)
+		g.terms, g.pos = nil, nil
+	} else {
+		clear(g.slot)
+	}
+	g.terms = g.terms[:0]
+	for _, t := range toks {
+		i, ok := g.slot[t.Term]
+		if !ok {
+			i = len(g.terms)
+			g.slot[t.Term] = i
+			g.terms = append(g.terms, t.Term)
+			if i == len(g.pos) {
+				g.pos = append(g.pos, nil)
+			}
+			g.pos[i] = g.pos[i][:0]
+		}
+		g.pos[i] = append(g.pos[i], t.Position)
+	}
 }
 
 func newShard(ix *Index) *shard {
@@ -195,11 +240,8 @@ func (s *shard) addLocked(doc Document, analyzed map[string][]textproc.Token) {
 		toks := analyzed[field]
 		fp.setDocLen(ord, len(toks))
 		fp.totalLen += len(toks)
-		perTerm := make(map[string][]int)
-		for _, t := range toks {
-			perTerm[t.Term] = append(perTerm[t.Term], t.Position)
-		}
-		for term, positions := range perTerm {
+		s.groups.group(toks)
+		for i, term := range s.groups.terms {
 			// lookupForWrite copies a still-mapped term onto the heap
 			// first, so the append never touches the mapping.
 			list := fp.lookupForWrite(term)
@@ -208,7 +250,7 @@ func (s *shard) addLocked(doc Document, analyzed map[string][]textproc.Token) {
 				fp.terms[term] = list
 				fp.dict.Store(nil)
 			}
-			list.appendPosting(ord, positions)
+			list.appendPosting(ord, s.groups.pos[i])
 		}
 	}
 }

@@ -85,14 +85,12 @@ func (s *StoreSource) Search(ctx context.Context, req Request) ([]Item, error) {
 	if err != nil {
 		return nil, fmt.Errorf("source %s: %w", s.SourceName, err)
 	}
+	// Each hit's record is already the store's private copy, so it
+	// becomes the item as is.
 	out := make([]Item, len(hits))
 	for i, h := range hits {
-		item := make(Item, len(h.Record)+1)
-		for k, v := range h.Record {
-			item[k] = v
-		}
-		item["_score"] = fmt.Sprintf("%.4f", h.Score)
-		out[i] = item
+		out[i] = Item(h.Record)
+		out[i]["_score"] = fmt.Sprintf("%.4f", h.Score)
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/index"
@@ -445,9 +446,51 @@ type Hit struct {
 	Record Record
 }
 
-// SearchContext runs the request. Cancelling ctx stops the index
-// evaluation within one posting block and returns ctx.Err().
+// SearchContext runs the request, asking the index only for what the
+// page needs and copying a record only for the hits it returns. There
+// are two plans:
+//
+//   - No filters and no OrderBy — what a proprietary source sends on
+//     every request: Limit and Offset go straight to the index. Its
+//     top-k is the prefix of its full ranking (score descending, ties
+//     on ascending ID), so the page is the one slicing every match
+//     would give.
+//   - Anything else: the full match set, filtered and sorted over
+//     read-only record views; only the page is copied.
+//
+// Filter ops and the order field are validated before anything is
+// evaluated. Cancelling ctx stops the index evaluation within one
+// posting block and returns ctx.Err().
 func (d *Dataset) SearchContext(ctx context.Context, req SearchRequest) ([]Hit, error) {
+	q, err := d.prepare(req)
+	if err != nil {
+		return nil, err
+	}
+	offset := max(req.Offset, 0)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if len(req.Filters) == 0 && req.OrderBy == "" {
+		raw, err := d.ix.SearchContext(ctx, q, index.SearchOptions{Limit: req.Limit, Offset: offset})
+		if err != nil || raw == nil {
+			return nil, err
+		}
+		return page(d.filterLocked(raw, nil), 0, 0), nil
+	}
+	raw, err := d.ix.SearchContext(ctx, q, index.SearchOptions{})
+	if err != nil {
+		return nil, err
+	}
+	views := d.filterLocked(raw, req.Filters)
+	if req.OrderBy != "" {
+		sortViews(d.schema, views, req.OrderBy)
+	}
+	return page(views, offset, req.Limit), nil
+}
+
+// prepare validates req against the schema — search fields, filter
+// fields, filter ops, order field, in that order — and builds its
+// index query.
+func (d *Dataset) prepare(req SearchRequest) (index.Query, error) {
 	fields := req.Fields
 	if len(fields) == 0 {
 		fields = d.schema.SearchableFields()
@@ -467,74 +510,104 @@ func (d *Dataset) SearchContext(ctx context.Context, req SearchRequest) ([]Hit, 
 			return nil, fmt.Errorf("store: unknown filter field %q", f.Field)
 		}
 	}
-
-	var q index.Query
-	if req.Query == "" {
-		q = index.AllQuery{}
-	} else {
-		q = index.MatchQuery{Fields: fields, Text: req.Query}
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	// Fetch everything matching; structured filters and ordering are
-	// applied here where types are known.
-	raw, err := d.ix.SearchContext(ctx, q, index.SearchOptions{})
-	if err != nil {
-		return nil, err
-	}
-	hits := make([]Hit, 0, len(raw))
-	for _, r := range raw {
-		rec, _ := d.recordViewLocked(r.ID)
-		ok, err := matchAll(d.schema, rec, req.Filters)
-		if err != nil {
-			return nil, err
+	for _, f := range req.Filters {
+		if !validOp(f.Op) {
+			return nil, fmt.Errorf("store: unknown filter op %q", f.Op)
 		}
-		if !ok {
-			continue
-		}
-		cp := make(Record, len(rec)+1)
-		for k, v := range rec {
-			cp[k] = v
-		}
-		cp["_id"] = r.ID
-		hits = append(hits, Hit{ID: r.ID, Score: r.Score, Record: cp})
 	}
 	if req.OrderBy != "" {
-		if err := sortHits(d.schema, hits, req.OrderBy); err != nil {
-			return nil, err
+		field := strings.TrimPrefix(req.OrderBy, "-")
+		if _, ok := d.schema.Field(field); !ok {
+			return nil, fmt.Errorf("store: unknown order field %q", field)
 		}
 	}
-	if req.Offset > 0 {
-		if req.Offset >= len(hits) {
-			return nil, nil
+	if req.Query == "" {
+		return index.AllQuery{}, nil
+	}
+	return index.MatchQuery{Fields: fields, Text: req.Query}, nil
+}
+
+// view is a hit that passed the store-side filters: the index result
+// and a read-only view of its record, copied only if it is returned.
+type view struct {
+	res index.Result
+	rec Record
+}
+
+// hit copies the record for return, with the ID under "_id".
+func (v view) hit() Hit {
+	cp := make(Record, len(v.rec)+1)
+	for k, val := range v.rec {
+		cp[k] = val
+	}
+	cp["_id"] = v.res.ID
+	return Hit{ID: v.res.ID, Score: v.res.Score, Record: cp}
+}
+
+// field reads what the returned copy will hold under name: the
+// record's value, except "_id", which the copy sets to the ID.
+func (v view) field(name string) string {
+	if name == "_id" {
+		return v.res.ID
+	}
+	return v.rec[name]
+}
+
+// filterLocked returns the hits of raw whose records pass filters,
+// in order.
+func (d *Dataset) filterLocked(raw []index.Result, filters []Filter) []view {
+	views := make([]view, 0, len(raw))
+	for _, r := range raw {
+		rec, _ := d.recordViewLocked(r.ID)
+		if matchAll(d.schema, rec, filters) {
+			views = append(views, view{r, rec})
 		}
-		hits = hits[req.Offset:]
 	}
-	if req.Limit > 0 && len(hits) > req.Limit {
-		hits = hits[:req.Limit]
+	return views
+}
+
+// page slices views to [offset, offset+limit) (limit 0 = to the end)
+// and copies the records of the hits in it. As in the index, an
+// offset past the end yields nil.
+func page(views []view, offset, limit int) []Hit {
+	if offset > 0 {
+		if offset >= len(views) {
+			return nil
+		}
+		views = views[offset:]
 	}
-	return hits, nil
+	if limit > 0 && len(views) > limit {
+		views = views[:limit]
+	}
+	hits := make([]Hit, len(views))
+	for i, v := range views {
+		hits[i] = v.hit()
+	}
+	return hits
 }
 
 // FacetsContext counts the values of field across records matching
 // the request's query and filters — the designer's filter sidebar
-// (e.g. producer counts next to inventory results).
+// (e.g. producer counts next to inventory results). It counts over
+// record views, copying none.
 func (d *Dataset) FacetsContext(ctx context.Context, req SearchRequest, field string) ([]index.FacetCount, error) {
 	if _, ok := d.schema.Field(field); !ok {
 		return nil, fmt.Errorf("store: unknown facet field %q", field)
 	}
-	hits, err := d.SearchContext(ctx, SearchRequest{
-		Query:   req.Query,
-		Fields:  req.Fields,
-		Filters: req.Filters,
-	})
+	q, err := d.prepare(SearchRequest{Query: req.Query, Fields: req.Fields, Filters: req.Filters})
+	if err != nil {
+		return nil, err
+	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	raw, err := d.ix.SearchContext(ctx, q, index.SearchOptions{})
 	if err != nil {
 		return nil, err
 	}
 	counts := make(map[string]int)
-	for _, h := range hits {
-		if v := h.Record[field]; v != "" {
-			counts[v]++
+	for _, v := range d.filterLocked(raw, req.Filters) {
+		if val := v.field(field); val != "" {
+			counts[val]++
 		}
 	}
 	out := make([]index.FacetCount, 0, len(counts))
@@ -550,39 +623,45 @@ func (d *Dataset) FacetsContext(ctx context.Context, req SearchRequest, field st
 	return out, nil
 }
 
-func matchAll(s Schema, rec Record, filters []Filter) (bool, error) {
-	for _, f := range filters {
-		ok, err := matchFilter(s, rec, f)
-		if err != nil || !ok {
-			return false, err
-		}
+// validOp reports whether matchFilter knows op.
+func validOp(op string) bool {
+	switch op {
+	case "", "=", "!=", "contains", "<", "<=", ">", ">=":
+		return true
 	}
-	return true, nil
+	return false
 }
 
-func matchFilter(s Schema, rec Record, f Filter) (bool, error) {
-	fd, _ := s.Field(f.Field)
+func matchAll(s Schema, rec Record, filters []Filter) bool {
+	for _, f := range filters {
+		if !matchFilter(s, rec, f) {
+			return false
+		}
+	}
+	return true
+}
+
+// matchFilter evaluates one filter whose op prepare validated.
+func matchFilter(s Schema, rec Record, f Filter) bool {
 	have := rec[f.Field]
 	switch f.Op {
 	case "=", "":
-		return have == f.Value, nil
+		return have == f.Value
 	case "!=":
-		return have != f.Value, nil
+		return have != f.Value
 	case "contains":
-		return containsFold(have, f.Value), nil
-	case "<", "<=", ">", ">=":
-		if fd.Type == TypeNumber {
-			a, err1 := strconv.ParseFloat(have, 64)
-			b, err2 := strconv.ParseFloat(f.Value, 64)
-			if err1 != nil || err2 != nil {
-				return false, nil
-			}
-			return cmpOrdered(a, b, f.Op), nil
-		}
-		return cmpOrdered(have, f.Value, f.Op), nil
-	default:
-		return false, fmt.Errorf("store: unknown filter op %q", f.Op)
+		return containsFold(have, f.Value)
 	}
+	// "<", "<=", ">", ">="
+	if fd, _ := s.Field(f.Field); fd.Type == TypeNumber {
+		a, err1 := strconv.ParseFloat(have, 64)
+		b, err2 := strconv.ParseFloat(f.Value, 64)
+		if err1 != nil || err2 != nil {
+			return false
+		}
+		return cmpOrdered(a, b, f.Op)
+	}
+	return cmpOrdered(have, f.Value, f.Op)
 }
 
 func cmpOrdered[T float64 | string](a, b T, op string) bool {
@@ -616,20 +695,14 @@ func containsFold(haystack, needle string) bool {
 	return true
 }
 
-func sortHits(s Schema, hits []Hit, orderBy string) error {
-	desc := false
-	field := orderBy
-	if len(field) > 0 && field[0] == '-' {
-		desc = true
-		field = field[1:]
-	}
-	fd, ok := s.Field(field)
-	if !ok {
-		return fmt.Errorf("store: unknown order field %q", field)
-	}
+// sortViews orders views by a field prepare validated ("price",
+// "-price" for descending), stably, so ties keep rank order.
+func sortViews(s Schema, views []view, orderBy string) {
+	field, desc := strings.CutPrefix(orderBy, "-")
+	fd, _ := s.Field(field)
 	numeric := fd.Type == TypeNumber
-	sort.SliceStable(hits, func(i, j int) bool {
-		a, b := hits[i].Record[field], hits[j].Record[field]
+	sort.SliceStable(views, func(i, j int) bool {
+		a, b := views[i].field(field), views[j].field(field)
 		var less bool
 		if numeric {
 			af, _ := strconv.ParseFloat(a, 64)
@@ -643,5 +716,4 @@ func sortHits(s Schema, hits []Hit, orderBy string) error {
 		}
 		return less
 	})
-	return nil
 }

@@ -190,16 +190,36 @@ func classify(v string) FieldType {
 	if v == "" {
 		return TypeString
 	}
-	if _, err := strconv.ParseFloat(v, 64); err == nil {
-		return TypeNumber
+	// Upload-time inference classifies every cell, and a failed strconv
+	// parse allocates its error, so parses that cannot succeed are
+	// skipped: a float starts (after its sign) with a digit, '.', or
+	// the i/n of "inf"/"nan"; the longest bool spelling is "FALSE".
+	if couldBeFloat(v) {
+		if _, err := strconv.ParseFloat(v, 64); err == nil {
+			return TypeNumber
+		}
 	}
-	if _, err := strconv.ParseBool(v); err == nil {
-		return TypeBool
+	if len(v) <= len("false") {
+		if _, err := strconv.ParseBool(v); err == nil {
+			return TypeBool
+		}
 	}
 	if strings.HasPrefix(v, "http://") || strings.HasPrefix(v, "https://") || strings.HasPrefix(v, "ftp://") {
 		return TypeURL
 	}
 	return TypeString
+}
+
+func couldBeFloat(v string) bool {
+	c := v[0]
+	if (c == '+' || c == '-') && len(v) > 1 {
+		c = v[1]
+	}
+	switch c {
+	case '.', 'i', 'I', 'n', 'N':
+		return true
+	}
+	return c >= '0' && c <= '9'
 }
 
 func widen(a, b FieldType) FieldType {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -364,6 +366,36 @@ func TestInferSchema(t *testing.T) {
 	}
 	if types["url"] != TypeURL {
 		t.Errorf("url inferred as %v", types["url"])
+	}
+}
+
+// TestClassifyMatchesStrconv: the guards classify uses to skip doomed
+// parses never change a verdict the plain strconv calls would give.
+func TestClassifyMatchesStrconv(t *testing.T) {
+	unguarded := func(v string) FieldType {
+		if v == "" {
+			return TypeString
+		}
+		if _, err := strconv.ParseFloat(v, 64); err == nil {
+			return TypeNumber
+		}
+		if _, err := strconv.ParseBool(v); err == nil {
+			return TypeBool
+		}
+		if strings.HasPrefix(v, "http://") || strings.HasPrefix(v, "https://") || strings.HasPrefix(v, "ftp://") {
+			return TypeURL
+		}
+		return TypeString
+	}
+	for _, v := range []string{
+		"", "0", "12", "-3.5", "+.5", ".5", "5.", "1e9", "-1E-9", "0x1p-2", "0x_1p0", "1_000",
+		"inf", "+Inf", "-infinity", "NaN", "nan", "nope", "Nine", "info", "+", "-", ".", "+-1",
+		"1", "t", "T", "TRUE", "true", "True", "f", "F", "FALSE", "false", "False", "yes", "falsey",
+		"http://x.example", "https://y", "ftp://z", "S000001", "producer3", "halo wars", "€5",
+	} {
+		if got, want := classify(v), unguarded(v); got != want {
+			t.Errorf("classify(%q) = %s, strconv says %s", v, got, want)
+		}
 	}
 }
 

@@ -38,39 +38,12 @@ func Tokenize(text string) []Token {
 // can recycle one slice instead of allocating a fresh token buffer per
 // document.
 func TokenizeAppend(dst []Token, text string) []Token {
-	tokens := dst
-	var b strings.Builder
-	pos := 0
-	start := -1
-	flush := func(end int) {
-		if b.Len() == 0 {
-			return
-		}
-		tokens = append(tokens, Token{
-			Term:     b.String(),
-			Position: pos,
-			Start:    start,
-			End:      end,
-		})
-		pos++
-		b.Reset()
-		start = -1
-	}
-	for i, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			if start < 0 {
-				start = i
-			}
-			b.WriteRune(unicode.ToLower(r))
-		case r == '\'':
-			// swallow apostrophes inside words
-		default:
-			flush(i)
-		}
-	}
-	flush(len(text))
-	return tokens
+	TokenizeFunc(text, func(term []byte, position, start, end int) {
+		// One exact-size allocation per token; the scratch buffer the
+		// term was lowered into is reused for the next one.
+		dst = append(dst, Token{Term: string(term), Position: position, Start: start, End: end})
+	})
+	return dst
 }
 
 // TokenizeFunc streams the tokens of text to fn without materializing
