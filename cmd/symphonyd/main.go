@@ -28,7 +28,7 @@
 // --mmap (default on) boots v3 snapshots as mmap'd read-only views:
 // records and postings stay in the snapshot file's pages and
 // materialize copy-on-write as writes touch them, so boot time and
-// resident set stop scaling with corpus size (see cmd/benchboot).
+// resident set stop scaling with corpus size.
 // /statusz reports the mapped-vs-materialized byte split.
 // --pprof-addr serves net/http/pprof on its own listener (off by
 // default, never the tenant port) for heap and CPU profiles.
@@ -70,26 +70,6 @@ import (
 	"repro/internal/wal"
 )
 
-// applyExecWorkers turns --exec-workers auto|off|N into shard-executor
-// configuration: "auto" keeps the default GOMAXPROCS pool, "off"
-// reverts query fan-out to the legacy per-query goroutine spawn, and N
-// resizes the pool.
-func applyExecWorkers(v string) error {
-	switch v {
-	case "", "auto":
-		return nil
-	case "off":
-		index.SetExecutorEnabled(false)
-		return nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return fmt.Errorf("symphonyd: --exec-workers must be \"auto\", \"off\" or a positive integer, got %q", v)
-	}
-	index.ConfigureExecutor(n)
-	return nil
-}
-
 // parseShards turns --shards auto|N into a core.Config.ShardTarget
 // (0 = auto).
 func parseShards(v string) (int, error) {
@@ -130,14 +110,10 @@ func run() error {
 	fsync := flag.String("fsync", "group", "WAL fsync policy: always (fsync before every ack), group (batch commits), interval (periodic)")
 	mmapMode := flag.String("mmap", "on", "boot from v3 snapshots as mmap'd views with copy-on-write materialization: on|off")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof on its own listener (empty = disabled)")
-	execWorkers := flag.String("exec-workers", "auto", "shard executor workers: \"auto\" (GOMAXPROCS), \"off\" (legacy per-query goroutines) or N")
 	flag.Parse()
 
 	shardTarget, err := parseShards(*shards)
 	if err != nil {
-		return err
-	}
-	if err := applyExecWorkers(*execWorkers); err != nil {
 		return err
 	}
 	fsyncPolicy, err := wal.ParsePolicy(*fsync)

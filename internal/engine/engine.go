@@ -75,33 +75,15 @@ type LogEntry struct {
 	Site       string
 }
 
-// Option configures New.
-type Option func(*settings)
-
-type settings struct {
-	indexOpts []index.Option
-}
-
-// WithIndexShards shards every vertical's index n ways. The default
-// (index's own auto sizing) is right for production; benchmarks set it
-// explicitly so fan-out behaviour is fixed regardless of the host.
-func WithIndexShards(n int) Option {
-	return func(s *settings) { s.indexOpts = append(s.indexOpts, index.WithShards(n)) }
-}
-
 // New indexes the corpus into per-vertical indexes.
-func New(corpus *webcorpus.Corpus, opts ...Option) *Engine {
-	var cfg settings
-	for _, o := range opts {
-		o(&cfg)
-	}
+func New(corpus *webcorpus.Corpus) *Engine {
 	e := &Engine{
 		corpus:  corpus,
 		perVert: make(map[webcorpus.Vertical]*index.Index),
 		quality: make(map[string]float64),
 	}
 	for _, v := range webcorpus.Verticals {
-		ix := index.New(cfg.indexOpts...)
+		ix := index.New()
 		ix.SetFieldOptions("title", index.FieldOptions{Boost: 2.5})
 		ix.SetFieldOptions("body", index.FieldOptions{Boost: 1})
 		ix.SetFieldOptions("site", index.FieldOptions{Analyzer: textproc.KeywordAnalyzer})

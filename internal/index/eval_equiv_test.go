@@ -278,11 +278,7 @@ func TestSessionEquivalence(t *testing.T) {
 // reference evaluator across shard counts, with block-max early exit
 // on and off, and with the shared cross-request cache cold and warm.
 func TestEvalEquivalenceFuzz(t *testing.T) {
-	t.Cleanup(func() {
-		SetExecutorEnabled(true)
-		SetScratchPooling(true)
-		ConfigureExecutor(0)
-	})
+	t.Cleanup(func() { configureExecutor(0) })
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		vocabN := 30 + rng.Intn(50)
@@ -364,19 +360,12 @@ func TestEvalEquivalenceFuzz(t *testing.T) {
 					}
 				}
 			}
-			// Scheduling dimension: the shared shard executor off (legacy
-			// one-goroutine-per-shard fan-out), resized to a single
-			// worker, and with request-scratch pooling disabled. Rankings
-			// must be bit-identical under every scheduling policy.
-			SetExecutorEnabled(false)
-			runAll("executor-off")
-			SetExecutorEnabled(true)
-			ConfigureExecutor(1)
+			// Scheduling dimension: the shared shard executor resized to a
+			// single worker. Rankings must be bit-identical under every
+			// pool size.
+			configureExecutor(1)
 			runAll("exec-one-worker")
-			ConfigureExecutor(0)
-			SetScratchPooling(false)
-			runAll("scratch-off")
-			SetScratchPooling(true)
+			configureExecutor(0)
 			if n == 3 {
 				// Saturation: the same queries from enough concurrent
 				// goroutines to keep every pool worker busy, so the
@@ -429,9 +418,9 @@ func TestEvalEquivalenceFuzz(t *testing.T) {
 			ix.wandDenseForce.Store(true)
 			runAll("wand-forced")
 			ix.wandDenseForce.Store(false)
-			ix.SetEarlyExit(false)
+			ix.earlyExitOff.Store(true)
 			runAll("exhaustive")
-			ix.SetEarlyExit(true)
+			ix.earlyExitOff.Store(false)
 			c := NewCache(8 << 20)
 			ix.AttachCache(c)
 			runAll("cache-cold")

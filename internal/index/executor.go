@@ -115,7 +115,7 @@ func (w *execWorker) steal() *execJob {
 	return j
 }
 
-// executor is one immutable generation of the pool. ConfigureExecutor
+// executor is one immutable generation of the pool. configureExecutor
 // swaps the whole value so resizing never locks the submit path.
 type executor struct {
 	workers []*execWorker
@@ -226,8 +226,7 @@ func (e *executor) close() {
 var (
 	execPtr      atomic.Pointer[executor]
 	execInitOnce sync.Once
-	execMu       sync.Mutex // serializes ConfigureExecutor
-	execOff      atomic.Bool
+	execMu       sync.Mutex // serializes configureExecutor
 
 	// Counters for /statusz and the benchmarks.
 	execParallel atomic.Uint64 // fan-outs that queued helper refs
@@ -250,11 +249,12 @@ func currentExecutor() *executor {
 	return execPtr.Load()
 }
 
-// ConfigureExecutor resizes the process-wide shard executor to n
+// configureExecutor resizes the process-wide shard executor to n
 // workers (n < 1 means GOMAXPROCS). The previous pool's workers drain
 // and exit; in-flight jobs are unaffected because submitters always
-// self-complete their jobs.
-func ConfigureExecutor(n int) {
+// self-complete their jobs. Only tests resize the pool; production
+// sizes it once from GOMAXPROCS in currentExecutor.
+func configureExecutor(n int) {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -267,17 +267,10 @@ func ConfigureExecutor(n int) {
 	}
 }
 
-// SetExecutorEnabled toggles the shared executor for the query read
-// path. Disabled, fan-out reverts to the legacy one-goroutine-per-
-// shard spawn — for A/B benchmarks and equivalence tests; results are
-// bit-identical either way.
-func SetExecutorEnabled(on bool) { execOff.Store(!on) }
-
 // ExecutorStats is the operator view of the shard executor.
 type ExecutorStats struct {
 	Workers  int    `json:"workers"`
 	Idle     int    `json:"idle"`
-	Enabled  bool   `json:"enabled"`
 	Parallel uint64 `json:"parallelRuns"`
 	Inline   uint64 `json:"inlineRuns"`
 	Tasks    uint64 `json:"tasks"`
@@ -290,7 +283,6 @@ func GetExecutorStats() ExecutorStats {
 	return ExecutorStats{
 		Workers:  len(e.workers),
 		Idle:     int(e.idle.Load()),
-		Enabled:  !execOff.Load(),
 		Parallel: execParallel.Load(),
 		Inline:   execInline.Load(),
 		Tasks:    execTasks.Load(),
@@ -334,12 +326,6 @@ func (ix *Index) runShards(st *searchStats, r *ring, fn func(i int, s *shard)) {
 	if n == 1 {
 		execTasks.Add(1)
 		fn(0, r.shards[0])
-		return
-	}
-	if execOff.Load() {
-		// Legacy per-query goroutine fan-out, kept for A/B measurement
-		// and as the equivalence baseline.
-		eachShard(r, fn)
 		return
 	}
 	e := currentExecutor()

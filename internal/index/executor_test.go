@@ -50,7 +50,7 @@ func settleGoroutines(t *testing.T, base, slack int, what string) {
 // replaces per-query goroutine spawning, so after the storm the only
 // survivors should be the fixed worker pool of the final generation.
 func TestExecutorNoGoroutineLeak(t *testing.T) {
-	t.Cleanup(func() { ConfigureExecutor(0) })
+	t.Cleanup(func() { configureExecutor(0) })
 	ix := executorCorpus(t, 4, 4000)
 	q := Query(MatchQuery{Text: "common zelda extra3"})
 	currentExecutor() // force the pool up before taking the baseline
@@ -102,20 +102,20 @@ func TestExecutorNoGoroutineLeak(t *testing.T) {
 	qwg.Wait()
 	settleGoroutines(t, base, 2, "after reshard under load")
 
-	// Resize cycles: every ConfigureExecutor swaps in a fresh worker
+	// Resize cycles: every configureExecutor swaps in a fresh worker
 	// pool; the old generation's workers must all exit.
 	for i := 0; i < 5; i++ {
-		ConfigureExecutor(1 + i%3)
+		configureExecutor(1 + i%3)
 		ix.mustSearch(q, SearchOptions{Limit: 5})
 	}
-	ConfigureExecutor(0)
+	configureExecutor(0)
 	// The final pool replaces the baseline pool worker for worker, so
 	// the count must return to the original baseline.
 	settleGoroutines(t, base, 2, "after resize cycles")
 }
 
 // TestExecutorStatsProgress: the operator counters must move when
-// queries run, and SetExecutorEnabled must route fan-out off the pool.
+// queries run.
 func TestExecutorStatsProgress(t *testing.T) {
 	ix := executorCorpus(t, 4, 2000)
 	q := Query(MatchQuery{Text: "common zelda"})
@@ -129,18 +129,6 @@ func TestExecutorStatsProgress(t *testing.T) {
 	after := GetExecutorStats()
 	if after.Tasks <= before.Tasks {
 		t.Fatalf("task counter did not move: before %d after %d", before.Tasks, after.Tasks)
-	}
-	if !after.Enabled {
-		t.Fatal("executor reports disabled while enabled")
-	}
-	SetExecutorEnabled(false)
-	defer SetExecutorEnabled(true)
-	if GetExecutorStats().Enabled {
-		t.Fatal("executor reports enabled while disabled")
-	}
-	// Disabled, queries still answer (legacy fan-out path).
-	if got := len(ix.mustSearch(q, SearchOptions{Limit: 10})); got == 0 {
-		t.Fatal("no hits with executor disabled")
 	}
 }
 

@@ -162,8 +162,7 @@ type Index struct {
 
 	// earlyExitOff disables the block-max top-k evaluator (wand.go),
 	// forcing every search through the exhaustive accumulator path.
-	// For equivalence tests and A/B benchmarks; results are identical
-	// either way.
+	// Only equivalence tests set it; results are identical either way.
 	earlyExitOff atomic.Bool
 	// scanScored / scanSkipped count postings decoded vs. jumped
 	// without decoding by the block-max evaluator, across all
@@ -249,11 +248,6 @@ func (ix *Index) NumShards() int { return len(ix.ring.Load().shards) }
 // that a reshard completed.
 func (ix *Index) RingGen() uint64 { return ix.ring.Load().gen }
 
-// SetEarlyExit toggles the block-max early-exit evaluator (on by
-// default). Rankings are bit-identical either way; disabling it is
-// only useful for equivalence testing and A/B benchmarking.
-func (ix *Index) SetEarlyExit(on bool) { ix.earlyExitOff.Store(!on) }
-
 // BlockScanStats reports cumulative posting-block activity of the
 // block-max evaluator: blocks entered for decoding and whole blocks
 // skipped without decoding. A zero Skipped on a corpus larger than a
@@ -335,11 +329,6 @@ func (ix *Index) invalidateAnalysis() { ix.an.Store(nil) }
 // and sort per registry change instead of per query. The returned
 // slice is shared — callers must not mutate it.
 func (ix *Index) fieldsCached() []string {
-	if scratchOff.Load() {
-		// The A/B baseline: with request pooling off, analysis caching is
-		// off too, so the legacy stage measures true per-query cost.
-		return ix.Fields()
-	}
 	m := ix.analysisMemoRef()
 	m.mu.RLock()
 	f := m.fields
@@ -361,9 +350,6 @@ func (ix *Index) fieldsCached() []string {
 // analyzedTermsCached returns opts.Analyzer.AnalyzeTerms(raw) through
 // the cross-request memo. Returned slices are shared and immutable.
 func (ix *Index) analyzedTermsCached(opts FieldOptions, field, raw string) []string {
-	if scratchOff.Load() {
-		return opts.Analyzer.AnalyzeTerms(raw)
-	}
 	m := ix.analysisMemoRef()
 	key := fieldTerm{field, raw}
 	m.mu.RLock()

@@ -1,9 +1,6 @@
 package index
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Request-scratch pooling: every transient a query evaluation needs —
 // the aggregated-statistics struct with its maps, the per-shard
@@ -21,35 +18,17 @@ import (
 //     submit time and each shard task re-checks it before evaluating.
 //     A reference that somehow outlived its query (a bug in rule 1)
 //     skips the work instead of scribbling on a later query's scratch.
-//
-// SetScratchPooling(false) routes every acquisition to a fresh
-// allocation — the pre-pooling behaviour — for A/B benchmarks and
-// equivalence tests.
-
-var scratchOff atomic.Bool
-
-// SetScratchPooling toggles request-scratch recycling (on by
-// default). Disabled, every query allocates fresh scratch exactly as
-// before pooling existed; results are identical either way.
-func SetScratchPooling(on bool) { scratchOff.Store(!on) }
 
 var statsPool = sync.Pool{New: func() any { return newSearchStats() }}
 
-// getSearchStats returns an empty searchStats, pooled when pooling is
-// enabled.
+// getSearchStats returns an empty pooled searchStats.
 func getSearchStats() *searchStats {
-	if scratchOff.Load() {
-		return newSearchStats()
-	}
 	return statsPool.Get().(*searchStats)
 }
 
 // putSearchStats clears st and returns it to the pool. The generation
 // bump invalidates any stale reference still carrying the old stamp.
 func putSearchStats(st *searchStats) {
-	if scratchOff.Load() {
-		return
-	}
 	st.gen.Add(1)
 	clear(st.avgLen)
 	clear(st.df)
@@ -82,9 +61,6 @@ type slicePool[T any] struct {
 const slicePoolCap = 64
 
 func (sp *slicePool[T]) get(n int) []T {
-	if scratchOff.Load() {
-		return make([]T, n)
-	}
 	sp.mu.Lock()
 	var v []T
 	if len(sp.free) > 0 {
@@ -105,7 +81,7 @@ func (sp *slicePool[T]) get(n int) []T {
 }
 
 func (sp *slicePool[T]) put(v []T) {
-	if v == nil || scratchOff.Load() {
+	if v == nil {
 		return
 	}
 	sp.mu.Lock()
@@ -137,9 +113,4 @@ func putShardHits(h []shardHit) { shardHitsPool.put(h) }
 // Session.Release in session.go.
 var sessionPool = sync.Pool{New: func() any { return newSession() }}
 
-func getSession() *Session {
-	if scratchOff.Load() {
-		return newSession()
-	}
-	return sessionPool.Get().(*Session)
-}
+func getSession() *Session { return sessionPool.Get().(*Session) }

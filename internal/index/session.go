@@ -88,9 +88,6 @@ func newSession() *Session {
 // is idempotent and optional — an unreleased session is garbage
 // collected exactly as before pooling existed.
 func (sess *Session) Release() {
-	if scratchOff.Load() {
-		return
-	}
 	if sess.released.Swap(true) {
 		return
 	}

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"strings"
 	"sync"
 
 	"repro/internal/textproc"
@@ -57,15 +56,11 @@ func (sc *snippetScratch) matchTerm(term []byte) bool {
 // in <b>...</b>. Terms are compared post-stemming so "reviews"
 // highlights for query "review".
 //
-// With scratch pooling off it routes to makeSnippetRef — the seed
-// implementation, kept verbatim as both the A/B baseline and the
-// oracle for TestMakeSnippetEquivalence. The pooled path here must
-// stay byte-identical to it: it stems each token once and slides the
+// It must stay byte-identical to the seed implementation, which
+// snippet_test.go keeps verbatim as the oracle for
+// TestMakeSnippetEquivalence: it stems each token once and slides the
 // window count instead of rescanning up to 25 tokens per position.
 func makeSnippet(text string, matchTerms []string, maxLen int) string {
-	if scratchOff.Load() {
-		return makeSnippetRef(text, matchTerms, maxLen)
-	}
 	if text == "" {
 		return ""
 	}
@@ -145,72 +140,4 @@ func makeSnippet(text string, matchTerms []string, maxLen int) string {
 	}
 	sc.out = out
 	return string(out)
-}
-
-// makeSnippetRef is the seed snippet generator, unchanged. It rescans
-// the token window at every position (stemming each token up to 25
-// times) and is O(tokens × window); makeSnippet is the O(tokens)
-// replacement that must produce byte-identical output.
-func makeSnippetRef(text string, matchTerms []string, maxLen int) string {
-	if text == "" {
-		return ""
-	}
-	want := make(map[string]bool, len(matchTerms))
-	for _, t := range matchTerms {
-		want[t] = true
-	}
-	toks := textproc.Tokenize(text)
-	if len(toks) == 0 {
-		// Punctuation-only text: no window to center on, plain prefix.
-		if maxLen < len(text) {
-			return text[:maxLen] + "…"
-		}
-		return text
-	}
-	// Find the window of up to 25 tokens with the most matches.
-	bestStart, bestCount := 0, -1
-	const window = 25
-	for i := range toks {
-		count := 0
-		for j := i; j < len(toks) && j < i+window; j++ {
-			if want[textproc.Stem(toks[j].Term)] {
-				count++
-			}
-		}
-		if count > bestCount {
-			bestStart, bestCount = i, count
-		}
-		if i > 0 && toks[i].Start > maxLen && bestCount > 0 {
-			break
-		}
-	}
-	start := toks[bestStart].Start
-	end := len(text)
-	if start+maxLen < end {
-		end = start + maxLen
-	}
-	frag := text[start:end]
-
-	// Highlight matched tokens inside the fragment.
-	var b strings.Builder
-	last := 0
-	for _, tok := range textproc.Tokenize(frag) {
-		if !want[textproc.Stem(tok.Term)] {
-			continue
-		}
-		b.WriteString(frag[last:tok.Start])
-		b.WriteString("<b>")
-		b.WriteString(frag[tok.Start:tok.End])
-		b.WriteString("</b>")
-		last = tok.End
-	}
-	b.WriteString(frag[last:])
-	out := b.String()
-	if start > 0 {
-		out = "…" + out
-	}
-	if end < len(text) {
-		out += "…"
-	}
-	return out
 }

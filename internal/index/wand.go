@@ -66,19 +66,9 @@ type wandArena struct {
 
 var wandArenaPool = sync.Pool{New: func() any { return &wandArena{} }}
 
-func getWandArena() *wandArena {
-	if scratchOff.Load() {
-		// Pooling disabled: a fresh arena per call is the plain-
-		// allocation behaviour the A/B baseline wants.
-		return &wandArena{}
-	}
-	return wandArenaPool.Get().(*wandArena)
-}
+func getWandArena() *wandArena { return wandArenaPool.Get().(*wandArena) }
 
 func putWandArena(ar *wandArena) {
-	if scratchOff.Load() {
-		return
-	}
 	ar.nCur, ar.nGrp, ar.nEnt = 0, 0, 0
 	clear(ar.memSlab)
 	clear(ar.grpSlab)

@@ -21,7 +21,7 @@ import (
 )
 
 // Mapping is a read-only byte view over a file. The zero value is not
-// usable; obtain one from Open or FromBytes.
+// usable; obtain one from Open.
 type Mapping struct {
 	data   []byte
 	mapped bool // true when data is mmap-backed (unmappable), false when heap
@@ -55,13 +55,6 @@ func (m *Mapping) Close() error {
 		return nil
 	}
 	return unmap(data)
-}
-
-// FromBytes wraps an existing heap buffer in the Mapping API, for
-// tests and for code paths that want one representation for "attached
-// view" regardless of where the bytes came from.
-func FromBytes(b []byte) *Mapping {
-	return &Mapping{data: b, mapped: false}
 }
 
 // Open maps path read-only. An empty file yields an empty, valid

@@ -138,14 +138,17 @@ func TestTortureKillRecover(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 	t.Logf("torture: %d cycles, seed %d (set in code to reproduce)", cycles, seed)
 	policies := []wal.Policy{wal.PolicyAlways, wal.PolicyGroup, wal.PolicyInterval}
-	corruptions := []string{"truncate", "flip", "garbage"}
+	// Damage modes follow a fixed schedule (every mode within the default
+	// nine cycles) so subtest names are stable from run to run; the kill
+	// point and the damaged bytes stay randomized by rng.
+	corruptions := []string{"garbage", "truncate", "flip", "flip"}
 	for i := 0; i < cycles; i++ {
 		pol := policies[i%len(policies)]
 		// Odd cycles add a torn write on top of the kill, so both the
 		// crash point and the damage mode are exercised across the run.
 		corrupt := ""
 		if i%2 == 1 {
-			corrupt = corruptions[rng.Intn(len(corruptions))]
+			corrupt = corruptions[(i/2)%len(corruptions)]
 		}
 		name := fmt.Sprintf("cycle%02d_%s", i, pol)
 		if corrupt != "" {

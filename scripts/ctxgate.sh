@@ -10,7 +10,8 @@
 #
 # A NEW exported entry point without ctx therefore fails CI until it
 # either gains the parameter or is consciously added to the allowlist
-# in the same review.
+# in the same review. An allowlist line is "path:Name", optionally
+# followed by "# reason"; --update rewrites the file without reasons.
 #
 #   scripts/ctxgate.sh            check (exit 1 on violations)
 #   scripts/ctxgate.sh --update   regenerate the allowlist
@@ -49,7 +50,11 @@ if [ ! -f "$allow" ]; then
     exit 1
 fi
 
-new=$(offenders | comm -13 "$allow" - || true)
+# Offenders not on the allowlist; a line's "# reason" is not part of
+# its entry.
+new=$(offenders | awk '
+    FILENAME == allow { sub(/[ \t]*#.*/, ""); if ($0 != "") ok[$0] = 1; next }
+    !($0 in ok)' allow="$allow" "$allow" -)
 if [ -n "$new" ]; then
     echo "ctxgate: new exported entry points without a ctx first parameter:" >&2
     echo "$new" | sed 's/^/  /' >&2
