@@ -200,7 +200,8 @@ func (p *Platform) TrafficSummary(appID string) analytics.Summary {
 }
 
 // SiteSuggest mines the engine's click log and suggests sites related
-// to the seeds (§II-A Site Suggest).
+// to the seeds (§II-A Site Suggest). It sees every click the engine
+// recorded, because the log's bound drops only old queries.
 func (p *Platform) SiteSuggest(seeds []string, limit int) []sitesuggest.Suggestion {
 	return sitesuggest.Build(p.Engine.Log()).Suggest(seeds, limit)
 }

@@ -11,6 +11,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -61,9 +62,25 @@ type Engine struct {
 	perVert map[webcorpus.Vertical]*index.Index
 	quality map[string]float64
 
-	mu   sync.Mutex
-	log  []LogEntry
-	sugg *suggester
+	mu sync.Mutex
+	// seq numbers log entries in arrival order across the two logs.
+	seq uint64
+	// queries is a ring of the most recent queryLogSize queries; next
+	// is where the following one goes once it is full.
+	queries []loggedEntry
+	next    int
+	clicks  []loggedEntry
+	sugg    *suggester
+}
+
+// queryLogSize bounds the queries the log keeps: about 400 Fig 2
+// pages' worth. Clicks are kept in full; they are what Site Suggest
+// reads.
+const queryLogSize = 4096
+
+type loggedEntry struct {
+	seq uint64
+	LogEntry
 }
 
 // LogEntry records one query and, when the end user clicked, the
@@ -203,8 +220,15 @@ func (e *Engine) rerank(req Request, raw []index.Result, limit int) []Result {
 
 func (e *Engine) logQuery(req Request) {
 	e.mu.Lock()
-	e.log = append(e.log, LogEntry{Query: req.Query, Vertical: req.Vertical})
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	entry := loggedEntry{seq: e.seq, LogEntry: LogEntry{Query: req.Query, Vertical: req.Vertical}}
+	e.seq++
+	if len(e.queries) < queryLogSize {
+		e.queries = append(e.queries, entry)
+		return
+	}
+	e.queries[e.next] = entry
+	e.next = (e.next + 1) % queryLogSize
 }
 
 // Response is the single answer shape of the engine: the ranked hits
@@ -299,15 +323,21 @@ func (e *Engine) RecordClick(query, url string) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.log = append(e.log, LogEntry{Query: query, ClickedURL: url, Site: site})
+	e.clicks = append(e.clicks, loggedEntry{seq: e.seq, LogEntry: LogEntry{Query: query, ClickedURL: url, Site: site}})
+	e.seq++
 }
 
-// Log returns a copy of the query/click log.
+// Log returns a copy of the query/click log in arrival order: every
+// click, but only the most recent queryLogSize (4 096) queries.
 func (e *Engine) Log() []LogEntry {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]LogEntry, len(e.log))
-	copy(out, e.log)
+	all := slices.Concat(e.queries, e.clicks)
+	e.mu.Unlock()
+	slices.SortFunc(all, func(a, b loggedEntry) int { return cmp.Compare(a.seq, b.seq) })
+	out := make([]LogEntry, len(all))
+	for i := range all {
+		out[i] = all[i].LogEntry
+	}
 	return out
 }
 

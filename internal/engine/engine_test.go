@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -183,6 +185,41 @@ func TestQueryLogRecords(t *testing.T) {
 	}
 	if log[1].ClickedURL == "" || log[0].ClickedURL != "" {
 		t.Error("click attribution wrong")
+	}
+}
+
+// TestQueryLogBounded: the log keeps the most recent queryLogSize
+// queries and every click, in arrival order.
+func TestQueryLogBounded(t *testing.T) {
+	e := newEngine(t)
+	const queries = 10000
+	clickAfter := map[int]string{10: "ign.com", 8000: "gamespot.com", queries - 1: "ign.com"}
+	var arrived []LogEntry // the log as it would be without a bound
+	for i := 0; i < queries; i++ {
+		q := fmt.Sprint("q", i)
+		e.logQuery(Request{Query: q})
+		arrived = append(arrived, LogEntry{Query: q})
+		if site, ok := clickAfter[i]; ok {
+			url := "http://" + site + "/page"
+			e.RecordClick(q, url)
+			arrived = append(arrived, LogEntry{Query: q, ClickedURL: url, Site: site})
+		}
+	}
+	var want []LogEntry
+	drop := queries - queryLogSize
+	for _, entry := range arrived {
+		if entry.ClickedURL == "" && drop > 0 {
+			drop--
+			continue
+		}
+		want = append(want, entry)
+	}
+	got := e.Log()
+	if len(got) != queryLogSize+len(clickAfter) {
+		t.Fatalf("log has %d entries, want %d queries and %d clicks", len(got), queryLogSize, len(clickAfter))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("log out of order: first entries %+v, want %+v", got[:3], want[:3])
 	}
 }
 

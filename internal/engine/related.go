@@ -27,10 +27,12 @@ func (e *Engine) RelatedQueries(q string, limit int) []string {
 
 	e.mu.Lock()
 	freq := make(map[string]int)
-	for _, entry := range e.log {
-		lq := strings.ToLower(strings.TrimSpace(entry.Query))
-		if lq != "" && lq != norm {
-			freq[lq]++
+	for _, entries := range [][]loggedEntry{e.queries, e.clicks} {
+		for _, entry := range entries {
+			lq := strings.ToLower(strings.TrimSpace(entry.Query))
+			if lq != "" && lq != norm {
+				freq[lq]++
+			}
 		}
 	}
 	e.mu.Unlock()

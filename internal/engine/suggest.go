@@ -17,7 +17,7 @@ import (
 type suggester struct {
 	mu     sync.Mutex
 	counts map[string]int
-	built  int // log length the structure was built from
+	built  uint64 // log sequence number the structure was built at
 }
 
 // Suggest returns up to limit previously issued queries that extend
@@ -36,17 +36,18 @@ func (e *Engine) Suggest(prefix string, limit int) []string {
 		e.sugg = &suggester{}
 	}
 	sg := e.sugg
-	logLen := len(e.log)
-	if sg.counts == nil || sg.built != logLen {
-		counts := make(map[string]int, logLen)
-		for _, entry := range e.log {
-			q := strings.ToLower(strings.TrimSpace(entry.Query))
-			if q != "" {
-				counts[q]++
+	if sg.counts == nil || sg.built != e.seq {
+		counts := make(map[string]int, len(e.queries)+len(e.clicks))
+		for _, entries := range [][]loggedEntry{e.queries, e.clicks} {
+			for _, entry := range entries {
+				q := strings.ToLower(strings.TrimSpace(entry.Query))
+				if q != "" {
+					counts[q]++
+				}
 			}
 		}
 		sg.counts = counts
-		sg.built = logLen
+		sg.built = e.seq
 	}
 	counts := sg.counts
 	e.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/url"
@@ -300,7 +301,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, resp.HTML)
+	if _, err := io.WriteString(w, resp.HTML); err != nil {
+		log.Printf("host: writing query response: %v", err)
+	}
 }
 
 // handleClick logs the interaction and redirects to the target —

@@ -3,14 +3,19 @@
 // "merged ... and formatted into HTML, applying any configured layout
 // and presentation details").
 //
+// A layout is compiled under its stylesheet into a flat op list
+// (Compile), and items are appended through it into one byte buffer,
+// so a page is rendered in one pass without strings inside strings.
+//
 // All field values are HTML-escaped; URLs additionally pass a scheme
 // allowlist so a hostile record cannot inject javascript: links into
 // a hosted application.
 package render
 
 import (
-	"html"
+	"maps"
 	"net/url"
+	"slices"
 	"strings"
 
 	"repro/internal/layout"
@@ -31,92 +36,264 @@ type Renderer struct {
 // falls back to a definition-list dump of the item's fields, which is
 // what the design GUI shows before a layout is configured.
 func (r *Renderer) Item(el *layout.Element, item source.Item, supplementalHTML map[string]string) string {
-	var b strings.Builder
+	return string(Compile(el, r.Stylesheet).AppendItem(nil, item, r.ClickPrefix(), mapSlots(supplementalHTML)))
+}
+
+// List renders a list of items, each through the same layout.
+func (r *Renderer) List(el *layout.Element, items []source.Item, suppByItem []map[string]string) string {
+	c := Compile(el, r.Stylesheet)
+	click := r.ClickPrefix()
+	b := append([]byte(nil), listStart...)
+	for i, item := range items {
+		var supp map[string]string
+		if i < len(suppByItem) {
+			supp = suppByItem[i]
+		}
+		b = c.AppendItem(b, item, click, mapSlots(supp))
+	}
+	return string(append(b, listEnd...))
+}
+
+// mapSlots fills each source slot with already-rendered safe HTML.
+func mapSlots(supp map[string]string) func([]byte, string) []byte {
+	return func(dst []byte, sourceID string) []byte { return append(dst, supp[sourceID]...) }
+}
+
+// ClickPrefix returns the HTML-escaped start of every click-logged
+// href, everything before the query-escaped target. It is empty when
+// ClickBase is unset, which renders direct links.
+func (r *Renderer) ClickPrefix() string {
+	if r.ClickBase == "" {
+		return ""
+	}
+	return string(AppendEscaped(nil, r.ClickBase+"?app="+url.QueryEscape(r.AppID)+"&url="))
+}
+
+// Page wraps rendered source blocks into the application response
+// fragment injected by the embed JavaScript.
+func Page(appID string, blocks []string) string {
+	b := AppendPageStart(nil, appID)
+	for _, blk := range blocks {
+		b = append(b, blk...)
+	}
+	return string(append(b, PageEnd...))
+}
+
+// AppendPageStart appends the opening tag of the application response
+// fragment; PageEnd closes it.
+func AppendPageStart(dst []byte, appID string) []byte {
+	dst = append(dst, `<div class="symphony-app" data-app="`...)
+	dst = AppendEscaped(dst, appID)
+	return append(dst, `">`...)
+}
+
+// PageEnd closes the fragment AppendPageStart opens.
+const PageEnd = "</div>"
+
+const (
+	listStart = `<div class="sym-results">`
+	listEnd   = "</div>"
+)
+
+type opKind uint8
+
+const (
+	opLiteral opKind = iota // lit, verbatim
+	opText                  // the escaped field value, or lit (escaped) when it is empty
+	opSrc                   // the escaped SafeURL of the field
+	opHref                  // the SafeURL of the field as a link target, click-wrapped when configured
+	opSlot                  // the content of the source slot named by field
+)
+
+type op struct {
+	kind  opKind
+	field string
+	lit   string
+}
+
+// Compiled is a layout compiled under a stylesheet: a flat op list in
+// which every byte that depends only on the layout (tags, the
+// resolved and escaped style attributes, slot headers) is one
+// precomputed literal.
+type Compiled struct {
+	ops []op
+	// fallback marks a nil layout: the item's fields as a definition
+	// list.
+	fallback bool
+}
+
+// Compile compiles el under ss. A nil el compiles to the
+// definition-list fallback.
+func Compile(el *layout.Element, ss *layout.Stylesheet) *Compiled {
 	if el == nil {
-		r.fallback(&b, item)
-		return b.String()
+		return &Compiled{fallback: true}
 	}
-	r.render(&b, el, item, supplementalHTML)
-	return b.String()
+	k := compiler{ss: ss}
+	k.element(el)
+	k.flush()
+	return &Compiled{ops: k.ops}
 }
 
-func (r *Renderer) fallback(b *strings.Builder, item source.Item) {
-	b.WriteString(`<dl class="sym-item">`)
-	for _, k := range sortedKeys(item) {
-		if strings.HasPrefix(k, "_") {
-			continue
-		}
-		b.WriteString("<dt>")
-		b.WriteString(html.EscapeString(k))
-		b.WriteString("</dt><dd>")
-		b.WriteString(html.EscapeString(item[k]))
-		b.WriteString("</dd>")
-	}
-	b.WriteString("</dl>")
+type compiler struct {
+	ss  *layout.Stylesheet
+	ops []op
+	lit []byte // literal bytes not yet emitted as an op
 }
 
-func sortedKeys(item source.Item) []string {
-	keys := make([]string, 0, len(item))
-	for k := range item {
-		keys = append(keys, k)
+func (k *compiler) literal(parts ...string) {
+	for _, p := range parts {
+		k.lit = append(k.lit, p...)
 	}
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
-	return keys
 }
 
-func (r *Renderer) render(b *strings.Builder, el *layout.Element, item source.Item, supp map[string]string) {
-	style := layout.StyleAttr(r.Stylesheet.Resolve(el))
-	attr := ""
-	if style != "" {
-		attr = ` style="` + html.EscapeString(style) + `"`
+func (k *compiler) flush() {
+	if len(k.lit) > 0 {
+		k.ops = append(k.ops, op{kind: opLiteral, lit: string(k.lit)})
+		k.lit = k.lit[:0]
+	}
+}
+
+func (k *compiler) emit(o op) {
+	k.flush()
+	k.ops = append(k.ops, o)
+}
+
+func (k *compiler) element(el *layout.Element) {
+	var attr string
+	if style := layout.StyleAttr(k.ss.Resolve(el)); style != "" {
+		attr = ` style="` + string(AppendEscaped(nil, style)) + `"`
 	}
 	switch el.Type {
 	case layout.ElemContainer:
-		b.WriteString("<div" + attr + ">")
+		k.literal("<div", attr, ">")
 		for _, c := range el.Children {
-			r.render(b, c, item, supp)
+			k.element(c)
 		}
-		b.WriteString("</div>")
+		k.literal("</div>")
 	case layout.ElemText:
-		b.WriteString("<span" + attr + ">")
-		b.WriteString(html.EscapeString(r.content(el, item)))
-		b.WriteString("</span>")
+		k.literal("<span", attr, ">")
+		k.content(el)
+		k.literal("</span>")
 	case layout.ElemImage:
-		src := SafeURL(item[el.Field])
-		b.WriteString(`<img` + attr + ` src="` + html.EscapeString(src) + `" alt=""/>`)
+		k.literal("<img", attr, ` src="`)
+		k.emit(op{kind: opSrc, field: el.Field})
+		k.literal(`" alt=""/>`)
 	case layout.ElemLink:
-		href := r.href(SafeURL(item[el.HrefField]))
-		b.WriteString(`<a` + attr + ` href="` + html.EscapeString(href) + `">`)
-		b.WriteString(html.EscapeString(r.content(el, item)))
-		b.WriteString("</a>")
+		k.literal("<a", attr, ` href="`)
+		k.emit(op{kind: opHref, field: el.HrefField})
+		k.literal(`">`)
+		k.content(el)
+		k.literal("</a>")
 	case layout.ElemSourceSlot:
-		b.WriteString(`<div class="sym-supplemental" data-source="` + html.EscapeString(el.SourceID) + `">`)
-		b.WriteString(supp[el.SourceID]) // already-rendered safe HTML
-		b.WriteString("</div>")
+		k.literal(`<div class="sym-supplemental" data-source="`)
+		k.lit = AppendEscaped(k.lit, el.SourceID)
+		k.literal(`">`)
+		k.emit(op{kind: opSlot, field: el.SourceID})
+		k.literal("</div>")
 	}
 }
 
-func (r *Renderer) content(el *layout.Element, item source.Item) string {
-	if el.Field != "" {
-		if v := item[el.Field]; v != "" {
-			return v
+// content is an element's text: its bound field, falling back to its
+// literal when the field is unbound or empty.
+func (k *compiler) content(el *layout.Element) {
+	if el.Field == "" {
+		k.lit = AppendEscaped(k.lit, el.Literal)
+		return
+	}
+	k.emit(op{kind: opText, field: el.Field, lit: string(AppendEscaped(nil, el.Literal))})
+}
+
+// AppendItem appends item rendered through c to dst. click is the
+// Renderer's ClickPrefix ("" renders direct links). slot, when not
+// nil, appends the content of the source slot named sourceID; a nil
+// slot leaves every slot empty.
+func (c *Compiled) AppendItem(dst []byte, item source.Item, click string, slot func(dst []byte, sourceID string) []byte) []byte {
+	if c.fallback {
+		return appendFields(dst, item)
+	}
+	for i := range c.ops {
+		o := &c.ops[i]
+		switch o.kind {
+		case opLiteral:
+			dst = append(dst, o.lit...)
+		case opText:
+			if v := item[o.field]; v != "" {
+				dst = AppendEscaped(dst, v)
+			} else {
+				dst = append(dst, o.lit...)
+			}
+		case opSrc:
+			dst = AppendEscaped(dst, SafeURL(item[o.field]))
+		case opHref:
+			target := SafeURL(item[o.field])
+			if click == "" || target == "" {
+				dst = AppendEscaped(dst, target)
+			} else {
+				// Query escaping leaves nothing HTML escaping would change.
+				dst = append(dst, click...)
+				dst = append(dst, url.QueryEscape(target)...)
+			}
+		case opSlot:
+			if slot != nil {
+				dst = slot(dst, o.field)
+			}
 		}
 	}
-	return el.Literal
+	return dst
 }
 
-// href routes through the click logger when configured.
-func (r *Renderer) href(target string) string {
-	if r.ClickBase == "" || target == "" {
-		return target
+// AppendList appends items, each rendered through c with empty source
+// slots, inside the results wrapper.
+func (c *Compiled) AppendList(dst []byte, items []source.Item, click string) []byte {
+	dst = append(dst, listStart...)
+	for _, item := range items {
+		dst = c.AppendItem(dst, item, click, nil)
 	}
-	return r.ClickBase + "?app=" + url.QueryEscape(r.AppID) + "&url=" + url.QueryEscape(target)
+	return append(dst, listEnd...)
+}
+
+// appendFields is the nil-layout fallback: every field not starting
+// with "_", in key order.
+func appendFields(dst []byte, item source.Item) []byte {
+	dst = append(dst, `<dl class="sym-item">`...)
+	for _, k := range slices.Sorted(maps.Keys(item)) {
+		if strings.HasPrefix(k, "_") {
+			continue
+		}
+		dst = append(dst, "<dt>"...)
+		dst = AppendEscaped(dst, k)
+		dst = append(dst, "</dt><dd>"...)
+		dst = AppendEscaped(dst, item[k])
+		dst = append(dst, "</dd>"...)
+	}
+	return append(dst, "</dl>"...)
+}
+
+// AppendEscaped appends s HTML-escaped to dst, byte for byte as
+// html.EscapeString escapes it.
+func AppendEscaped(dst []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '&':
+			esc = "&amp;"
+		case '\'':
+			esc = "&#39;"
+		case '"':
+			esc = "&#34;"
+		default:
+			continue
+		}
+		dst = append(dst, s[last:i]...)
+		dst = append(dst, esc...)
+		last = i + 1
+	}
+	return append(dst, s[last:]...)
 }
 
 // SafeURL allows http, https and ftp URLs plus rooted paths; anything
@@ -133,31 +310,4 @@ func SafeURL(u string) string {
 		return strings.TrimSpace(u)
 	}
 	return "#"
-}
-
-// List renders a list of items, each through the same layout.
-func (r *Renderer) List(el *layout.Element, items []source.Item, suppByItem []map[string]string) string {
-	var b strings.Builder
-	b.WriteString(`<div class="sym-results">`)
-	for i, item := range items {
-		var supp map[string]string
-		if i < len(suppByItem) {
-			supp = suppByItem[i]
-		}
-		b.WriteString(r.Item(el, item, supp))
-	}
-	b.WriteString("</div>")
-	return b.String()
-}
-
-// Page wraps rendered source blocks into the application response
-// fragment injected by the embed JavaScript.
-func Page(appID string, blocks []string) string {
-	var b strings.Builder
-	b.WriteString(`<div class="symphony-app" data-app="` + html.EscapeString(appID) + `">`)
-	for _, blk := range blocks {
-		b.WriteString(blk)
-	}
-	b.WriteString("</div>")
-	return b.String()
 }

@@ -14,9 +14,8 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"html"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ads"
@@ -57,7 +56,8 @@ type SourceBlock struct {
 	// SupplementalByItem[i][suppID] holds supplemental items for
 	// primary item i.
 	SupplementalByItem []map[string][]source.Item
-	HTML               string
+	// HTML is this block's part of Response.HTML.
+	HTML string
 }
 
 // Response is the executed application output.
@@ -141,16 +141,21 @@ func (x *Executor) Execute(ctx context.Context, a *app.Application, q Query) (*R
 	trace.add("receive", fmt.Sprintf("query %q forwarded to Symphony", q.Text), 0, 0, nil)
 
 	resp := &Response{AppID: a.ID, Query: q.Text, Trace: trace}
-	renderer := &render.Renderer{Stylesheet: a.Stylesheet, ClickBase: x.ClickBase, AppID: a.ID}
+	click := (&render.Renderer{ClickBase: x.ClickBase, AppID: a.ID}).ClickPrefix()
 
 	if x.Log != nil {
 		x.Log.Record(analytics.Event{App: a.ID, Type: analytics.EventQuery, Query: q.Text, Customer: q.Customer})
 	}
 
-	var blocks []string
+	// The whole page is written into one pooled buffer; block k's HTML
+	// is page[bounds[k]:bounds[k+1]].
+	buf := pagePool.Get().(*[]byte)
+	page := render.AppendPageStart((*buf)[:0], a.ID)
+	defer func() { putPage(buf, page) }()
+	bounds := append(make([]int, 0, len(a.Primary)+1), len(page))
 	for i := range a.Primary {
 		sc := &a.Primary[i]
-		block, err := x.executePrimary(ctx, a, sc, q, renderer, trace, 0)
+		block, err := x.executePrimary(ctx, a, sc, q, trace, 0)
 		if err != nil {
 			// A failing source degrades to an empty block rather than
 			// failing the whole page: hosted apps must stay up when a
@@ -158,8 +163,11 @@ func (x *Executor) Execute(ctx context.Context, a *app.Application, q Query) (*R
 			trace.add("primary:"+sc.ID, "failed", 0, 0, err)
 			continue
 		}
+		stageStart := time.Now()
+		page = appendBlock(page, a, sc, block, click)
+		trace.add("render:"+sc.ID, "layout applied", time.Since(stageStart), len(block.Items), nil)
 		resp.Blocks = append(resp.Blocks, *block)
-		blocks = append(blocks, block.HTML)
+		bounds = append(bounds, len(page))
 	}
 	if err := ctx.Err(); err != nil {
 		// The deadline landed mid-page: every remaining source failed
@@ -167,14 +175,34 @@ func (x *Executor) Execute(ctx context.Context, a *app.Application, q Query) (*R
 		return nil, err
 	}
 	stageStart := time.Now()
-	resp.HTML = render.Page(a.ID, blocks)
-	trace.add("format", "merged content formatted into HTML", time.Since(stageStart), len(blocks), nil)
+	page = append(page, render.PageEnd...)
+	resp.HTML = string(page)
+	for k := range resp.Blocks {
+		resp.Blocks[k].HTML = resp.HTML[bounds[k]:bounds[k+1]]
+	}
+	trace.add("format", "merged content formatted into HTML", time.Since(stageStart), len(resp.Blocks), nil)
 	trace.add("respond", "HTML returned to embedded JavaScript", 0, 0, nil)
 	trace.Total = time.Since(start)
 	return resp, nil
 }
 
-func (x *Executor) executePrimary(ctx context.Context, a *app.Application, sc *app.SourceConfig, q Query, renderer *render.Renderer, trace *Trace, depth int) (*SourceBlock, error) {
+// pagePool recycles page buffers across requests. Nothing outlives
+// Execute in one: the response holds a copy.
+var pagePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledPage keeps a rare outsized page from pinning its buffer in
+// the pool.
+const maxPooledPage = 64 << 10
+
+func putPage(buf *[]byte, page []byte) {
+	if cap(page) > maxPooledPage {
+		return
+	}
+	*buf = page[:0]
+	pagePool.Put(buf)
+}
+
+func (x *Executor) executePrimary(ctx context.Context, a *app.Application, sc *app.SourceConfig, q Query, trace *Trace, depth int) (*SourceBlock, error) {
 	src, err := x.resolve(ctx, a, sc, depth)
 	if err != nil {
 		return nil, err
@@ -231,82 +259,85 @@ func (x *Executor) executePrimary(ctx context.Context, a *app.Application, sc *a
 		detail := fmt.Sprintf("%d supplemental queries driven by primary fields", n)
 		trace.add("supplemental:"+sc.ID, detail, time.Since(stageStart), n, err)
 	}
-
-	// Render: each item, with its supplemental HTML, through the
-	// configured layout.
-	stageStart = time.Now()
-	suppHTML := make([]map[string]string, len(items))
-	for i := range items {
-		m := make(map[string]string)
-		for suppID, suppItems := range block.SupplementalByItem[i] {
-			ssc, _ := a.Source(suppID)
-			var lay = ssc.Layout
-			m[suppID] = renderer.List(lay, suppItems, nil)
-		}
-		suppHTML[i] = m
-	}
-	var itemsHTML string
-	itemsHTML = renderListWithSupp(renderer, sc, items, suppHTML)
-	block.HTML = itemsHTML
-	trace.add("render:"+sc.ID, "layout applied", time.Since(stageStart), len(items), nil)
 	return block, nil
 }
 
-func renderListWithSupp(r *render.Renderer, sc *app.SourceConfig, items []source.Item, supp []map[string]string) string {
-	var blocks []string
-	for i, item := range items {
-		var m map[string]string
-		if i < len(supp) {
-			m = supp[i]
-		}
-		blocks = append(blocks, r.Item(sc.Layout, item, m))
+// appendBlock renders one primary block at the end of page: each item
+// through the source's compiled layout, with each supplemental list
+// written at its slot.
+func appendBlock(page []byte, a *app.Application, sc *app.SourceConfig, block *SourceBlock, click string) []byte {
+	primary := render.Compile(sc.Layout, a.Stylesheet)
+	supp := make(map[string]*render.Compiled) // supplemental layouts, compiled on first use
+	page = append(page, `<div class="sym-source" data-source="`...)
+	page = render.AppendEscaped(page, sc.ID)
+	page = append(page, `">`...)
+	for i, item := range block.Items {
+		found := block.SupplementalByItem[i]
+		page = primary.AppendItem(page, item, click, func(dst []byte, id string) []byte {
+			items, ok := found[id]
+			if !ok {
+				return dst // failed, or not a source of this app: the slot stays empty
+			}
+			c := supp[id]
+			if c == nil {
+				ssc, _ := a.Source(id)
+				c = render.Compile(ssc.Layout, a.Stylesheet)
+				supp[id] = c
+			}
+			return c.AppendList(dst, items, click)
+		})
 	}
-	return `<div class="sym-source" data-source="` + html.EscapeString(sc.ID) + `">` + strings.Join(blocks, "") + `</div>`
+	return append(page, "</div>"...)
 }
 
-// fanOut queries every supplemental source for every primary item,
-// bounded by SupplementalParallelism. It returns the number of
-// supplemental queries issued and the first error (non-fatal).
+// fanOut queries every supplemental source for every primary item on
+// min(SupplementalParallelism, jobs) workers, the calling goroutine
+// being one of them. It returns the number of supplemental queries
+// issued and the first error in job order (non-fatal).
 func (x *Executor) fanOut(ctx context.Context, a *app.Application, block *SourceBlock, suppConfigs []*app.SourceConfig, depth int) (int, error) {
-	type job struct {
-		itemIdx int
-		sc      *app.SourceConfig
+	// Job k queries suppConfigs[k%len] for item k/len.
+	n := len(block.Items) * len(suppConfigs)
+	type result struct {
+		items []source.Item
+		err   error
 	}
-	var jobs []job
-	for i := range block.Items {
-		block.SupplementalByItem[i] = make(map[string][]source.Item, len(suppConfigs))
-		for _, ssc := range suppConfigs {
-			jobs = append(jobs, job{i, ssc})
+	results := make([]result, n)
+	var next atomic.Int64
+	work := func() {
+		for k := int(next.Add(1) - 1); k < n; k = int(next.Add(1) - 1) {
+			ssc, item := suppConfigs[k%len(suppConfigs)], block.Items[k/len(suppConfigs)]
+			results[k].items, results[k].err = x.querySupplemental(ctx, a, ssc, item, depth)
 		}
 	}
 	par := x.SupplementalParallelism
 	if par <= 0 {
 		par = 8
 	}
-	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for _, j := range jobs {
+	for w := 1; w < min(par, n); w++ {
 		wg.Add(1)
-		go func(j job) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			items, err := x.querySupplemental(ctx, a, j.sc, block.Items[j.itemIdx], depth)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			block.SupplementalByItem[j.itemIdx][j.sc.ID] = items
-		}(j)
+			work()
+		}()
 	}
+	work()
 	wg.Wait()
-	return len(jobs), firstErr
+
+	var firstErr error
+	for i := range block.Items {
+		block.SupplementalByItem[i] = make(map[string][]source.Item, len(suppConfigs))
+	}
+	for k, r := range results {
+		if r.err != nil {
+			if firstErr == nil {
+				firstErr = r.err
+			}
+			continue
+		}
+		block.SupplementalByItem[k/len(suppConfigs)][suppConfigs[k%len(suppConfigs)].ID] = r.items
+	}
+	return n, firstErr
 }
 
 // querySupplemental runs one supplemental source for one primary

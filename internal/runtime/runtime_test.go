@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ads"
@@ -181,7 +182,7 @@ func TestQueryLogging(t *testing.T) {
 func TestSequentialVsParallelSameResults(t *testing.T) {
 	seq := newFixture(t, 1)
 	par := newFixture(t, 8)
-	q := Query{Text: seq.titles[0]}
+	q := Query{Text: "video game"} // every title matches: a page of several items
 	a, err := seq.exec.Execute(context.Background(), seq.app, q)
 	if err != nil {
 		t.Fatal(err)
@@ -190,16 +191,62 @@ func TestSequentialVsParallelSameResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra := a.Blocks[0].SupplementalByItem[0]["reviews"]
-	rb := b.Blocks[0].SupplementalByItem[0]["reviews"]
-	if len(ra) != len(rb) {
-		t.Fatalf("review counts differ: %d vs %d", len(ra), len(rb))
+	if len(a.Blocks[0].Items) < 2 {
+		t.Fatalf("page has %d items, want several", len(a.Blocks[0].Items))
 	}
-	for i := range ra {
-		if ra[i]["url"] != rb[i]["url"] {
-			t.Errorf("review %d differs between sequential and parallel", i)
+	for _, block := range []SourceBlock{a.Blocks[0], b.Blocks[0]} {
+		for item, supp := range block.SupplementalByItem {
+			// The pricing service echoes the title it priced, so this
+			// pins each supplemental result to the item that drove it.
+			if p := supp["pricing"]; len(p) != 1 || p[0]["title"] != block.Items[item]["title"] {
+				t.Errorf("item %d (%s) got pricing %v", item, block.Items[item]["title"], p)
+			}
 		}
 	}
+	for item := range a.Blocks[0].Items {
+		ra := a.Blocks[0].SupplementalByItem[item]["reviews"]
+		rb := b.Blocks[0].SupplementalByItem[item]["reviews"]
+		if len(ra) != len(rb) {
+			t.Fatalf("item %d: review counts differ: %d vs %d", item, len(ra), len(rb))
+		}
+		for i := range ra {
+			if ra[i]["url"] != rb[i]["url"] {
+				t.Errorf("item %d: review %d differs between sequential and parallel", item, i)
+			}
+		}
+	}
+}
+
+// TestConcurrentExecute: pages rendered at once, through the shared
+// buffer pool and each request's fan-out workers, stay whole and keep
+// every block inside their own page.
+func TestConcurrentExecute(t *testing.T) {
+	f := newFixture(t, 0)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(title string) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				resp, err := f.exec.Execute(context.Background(), f.app, Query{Text: title})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				page := resp.HTML
+				if !strings.HasPrefix(page, `<div class="symphony-app" data-app="gamerqueen">`) || !strings.HasSuffix(page, "</div></div>") {
+					t.Errorf("page not whole: %s", page)
+				}
+				if len(resp.Blocks) != 1 || !strings.Contains(page, resp.Blocks[0].HTML) || !strings.Contains(page, title) {
+					t.Errorf("page for %q lacks its block or title: %s", title, page)
+				}
+				if len(resp.Blocks[0].Items) > 0 && len(resp.Blocks[0].SupplementalByItem[0]["reviews"]) == 0 {
+					t.Errorf("page for %q lost its reviews", title)
+				}
+			}
+		}(f.titles[g%len(f.titles)])
+	}
+	wg.Wait()
 }
 
 func TestFailingSupplementalDegrades(t *testing.T) {

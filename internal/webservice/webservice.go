@@ -17,8 +17,10 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -202,18 +204,7 @@ func cacheKey(def Definition, params map[string]string) string {
 	b.WriteByte('|')
 	b.WriteString(def.Endpoint)
 	// params in sorted order for stability
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
-	}
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(params)) {
 		b.WriteByte('|')
 		b.WriteString(k)
 		b.WriteByte('=')

@@ -2,10 +2,13 @@
 # allocgate: the warm-path allocation budget for the query pipeline.
 #
 # Runs the BenchmarkQuery family with -benchmem and compares allocs/op
-# against the committed baseline in scripts/allocgate_baseline.txt
-# (the "after" numbers in BENCH_query.json). A variant may regress by
-# at most 20%, with a +2 absolute grace so tiny baselines (4 allocs)
-# are not failed by a single incidental allocation. Anything more
+# against the committed baseline in scripts/allocgate_baseline.txt. The
+# baseline was taken at GOMAXPROCS=1, so the run is pinned there too:
+# with more procs the shard executor's fan-out degree, and with it the
+# allocation count, follows whichever workers happen to be idle. A
+# variant may regress by at most 20%, with a +2 absolute grace so tiny
+# baselines (4 allocs) are not failed by a single incidental
+# allocation. Anything more
 # fails: allocation creep on the warm path is exactly the regression
 # the pooled-scratch redesign exists to prevent, and it never shows up
 # in correctness tests.
@@ -22,7 +25,7 @@ baseline=scripts/allocgate_baseline.txt
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
-go test ./internal/index/ -run '^$' -bench 'BenchmarkQuery($|/)' \
+GOMAXPROCS=1 go test ./internal/index/ -run '^$' -bench 'BenchmarkQuery($|/)' \
     -benchmem -benchtime=100x | tee "$out"
 
 measured() {
