@@ -59,7 +59,6 @@ func main() {
 	dataset := fs.String("dataset", "", "target dataset name (load)")
 	format := fs.String("format", "", "upload format csv|json|rss (load; empty = detect from filename)")
 	key := fs.String("key", "", "column promoted to record key on inferred schemas (load)")
-	legacy := fs.Bool("v1", false, "write the legacy v1 snapshot format (snapshot)")
 	timeout := fs.Duration("timeout", 0, "overall command deadline (0 = none); Ctrl-C always cancels")
 	fs.Parse(os.Args[2:])
 
@@ -237,25 +236,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *legacy {
-			err = p.Store.SnapshotV1(f)
-		} else {
-			err = p.Store.SnapshotContext(ctx, f)
-		}
+		err = p.Store.SnapshotContext(ctx, f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		format := "v2 (framed, parallel)"
-		if *legacy {
-			format = "v1 (legacy JSON)"
-		}
 		if info, err := os.Stat(*out); err == nil {
-			fmt.Printf("wrote %s snapshot to %s (%d bytes)\n", format, *out, info.Size())
+			fmt.Printf("wrote v3 snapshot to %s (%d bytes)\n", *out, info.Size())
 		} else {
-			fmt.Printf("wrote %s snapshot to %s\n", format, *out)
+			fmt.Printf("wrote v3 snapshot to %s\n", *out)
 		}
 	case "reshard":
 		// symctl reshard <tenant> <dataset> <n>: drive an online shard
@@ -286,13 +277,11 @@ func main() {
 				st.Tenant, st.Dataset, st.Records, st.Shards, st.RingGen, 100*st.TombstoneRatio)
 		}
 	case "restore":
-		f, err := os.Open(*in)
+		data, err := os.ReadFile(*in)
 		if err != nil {
 			log.Fatal(err)
 		}
-		err = p.Store.RestoreContext(ctx, f)
-		f.Close()
-		if err != nil {
+		if err := p.Store.RestoreContext(ctx, data); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("restored %s:\n", *in)

@@ -17,9 +17,10 @@ import (
 // and ad state are operational, not configuration, and are excluded.
 
 // backupDoc version 2 carries the store as an opaque byte blob
-// (base64 in JSON) holding a framed store-format-v2 snapshot with
-// serialized indexes. Version 1 carried the store's legacy v1 JSON
-// document inline; RestoreBackup still reads it.
+// (base64 in JSON) holding a store snapshot: format v3 when written
+// by Backup, though any format the store restores is accepted.
+// Version 1 carried the store's legacy v1 JSON document inline;
+// RestoreBackup still reads it.
 type backupDoc struct {
 	Version int               `json:"version"`
 	Store   []byte            `json:"store"`
@@ -71,7 +72,7 @@ func (p *Platform) RestoreBackup(r io.Reader) error {
 	default:
 		return fmt.Errorf("core: restore: unsupported backup version %d", raw.Version)
 	}
-	if err := p.Store.RestoreContext(context.Background(), bytes.NewReader(doc.Store)); err != nil {
+	if err := p.Store.RestoreContext(context.Background(), doc.Store); err != nil {
 		return err
 	}
 	for _, raw := range doc.Apps {

@@ -29,7 +29,7 @@ import (
 // the datasets mutated since the previous one (dirty tracking by
 // dataset version) and reuses the prior frames for clean ones. The
 // on-disk format is unchanged — every snapshot file is still a
-// complete, self-contained v2 stream.
+// complete, self-contained v3 stream.
 type Checkpointer struct {
 	p        *Platform
 	dir      string
@@ -43,7 +43,7 @@ type Checkpointer struct {
 	// touches them, so time-to-serving and resident set stop scaling
 	// with corpus size. Older snapshot formats (and platforms where
 	// mmap is unavailable — mmapio falls back to a heap read) restore
-	// through the streaming path transparently. The checkpoint cycle
+	// through the heap path transparently. The checkpoint cycle
 	// is unchanged: snapshots are always written to a temp file and
 	// renamed into place, never rewritten in place, so live mapped
 	// readers keep serving from the replaced file's still-open pages.
@@ -101,9 +101,9 @@ func (c *Checkpointer) WALDir() string {
 // RestoreLatestContext loads the latest usable snapshot into the
 // platform's store, reporting whether a restore happened. A missing
 // or corrupt primary snapshot falls back to the retained previous one
-// (see PrevPath); only when both fail does boot fail. Old v1
+// (see PrevPath); only when both fail does boot fail. Old v1 and v2
 // snapshots restore transparently; the next checkpoint rewrites them
-// as v2. Cancelling ctx aborts the load with the store unchanged.
+// as v3. Cancelling ctx aborts the load with the store unchanged.
 func (c *Checkpointer) RestoreLatestContext(ctx context.Context) (bool, error) {
 	ok, err := c.restoreFrom(ctx, c.Path())
 	if err == nil {
@@ -168,25 +168,25 @@ func syncDir(dir string) error {
 
 // restoreFrom loads one snapshot file; a missing file is (false, nil).
 // With MMap set and a v3 snapshot on disk, the file is mapped and
-// attached zero-copy; anything else streams through the heap path.
+// attached zero-copy; anything else is read whole and decoded onto
+// the heap.
 func (c *Checkpointer) restoreFrom(ctx context.Context, path string) (bool, error) {
 	if c.MMap {
 		ok, err := c.restoreMappedFrom(ctx, path)
 		if ok || err != nil {
 			return ok, err
 		}
-		// Not mappable (missing file falls through too — the streaming
-		// path reports it the same way).
+		// Not mappable (missing file falls through too — the heap path
+		// reports it the same way).
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return false, nil
 	}
 	if err != nil {
 		return false, fmt.Errorf("core: restore checkpoint: %w", err)
 	}
-	defer f.Close()
-	if err := c.p.Store.RestoreContext(ctx, f); err != nil {
+	if err := c.p.Store.RestoreContext(ctx, data); err != nil {
 		return false, fmt.Errorf("core: restore checkpoint %s: %w", path, err)
 	}
 	c.logf("restored store from %s", path)
@@ -203,7 +203,7 @@ func (c *Checkpointer) restoreFrom(ctx context.Context, path string) (bool, erro
 
 // restoreMappedFrom attaches a v3 snapshot as mapped views. (false,
 // nil) means the file is missing or not a v3 stream and the caller
-// should try the streaming path. A failed mapped restore leaves the
+// should try the heap path. A failed mapped restore leaves the
 // mapping unmunmapped deliberately: a partially decoded replacement
 // may still hold views into it, and boot failure is terminal anyway.
 func (c *Checkpointer) restoreMappedFrom(ctx context.Context, path string) (bool, error) {

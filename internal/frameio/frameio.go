@@ -1,6 +1,6 @@
 // Package frameio implements the length-prefixed framing shared by
-// the durability formats: the sharded index snapshot and the store's
-// snapshot format v2. A stream is a fixed magic string followed by
+// the durability formats: the sharded index snapshot, the store's
+// framed snapshot formats and the write-ahead log. A stream is a fixed magic string followed by
 // frames, each an 8-byte big-endian payload length, a 4-byte CRC-32C
 // checksum of the payload, and the payload bytes. Length-prefixed
 // frames let writers produce payloads concurrently and still emit a
@@ -24,8 +24,8 @@ import (
 // truncated back to. It wraps the underlying cause, so callers can
 // still errors.Is/As against io.ErrUnexpectedEOF and friends.
 //
-// Only Reader returns it: plain ReadFrame keeps its historical bare
-// errors for the snapshot formats, where any damage is fatal anyway.
+// Only Reader returns it: NextFrameInBuf keeps bare errors for the
+// snapshot formats, where any damage is fatal anyway.
 type ErrTruncatedFrame struct {
 	Offset int64
 	Cause  error
@@ -163,30 +163,4 @@ func NextFrameInBuf(buf []byte, off int, verify bool) (payload []byte, next int,
 		}
 	}
 	return payload, end, nil
-}
-
-// ReadFrame reads one frame's payload, verifying its checksum. A
-// clean end of stream returns io.EOF; truncation mid-frame returns an
-// unexpected-EOF error; a checksum mismatch reports corruption.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("frameio: reading frame header: %w", err)
-	}
-	n := binary.BigEndian.Uint64(hdr[:8])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("frameio: frame length %d exceeds limit %d", n, MaxFrame)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("frameio: reading frame payload: %w", err)
-	}
-	want := binary.BigEndian.Uint32(hdr[8:])
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, fmt.Errorf("frameio: frame checksum mismatch: %08x, want %08x", got, want)
-	}
-	return payload, nil
 }

@@ -19,20 +19,21 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := bytes.NewReader(buf.Bytes())
-	if err := ExpectMagic(r, "MAGIC01\n"); err != nil {
+	if err := ExpectMagic(bytes.NewReader(buf.Bytes()), "MAGIC01\n"); err != nil {
 		t.Fatal(err)
 	}
+	off := len("MAGIC01\n")
 	for i, want := range frames {
-		got, err := ReadFrame(r)
+		got, next, err := NextFrameInBuf(buf.Bytes(), off, true)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("frame %d = %q, want %q", i, got, want)
 		}
+		off = next
 	}
-	if _, err := ReadFrame(r); err != io.EOF {
+	if _, _, err := NextFrameInBuf(buf.Bytes(), off, true); err != io.EOF {
 		t.Fatalf("end of stream = %v, want io.EOF", err)
 	}
 }
@@ -51,18 +52,24 @@ func TestTruncatedFrame(t *testing.T) {
 	if err := WriteFrame(&buf, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	// Truncated mid-payload and mid-header are both errors, not EOF.
+	// Truncated mid-payload and mid-header are both errors, not EOF;
+	// so is a checksum mismatch.
 	for _, cut := range []int{buf.Len() - 3, 4} {
-		if _, err := ReadFrame(bytes.NewReader(buf.Bytes()[:cut])); err == nil || err == io.EOF {
-			t.Fatalf("cut at %d: err = %v, want unexpected-EOF error", cut, err)
+		if _, _, err := NextFrameInBuf(buf.Bytes()[:cut], 0, true); err == nil || err == io.EOF {
+			t.Fatalf("cut at %d: err = %v, want truncation error", cut, err)
 		}
+	}
+	flipped := append([]byte(nil), buf.Bytes()...)
+	flipped[len(flipped)-1] ^= 0xff
+	if _, _, err := NextFrameInBuf(flipped, 0, true); err == nil {
+		t.Fatal("checksum mismatch accepted")
 	}
 }
 
 func TestOversizeFrameRejected(t *testing.T) {
-	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], MaxFrame+1)
-	if _, err := ReadFrame(bytes.NewReader(hdr[:])); err == nil {
+	var hdr [12]byte
+	binary.BigEndian.PutUint64(hdr[:8], MaxFrame+1)
+	if _, _, err := NextFrameInBuf(hdr[:], 0, true); err == nil {
 		t.Fatal("oversize frame length accepted")
 	}
 }

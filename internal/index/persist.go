@@ -17,7 +17,8 @@ import (
 // The index-level format is framed — a header frame describing the
 // configuration, then one frame per shard — so Snapshot can encode
 // shards concurrently and still write a deterministic byte stream,
-// and Restore can hand whole shard payloads to a decoding pool.
+// and restore can hand whole shard payloads to a decoding pool.
+// Snapshot writes only v3; restore still reads v1 and v2.
 //
 // The uvarint codec lives in encoding.go and is shared with the
 // in-memory posting lists: snapshot encode streams postings straight
@@ -62,8 +63,9 @@ type indexHeader struct {
 
 // Shard payloads are binary, not JSON: postings dominate snapshot
 // size, and uvarint encoding keeps them a fraction of the equivalent
-// JSON while encoding several times faster. Layout (all integers
-// uvarint, strings length-prefixed):
+// JSON while encoding several times faster. The v1/v2 layout, which
+// decodeShard still reads (all integers uvarint, strings
+// length-prefixed):
 //
 //	docCount, then per ordinal: ID ("" = tombstone); for live docs
 //	  the Fields and Stored maps (sorted keys, len + k/v pairs)
@@ -75,97 +77,6 @@ type indexHeader struct {
 //
 // Map keys are sorted wherever maps are walked, so identical state
 // encodes to identical bytes.
-
-// SnapshotShard serializes shard i of the current ring to w (format
-// v3). The shard's read lock is held while encoding; other shards
-// stay fully available.
-func (ix *Index) SnapshotShard(i int, w io.Writer) error {
-	shards := ix.ring.Load().shards
-	if i < 0 || i >= len(shards) {
-		return fmt.Errorf("index: snapshot shard %d of %d", i, len(shards))
-	}
-	return shards[i].snapshotV3(w)
-}
-
-// snapshotV2 serializes this shard in the legacy v2 layout, kept so
-// compatibility fixtures (and SnapshotV2 streams) can still be
-// produced and cross-checked against v3.
-func (s *shard) snapshotV2(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	bw := &binWriter{}
-	nDocs := s.numDocs()
-	bw.uvarint(nDocs)
-	for ord := 0; ord < nDocs; ord++ {
-		doc := s.docAt(ord)
-		bw.str(doc.ID)
-		if doc.ID == "" {
-			continue
-		}
-		bw.strmap(doc.Fields)
-		bw.strmap(doc.Stored)
-	}
-	bw.uvarint(s.live)
-	bw.uvarint(s.dead)
-	names := make([]string, 0, len(s.fields))
-	for name := range s.fields {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	bw.uvarint(len(names))
-	var positions []int
-	for _, name := range names {
-		fp := s.fields[name]
-		bw.str(name)
-		bw.uvarint(fp.totalLen)
-		// A live ordinal carries the field exactly when the document
-		// lists it, so the dense length table serializes as the same
-		// sorted (ord, len) pairs the map representation produced.
-		ords := make([]int, 0, fp.docCount)
-		for ord := 0; ord < nDocs; ord++ {
-			if !s.liveAt(ord) {
-				continue
-			}
-			if _, ok := s.docAt(ord).Fields[name]; ok {
-				ords = append(ords, ord)
-			}
-		}
-		bw.uvarint(len(ords))
-		for _, ord := range ords {
-			bw.uvarint(ord)
-			bw.uvarint(fp.lenAt(ord))
-		}
-		terms := fp.sortedTermsAll()
-		lists := make([]*postingList, 0, len(terms))
-		kept := make([]string, 0, len(terms))
-		for _, term := range terms {
-			if l := fp.lookup(term); l != nil {
-				lists = append(lists, l)
-				kept = append(kept, term)
-			}
-		}
-		terms = kept
-		bw.uvarint(len(terms))
-		for ti, term := range terms {
-			list := lists[ti]
-			bw.str(term)
-			bw.uvarint(list.maxTF)
-			bw.uvarint(list.n)
-			it := list.iter()
-			pi := list.positions()
-			for it.next() {
-				bw.uvarint(it.doc)
-				bw.uvarint(it.tf)
-				positions = pi.read(it.tf, positions)
-				for _, pos := range positions {
-					bw.uvarint(pos)
-				}
-			}
-		}
-	}
-	_, err := w.Write(bw.buf)
-	return err
-}
 
 // snapshotV3 serializes this shard in the mmap-friendly v3 layout
 // (see mapped.go for the full map). A shard that is still an
@@ -286,71 +197,16 @@ func (s *shard) snapshotV3(w io.Writer) error {
 	return err
 }
 
-// RestoreShard replaces shard i's contents from a SnapshotShard
-// stream, rebuilding the ID table and revalidating ordinal
-// references. Field options come from the index registry, so boosts
-// and analyzers configured on the index apply to the restored shard.
-// Like Restore, it must not run concurrently with a Reshard: it
-// swaps one shard's contents in place within the current ring.
-func (ix *Index) RestoreShard(i int, r io.Reader) error {
-	shards := ix.ring.Load().shards
-	if i < 0 || i >= len(shards) {
-		return fmt.Errorf("index: restore shard %d of %d", i, len(shards))
-	}
-	payload, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("index: reading shard payload: %w", err)
-	}
-	fresh, err := ix.decodeShardVersion(payload, ix.fieldOpts, indexSnapshotVersion, false)
-	if err != nil {
-		return err
-	}
-	// Fields the shard carries must exist in the index-level registry
-	// or cross-shard statistics aggregation would skip them.
-	for field := range fresh.fields {
-		ix.ensureField(field)
-	}
-	s := shards[i]
-	s.mu.Lock()
-	s.docs, s.byID, s.live, s.dead, s.fields = fresh.docs, fresh.byID, fresh.live, fresh.dead, fresh.fields
-	s.mu.Unlock()
-	ix.bumpVer()
-	return nil
-}
-
-// decodeShardVersion decodes one shard payload of any supported
-// version. v1/v2 go through the legacy walking decoder; v3 attaches
-// the offset-directory layout as views and then — unless mapped is
-// true — materializes everything onto the heap so the payload's
-// backing buffer is not retained. With mapped=true the payload must
-// outlive the shard (an mmap'd file, or a buffer the caller pins).
-func (ix *Index) decodeShardVersion(payload []byte, optsFor func(string) (FieldOptions, bool), version int, mapped bool) (*shard, error) {
-	if version < 3 {
-		return ix.decodeShard(bytes.NewReader(payload), optsFor, version)
-	}
-	s, err := ix.attachShardV3(payload, optsFor)
-	if err != nil {
-		return nil, err
-	}
-	if !mapped {
-		s.materializeAllLocked(false)
-	}
-	return s, nil
-}
-
-// decodeShard builds a fresh shard from a SnapshotShard payload,
-// validating internal consistency so a corrupt frame cannot produce
-// an index that panics at query time. optsFor resolves field options
-// (Restore passes the merged registry before it is installed).
-// version selects the payload layout; appendPosting rebuilds block
-// metadata either way, so pre-block-max (v1) payloads restore with
-// maxima recomputed and v2's declared max tf is checked against the
-// recomputed value.
-func (ix *Index) decodeShard(r io.Reader, optsFor func(string) (FieldOptions, bool), version int) (*shard, error) {
-	payload, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("index: reading shard payload: %w", err)
-	}
+// decodeShard builds a fresh heap shard from a v1 or v2 shard
+// payload, validating internal consistency so a corrupt frame cannot
+// produce an index that panics at query time. optsFor resolves field
+// options (restore passes the merged registry before it is
+// installed). version selects the payload layout; appendPosting
+// rebuilds block metadata either way, so pre-block-max (v1) payloads
+// restore with maxima recomputed and v2's declared max tf is checked
+// against the recomputed value. Every string and posting is copied
+// out of payload.
+func (ix *Index) decodeShard(payload []byte, optsFor func(string) (FieldOptions, bool), version int) (*shard, error) {
 	br := &binReader{buf: payload}
 	fail := func(err error) (*shard, error) {
 		return nil, fmt.Errorf("index: decoding shard: %w", err)
@@ -509,26 +365,16 @@ func (ix *Index) decodeShard(r io.Reader, optsFor func(string) (FieldOptions, bo
 	return s, nil
 }
 
-// Snapshot serializes the whole index in the current format (v3): a
-// header frame with the scoring configuration and field boosts, then
-// one frame per shard. Shard frames are encoded concurrently (each
-// under its own read lock) and written in shard order, so the output
-// is deterministic. Shards that are still clean mapped views write
-// their payload bytes verbatim.
+// Snapshot serializes the whole index in format v3: a header frame
+// with the scoring configuration and field boosts, then one frame per
+// shard. Shard frames are encoded concurrently (each under its own
+// read lock) and written in shard order, so the output is
+// deterministic. Shards that are still clean mapped views write their
+// payload bytes verbatim.
 func (ix *Index) Snapshot(w io.Writer) error {
-	return ix.snapshotVersion(w, indexSnapshotVersion)
-}
-
-// SnapshotV2 serializes the whole index in the legacy v2 format, for
-// compatibility fixtures and downgrade tooling.
-func (ix *Index) SnapshotV2(w io.Writer) error {
-	return ix.snapshotVersion(w, 2)
-}
-
-func (ix *Index) snapshotVersion(w io.Writer, version int) error {
 	r := ix.ring.Load()
 	hdr := indexHeader{
-		Version: version,
+		Version: indexSnapshotVersion,
 		Shards:  len(r.shards),
 		Boosts:  make(map[string]float64),
 	}
@@ -553,11 +399,7 @@ func (ix *Index) snapshotVersion(w io.Writer, version int) error {
 	bufs := make([]bytes.Buffer, len(r.shards))
 	errs := make([]error, len(r.shards))
 	eachShard(r, func(i int, s *shard) {
-		if version >= 3 {
-			errs[i] = s.snapshotV3(&bufs[i])
-		} else {
-			errs[i] = s.snapshotV2(&bufs[i])
-		}
+		errs[i] = s.snapshotV3(&bufs[i])
 	})
 	for i := range r.shards {
 		if errs[i] != nil {
@@ -570,50 +412,82 @@ func (ix *Index) snapshotVersion(w io.Writer, version int) error {
 	return nil
 }
 
-// Restore replaces the index contents from a Snapshot stream. The
-// snapshot's shard layout no longer pins the index: frames decode
+// Restore replaces the index contents from a Snapshot stream of any
+// version, decoding every shard onto the heap: nothing in the
+// restored index refers to data, so the caller may reuse the buffer.
+// The snapshot's shard layout does not pin the index: frames decode
 // concurrently into the layout they were written with (document
 // routing hashes by ID mod shard count, so postings only make sense
 // under the count they were written with), and the index then
 // reshards to its configured shard count (WithShards, default
-// GOMAXPROCS) when the two differ. A checkpoint taken on a 4-core
-// box therefore restores to full fan-out on a 64-core one, with
-// rankings bit-identical to a fresh build at the configured count.
-// Restore builds the new shards completely before installing them, so
-// a corrupt or truncated snapshot leaves the index unchanged.
+// GOMAXPROCS) when the two differ. A checkpoint taken on a 4-core box
+// therefore restores to full fan-out on a 64-core one, with rankings
+// bit-identical to a fresh build at the configured count.
 //
 // Restore must not run concurrently with other operations on the
 // same index: callers restore into a fresh or quiesced index.
-func (ix *Index) Restore(r io.Reader) error {
-	if err := frameio.ExpectMagic(r, indexSnapshotMagic); err != nil {
-		return fmt.Errorf("index: restore: %w", err)
+func (ix *Index) Restore(data []byte) error {
+	return ix.restore(data, false)
+}
+
+// RestoreMapped attaches the index from an in-memory v3 Snapshot
+// stream — typically a subslice of an mmap'd snapshot file — without
+// decoding postings or documents onto the heap: shards become views
+// over data and materialize copy-on-write as writes arrive
+// (mapped.go). The caller guarantees data stays valid (and unmodified)
+// for the life of the index; internal/mmapio's contract is that
+// mappings are never unmapped while a serving process holds views.
+//
+// Unlike Restore, RestoreMapped adopts the snapshot's shard layout
+// instead of resharding to the configured target: scores are
+// bit-identical at any shard count, and resharding would materialize
+// every byte, forfeiting the zero-copy boot.
+func (ix *Index) RestoreMapped(data []byte) error {
+	return ix.restore(data, true)
+}
+
+// restore is the one snapshot walk behind Restore and RestoreMapped.
+// Frame checksums are verified during the walk, and every shard is
+// decoded before anything is installed, so a truncated or corrupt
+// snapshot fails here and leaves the index unchanged.
+func (ix *Index) restore(data []byte, mapped bool) error {
+	op := "index: restore"
+	if mapped {
+		op = "index: restore mapped"
 	}
-	hdrBytes, err := frameio.ReadFrame(r)
+	off := len(indexSnapshotMagic)
+	if len(data) < off || string(data[:off]) != indexSnapshotMagic {
+		return fmt.Errorf("%s: bad magic", op)
+	}
+	hdrBytes, off, err := frameio.NextFrameInBuf(data, off, true)
 	if err != nil {
-		return fmt.Errorf("index: restore header: %w", err)
+		return fmt.Errorf("%s header: %w", op, err)
 	}
 	var hdr indexHeader
 	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
-		return fmt.Errorf("index: restore header: %w", err)
+		return fmt.Errorf("%s header: %w", op, err)
 	}
 	if hdr.Version < 1 || hdr.Version > indexSnapshotVersion {
-		return fmt.Errorf("index: restore: unsupported snapshot version %d", hdr.Version)
+		return fmt.Errorf("%s: unsupported snapshot version %d", op, hdr.Version)
+	}
+	if mapped && hdr.Version != indexSnapshotVersion {
+		return fmt.Errorf("%s: snapshot version %d is not mappable (v3 required)", op, hdr.Version)
 	}
 	// Bound the shard count before it sizes allocations and goroutine
 	// fan-out: no sane snapshot exceeds this, and a corrupt-but-CRC-
 	// valid header must fail cleanly, not OOM.
-	const maxSnapshotShards = 1 << 16
-	if hdr.Shards < 1 || hdr.Shards > maxSnapshotShards {
-		return fmt.Errorf("index: restore: snapshot has %d shards", hdr.Shards)
+	const maxShards = 1 << 16
+	if hdr.Shards < 1 || hdr.Shards > maxShards {
+		return fmt.Errorf("%s: snapshot has %d shards", op, hdr.Shards)
 	}
 	frames := make([][]byte, hdr.Shards)
 	for i := range frames {
-		if frames[i], err = frameio.ReadFrame(r); err != nil {
-			return fmt.Errorf("index: restore shard %d: %w", i, err)
+		if frames[i], off, err = frameio.NextFrameInBuf(data, off, true); err != nil {
+			return fmt.Errorf("%s shard %d: %w", op, i, err)
 		}
 	}
-	if _, err := frameio.ReadFrame(r); err != io.EOF {
-		return fmt.Errorf("index: restore: trailing data after %d shard frames", hdr.Shards)
+	if off != len(data) {
+		return fmt.Errorf("%s: %d trailing bytes after %d shard frames", op, len(data)-off, hdr.Shards)
 	}
 
 	// Merge field options before decoding, without installing them:
@@ -633,14 +507,24 @@ func (ix *Index) Restore(r io.Reader) error {
 		return opts, ok
 	}
 
+	// v1/v2 payloads go through the walking decoder. v3 payloads attach
+	// as views over the frame; the heap path then materializes them,
+	// so the shard stops referring to data.
 	shards := make([]*shard, hdr.Shards)
 	errs := make([]error, hdr.Shards)
 	fanOut(hdr.Shards, func(i int) {
-		shards[i], errs[i] = ix.decodeShardVersion(frames[i], optsFor, hdr.Version, false)
+		if hdr.Version < indexSnapshotVersion {
+			shards[i], errs[i] = ix.decodeShard(frames[i], optsFor, hdr.Version)
+			return
+		}
+		shards[i], errs[i] = ix.attachShardV3(frames[i], optsFor)
+		if errs[i] == nil && !mapped {
+			shards[i].materializeAllLocked(false)
+		}
 	})
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("index: restore shard %d: %w", i, err)
+			return fmt.Errorf("%s shard %d: %w", op, i, err)
 		}
 	}
 	ix.cfg.Lock()
@@ -653,94 +537,12 @@ func (ix *Index) Restore(r io.Reader) error {
 	ix.invalidateAnalysis()
 	old := ix.ring.Load()
 	ix.ring.Store(&ring{gen: old.gen + 1, shards: shards})
-	// Durability layout is decoupled from runtime parallelism: honor
-	// the configured shard count, not the snapshot's. The index is
-	// quiesced here (Restore's contract), so the reshard's journal
-	// stays empty and this is a pure rehash.
-	if hdr.Shards != ix.target {
+	// Durability layout is decoupled from runtime parallelism: the heap
+	// path honors the configured shard count, not the snapshot's. The
+	// index is quiesced here (Restore's contract), so the reshard's
+	// journal stays empty and this is a pure rehash.
+	if !mapped && hdr.Shards != ix.target {
 		return ix.ReshardContext(context.Background(), ix.target)
 	}
-	return nil
-}
-
-// RestoreMapped attaches the index from an in-memory v3 Snapshot
-// stream — typically a subslice of an mmap'd snapshot file — without
-// decoding postings or documents onto the heap: shards become views
-// over data and materialize copy-on-write as writes arrive
-// (mapped.go). The caller guarantees data stays valid (and unmodified)
-// for the life of the index; internal/mmapio's contract is that
-// mappings are never unmapped while a serving process holds views.
-//
-// Unlike Restore, RestoreMapped adopts the snapshot's shard layout
-// instead of resharding to the configured target: scores are
-// bit-identical at any shard count, and resharding would materialize
-// every byte, forfeiting the zero-copy boot. Frame checksums are
-// verified during the walk, so a truncated or corrupt file fails here
-// rather than at query time.
-func (ix *Index) RestoreMapped(data []byte) error {
-	off := len(indexSnapshotMagic)
-	if len(data) < off || string(data[:off]) != indexSnapshotMagic {
-		return fmt.Errorf("index: restore mapped: bad magic")
-	}
-	hdrBytes, off, err := frameio.NextFrameInBuf(data, off, true)
-	if err != nil {
-		return fmt.Errorf("index: restore mapped header: %w", err)
-	}
-	var hdr indexHeader
-	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
-		return fmt.Errorf("index: restore mapped header: %w", err)
-	}
-	if hdr.Version != 3 {
-		return fmt.Errorf("index: restore mapped: snapshot version %d is not mappable (v3 required)", hdr.Version)
-	}
-	const maxSnapshotShards = 1 << 16
-	if hdr.Shards < 1 || hdr.Shards > maxSnapshotShards {
-		return fmt.Errorf("index: restore mapped: snapshot has %d shards", hdr.Shards)
-	}
-	frames := make([][]byte, hdr.Shards)
-	for i := range frames {
-		if frames[i], off, err = frameio.NextFrameInBuf(data, off, true); err != nil {
-			return fmt.Errorf("index: restore mapped shard %d: %w", i, err)
-		}
-	}
-	if off != len(data) {
-		return fmt.Errorf("index: restore mapped: %d trailing bytes after %d shard frames", len(data)-off, hdr.Shards)
-	}
-
-	// Same option-merge contract as Restore: receiver's analyzers
-	// survive, snapshot boosts win.
-	merged := make(map[string]FieldOptions, len(hdr.Boosts))
-	ix.cfg.RLock()
-	for f, boost := range hdr.Boosts {
-		opts := ix.cfg.fields[f]
-		opts.Boost = boost
-		merged[f] = opts
-	}
-	ix.cfg.RUnlock()
-	optsFor := func(field string) (FieldOptions, bool) {
-		opts, ok := merged[field]
-		return opts, ok
-	}
-
-	shards := make([]*shard, hdr.Shards)
-	errs := make([]error, hdr.Shards)
-	fanOut(hdr.Shards, func(i int) {
-		shards[i], errs[i] = ix.decodeShardVersion(frames[i], optsFor, hdr.Version, true)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("index: restore mapped shard %d: %w", i, err)
-		}
-	}
-	ix.cfg.Lock()
-	ix.cfg.ranker = Ranker(hdr.Ranker)
-	ix.cfg.k1, ix.cfg.b = hdr.K1, hdr.B
-	for f, opts := range merged {
-		ix.cfg.fields[f] = opts
-	}
-	ix.cfg.Unlock()
-	ix.invalidateAnalysis()
-	old := ix.ring.Load()
-	ix.ring.Store(&ring{gen: old.gen + 1, shards: shards})
 	return nil
 }

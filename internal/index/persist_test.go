@@ -2,10 +2,9 @@ package index
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/frameio"
@@ -52,7 +51,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	for _, n := range []int{1, 4, 8} {
 		restored := New(WithShards(n))
 		restored.SetFieldOptions("title", FieldOptions{Boost: 2})
-		if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		if err := restored.Restore(buf.Bytes()); err != nil {
 			t.Fatalf("restore into %d-shard index: %v", n, err)
 		}
 		if restored.NumShards() != n {
@@ -101,7 +100,7 @@ func TestSnapshotEquivalentToRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := New()
-	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := restored.Restore(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -145,180 +144,101 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 	}
 }
 
+// TestShardSnapshotRoundTrip: every shard's v3 payload decodes onto
+// the heap and re-encodes to the same bytes, with the same live and
+// dead counts — the shard codec is its own inverse.
 func TestShardSnapshotRoundTrip(t *testing.T) {
 	ix := persistCorpus(t, WithShards(3))
-	other := New(WithShards(3))
-	other.SetFieldOptions("title", FieldOptions{Boost: 2})
-	for i := range 3 {
-		var buf bytes.Buffer
-		if err := ix.SnapshotShard(i, &buf); err != nil {
+	for i, s := range ix.ring.Load().shards {
+		var payload bytes.Buffer
+		if err := s.snapshotV3(&payload); err != nil {
 			t.Fatal(err)
 		}
-		if err := other.RestoreShard(i, &buf); err != nil {
+		decoded, err := ix.attachShardV3(payload.Bytes(), ix.fieldOpts)
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		decoded.materializeAllLocked(false)
+		if decoded.live != s.live || decoded.dead != s.dead {
+			t.Fatalf("shard %d: live/dead = %d/%d, want %d/%d", i, decoded.live, decoded.dead, s.live, s.dead)
+		}
+		var again bytes.Buffer
+		if err := decoded.snapshotV3(&again); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if other.Len() != ix.Len() {
-		t.Fatalf("Len = %d, want %d", other.Len(), ix.Len())
-	}
-	want := ix.mustSearch(MatchQuery{Text: "zelda"}, SearchOptions{})
-	got := other.mustSearch(MatchQuery{Text: "zelda"}, SearchOptions{})
-	if fmt.Sprint(ids(want)) != fmt.Sprint(ids(got)) {
-		t.Fatalf("per-shard restore = %v, want %v", ids(got), ids(want))
-	}
-	if err := ix.SnapshotShard(7, &bytes.Buffer{}); err == nil {
-		t.Fatal("out-of-range shard snapshot accepted")
-	}
-	if err := other.RestoreShard(-1, strings.NewReader("{}")); err == nil {
-		t.Fatal("out-of-range shard restore accepted")
+		if !bytes.Equal(again.Bytes(), payload.Bytes()) {
+			t.Fatalf("shard %d: heap decode re-encodes to different bytes", i)
+		}
 	}
 }
 
-// snapshotV1 encodes ix in the pre-block-max layout: header version 1
-// and shard payloads without the per-term max tf field. It mirrors the
-// v1 writer byte-for-byte so restore compatibility stays pinned even
-// as the current writer evolves.
-func snapshotV1(t *testing.T, ix *Index) []byte {
+// readFixture loads a snapshot frozen under testdata/ (see
+// testdata/README for how each was produced).
+func readFixture(t *testing.T, name string) []byte {
 	t.Helper()
-	r := ix.ring.Load()
-	hdr := indexHeader{Version: 1, Shards: len(r.shards), Boosts: make(map[string]float64)}
-	ix.cfg.RLock()
-	hdr.Ranker = int(ix.cfg.ranker)
-	hdr.K1, hdr.B = ix.cfg.k1, ix.cfg.b
-	for f, opts := range ix.cfg.fields {
-		hdr.Boosts[f] = opts.Boost
-	}
-	ix.cfg.RUnlock()
-	var out bytes.Buffer
-	if err := frameio.WriteMagic(&out, indexSnapshotMagic); err != nil {
-		t.Fatal(err)
-	}
-	hdrBytes, err := json.Marshal(hdr)
+	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := frameio.WriteFrame(&out, hdrBytes); err != nil {
-		t.Fatal(err)
-	}
-	var positions []int
-	for _, s := range r.shards {
-		s.mu.RLock()
-		bw := &binWriter{}
-		bw.uvarint(len(s.docs))
-		for _, doc := range s.docs {
-			bw.str(doc.ID)
-			if doc.ID == "" {
-				continue
-			}
-			bw.strmap(doc.Fields)
-			bw.strmap(doc.Stored)
-		}
-		bw.uvarint(s.live)
-		bw.uvarint(s.dead)
-		names := make([]string, 0, len(s.fields))
-		for name := range s.fields {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		bw.uvarint(len(names))
-		for _, name := range names {
-			fp := s.fields[name]
-			bw.str(name)
-			bw.uvarint(fp.totalLen)
-			ords := make([]int, 0, fp.docCount)
-			for ord := range s.docs {
-				if s.docs[ord].ID == "" {
-					continue
-				}
-				if _, ok := s.docs[ord].Fields[name]; ok {
-					ords = append(ords, ord)
-				}
-			}
-			bw.uvarint(len(ords))
-			for _, ord := range ords {
-				bw.uvarint(ord)
-				bw.uvarint(fp.lenAt(ord))
-			}
-			terms := fp.sortedTerms()
-			bw.uvarint(len(terms))
-			for _, term := range terms {
-				list := fp.terms[term]
-				bw.str(term)
-				bw.uvarint(list.n)
-				it := list.iter()
-				pi := list.positions()
-				for it.next() {
-					bw.uvarint(it.doc)
-					bw.uvarint(it.tf)
-					positions = pi.read(it.tf, positions)
-					for _, pos := range positions {
-						bw.uvarint(pos)
-					}
-				}
-			}
-		}
-		s.mu.RUnlock()
-		if err := frameio.WriteFrame(&out, bw.buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out.Bytes()
+	return data
 }
 
-// TestRestoreV1Snapshot: snapshots written before the block-max fields
-// existed (version 1, no per-term max tf) must still restore. Decode
-// rebuilds posting lists through appendPosting, so the maxima the
-// early-exit path depends on are recomputed, and every query — both
-// the accumulator path and the top-k early-exit path — returns results
-// bit-identical to the index that wrote the snapshot.
+// TestRestoreV1Snapshot: snapshots written by the retired v1 and v2
+// writers must still restore. v1 predates the block-max fields (no
+// per-term max tf); decode rebuilds posting lists through
+// appendPosting, so the maxima the early-exit path depends on are
+// recomputed, and every query — both the accumulator path and the
+// top-k early-exit path — returns results bit-identical to a fresh
+// build of the corpus that wrote the fixtures.
 func TestRestoreV1Snapshot(t *testing.T) {
-	ix := persistCorpus(t, WithShards(3))
-	data := snapshotV1(t, ix)
+	fresh := persistCorpus(t, WithShards(3))
+	for _, name := range []string{"persist_v1.snap", "persist_v2.snap"} {
+		restored := New(WithShards(3))
+		restored.SetFieldOptions("title", FieldOptions{Boost: 2})
+		if err := restored.Restore(readFixture(t, name)); err != nil {
+			t.Fatalf("restore %s: %v", name, err)
+		}
+		if restored.Len() != fresh.Len() {
+			t.Fatalf("%s: restored Len = %d, want %d", name, restored.Len(), fresh.Len())
+		}
 
-	restored := New(WithShards(3))
-	restored.SetFieldOptions("title", FieldOptions{Boost: 2})
-	if err := restored.Restore(bytes.NewReader(data)); err != nil {
-		t.Fatalf("restore v1 snapshot: %v", err)
-	}
-	if restored.Len() != ix.Len() {
-		t.Fatalf("restored Len = %d, want %d", restored.Len(), ix.Len())
-	}
-
-	// The block-max metadata must be fully rebuilt: every non-empty
-	// posting list carries a positive max tf consistent with its blocks.
-	for _, s := range restored.ring.Load().shards {
-		for name, fp := range s.fields {
-			for term, list := range fp.terms {
-				if list.n == 0 {
-					continue
-				}
-				if list.maxTF < 1 {
-					t.Fatalf("field %q term %q: max tf %d after v1 restore", name, term, list.maxTF)
-				}
-				blockMax := 0
-				for _, b := range list.blocks {
-					if b.maxTF > blockMax {
-						blockMax = b.maxTF
+		// The block-max metadata must be fully rebuilt: every non-empty
+		// posting list carries a positive max tf consistent with its
+		// blocks.
+		for _, s := range restored.ring.Load().shards {
+			for field, fp := range s.fields {
+				for term, list := range fp.terms {
+					if list.n == 0 {
+						continue
 					}
-				}
-				if blockMax != list.maxTF {
-					t.Fatalf("field %q term %q: list max tf %d, block max %d", name, term, list.maxTF, blockMax)
+					if list.maxTF < 1 {
+						t.Fatalf("%s: field %q term %q: max tf %d after restore", name, field, term, list.maxTF)
+					}
+					blockMax := 0
+					for _, b := range list.blocks {
+						if b.maxTF > blockMax {
+							blockMax = b.maxTF
+						}
+					}
+					if blockMax != list.maxTF {
+						t.Fatalf("%s: field %q term %q: list max tf %d, block max %d", name, field, term, list.maxTF, blockMax)
+					}
 				}
 			}
 		}
-	}
 
-	for name, q := range shardQueries() {
-		for _, opts := range []SearchOptions{{}, {Limit: 3}} {
-			want := ix.mustSearch(q, opts)
-			got := restored.mustSearch(q, opts)
-			if len(want) != len(got) {
-				t.Fatalf("%s limit=%d: %d hits, want %d", name, opts.Limit, len(got), len(want))
-			}
-			for i := range want {
-				if want[i].ID != got[i].ID || want[i].Score != got[i].Score {
-					t.Fatalf("%s limit=%d hit %d: got %s@%v, want %s@%v",
-						name, opts.Limit, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
+		for qname, q := range shardQueries() {
+			for _, opts := range []SearchOptions{{}, {Limit: 3}} {
+				want := fresh.mustSearch(q, opts)
+				got := restored.mustSearch(q, opts)
+				if len(want) != len(got) {
+					t.Fatalf("%s %s limit=%d: %d hits, want %d", name, qname, opts.Limit, len(got), len(want))
+				}
+				for i := range want {
+					if want[i].ID != got[i].ID || want[i].Score != got[i].Score {
+						t.Fatalf("%s %s limit=%d hit %d: got %s@%v, want %s@%v",
+							name, qname, opts.Limit, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
+					}
 				}
 			}
 		}
@@ -327,37 +247,52 @@ func TestRestoreV1Snapshot(t *testing.T) {
 
 // TestRestoreRejectsDeclaredMaxTFMismatch: a v2 stream whose declared
 // max tf disagrees with its own postings is corruption, not something
-// to silently repair.
+// to silently repair. The fixture is persist_v2.snap with one term's
+// declared max tf bumped by one; the frame checksums are valid, so
+// only the walking decoder's cross-check can catch it.
 func TestRestoreRejectsDeclaredMaxTFMismatch(t *testing.T) {
-	ix := New(WithShards(1))
-	if err := ix.Add(Document{ID: "a", Fields: map[string]string{"body": "zelda zelda quest"}}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.SnapshotShard(0, &buf); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the declared max tf for the first term by re-encoding the
-	// payload with every per-term max tf bumped by one.
-	target := New(WithShards(1))
-	if err := target.RestoreShard(0, &buf); err != nil {
-		t.Fatalf("sanity restore: %v", err)
-	}
-	s := ix.ring.Load().shards[0]
-	list := s.fields["body"].terms["zelda"]
-	list.maxTF++
-	var bad bytes.Buffer
-	err := s.snapshotV2(&bad)
-	list.maxTF--
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The declared-max-tf cross-check lives in the v1/v2 walking
-	// decoder (v3 attaches the streams as-is under the frame CRC).
-	if _, err := target.decodeShardVersion(bad.Bytes(), target.fieldOpts, 2, false); err == nil {
+	target := sampleIndex(t)
+	wantLen := target.Len()
+	if err := target.Restore(readFixture(t, "persist_v2_badmaxtf.snap")); err == nil {
 		t.Fatal("restore accepted max tf that disagrees with postings")
 	}
+	if target.Len() != wantLen {
+		t.Fatalf("failed restore mutated index: Len = %d, want %d", target.Len(), wantLen)
+	}
 }
+
+// TestRestoreDoesNotAliasInput: a heap restore copies everything it
+// keeps, so the caller may reuse the snapshot buffer — zeroing it
+// afterwards must not change a single result.
+func TestRestoreDoesNotAliasInput(t *testing.T) {
+	fresh := persistCorpus(t, WithShards(3))
+	var buf bytes.Buffer
+	if err := fresh.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	restored := New(WithShards(3))
+	if err := restored.Restore(data); err != nil {
+		t.Fatal(err)
+	}
+	clear(data)
+	for name, q := range shardQueries() {
+		want := fresh.mustSearch(q, SearchOptions{})
+		got := restored.mustSearch(q, SearchOptions{})
+		if fmt.Sprint(want) != fmt.Sprint(got) {
+			t.Fatalf("%s after zeroing the input: got %v, want %v", name, got, want)
+		}
+	}
+	for i := 0; i < 60; i++ {
+		id := fmt.Sprintf("doc%02d", i)
+		want, wok := fresh.Get(id)
+		got, gok := restored.Get(id)
+		if wok != gok || fmt.Sprint(want) != fmt.Sprint(got) {
+			t.Fatalf("Get(%s) after zeroing the input = %v %v, want %v %v", id, got, gok, want, wok)
+		}
+	}
+}
+
 func TestRestoreRejectsCorrupt(t *testing.T) {
 	ix := persistCorpus(t, WithShards(2))
 	var good bytes.Buffer
@@ -388,7 +323,7 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 	cases["huge-shard-count"] = huge.Bytes()
 
 	for name, data := range cases {
-		if err := target.Restore(bytes.NewReader(data)); err == nil {
+		if err := target.Restore(data); err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", name)
 		}
 		if target.Len() != wantLen {
@@ -412,7 +347,7 @@ func TestRestorePreservesAnalyzersAndRanker(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := New()
-	if err := restored.Restore(&buf); err != nil {
+	if err := restored.Restore(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	ranker, k1, b := restored.scoringParams()
@@ -434,7 +369,7 @@ func TestRestoredIndexIsWritable(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := New()
-	if err := restored.Restore(&buf); err != nil {
+	if err := restored.Restore(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	before := restored.Len()

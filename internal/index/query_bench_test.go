@@ -12,7 +12,8 @@ import (
 // The BenchmarkQuery family measures the shard-local query hot path
 // over a corpus big enough (≥10k docs) that posting-list iteration,
 // accumulator management and top-k selection dominate, not fixture
-// noise. Results are tracked per PR in BENCH_query.json.
+// noise. CI runs the family every build and uploads the output as the
+// bench-query artifact.
 
 const queryBenchDocs = 12000
 

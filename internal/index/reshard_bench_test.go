@@ -12,9 +12,8 @@ import (
 // migration throughput (docs moved per second, the operator-facing
 // cost model) and query latency while a reshard is in flight (the
 // reader-side guarantee: non-blocking, so p50 should stay close to
-// the steady-state BenchmarkQuery numbers). Results are tracked in
-// BENCH_reshard.json and uploaded per PR by CI next to the
-// BenchmarkQuery family.
+// the steady-state BenchmarkQuery numbers). CI uploads each run as
+// the bench-reshard artifact, next to the BenchmarkQuery family.
 func BenchmarkReshard(b *testing.B) {
 	b.Run("migrate-2to4", func(b *testing.B) {
 		ix := New(WithShards(2))

@@ -105,7 +105,7 @@ func TestRestoreHonorsConfiguredShards(t *testing.T) {
 
 	restored := New(WithShards(16))
 	restored.SetFieldOptions("title", FieldOptions{Boost: 2})
-	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := restored.Restore(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if got := restored.NumShards(); got != 16 {
@@ -125,7 +125,7 @@ func TestRestoreHonorsConfiguredShards(t *testing.T) {
 	}
 	narrow := New(WithShards(2))
 	narrow.SetFieldOptions("title", FieldOptions{Boost: 2})
-	if err := narrow.Restore(bytes.NewReader(wide.Bytes())); err != nil {
+	if err := narrow.Restore(wide.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if got := narrow.NumShards(); got != 2 {

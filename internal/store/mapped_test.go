@@ -30,7 +30,7 @@ func TestMappedRestoreMatchesHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	heap := New()
-	if err := heap.RestoreContext(context.Background(), bytes.NewReader(buf.Bytes())); err != nil {
+	if err := heap.RestoreContext(context.Background(), buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	mapped := restoreMapped(t, buf.Bytes())
@@ -67,7 +67,7 @@ func TestMappedCopyOnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	heap := New()
-	if err := heap.RestoreContext(context.Background(), bytes.NewReader(buf.Bytes())); err != nil {
+	if err := heap.RestoreContext(context.Background(), buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	mapped := restoreMapped(t, buf.Bytes())
@@ -160,8 +160,10 @@ func TestMappedSnapshotAfterCoWRoundTrips(t *testing.T) {
 	if err := mapped.SnapshotContext(context.Background(), &a); err != nil {
 		t.Fatal(err)
 	}
-	restored := New()
-	if err := restored.RestoreContext(context.Background(), bytes.NewReader(a.Bytes())); err != nil {
+	// A heap restore reshards to its store's target, so restore at the
+	// snapshot's own layout for the bytes to round-trip.
+	restored := New(WithShardTarget(3))
+	if err := restored.RestoreContext(context.Background(), a.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := storeFingerprint(t, restored), storeFingerprint(t, mapped); got != want {
@@ -176,45 +178,25 @@ func TestMappedSnapshotAfterCoWRoundTrips(t *testing.T) {
 	}
 }
 
-// TestSnapshotCompatMatrix: every written format restores to the same
-// queryable state — v1 and v2 through the heap, v3 through both the
-// heap and the mapped path.
+// TestSnapshotCompatMatrix: every format restores to the same
+// queryable state as a fresh build — the frozen v1 and v2 fixtures
+// through the heap, the v3 golden through both the heap and the
+// mapped path.
 func TestSnapshotCompatMatrix(t *testing.T) {
-	orig := multiTenantStore(t)
-	want := storeFingerprint(t, orig)
+	want := storeFingerprint(t, multiTenantStore(t))
+	v1 := readFixture(t, "multitenant_v1.json")
+	v2 := readFixture(t, "multitenant_v2.snap")
+	v3 := readFixture(t, "multitenant_v3.snap")
 
-	var v1, v2, v3 bytes.Buffer
-	if err := orig.SnapshotV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := orig.SnapshotV2Context(context.Background(), &v2); err != nil {
-		t.Fatal(err)
-	}
-	if err := orig.SnapshotContext(context.Background(), &v3); err != nil {
-		t.Fatal(err)
-	}
-
-	restores := map[string]func() (*Store, error){
-		"v1-heap": func() (*Store, error) {
-			s := New()
-			return s, s.RestoreContext(context.Background(), bytes.NewReader(v1.Bytes()))
-		},
-		"v2-heap": func() (*Store, error) {
-			s := New()
-			return s, s.RestoreContext(context.Background(), bytes.NewReader(v2.Bytes()))
-		},
-		"v3-heap": func() (*Store, error) {
-			s := New()
-			return s, s.RestoreContext(context.Background(), bytes.NewReader(v3.Bytes()))
-		},
-		"v3-mapped": func() (*Store, error) {
-			s := New()
-			return s, s.RestoreMappedContext(context.Background(), v3.Bytes())
-		},
+	restores := map[string]func(*Store) error{
+		"v1-heap":   func(s *Store) error { return s.RestoreContext(context.Background(), v1) },
+		"v2-heap":   func(s *Store) error { return s.RestoreContext(context.Background(), v2) },
+		"v3-heap":   func(s *Store) error { return s.RestoreContext(context.Background(), v3) },
+		"v3-mapped": func(s *Store) error { return s.RestoreMappedContext(context.Background(), v3) },
 	}
 	for name, restore := range restores {
-		s, err := restore()
-		if err != nil {
+		s := New()
+		if err := restore(s); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got := storeFingerprint(t, s); got != want {
@@ -223,10 +205,10 @@ func TestSnapshotCompatMatrix(t *testing.T) {
 	}
 
 	// The mapped path accepts only v3.
-	if err := New().RestoreMappedContext(context.Background(), v2.Bytes()); err == nil {
+	if err := New().RestoreMappedContext(context.Background(), v2); err == nil {
 		t.Fatal("mapped restore accepted a v2 stream")
 	}
-	if err := New().RestoreMappedContext(context.Background(), v1.Bytes()); err == nil {
+	if err := New().RestoreMappedContext(context.Background(), v1); err == nil {
 		t.Fatal("mapped restore accepted a v1 document")
 	}
 }

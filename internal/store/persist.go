@@ -12,34 +12,34 @@ import (
 	"sync"
 
 	"repro/internal/frameio"
-	"repro/internal/index"
 )
 
 // Persistence: Symphony hosts the designers' proprietary data, so
-// durability is part of the platform contract. Three formats exist:
+// durability is part of the platform contract. SnapshotContext writes
+// format v3; RestoreContext still reads the two legacy formats, so an
+// old data directory boots and the next checkpoint rewrites it as v3.
 //
-// Format v3 (written by Snapshot) keeps v2's framed envelope — the
-// magic string, a header frame naming every tenant, one frame per
-// dataset in deterministic (tenant, dataset) order — but a dataset
-// frame carries its records as a binary record section with offset
-// directories (see mapped.go) followed by the index's v3 mmap-ready
-// stream, instead of a records JSON array. The same bytes serve two
-// restore paths: RestoreContext decodes them to the heap as before,
-// while RestoreMappedContext attaches datasets as lazy views over the
+// Format v3 is framed: the magic string, a header frame naming every
+// tenant, then one frame per dataset in deterministic (tenant,
+// dataset) order. A dataset frame carries its records as a binary
+// record section with offset directories (see mapped.go) followed by
+// the index's v3 mmap-ready stream. The same bytes serve two restore
+// paths: RestoreContext decodes them to the heap, while
+// RestoreMappedContext attaches datasets as lazy views over the
 // snapshot's (typically mmap'd) bytes — records and postings
 // materialize copy-on-write, so boot cost and resident set scale with
 // what the workload touches, not corpus size.
 //
-// Format v2 (written by SnapshotV2Context, read transparently by
-// RestoreContext) is the previous framed layout with JSON records.
-// Format v1 (written by SnapshotV1) is the legacy single-JSON-document
-// layout; restoring it rebuilds the indexes record by record.
+// Format v2 (read-only) is the same framed envelope with JSON records
+// and an index v2 stream per dataset. Format v1 (read-only) is a
+// single JSON document; restoring it rebuilds the indexes record by
+// record.
 //
-// Frames are encoded by a worker pool, each under its own dataset's
-// read lock — a checkpoint never holds the store-wide lock while
-// encoding, so writers on other datasets are not blocked. The price
-// is per-dataset (not global) point-in-time consistency, the usual
-// contract for online checkpoints.
+// Frames are encoded by a GOMAXPROCS-wide worker pool, each under its
+// own dataset's read lock — a checkpoint never holds the store-wide
+// lock while encoding, so writers on other datasets are not blocked.
+// The price is per-dataset (not global) point-in-time consistency,
+// the usual contract for online checkpoints.
 //
 // Restore for every format builds the replacement tenant map
 // completely — validating schemas, records and index attachment —
@@ -50,42 +50,31 @@ const (
 	snapshotVersionV1 = 1
 	snapshotVersionV2 = 2
 	snapshotVersionV3 = 3
-	// Magic strings start every framed stream. v1 streams start with
-	// '{', so Restore can sniff the format from the first bytes.
+	// Magic strings start every framed stream (both are the same
+	// length). v1 streams start with '{', so RestoreContext can sniff
+	// the format from the first bytes.
 	snapshotMagicV2 = "SYMSNP2\n"
 	snapshotMagicV3 = "SYMSNP3\n"
 )
 
-// PersistOption configures Snapshot and Restore.
+// PersistOption configures SnapshotContext.
 type PersistOption func(*persistOptions)
 
 type persistOptions struct {
-	workers int
-	cache   *FrameCache
+	cache *FrameCache
 }
 
-// WithWorkers sets how many goroutines encode or decode dataset
-// frames (default: GOMAXPROCS). WithWorkers(1) is the serial
-// baseline used by the benchmarks.
-func WithWorkers(n int) PersistOption {
-	return func(o *persistOptions) {
-		if n > 0 {
-			o.workers = n
-		}
-	}
-}
-
-// WithFrameCache makes Snapshot incremental: dataset frames whose
-// dataset version has not moved since the cached encode are written
-// from the cache instead of re-encoded — only datasets mutated since
-// the last checkpoint pay serialization (the dominant snapshot cost;
-// the v2 frame layout already isolates datasets, so the stream stays
-// byte-compatible). Pass the same cache to every periodic checkpoint
-// of one store; the cache prunes itself to the datasets seen in the
-// latest pass, so dropped datasets do not pin memory. The cost is
-// residency: the cache holds roughly one snapshot's worth of encoded
-// frames for as long as it lives — memory traded for the skipped
-// re-encodes.
+// WithFrameCache makes SnapshotContext incremental: dataset frames
+// whose dataset version has not moved since the cached encode are
+// written from the cache instead of re-encoded — only datasets
+// mutated since the last checkpoint pay serialization (the dominant
+// snapshot cost; the frame layout already isolates datasets, so the
+// stream stays byte-identical). Pass the same cache to every periodic
+// checkpoint of one store; the cache prunes itself to the datasets
+// seen in the latest pass, so dropped datasets do not pin memory. The
+// cost is residency: the cache holds roughly one snapshot's worth of
+// encoded frames for as long as it lives — memory traded for the
+// skipped re-encodes.
 func WithFrameCache(c *FrameCache) PersistOption {
 	return func(o *persistOptions) { o.cache = c }
 }
@@ -102,7 +91,6 @@ type FrameCache struct {
 
 type cachedFrame struct {
 	version uint64
-	format  int // snapshot format the payload was encoded in
 	payload []byte
 }
 
@@ -111,11 +99,11 @@ func NewFrameCache() *FrameCache {
 	return &FrameCache{frames: make(map[*Dataset]cachedFrame)}
 }
 
-func (c *FrameCache) get(ds *Dataset, version uint64, format int) ([]byte, bool) {
+func (c *FrameCache) get(ds *Dataset, version uint64) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cf, ok := c.frames[ds]
-	if !ok || cf.version != version || cf.format != format {
+	if !ok || cf.version != version {
 		c.misses++
 		return nil, false
 	}
@@ -123,9 +111,9 @@ func (c *FrameCache) get(ds *Dataset, version uint64, format int) ([]byte, bool)
 	return cf.payload, true
 }
 
-func (c *FrameCache) put(ds *Dataset, version uint64, format int, payload []byte) {
+func (c *FrameCache) put(ds *Dataset, version uint64, payload []byte) {
 	c.mu.Lock()
-	c.frames[ds] = cachedFrame{version: version, format: format, payload: payload}
+	c.frames[ds] = cachedFrame{version: version, payload: payload}
 	c.mu.Unlock()
 }
 
@@ -150,14 +138,14 @@ func (c *FrameCache) Stats() (hits, misses uint64) {
 }
 
 func applyPersistOptions(opts []PersistOption) persistOptions {
-	o := persistOptions{workers: runtime.GOMAXPROCS(0)}
+	var o persistOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
 	return o
 }
 
-// v1 layout (also the legacy on-disk format).
+// v1 layout: one JSON document (read-only).
 type snapshot struct {
 	Version int              `json:"version"`
 	Tenants []tenantSnapshot `json:"tenants"`
@@ -177,13 +165,13 @@ type datasetSnapshot struct {
 	NextID  int      `json:"nextId"`
 }
 
-// v2 layout.
-type v2Header struct {
-	Version int        `json:"version"`
-	Tenants []v2Tenant `json:"tenants"`
+// framedHeader is the header frame of v2 and v3 streams.
+type framedHeader struct {
+	Version int            `json:"version"`
+	Tenants []framedTenant `json:"tenants"`
 }
 
-type v2Tenant struct {
+type framedTenant struct {
 	ID       string                `json:"id"`
 	Owner    string                `json:"owner"`
 	Grants   map[string]Permission `json:"grants,omitempty"`
@@ -191,11 +179,11 @@ type v2Tenant struct {
 	Datasets []string              `json:"datasets,omitempty"`
 }
 
-// v2DatasetFrame is the JSON metadata part of a dataset frame. The
-// frame payload is the 8-byte big-endian metadata length, the
+// v2DatasetFrame is the JSON metadata part of a v2 dataset frame.
+// The frame payload is the 8-byte big-endian metadata length, the
 // metadata JSON, then the dataset's serialized sharded index (an
-// index.Snapshot stream) as raw bytes — concatenated rather than
-// embedded so multi-megabyte postings avoid a base64 round trip.
+// index v2 stream) as raw bytes — concatenated rather than embedded
+// so multi-megabyte postings avoid a base64 round trip.
 type v2DatasetFrame struct {
 	Tenant  string   `json:"tenant"`
 	Schema  Schema   `json:"schema"`
@@ -217,35 +205,20 @@ type v3DatasetMeta struct {
 	NextID int    `json:"nextId"`
 }
 
-// splitDatasetFrame separates a dataset frame payload into its JSON
-// metadata and raw index stream.
-func splitDatasetFrame(payload []byte) (meta, index []byte, err error) {
-	if len(payload) < 8 {
-		return nil, nil, fmt.Errorf("dataset frame too short")
+// cutSection splits an 8-byte big-endian length prefix and the
+// section it announces off the front of b. Dataset frames are a chain
+// of such sections: metadata JSON, then (v3 only) the record section,
+// then the index stream as the remainder.
+func cutSection(b []byte, what string) (sec, rest []byte, err error) {
+	if len(b) < 8 {
+		return nil, nil, fmt.Errorf("dataset frame missing %s", what)
 	}
-	n := binary.BigEndian.Uint64(payload[:8])
-	if n > uint64(len(payload)-8) {
-		return nil, nil, fmt.Errorf("dataset frame metadata length %d exceeds payload", n)
-	}
-	return payload[8 : 8+n], payload[8+n:], nil
-}
-
-// splitDatasetFrameV3 separates a v3 dataset frame payload into JSON
-// metadata, record section and raw index stream.
-func splitDatasetFrameV3(payload []byte) (meta, recSec, index []byte, err error) {
-	meta, rest, err := splitDatasetFrame(payload)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if len(rest) < 8 {
-		return nil, nil, nil, fmt.Errorf("dataset frame missing record section")
-	}
-	n := binary.BigEndian.Uint64(rest[:8])
-	if n > uint64(len(rest)-8) {
-		return nil, nil, nil, fmt.Errorf("dataset frame record section length %d exceeds payload", n)
+	n := binary.BigEndian.Uint64(b[:8])
+	if n > uint64(len(b)-8) {
+		return nil, nil, fmt.Errorf("dataset frame %s length %d exceeds payload", what, n)
 	}
 	end := 8 + n
-	return meta, rest[8:end:end], rest[end:], nil
+	return b[8:end:end], b[end:], nil
 }
 
 // datasetRef pins one dataset for a snapshot pass.
@@ -258,7 +231,7 @@ type datasetRef struct {
 // collect walks the store under its read lock and returns the tenant
 // metadata and dataset references in deterministic order. The store
 // lock is released before any dataset is encoded.
-func (s *Store) collect() ([]v2Tenant, []datasetRef) {
+func (s *Store) collect() ([]framedTenant, []datasetRef) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	ids := make([]string, 0, len(s.tenants))
@@ -266,7 +239,7 @@ func (s *Store) collect() ([]v2Tenant, []datasetRef) {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	var meta []v2Tenant
+	var meta []framedTenant
 	var refs []datasetRef
 	for _, id := range ids {
 		t := s.tenants[id]
@@ -276,7 +249,7 @@ func (s *Store) collect() ([]v2Tenant, []datasetRef) {
 		for actor, perm := range t.grants {
 			grants[actor] = perm
 		}
-		vt := v2Tenant{ID: id, Owner: t.owner, Grants: grants, Quota: t.quota}
+		vt := framedTenant{ID: id, Owner: t.owner, Grants: grants, Quota: t.quota}
 		for name := range t.datasets {
 			vt.Datasets = append(vt.Datasets, name)
 		}
@@ -298,32 +271,18 @@ func (s *Store) collect() ([]v2Tenant, []datasetRef) {
 // of a freshly booted store copies views, it does not re-encode.
 // Cancellation is checked between dataset frames: a cancelled
 // snapshot stops encoding, leaves a truncated (unloadable, by design
-// — Restore validates) stream and returns ctx.Err().
+// — restore validates) stream and returns ctx.Err().
 func (s *Store) SnapshotContext(ctx context.Context, w io.Writer, opts ...PersistOption) error {
-	return s.snapshotFramed(ctx, w, snapshotVersionV3, opts)
-}
-
-// SnapshotV2Context serializes the store in the previous framed
-// format with JSON records, for compatibility tooling and fixtures.
-func (s *Store) SnapshotV2Context(ctx context.Context, w io.Writer, opts ...PersistOption) error {
-	return s.snapshotFramed(ctx, w, snapshotVersionV2, opts)
-}
-
-func (s *Store) snapshotFramed(ctx context.Context, w io.Writer, version int, opts []PersistOption) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	o := applyPersistOptions(opts)
 	meta, refs := s.collect()
 
-	magic := snapshotMagicV3
-	if version == snapshotVersionV2 {
-		magic = snapshotMagicV2
-	}
-	if err := frameio.WriteMagic(w, magic); err != nil {
+	if err := frameio.WriteMagic(w, snapshotMagicV3); err != nil {
 		return err
 	}
-	hdr, err := json.Marshal(v2Header{Version: version, Tenants: meta})
+	hdr, err := json.Marshal(framedHeader{Version: snapshotVersionV3, Tenants: meta})
 	if err != nil {
 		return err
 	}
@@ -342,12 +301,12 @@ func (s *Store) snapshotFramed(ctx context.Context, w io.Writer, version int, op
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for k := 0; k < o.workers; k++ {
+	for k := 0; k < runtime.GOMAXPROCS(0); k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i].buf, results[i].err = refs[i].encodeFrame(o.cache, version)
+				results[i].buf, results[i].err = refs[i].encodeFrame(o.cache)
 				close(results[i].done)
 			}
 		}()
@@ -397,167 +356,78 @@ func (s *Store) snapshotFramed(ctx context.Context, w io.Writer, version int, op
 // since it was encoded. The version is read under the same read lock
 // that covers the encode, so a cached (version, payload) pair always
 // agrees with itself.
-func (ref datasetRef) encodeFrame(cache *FrameCache, format int) ([]byte, error) {
+func (ref datasetRef) encodeFrame(cache *FrameCache) ([]byte, error) {
 	ds := ref.ds
 	ds.mu.RLock()
+	defer ds.mu.RUnlock()
 	if cache != nil {
-		if payload, ok := cache.get(ds, ds.ver, format); ok {
-			ds.mu.RUnlock()
+		if payload, ok := cache.get(ds, ds.ver); ok {
 			return payload, nil
 		}
 	}
-	version := ds.ver
-	var payload []byte
-	switch format {
-	case snapshotVersionV3:
-		meta, err := json.Marshal(v3DatasetMeta{Tenant: ref.tenant, Schema: ds.schema, NextID: ds.nextID})
-		if err != nil {
-			ds.mu.RUnlock()
-			return nil, err
-		}
-		// A still-mapped record section round-trips verbatim; only
-		// materialized datasets re-encode (and produce the same bytes
-		// for the same content — the encoder is deterministic).
-		var recSec []byte
-		if ds.mrecs != nil {
-			recSec = ds.mrecs.raw
-		} else {
-			recSec = encodeRecordSection(ds.order, ds.records)
-		}
-		payload = make([]byte, 8, 16+len(meta)+len(recSec))
-		binary.BigEndian.PutUint64(payload, uint64(len(meta)))
-		payload = append(payload, meta...)
-		payload = binary.BigEndian.AppendUint64(payload, uint64(len(recSec)))
-		payload = append(payload, recSec...)
-	default:
-		n := ds.lenLocked()
-		frame := v2DatasetFrame{
-			Tenant:  ref.tenant,
-			Schema:  ds.schema,
-			Order:   make([]string, 0, n),
-			Records: make([]Record, 0, n),
-			NextID:  ds.nextID,
-		}
-		for i := 0; i < n; i++ {
-			id, rec, ok := ds.viewAtLocked(i)
-			if !ok {
-				continue
-			}
-			frame.Order = append(frame.Order, id)
-			frame.Records = append(frame.Records, rec)
-		}
-		meta, err := json.Marshal(frame)
-		if err != nil {
-			ds.mu.RUnlock()
-			return nil, err
-		}
-		payload = make([]byte, 8, 8+len(meta)+len(meta)/2)
-		binary.BigEndian.PutUint64(payload, uint64(len(meta)))
-		payload = append(payload, meta...)
+	meta, err := json.Marshal(v3DatasetMeta{Tenant: ref.tenant, Schema: ds.schema, NextID: ds.nextID})
+	if err != nil {
+		return nil, err
 	}
+	// A still-mapped record section round-trips verbatim; only
+	// materialized datasets re-encode (and produce the same bytes for
+	// the same content — the encoder is deterministic).
+	var recSec []byte
+	if ds.mrecs != nil {
+		recSec = ds.mrecs.raw
+	} else {
+		recSec = encodeRecordSection(ds.order, ds.records)
+	}
+	payload := make([]byte, 8, 16+len(meta)+len(recSec))
+	binary.BigEndian.PutUint64(payload, uint64(len(meta)))
+	payload = append(payload, meta...)
+	payload = binary.BigEndian.AppendUint64(payload, uint64(len(recSec)))
+	payload = append(payload, recSec...)
 	// The index snapshot runs inside the dataset lock so records and
 	// postings in this frame agree with each other. Index shard locks
 	// nest inside the dataset lock; nothing takes them in the other
 	// order. Clean mapped index shards are written verbatim by the
 	// index encoder, completing the zero-re-encode checkpoint path.
 	buf := bytes.NewBuffer(payload)
-	var err error
-	if format == snapshotVersionV2 {
-		err = ds.ix.SnapshotV2(buf)
-	} else {
-		err = ds.ix.Snapshot(buf)
-	}
-	ds.mu.RUnlock()
-	if err != nil {
+	if err := ds.ix.Snapshot(buf); err != nil {
 		return nil, err
 	}
 	if cache != nil {
-		cache.put(ds, version, format, buf.Bytes())
+		cache.put(ds, ds.ver, buf.Bytes())
 	}
 	return buf.Bytes(), nil
 }
 
-// SnapshotV1 serializes the store in the legacy v1 single-document
-// JSON format, for compatibility tooling and the serial baseline
-// benchmark. It holds the store-wide lock for the whole pass, like
-// the seed implementation did.
-func (s *Store) SnapshotV1(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	snap := snapshot{Version: snapshotVersionV1}
-	tenantIDs := make([]string, 0, len(s.tenants))
-	for id := range s.tenants {
-		tenantIDs = append(tenantIDs, id)
-	}
-	sort.Strings(tenantIDs)
-	for _, id := range tenantIDs {
-		t := s.tenants[id]
-		ts := tenantSnapshot{ID: id, Owner: t.owner, Grants: t.grants}
-		dsNames := make([]string, 0, len(t.datasets))
-		for name := range t.datasets {
-			dsNames = append(dsNames, name)
-		}
-		sort.Strings(dsNames)
-		for _, name := range dsNames {
-			ds := t.datasets[name]
-			ds.mu.RLock()
-			d := datasetSnapshot{
-				Schema: ds.schema,
-				Order:  append([]string(nil), ds.order...),
-				NextID: ds.nextID,
-			}
-			for _, rid := range ds.order {
-				rec := ds.records[rid]
-				cp := make(Record, len(rec))
-				for k, v := range rec {
-					cp[k] = v
-				}
-				d.Records = append(d.Records, cp)
-			}
-			ds.mu.RUnlock()
-			ts.Datasets = append(ts.Datasets, d)
-		}
-		snap.Tenants = append(snap.Tenants, ts)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(snap)
-}
-
-// RestoreContext replaces the store's contents from a snapshot in any
-// format: framed streams (v2/v3, sniffed by magic) decode dataset
-// frames concurrently and reattach their serialized indexes; v1
-// documents rebuild indexes from records. The replacement state is
-// built and validated completely before it is swapped in, so a failed
-// restore — including a cancelled one — leaves the store unchanged.
-// Cancellation is checked between dataset frames.
-func (s *Store) RestoreContext(ctx context.Context, r io.Reader, opts ...PersistOption) error {
+// RestoreContext replaces the store's contents from a snapshot of any
+// format held in data: framed streams (v2/v3, sniffed by magic) decode
+// dataset frames concurrently and reattach their serialized indexes;
+// v1 documents rebuild indexes from records. Everything is decoded
+// onto the heap, so the restored store keeps no reference to data.
+// The replacement state is built and validated completely before it
+// is swapped in, so a failed restore — including a cancelled one —
+// leaves the store unchanged. Cancellation is checked between dataset
+// frames.
+func (s *Store) RestoreContext(ctx context.Context, data []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// Sniff the format from the first bytes. A short stream is
-	// whatever of it we got — let the v1 JSON decoder report it.
-	prefix := make([]byte, len(snapshotMagicV2))
-	n, err := io.ReadFull(r, prefix)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return fmt.Errorf("store: restore: %w", err)
+	if !hasMagic(data, snapshotMagicV2) && !hasMagic(data, snapshotMagicV3) {
+		return s.restoreV1(data)
 	}
-	prefix = prefix[:n]
-	switch string(prefix) {
-	case snapshotMagicV2:
-		return s.restoreFramed(ctx, r, applyPersistOptions(opts), snapshotVersionV2)
-	case snapshotMagicV3:
-		return s.restoreFramed(ctx, r, applyPersistOptions(opts), snapshotVersionV3)
-	}
-	return s.restoreV1(io.MultiReader(bytes.NewReader(prefix), r))
+	return s.restore(ctx, data, false)
 }
 
 // SnapshotIsMappable reports whether data begins a v3 snapshot — the
 // only format RestoreMappedContext accepts. Boot paths use it to
-// decide between mapping a snapshot and streaming it: v1/v2 files
+// decide between mapping a snapshot and decoding it: v1/v2 files
 // restore through RestoreContext until the next checkpoint rewrites
 // them as v3.
 func SnapshotIsMappable(data []byte) bool {
-	return len(data) >= len(snapshotMagicV3) && string(data[:len(snapshotMagicV3)]) == snapshotMagicV3
+	return hasMagic(data, snapshotMagicV3)
+}
+
+func hasMagic(data []byte, magic string) bool {
+	return len(data) >= len(magic) && string(data[:len(magic)]) == magic
 }
 
 // RestoreMappedContext replaces the store's contents from a v3
@@ -565,46 +435,39 @@ func SnapshotIsMappable(data []byte) bool {
 // checkpoint file — attaching every dataset as lazy views over those
 // bytes: record sections and posting payloads are NOT copied to the
 // heap, and each dataset's index adopts the snapshot's shard layout
-// (scores are layout-independent). Frame checksums are verified
-// during the walk, so a truncated or corrupt file fails here, before
-// anything serves from it. data must stay valid (mapped) for the life
-// of the store; the mmapio package's never-unmap contract provides
-// exactly that.
-func (s *Store) RestoreMappedContext(ctx context.Context, data []byte, opts ...PersistOption) error {
+// (scores are layout-independent). data must stay valid (mapped) for
+// the life of the store; the mmapio package's never-unmap contract
+// provides exactly that.
+func (s *Store) RestoreMappedContext(ctx context.Context, data []byte) error {
+	if !SnapshotIsMappable(data) {
+		return fmt.Errorf("store: restore mapped: not a v3 snapshot")
+	}
+	return s.restore(ctx, data, true)
+}
+
+// restore is the one framed-snapshot walk behind RestoreContext and
+// RestoreMappedContext. Frame checksums are verified during the walk,
+// so a truncated or corrupt stream fails before any dataset decodes.
+// Dataset frames then decode on a worker pool — each job is
+// independent, so decode scales with the dataset count — and the
+// replacement tenant map is swapped in. Cancellation stops dispatch
+// between frames; already-dispatched decodes finish (they only build
+// private state) and the restore returns without touching the store.
+func (s *Store) restore(ctx context.Context, data []byte, mapped bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if len(data) < len(snapshotMagicV3) || string(data[:len(snapshotMagicV3)]) != snapshotMagicV3 {
-		return fmt.Errorf("store: restore mapped: not a v3 snapshot")
+	op := "store: restore"
+	if mapped {
+		op = "store: restore mapped"
 	}
-	off := len(snapshotMagicV3)
-	hdrBytes, off, err := frameio.NextFrameInBuf(data, off, true)
+	version := snapshotVersionV3
+	if hasMagic(data, snapshotMagicV2) {
+		version = snapshotVersionV2
+	}
+	hdrBytes, off, err := frameio.NextFrameInBuf(data, len(snapshotMagicV3), true)
 	if err != nil {
-		return fmt.Errorf("store: restore mapped header: %w", err)
-	}
-	tenants, expects, err := parseFramedHeader(hdrBytes, snapshotVersionV3)
-	if err != nil {
-		return err
-	}
-	frames := make([][]byte, len(expects))
-	for i := range frames {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if frames[i], off, err = frameio.NextFrameInBuf(data, off, true); err != nil {
-			return fmt.Errorf("store: restore mapped %s/%s frame: %w", expects[i].tenant, expects[i].name, err)
-		}
-	}
-	if _, _, err := frameio.NextFrameInBuf(data, off, false); err != io.EOF {
-		return fmt.Errorf("store: restore mapped: trailing data after %d dataset frames", len(expects))
-	}
-	return s.installFromFrames(ctx, tenants, expects, frames, applyPersistOptions(opts), snapshotVersionV3, true)
-}
-
-func (s *Store) restoreFramed(ctx context.Context, r io.Reader, o persistOptions, version int) error {
-	hdrBytes, err := frameio.ReadFrame(r)
-	if err != nil {
-		return fmt.Errorf("store: restore header: %w", err)
+		return fmt.Errorf("%s header: %w", op, err)
 	}
 	tenants, expects, err := parseFramedHeader(hdrBytes, version)
 	if err != nil {
@@ -615,14 +478,67 @@ func (s *Store) restoreFramed(ctx context.Context, r io.Reader, o persistOptions
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if frames[i], err = frameio.ReadFrame(r); err != nil {
-			return fmt.Errorf("store: restore %s/%s frame: %w", expects[i].tenant, expects[i].name, err)
+		if frames[i], off, err = frameio.NextFrameInBuf(data, off, true); err != nil {
+			return fmt.Errorf("%s %s/%s frame: %w", op, expects[i].tenant, expects[i].name, err)
 		}
 	}
-	if _, err := frameio.ReadFrame(r); err != io.EOF {
-		return fmt.Errorf("store: restore: trailing data after %d dataset frames", len(expects))
+	if off != len(data) {
+		return fmt.Errorf("%s: trailing data after %d dataset frames", op, len(expects))
 	}
-	return s.installFromFrames(ctx, tenants, expects, frames, o, version, false)
+
+	datasets := make([]*Dataset, len(expects))
+	errs := make([]error, len(expects))
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for k := 0; k < runtime.GOMAXPROCS(0); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				datasets[i], errs[i] = s.decodeFrame(frames[i], expects[i], version, mapped)
+			}
+		}()
+	}
+	dispatched := len(frames)
+	for i := range frames {
+		if ctx.Err() != nil {
+			dispatched = i
+			break
+		}
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+	if dispatched < len(frames) {
+		return ctx.Err()
+	}
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("%s %s/%s: %w", op, expects[i].tenant, expects[i].name, err)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+
+	for i, e := range expects {
+		t := tenants[e.tenant]
+		if _, dup := t.datasets[e.name]; dup {
+			return fmt.Errorf("%s: duplicate dataset %s/%s", op, e.tenant, e.name)
+		}
+		t.datasets[e.name] = datasets[i]
+	}
+	for _, t := range tenants {
+		if t.quota > 0 {
+			for _, ds := range t.datasets {
+				ds.setQuotaCheck(usageExcluding(t, ds), t.quota)
+			}
+		}
+	}
+	s.mu.Lock()
+	s.tenants = tenants
+	s.mu.Unlock()
+	return nil
 }
 
 // frameExpect names the dataset one frame must carry, derived from
@@ -633,7 +549,7 @@ type frameExpect struct{ tenant, name string }
 // formats and returns the replacement tenant map plus the expected
 // dataset frame sequence.
 func parseFramedHeader(hdrBytes []byte, wantVersion int) (map[string]*tenant, []frameExpect, error) {
-	var hdr v2Header
+	var hdr framedHeader
 	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
 		return nil, nil, fmt.Errorf("store: restore header: %w", err)
 	}
@@ -666,196 +582,108 @@ func parseFramedHeader(hdrBytes []byte, wantVersion int) (map[string]*tenant, []
 	return tenants, expects, nil
 }
 
-// installFromFrames decodes dataset frames on a worker pool and swaps
-// the replacement tenant map in — the shared back half of every
-// framed restore. Each job is independent, so decode scales with the
-// dataset count. Cancellation stops dispatch between frames; already-
-// dispatched decodes finish (they only build private state) and the
-// whole restore returns without touching the store.
-func (s *Store) installFromFrames(ctx context.Context, tenants map[string]*tenant, expects []frameExpect, frames [][]byte, o persistOptions, version int, mapped bool) error {
-	datasets := make([]*Dataset, len(expects))
-	errs := make([]error, len(expects))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for k := 0; k < o.workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if version == snapshotVersionV3 {
-					datasets[i], errs[i] = decodeFrameV3(frames[i], expects[i].tenant, expects[i].name, s.shardTarget, s.cache, mapped)
-				} else {
-					datasets[i], errs[i] = decodeFrame(frames[i], expects[i].tenant, expects[i].name, s.shardTarget, s.cache)
-				}
-			}
-		}()
-	}
-	dispatched := len(frames)
-	for i := range frames {
-		if ctx.Err() != nil {
-			dispatched = i
-			break
-		}
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if dispatched < len(frames) {
-		return ctx.Err()
-	}
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("store: restore %s/%s: %w", expects[i].tenant, expects[i].name, err)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	for i, e := range expects {
-		t := tenants[e.tenant]
-		if _, dup := t.datasets[e.name]; dup {
-			return fmt.Errorf("store: restore: duplicate dataset %s/%s", e.tenant, e.name)
-		}
-		t.datasets[e.name] = datasets[i]
-	}
-	for _, t := range tenants {
-		if t.quota > 0 {
-			for _, ds := range t.datasets {
-				ds.setQuotaCheck(usageExcluding(t, ds), t.quota)
-			}
-		}
-	}
-	s.mu.Lock()
-	s.tenants = tenants
-	s.mu.Unlock()
-	return nil
-}
-
-// decodeFrame rebuilds one dataset from its frame, reattaching the
-// serialized sharded index and cross-checking it against the records.
-// The index restore decodes the snapshot's shard layout and then
-// reshards to the dataset's configured target, so checkpoint layout
-// never caps query fan-out on the restoring machine.
-func decodeFrame(payload []byte, wantTenant, wantName string, shardTarget int, cache *index.Cache) (*Dataset, error) {
-	meta, index, err := splitDatasetFrame(payload)
+// decodeFrame rebuilds one dataset from a v2 or v3 frame. The heap
+// path validates every record (v2 carries them as JSON, v3 as a
+// record section) and reattaches the index resharded to the store's
+// configured target, so checkpoint layout never caps query fan-out on
+// the restoring machine. The mapped path (v3 only) attaches both
+// sections as views over the frame's bytes: records and postings stay
+// unmaterialized, the index keeps the snapshot's shard layout, and
+// per-record validation is deferred to the write path that
+// materializes them — the frame checksum already vouches for the
+// bytes, and re-validating every record would decode everything the
+// mapping exists to avoid.
+func (s *Store) decodeFrame(payload []byte, want frameExpect, version int, mapped bool) (*Dataset, error) {
+	metaBytes, ixBytes, err := cutSection(payload, "metadata")
 	if err != nil {
 		return nil, err
 	}
+	// A v3 frame's metadata is the Tenant/Schema/NextID subset of v2's.
 	var frame v2DatasetFrame
-	if err := json.Unmarshal(meta, &frame); err != nil {
+	if err := json.Unmarshal(metaBytes, &frame); err != nil {
 		return nil, err
 	}
-	if frame.Tenant != wantTenant || frame.Schema.Name != wantName {
+	if frame.Tenant != want.tenant || frame.Schema.Name != want.name {
 		return nil, fmt.Errorf("frame is %s/%s, header expects %s/%s",
-			frame.Tenant, frame.Schema.Name, wantTenant, wantName)
+			frame.Tenant, frame.Schema.Name, want.tenant, want.name)
 	}
 	if err := frame.Schema.Validate(); err != nil {
 		return nil, err
 	}
-	if len(frame.Order) != len(frame.Records) {
-		return nil, fmt.Errorf("order/record mismatch")
-	}
-	ds := newDataset(frame.Schema, shardTarget, cache)
+	ds := newDataset(frame.Schema, s.shardTarget, s.cache)
 	ds.nextID = frame.NextID
-	for i, rec := range frame.Records {
-		id := frame.Order[i]
-		if id == "" {
-			return nil, fmt.Errorf("empty record ID at position %d", i)
+	if version == snapshotVersionV2 {
+		if len(frame.Order) != len(frame.Records) {
+			return nil, fmt.Errorf("order/record mismatch")
 		}
-		if _, dup := ds.records[id]; dup {
-			return nil, fmt.Errorf("duplicate record ID %q", id)
-		}
-		if err := checkRecord(ds.schema, rec); err != nil {
-			return nil, fmt.Errorf("record %s: %w", id, err)
-		}
-		cp := make(Record, len(rec))
-		for k, v := range rec {
-			cp[k] = v
-		}
-		ds.records[id] = cp
-		ds.order = append(ds.order, id)
-	}
-	// Reattach the serialized index; newDataset already registered
-	// the schema's field options, so boosts and analyzers line up.
-	if err := ds.ix.Restore(bytes.NewReader(index)); err != nil {
-		return nil, err
-	}
-	if got := ds.ix.Len(); got != len(ds.records) {
-		return nil, fmt.Errorf("restored index has %d live docs, dataset has %d records", got, len(ds.records))
-	}
-	return ds, nil
-}
-
-// decodeFrameV3 rebuilds one dataset from a v3 frame. The heap path
-// decodes the record section eagerly (validating every record, like
-// v2) and reshards the index to the configured target. The mapped
-// path attaches both sections as views over the frame's bytes:
-// records and postings stay unmaterialized, the index keeps the
-// snapshot's shard layout, and per-record validation is deferred to
-// the write path that materializes them — the frame checksum already
-// vouches for the bytes, and re-validating every record would decode
-// everything the mapping exists to avoid.
-func decodeFrameV3(payload []byte, wantTenant, wantName string, shardTarget int, cache *index.Cache, mapped bool) (*Dataset, error) {
-	meta, recSec, ixBytes, err := splitDatasetFrameV3(payload)
-	if err != nil {
-		return nil, err
-	}
-	var frame v3DatasetMeta
-	if err := json.Unmarshal(meta, &frame); err != nil {
-		return nil, err
-	}
-	if frame.Tenant != wantTenant || frame.Schema.Name != wantName {
-		return nil, fmt.Errorf("frame is %s/%s, header expects %s/%s",
-			frame.Tenant, frame.Schema.Name, wantTenant, wantName)
-	}
-	if err := frame.Schema.Validate(); err != nil {
-		return nil, err
-	}
-	mr, err := attachRecordSection(recSec)
-	if err != nil {
-		return nil, err
-	}
-	ds := newDataset(frame.Schema, shardTarget, cache)
-	ds.nextID = frame.NextID
-	if mapped {
-		ds.mrecs = mr
-		if err := ds.ix.RestoreMapped(ixBytes); err != nil {
-			return nil, err
+		for i, rec := range frame.Records {
+			if err := ds.restoreRecord(i, frame.Order[i], rec); err != nil {
+				return nil, err
+			}
 		}
 	} else {
-		for i := 0; i < mr.count; i++ {
-			id, rec, ok := mr.entryAt(i)
-			if !ok {
-				return nil, fmt.Errorf("corrupt record entry at position %d", i)
-			}
-			if id == "" {
-				return nil, fmt.Errorf("empty record ID at position %d", i)
-			}
-			if _, dup := ds.records[id]; dup {
-				return nil, fmt.Errorf("duplicate record ID %q", id)
-			}
-			if err := checkRecord(ds.schema, rec); err != nil {
-				return nil, fmt.Errorf("record %s: %w", id, err)
-			}
-			ds.records[id] = rec
-			ds.order = append(ds.order, id)
-		}
-		if err := ds.ix.Restore(bytes.NewReader(ixBytes)); err != nil {
+		var recSec []byte
+		if recSec, ixBytes, err = cutSection(ixBytes, "record section"); err != nil {
 			return nil, err
 		}
+		mr, err := attachRecordSection(recSec)
+		if err != nil {
+			return nil, err
+		}
+		if mapped {
+			ds.mrecs = mr
+		} else {
+			for i := 0; i < mr.count; i++ {
+				id, rec, ok := mr.entryAt(i)
+				if !ok {
+					return nil, fmt.Errorf("corrupt record entry at position %d", i)
+				}
+				if err := ds.restoreRecord(i, id, rec); err != nil {
+					return nil, err
+				}
+			}
+		}
 	}
-	if got := ds.ix.Len(); got != mr.count {
-		return nil, fmt.Errorf("restored index has %d live docs, dataset has %d records", got, mr.count)
+	// newDataset already registered the schema's field options, so the
+	// restored index's boosts and analyzers line up.
+	if mapped {
+		err = ds.ix.RestoreMapped(ixBytes)
+	} else {
+		err = ds.ix.Restore(ixBytes)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if got, want := ds.ix.Len(), ds.lenLocked(); got != want {
+		return nil, fmt.Errorf("restored index has %d live docs, dataset has %d records", got, want)
 	}
 	return ds, nil
+}
+
+// restoreRecord appends the record at snapshot position pos to a
+// dataset being rebuilt by a heap restore, rejecting anything a live
+// dataset could not hold. The record must be owned by the dataset
+// from here on.
+func (d *Dataset) restoreRecord(pos int, id string, rec Record) error {
+	if id == "" {
+		return fmt.Errorf("empty record ID at position %d", pos)
+	}
+	if _, dup := d.records[id]; dup {
+		return fmt.Errorf("duplicate record ID %q", id)
+	}
+	if err := checkRecord(d.schema, rec); err != nil {
+		return fmt.Errorf("record %s: %w", id, err)
+	}
+	d.records[id] = rec
+	d.order = append(d.order, id)
+	return nil
 }
 
 // restoreV1 reads the legacy single-document JSON format, rebuilding
 // full-text indexes from the records.
-func (s *Store) restoreV1(r io.Reader) error {
+func (s *Store) restoreV1(data []byte) error {
 	var snap snapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
+	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("store: restore: %w", err)
 	}
 	if snap.Version != snapshotVersionV1 {
@@ -885,16 +713,10 @@ func (s *Store) restoreV1(r io.Reader) error {
 			ds.nextID = dsnap.NextID
 			for i, rec := range dsnap.Records {
 				id := dsnap.Order[i]
-				if err := checkRecord(ds.schema, rec); err != nil {
-					return fmt.Errorf("store: restore: record %s: %w", id, err)
+				if err := ds.restoreRecord(i, id, rec); err != nil {
+					return fmt.Errorf("store: restore tenant %s dataset %s: %w", ts.ID, dsnap.Schema.Name, err)
 				}
-				cp := make(Record, len(rec))
-				for k, v := range rec {
-					cp[k] = v
-				}
-				ds.records[id] = cp
-				ds.order = append(ds.order, id)
-				if err := ds.reindexLocked(id, cp); err != nil {
+				if err := ds.reindexLocked(id, rec); err != nil {
 					return err
 				}
 			}

@@ -50,65 +50,59 @@ func persistBenchStore(b *testing.B, tenants, datasetsPer, recordsPer int) *Stor
 	return s
 }
 
-// BenchmarkSnapshotRestore compares the serial legacy v1 path against
-// the parallel framed path (now v3) at several worker counts,
-// measuring a full checkpoint cycle (snapshot + restore into a fresh
-// store). Results are recorded in BENCH_persist.json.
+// restoreModes names the two ways a v3 snapshot comes back: decoded
+// onto the heap, or attached as views over the snapshot bytes.
+var restoreModes = []struct {
+	name    string
+	restore func(*Store, []byte) error
+}{
+	{"v3-heap", func(s *Store, data []byte) error { return s.RestoreContext(context.Background(), data) }},
+	{"v3-mapped", func(s *Store, data []byte) error { return s.RestoreMappedContext(context.Background(), data) }},
+}
+
+// BenchmarkSnapshotRestore measures a full checkpoint cycle: snapshot
+// a heap store, then restore the bytes into a fresh store, heap or
+// mapped.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	s := persistBenchStore(b, 8, 2, 400)
-
-	roundTrip := func(b *testing.B, snap func(io.Writer) error, opts ...PersistOption) {
-		b.Helper()
-		var size int
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := snap(&buf); err != nil {
-				b.Fatal(err)
+	for _, mode := range restoreModes {
+		b.Run(mode.name, func(b *testing.B) {
+			var size int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var buf bytes.Buffer
+				if err := s.SnapshotContext(context.Background(), &buf); err != nil {
+					b.Fatal(err)
+				}
+				size = buf.Len()
+				if err := mode.restore(New(), buf.Bytes()); err != nil {
+					b.Fatal(err)
+				}
 			}
-			size = buf.Len()
-			fresh := New()
-			if err := fresh.RestoreContext(context.Background(), bytes.NewReader(buf.Bytes()), opts...); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(size))
-	}
-
-	b.Run("v1-serial", func(b *testing.B) {
-		roundTrip(b, s.SnapshotV1)
-	})
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("v3-workers-%d", workers), func(b *testing.B) {
-			roundTrip(b, func(w io.Writer) error {
-				return s.SnapshotContext(context.Background(), w, WithWorkers(workers))
-			}, WithWorkers(workers))
+			b.SetBytes(int64(size))
 		})
 	}
 }
-
-// benchWorkerCounts is fixed rather than derived from the host, so
-// sub-benchmark names mean the same thing on every machine.
-func benchWorkerCounts() []int { return []int{1, 2, 4} }
 
 // BenchmarkSnapshotOnly isolates the checkpoint write path — what a
-// running symphonyd pays in the background.
+// running symphonyd pays in the background — from a store whose
+// datasets live on the heap (every frame encoded) and from one just
+// restored mapped (every frame copied verbatim from the mapping).
 func BenchmarkSnapshotOnly(b *testing.B) {
-	s := persistBenchStore(b, 8, 2, 400)
-	b.Run("v1-serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := s.SnapshotV1(io.Discard); err != nil {
-				b.Fatal(err)
-			}
+	heap := persistBenchStore(b, 8, 2, 400)
+	var snap bytes.Buffer
+	if err := heap.SnapshotContext(context.Background(), &snap); err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range restoreModes {
+		s := New()
+		if err := mode.restore(s, snap.Bytes()); err != nil {
+			b.Fatal(err)
 		}
-	})
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("v3-workers-%d", workers), func(b *testing.B) {
+		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := s.SnapshotContext(context.Background(), io.Discard, WithWorkers(workers)); err != nil {
+				if err := s.SnapshotContext(context.Background(), io.Discard); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -116,46 +110,25 @@ func BenchmarkSnapshotOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkRestoreOnly isolates boot-time restore: v1 reindexes every
-// record, the framed heap path reattaches serialized shards, and the
-// mapped path only walks frame CRCs and directory offsets — records
-// and postings stay views into the snapshot bytes.
+// BenchmarkRestoreOnly isolates boot-time restore: the heap path
+// decodes every record and reattaches serialized shards, the mapped
+// path only walks frame CRCs and directory offsets — records and
+// postings stay views into the snapshot bytes.
 func BenchmarkRestoreOnly(b *testing.B) {
 	s := persistBenchStore(b, 8, 2, 400)
-	var v1, v3 bytes.Buffer
-	if err := s.SnapshotV1(&v1); err != nil {
+	var snap bytes.Buffer
+	if err := s.SnapshotContext(context.Background(), &snap); err != nil {
 		b.Fatal(err)
 	}
-	if err := s.SnapshotContext(context.Background(), &v3); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("v1-serial", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(v1.Len()))
-		for i := 0; i < b.N; i++ {
-			if err := New().RestoreContext(context.Background(), bytes.NewReader(v1.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("v3-workers-%d", workers), func(b *testing.B) {
+	for _, mode := range restoreModes {
+		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(int64(v3.Len()))
+			b.SetBytes(int64(snap.Len()))
 			for i := 0; i < b.N; i++ {
-				if err := New().RestoreContext(context.Background(), bytes.NewReader(v3.Bytes()), WithWorkers(workers)); err != nil {
+				if err := mode.restore(New(), snap.Bytes()); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	b.Run("v3-mapped", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(v3.Len()))
-		for i := 0; i < b.N; i++ {
-			if err := New().RestoreMappedContext(context.Background(), v3.Bytes()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -21,7 +23,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	restored := New()
-	if err := restored.RestoreContext(context.Background(), bytes.NewReader(buf.Bytes())); err != nil {
+	if err := restored.RestoreContext(context.Background(), buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	ds2, err := restored.DatasetContext(context.Background(), "gamerqueen", "ann", "inventory", PermWrite)
@@ -66,7 +68,7 @@ func TestRestoreContinuesAutoIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := New()
-	if err := restored.RestoreContext(context.Background(), &buf); err != nil {
+	if err := restored.RestoreContext(context.Background(), buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	ds2, _ := restored.DatasetContext(context.Background(), "t", "o", "notes", PermWrite)
@@ -81,17 +83,17 @@ func TestRestoreContinuesAutoIDs(t *testing.T) {
 
 func TestRestoreRejectsGarbage(t *testing.T) {
 	s := New()
-	if err := s.RestoreContext(context.Background(), strings.NewReader("{broken")); err == nil {
+	if err := s.RestoreContext(context.Background(), []byte("{broken")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if err := s.RestoreContext(context.Background(), strings.NewReader(`{"version":99}`)); err == nil {
+	if err := s.RestoreContext(context.Background(), []byte(`{"version":99}`)); err == nil {
 		t.Fatal("future version accepted")
 	}
-	if err := s.RestoreContext(context.Background(), strings.NewReader(`{"version":1,"tenants":[{"id":"","owner":""}]}`)); err == nil {
+	if err := s.RestoreContext(context.Background(), []byte(`{"version":1,"tenants":[{"id":"","owner":""}]}`)); err == nil {
 		t.Fatal("empty tenant accepted")
 	}
 	bad := `{"version":1,"tenants":[{"id":"t","owner":"o","datasets":[{"schema":{"name":"d","fields":[{"name":"a"}]},"order":["1","2"],"records":[{"a":"x"}]}]}]}`
-	if err := s.RestoreContext(context.Background(), strings.NewReader(bad)); err == nil {
+	if err := s.RestoreContext(context.Background(), []byte(bad)); err == nil {
 		t.Fatal("order/record mismatch accepted")
 	}
 }
@@ -105,7 +107,7 @@ func TestRestoreReplacesExistingState(t *testing.T) {
 	// A store with unrelated content restores to exactly the snapshot.
 	other := New()
 	other.CreateTenant("junk", "j")
-	if err := other.RestoreContext(context.Background(), &buf); err != nil {
+	if err := other.RestoreContext(context.Background(), buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if got := other.Tenants(); len(got) != 1 || got[0] != "gamerqueen" {
@@ -125,22 +127,29 @@ func TestSnapshotDeterministic(t *testing.T) {
 	if a.String() != b.String() {
 		t.Error("snapshots of identical state differ")
 	}
-	// Worker count must not change the bytes either: frames are
-	// written in deterministic order regardless of encode order.
-	var c bytes.Buffer
-	if err := s.SnapshotContext(context.Background(), &c, WithWorkers(1)); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != c.String() {
-		t.Error("worker count changed snapshot bytes")
+	// The encode pool's width must not change the bytes either: frames
+	// are written in deterministic order regardless of encode order.
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		var c bytes.Buffer
+		err := s.SnapshotContext(context.Background(), &c)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.String() != c.String() {
+			t.Errorf("GOMAXPROCS(%d) changed snapshot bytes", procs)
+		}
 	}
 }
 
 // multiTenantStore builds a store with several tenants and datasets,
-// quotas and grants, for cross-format and parallelism tests.
+// quotas and grants, for cross-format and parallelism tests. The shard
+// target is fixed so its snapshot bytes do not depend on the host: the
+// testdata fixtures were written from exactly this store.
 func multiTenantStore(t testing.TB) *Store {
 	t.Helper()
-	s := New()
+	s := New(WithShardTarget(3))
 	for ti := 0; ti < 4; ti++ {
 		tenant := fmt.Sprintf("tenant%d", ti)
 		owner := fmt.Sprintf("owner%d", ti)
@@ -223,35 +232,86 @@ func storeFingerprint(t testing.TB, s *Store) string {
 	return b.String()
 }
 
-// TestV1V2CompatRoundTrip: a legacy v1 snapshot restores into a
-// store whose v2 snapshot then round-trips to identical queryable
-// state — the upgrade path from seed-era snapshots.
+// readFixture loads a snapshot frozen under testdata/ (see
+// testdata/README for how each was produced).
+func readFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestV1V2CompatRoundTrip: v1 and v2 snapshots written by the retired
+// writers restore into a store whose v3 snapshot then round-trips to
+// identical queryable state — the upgrade path from old data
+// directories.
 func TestV1V2CompatRoundTrip(t *testing.T) {
+	want := storeFingerprint(t, multiTenantStore(t))
+	for _, name := range []string{"multitenant_v1.json", "multitenant_v2.snap"} {
+		legacy := New()
+		if err := legacy.RestoreContext(context.Background(), readFixture(t, name)); err != nil {
+			t.Fatalf("%s restore: %v", name, err)
+		}
+		if got := storeFingerprint(t, legacy); got != want {
+			t.Fatalf("%s restore state:\n%s\nwant:\n%s", name, got, want)
+		}
+
+		var v3 bytes.Buffer
+		if err := legacy.SnapshotContext(context.Background(), &v3); err != nil {
+			t.Fatal(err)
+		}
+		upgraded := New()
+		if err := upgraded.RestoreContext(context.Background(), v3.Bytes()); err != nil {
+			t.Fatalf("%s->v3 restore: %v", name, err)
+		}
+		if got := storeFingerprint(t, upgraded); got != want {
+			t.Fatalf("%s->v3 round trip state:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+}
+
+// TestSnapshotMatchesGolden pins the one remaining writer: today's
+// SnapshotContext must reproduce the checked-in v3 snapshot of
+// multiTenantStore byte for byte.
+func TestSnapshotMatchesGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := multiTenantStore(t).SnapshotContext(context.Background(), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), readFixture(t, "multitenant_v3.snap")) {
+		t.Fatal("v3 snapshot differs from testdata/multitenant_v3.snap")
+	}
+}
+
+// TestRestoreDoesNotAliasInput: a heap restore copies everything it
+// keeps, so the caller may reuse the snapshot buffer — zeroing it
+// afterwards must not change the restored state.
+func TestRestoreDoesNotAliasInput(t *testing.T) {
 	orig := multiTenantStore(t)
 	want := storeFingerprint(t, orig)
-
-	var v1 bytes.Buffer
-	if err := orig.SnapshotV1(&v1); err != nil {
+	var buf bytes.Buffer
+	if err := orig.SnapshotContext(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
-	fromV1 := New()
-	if err := fromV1.RestoreContext(context.Background(), bytes.NewReader(v1.Bytes())); err != nil {
-		t.Fatalf("v1 restore: %v", err)
-	}
-	if got := storeFingerprint(t, fromV1); got != want {
-		t.Fatalf("v1 restore state:\n%s\nwant:\n%s", got, want)
-	}
-
-	var v2 bytes.Buffer
-	if err := fromV1.SnapshotContext(context.Background(), &v2); err != nil {
+	data := buf.Bytes()
+	// The snapshot's own shard target, so no reshard rebuilds the
+	// indexes and hides an index that still points into data.
+	restored := New(WithShardTarget(3))
+	if err := restored.RestoreContext(context.Background(), data); err != nil {
 		t.Fatal(err)
 	}
-	fromV2 := New()
-	if err := fromV2.RestoreContext(context.Background(), bytes.NewReader(v2.Bytes())); err != nil {
-		t.Fatalf("v2 restore: %v", err)
+	clear(data)
+	if got := storeFingerprint(t, restored); got != want {
+		t.Fatalf("state after zeroing the input:\n%s\nwant:\n%s", got, want)
 	}
-	if got := storeFingerprint(t, fromV2); got != want {
-		t.Fatalf("v1->v2 round trip state:\n%s\nwant:\n%s", got, want)
+	ds, err := restored.DatasetContext(context.Background(), "tenant1", "owner1", "data0", PermRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := ds.Get("r4"); !ok || rec["body"] != "searchable common text plus unique4" {
+		t.Fatalf("Get(r4) after zeroing the input = %v, %v", rec, ok)
 	}
 }
 
@@ -264,7 +324,7 @@ func TestV2RestoreMatchesFreshScores(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := New()
-	if err := restored.RestoreContext(context.Background(), bytes.NewReader(buf.Bytes()), WithWorkers(4)); err != nil {
+	if err := restored.RestoreContext(context.Background(), buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := storeFingerprint(t, restored), storeFingerprint(t, orig); got != want {
@@ -292,7 +352,7 @@ func TestV2QuotaSurvivesRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := New()
-	if err := restored.RestoreContext(context.Background(), &buf); err != nil {
+	if err := restored.RestoreContext(context.Background(), buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	ds2, err := restored.DatasetContext(context.Background(), "t", "o", "d", PermWrite)
@@ -339,7 +399,7 @@ func TestRestoreCorruptV2LeavesStoreUntouched(t *testing.T) {
 	for name, data := range cases {
 		target, _ := newInventory(t)
 		before := storeFingerprint(t, target)
-		if err := target.RestoreContext(context.Background(), bytes.NewReader(data)); err == nil {
+		if err := target.RestoreContext(context.Background(), data); err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", name)
 			continue
 		}
@@ -382,7 +442,7 @@ func TestSnapshotConcurrentWithWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		restored := New()
-		if err := restored.RestoreContext(context.Background(), bytes.NewReader(buf.Bytes())); err != nil {
+		if err := restored.RestoreContext(context.Background(), buf.Bytes()); err != nil {
 			t.Fatalf("snapshot %d failed to restore: %v", i, err)
 		}
 	}

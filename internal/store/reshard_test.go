@@ -90,7 +90,7 @@ func TestStoreShardTarget(t *testing.T) {
 	}
 
 	wide := New(WithShardTarget(8))
-	if err := wide.RestoreContext(context.Background(), bytes.NewReader(buf.Bytes())); err != nil {
+	if err := wide.RestoreContext(context.Background(), buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	rds, err := wide.DatasetContext(context.Background(), "gamerqueen", "ann", "inventory", PermRead)
@@ -190,7 +190,7 @@ func TestSnapshotFrameCache(t *testing.T) {
 
 	// The incremental stream restores like any other v2 snapshot.
 	restored := New()
-	if err := restored.RestoreContext(context.Background(), bytes.NewReader(third.Bytes())); err != nil {
+	if err := restored.RestoreContext(context.Background(), third.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	rds, err := restored.DatasetContext(context.Background(), "tenant0", "owner0", "data0", PermRead)
@@ -256,7 +256,7 @@ func TestFrameCacheConcurrentWriters(t *testing.T) {
 			t.Fatal(err)
 		}
 		restored := New()
-		if err := restored.RestoreContext(context.Background(), bytes.NewReader(buf.Bytes())); err != nil {
+		if err := restored.RestoreContext(context.Background(), buf.Bytes()); err != nil {
 			t.Fatalf("snapshot %d does not restore: %v", i, err)
 		}
 	}

@@ -10,8 +10,11 @@
 #
 # A NEW exported entry point without ctx therefore fails CI until it
 # either gains the parameter or is consciously added to the allowlist
-# in the same review. An allowlist line is "path:Name", optionally
-# followed by "# reason"; --update rewrites the file without reasons.
+# in the same review. A STALE allowlist line — one naming no exported
+# non-ctx function, because the function was deleted, renamed or given
+# a ctx parameter — fails too, so the list only ever names live code.
+# An allowlist line is "path:Name", optionally followed by "# reason";
+# --update rewrites the file without reasons.
 #
 #   scripts/ctxgate.sh            check (exit 1 on violations)
 #   scripts/ctxgate.sh --update   regenerate the allowlist
@@ -55,11 +58,24 @@ fi
 new=$(offenders | awk '
     FILENAME == allow { sub(/[ \t]*#.*/, ""); if ($0 != "") ok[$0] = 1; next }
     !($0 in ok)' allow="$allow" "$allow" -)
+# Allowlist entries that name no current offender.
+stale=$(offenders | awk '
+    FILENAME == "-" { live[$0] = 1; next }
+    { sub(/[ \t]*#.*/, "") }
+    $0 != "" && !($0 in live)' - "$allow")
+status=0
 if [ -n "$new" ]; then
     echo "ctxgate: new exported entry points without a ctx first parameter:" >&2
     echo "$new" | sed 's/^/  /' >&2
     echo "ctxgate: thread context.Context through (see README: Serving & QoS)," >&2
     echo "ctxgate: or append to $allow if there is genuinely nothing to cancel." >&2
-    exit 1
+    status=1
 fi
-echo "ctxgate: ok"
+if [ -n "$stale" ]; then
+    echo "ctxgate: stale $allow entries (no such exported non-ctx function):" >&2
+    echo "$stale" | sed 's/^/  /' >&2
+    echo "ctxgate: delete them from $allow." >&2
+    status=1
+fi
+[ "$status" -eq 0 ] && echo "ctxgate: ok"
+exit "$status"
