@@ -20,7 +20,9 @@
 // appended to an fsynced segmented log, boot replays the tail the
 // latest snapshot missed, and a completed checkpoint truncates the
 // replayed history — so recovery converges to the last acknowledged
-// write, not the last checkpoint. --fsync picks the ack policy:
+// write, not the last checkpoint. A boot that restored a snapshot
+// serves as soon as the tail is replayed; the checkpoint covering the
+// tail runs in the background right after. --fsync picks the ack policy:
 // "always" (fsync before every ack), "group" (group commit: batch
 // many acks per fsync, default) or "interval" (ack immediately,
 // fsync periodically — bounded loss window).
@@ -179,6 +181,8 @@ func run() error {
 		// WAL under the checkpoint cycle: replay the tail the last
 		// snapshot missed, then log every acknowledged write, so boot
 		// recovers to the last ack — not just the last checkpoint.
+		// Only a fresh dir checkpoints here; after a restore, Start
+		// below covers a replayed tail in the background.
 		if *walEnabled {
 			st, err := cp.EnableWALContext(ctx, wal.Options{Policy: fsyncPolicy})
 			if err != nil {

@@ -49,7 +49,7 @@ type Checkpointer struct {
 	// readers keep serving from the replaced file's still-open pages.
 	MMap bool
 
-	mu   sync.Mutex // serializes Checkpoint calls
+	mu   sync.Mutex // serializes CheckpointContext calls
 	stop chan struct{}
 	done chan struct{}
 
@@ -64,11 +64,18 @@ type Checkpointer struct {
 	// lastBoundary is the rotation boundary of the previous completed
 	// checkpoint (0 = none yet). Guarded by mu.
 	lastBoundary int
+	// restored records that RestoreLatestContext loaded a snapshot, so
+	// EnableWALContext can skip the boot checkpoint.
+	restored bool
+	// tailPending records that the boot skipped its checkpoint after
+	// replaying records, so Start checkpoints at once instead of a full
+	// interval later.
+	tailPending bool
 }
 
 // NewCheckpointer prepares a checkpointer over dir, creating the
 // directory if needed. interval <= 0 disables the periodic loop
-// (Checkpoint can still be called explicitly, e.g. at shutdown).
+// (CheckpointContext can still be called explicitly, e.g. at shutdown).
 func (p *Platform) NewCheckpointer(dir string, interval time.Duration) (*Checkpointer, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("core: checkpointer needs a data directory")
@@ -105,6 +112,13 @@ func (c *Checkpointer) WALDir() string {
 // snapshots restore transparently; the next checkpoint rewrites them
 // as v3. Cancelling ctx aborts the load with the store unchanged.
 func (c *Checkpointer) RestoreLatestContext(ctx context.Context) (bool, error) {
+	ok, err := c.restoreLatest(ctx)
+	c.restored = ok && err == nil
+	return ok, err
+}
+
+// restoreLatest is RestoreLatestContext without the bookkeeping.
+func (c *Checkpointer) restoreLatest(ctx context.Context) (bool, error) {
 	ok, err := c.restoreFrom(ctx, c.Path())
 	if err == nil {
 		if ok {
@@ -125,7 +139,7 @@ func (c *Checkpointer) RestoreLatestContext(ctx context.Context) (bool, error) {
 	if !ok {
 		return false, err // corrupt primary and nothing to fall back to
 	}
-	// Quarantine the corrupt primary now, before any checkpoint runs:
+	// Quarantine the corrupt primary now, before the first checkpoint:
 	// the checkpoint's retention rename would otherwise move the known-
 	// bad file over the good previous snapshot, and a crash between
 	// that rename and the install of the new snapshot would leave the
@@ -236,13 +250,26 @@ func (c *Checkpointer) restoreMappedFrom(ctx context.Context, path string) (bool
 // EnableWALContext layers a write-ahead log under the checkpoint
 // cycle. Call it after RestoreLatestContext: it replays the log tail
 // over the restored state (records already in the snapshot re-apply
-// idempotently), opens a fresh log generation, attaches it to the
-// store so every subsequent acknowledged write is logged, and writes
-// a boot checkpoint so the replay is not repeated on the next boot.
-// From here on, boot recovers to the last acknowledged write — not
-// just the last checkpoint — under the chosen fsync policy.
+// idempotently; runs of puts go through the store's batched write
+// path), opens a fresh log generation and attaches it to the store so
+// every subsequent acknowledged write is logged. From here on, boot
+// recovers to the last acknowledged write — not just the last
+// checkpoint — under the chosen fsync policy.
+//
+// Only a boot that restored nothing — a fresh data dir, whose seeded
+// state exists in memory alone — writes a checkpoint before
+// returning. After a restore the snapshot on disk plus the kept log
+// segments is already a complete recovery point (truncation lags one
+// checkpoint), so the platform serves as soon as the tail is replayed;
+// a crash before the next checkpoint replays the same tail again.
+// Start covers a replayed tail with a checkpoint at once, in the
+// background.
+//
+// Writes made between RestoreLatestContext and EnableWALContext are
+// not logged; after a restore they are durable only from the next
+// checkpoint.
 func (c *Checkpointer) EnableWALContext(ctx context.Context, opts wal.Options) (wal.ReplayStats, error) {
-	st, err := wal.Replay(c.WALDir(), c.p.Store.ApplyWAL)
+	st, err := c.p.Store.ReplayContext(ctx, c.WALDir(), nil)
 	if err != nil {
 		// Includes wal.ErrDamagedHistory: damage in a sealed segment
 		// with acked writes beyond it fails boot loudly instead of
@@ -268,6 +295,10 @@ func (c *Checkpointer) EnableWALContext(ctx context.Context, opts wal.Options) (
 	}
 	c.wlog = l
 	c.p.Store.AttachWAL(l)
+	if c.restored {
+		c.tailPending = st.Applied > 0
+		return st, nil
+	}
 	if err := c.CheckpointContext(ctx); err != nil {
 		return st, err
 	}
@@ -358,24 +389,35 @@ func (c *Checkpointer) CheckpointContext(ctx context.Context) error {
 	return nil
 }
 
-// Start launches the periodic checkpoint loop. A checkpointer starts
-// at most once; Close stops it.
+// Start launches the periodic checkpoint loop. When the boot skipped
+// its checkpoint after replaying a log tail (see EnableWALContext),
+// the loop's first pass runs at once, so the tail is covered in the
+// background rather than an interval after boot. A checkpointer starts
+// at most once; CloseContext stops it.
 func (c *Checkpointer) Start() {
 	if c.interval <= 0 || c.stop != nil {
 		return
 	}
 	c.stop = make(chan struct{})
 	c.done = make(chan struct{})
+	first := c.tailPending
+	c.tailPending = false
 	go func() {
 		defer close(c.done)
 		ticker := time.NewTicker(c.interval)
 		defer ticker.Stop()
+		checkpoint := func() {
+			if err := c.CheckpointContext(context.Background()); err != nil {
+				c.logf("checkpoint failed: %v", err)
+			}
+		}
+		if first {
+			checkpoint()
+		}
 		for {
 			select {
 			case <-ticker.C:
-				if err := c.CheckpointContext(context.Background()); err != nil {
-					c.logf("checkpoint failed: %v", err)
-				}
+				checkpoint()
 			case <-c.stop:
 				return
 			}
@@ -405,27 +447,6 @@ func (c *Checkpointer) CloseContext(ctx context.Context) error {
 		c.wlog = nil
 	}
 	return err
-}
-
-// Checkpoint writes one snapshot without a deadline.
-//
-// Deprecated: use CheckpointContext.
-func (c *Checkpointer) Checkpoint() error {
-	return c.CheckpointContext(context.Background())
-}
-
-// RestoreLatest loads the latest snapshot without a deadline.
-//
-// Deprecated: use RestoreLatestContext.
-func (c *Checkpointer) RestoreLatest() (bool, error) {
-	return c.RestoreLatestContext(context.Background())
-}
-
-// Close shuts down with an unbounded final checkpoint.
-//
-// Deprecated: use CloseContext.
-func (c *Checkpointer) Close() error {
-	return c.CloseContext(context.Background())
 }
 
 func (c *Checkpointer) logf(format string, args ...any) {

@@ -22,10 +22,10 @@ func TestCheckpointRestoreCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nothing on disk yet: boot of a fresh data dir restores nothing.
-	if restored, err := cp.RestoreLatest(); err != nil || restored {
-		t.Fatalf("RestoreLatest on empty dir = %v, %v", restored, err)
+	if restored, err := cp.RestoreLatestContext(context.Background()); err != nil || restored {
+		t.Fatalf("RestoreLatestContext on empty dir = %v, %v", restored, err)
 	}
-	if err := cp.Checkpoint(); err != nil {
+	if err := cp.CheckpointContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -36,8 +36,8 @@ func TestCheckpointRestoreCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored, err := cp2.RestoreLatest(); err != nil || !restored {
-		t.Fatalf("RestoreLatest = %v, %v, want restore", restored, err)
+	if restored, err := cp2.RestoreLatestContext(context.Background()); err != nil || !restored {
+		t.Fatalf("RestoreLatestContext = %v, %v, want restore", restored, err)
 	}
 	ds, err := p2.Store.DatasetContext(context.Background(), "gamerqueen", "ann", "inventory", store.PermRead)
 	if err != nil {
@@ -60,13 +60,13 @@ func TestCheckpointAtomicRename(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Checkpoint(); err != nil {
+	if err := cp.CheckpointContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Checkpoint(); err != nil {
+	if err := cp.CheckpointContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Checkpoint(); err != nil {
+	if err := cp.CheckpointContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -103,17 +103,17 @@ func TestCheckpointPeriodicLoop(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := cp.Close(); err != nil {
+	if err := cp.CloseContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// Close wrote a final checkpoint; the file restores cleanly.
+	// CloseContext wrote a final checkpoint; the file restores cleanly.
 	p2 := New(Config{Seed: 1})
 	cp2, err := p2.NewCheckpointer(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored, err := cp2.RestoreLatest(); err != nil || !restored {
-		t.Fatalf("RestoreLatest after Close = %v, %v", restored, err)
+	if restored, err := cp2.RestoreLatestContext(context.Background()); err != nil || !restored {
+		t.Fatalf("RestoreLatestContext after CloseContext = %v, %v", restored, err)
 	}
 }
 
@@ -128,7 +128,7 @@ func TestRestoreLatestRejectsCorrupt(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "store.snap"), []byte("not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.RestoreLatest(); err == nil {
+	if _, err := cp.RestoreLatestContext(context.Background()); err == nil {
 		t.Fatal("corrupt checkpoint accepted")
 	}
 	// The seeded store survives the failed restore untouched.
@@ -156,13 +156,13 @@ func TestCheckpointIncremental(t *testing.T) {
 	}
 	last := func() string { return logs[len(logs)-1] }
 
-	if err := cp.Checkpoint(); err != nil {
+	if err := cp.CheckpointContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(last(), "0 reused") {
 		t.Fatalf("first checkpoint log = %q, want everything encoded", last())
 	}
-	if err := cp.Checkpoint(); err != nil {
+	if err := cp.CheckpointContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(last(), "(0 frames re-encoded") {
@@ -177,7 +177,7 @@ func TestCheckpointIncremental(t *testing.T) {
 		"description": "a fresh game", "image": "http://img.example/99.png", "detailurl": "http://gamerqueen.example/g/99"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Checkpoint(); err != nil {
+	if err := cp.CheckpointContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(last(), "(1 frames re-encoded") {
@@ -190,8 +190,8 @@ func TestCheckpointIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored, err := cp2.RestoreLatest(); err != nil || !restored {
-		t.Fatalf("RestoreLatest = %v, %v", restored, err)
+	if restored, err := cp2.RestoreLatestContext(context.Background()); err != nil || !restored {
+		t.Fatalf("RestoreLatestContext = %v, %v", restored, err)
 	}
 	ds2, err := p2.Store.DatasetContext(context.Background(), "gamerqueen", "ann", "inventory", store.PermRead)
 	if err != nil {
@@ -213,7 +213,7 @@ func TestCheckpointRestoreAppliesShardTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Checkpoint(); err != nil {
+	if err := cp.CheckpointContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -227,8 +227,8 @@ func TestCheckpointRestoreAppliesShardTarget(t *testing.T) {
 	cp2.Logf = func(format string, args ...any) {
 		logs = append(logs, fmt.Sprintf(format, args...))
 	}
-	if restored, err := cp2.RestoreLatest(); err != nil || !restored {
-		t.Fatalf("RestoreLatest = %v, %v", restored, err)
+	if restored, err := cp2.RestoreLatestContext(context.Background()); err != nil || !restored {
+		t.Fatalf("RestoreLatestContext = %v, %v", restored, err)
 	}
 	ds, err := wide.Store.DatasetContext(context.Background(), "gamerqueen", "ann", "inventory", store.PermRead)
 	if err != nil {

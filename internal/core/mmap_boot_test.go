@@ -17,7 +17,11 @@ package core
 //     write (TestMain re-execs this binary as the child writer);
 //   - a truncated primary fails the mapped attach cleanly and boot
 //     falls back to the previous checkpoint instead of serving from a
-//     short mapping.
+//     short mapping;
+//   - a SIGKILL after a restored boot and before its first checkpoint
+//     leaves both snapshot files untouched, and the next mapped boot
+//     replays every log generation written since and serves every
+//     acknowledged write.
 
 import (
 	"bufio"
@@ -62,6 +66,8 @@ func mmapBootSchema() store.Schema {
 // durable — fsync-before-ack policy) with frequent checkpoints, until
 // the parent kills the process. Checkpoints every few documents make
 // the kill likely to land inside the temp-write/rename/rename window.
+// With MMAP_TORTURE_NO_CHECKPOINT=1 the child never checkpoints, so
+// the kill always lands before a restored boot's first checkpoint.
 func mmapTortureChild() {
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "mmap torture child:", err)
@@ -76,6 +82,7 @@ func mmapTortureChild() {
 			fail(err)
 		}
 	}
+	noCheckpoint := os.Getenv("MMAP_TORTURE_NO_CHECKPOINT") == "1"
 	p := New(Config{Seed: 1})
 	cp, err := p.NewCheckpointer(dir, 0)
 	if err != nil {
@@ -109,7 +116,7 @@ func mmapTortureChild() {
 		// The ack may be lost to the kill; that only under-counts acks,
 		// which weakens — never breaks — the recovery assertion.
 		fmt.Printf("ACK %d\n", i)
-		if i%5 == 4 {
+		if i%5 == 4 && !noCheckpoint {
 			if err := cp.CheckpointContext(ctx); err != nil {
 				fail(err)
 			}
@@ -119,9 +126,10 @@ func mmapTortureChild() {
 }
 
 // runMmapTortureChild re-execs the writer against dir (documents from
-// index start), SIGKILLs it at a randomized point, and returns the
-// highest acknowledged document index (-1: none) plus stderr.
-func runMmapTortureChild(t *testing.T, rng *rand.Rand, dir string, start int) (int64, string) {
+// index start, env added to the child's), SIGKILLs it at a randomized
+// point, and returns the highest acknowledged document index (-1:
+// none) plus stderr.
+func runMmapTortureChild(t *testing.T, rng *rand.Rand, dir string, start int, env ...string) (int64, string) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -133,6 +141,7 @@ func runMmapTortureChild(t *testing.T, rng *rand.Rand, dir string, start int) (i
 		"MMAP_TORTURE_DIR="+dir,
 		"MMAP_TORTURE_START="+strconv.Itoa(start),
 	)
+	cmd.Env = append(cmd.Env, env...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	stdout, err := cmd.StdoutPipe()
@@ -190,14 +199,10 @@ func runMmapTortureChild(t *testing.T, rng *rand.Rand, dir string, start int) (i
 	return lastAck.Load(), stderr.String()
 }
 
-// TestMappedBootTortureKillRecover: kill/recover cycles against one
-// data dir, every boot mapped. After each kill a fresh mapped boot
-// must succeed — mapping the primary snapshot or falling back to the
-// retained previous one — and serve every acknowledged document whole.
-func TestMappedBootTortureKillRecover(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-exec torture is not -short")
-	}
+// mmapTortureSetup reads the cycle count (TORTURE_CYCLES, default 5)
+// and seeds the run's randomness, logging the seed.
+func mmapTortureSetup(t *testing.T) (int, *rand.Rand) {
+	t.Helper()
 	cycles := 5
 	if v := os.Getenv("TORTURE_CYCLES"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -207,8 +212,41 @@ func TestMappedBootTortureKillRecover(t *testing.T) {
 		cycles = n
 	}
 	seed := time.Now().UnixNano()
-	rng := rand.New(rand.NewSource(seed))
 	t.Logf("mmap torture: %d cycles, seed %d (set in code to reproduce)", cycles, seed)
+	return cycles, rand.New(rand.NewSource(seed))
+}
+
+// checkAcked fails unless ds serves every document up to lastAck,
+// whole, and answers a search.
+func checkAcked(t *testing.T, cycle int, ds *store.Dataset, lastAck int64) {
+	t.Helper()
+	for i := 0; int64(i) <= lastAck; i++ {
+		id := fmt.Sprintf("doc-%06d", i)
+		rec, ok := ds.Get(id)
+		if !ok {
+			t.Fatalf("cycle %d: acked %s lost after mapped recovery (lastAck %d)", cycle, id, lastAck)
+		}
+		for _, f := range []string{"sku", "title", "body"} {
+			if rec[f] == "" {
+				t.Fatalf("cycle %d: %s recovered partially: missing %s", cycle, id, f)
+			}
+		}
+	}
+	hits, err := ds.SearchContext(context.Background(), store.SearchRequest{Query: "torture", Limit: 5})
+	if err != nil || len(hits) == 0 {
+		t.Fatalf("cycle %d: search after mapped recovery = %v, %v", cycle, hits, err)
+	}
+}
+
+// TestMappedBootTortureKillRecover: kill/recover cycles against one
+// data dir, every boot mapped. After each kill a fresh mapped boot
+// must succeed — mapping the primary snapshot or falling back to the
+// retained previous one — and serve every acknowledged document whole.
+func TestMappedBootTortureKillRecover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec torture is not -short")
+	}
+	cycles, rng := mmapTortureSetup(t)
 
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -243,27 +281,87 @@ func TestMappedBootTortureKillRecover(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cycle %d: dataset after recovery: %v", cycle, err)
 			}
-			for i := 0; int64(i) <= la; i++ {
-				id := fmt.Sprintf("doc-%06d", i)
-				rec, ok := ds.Get(id)
-				if !ok {
-					t.Fatalf("cycle %d: acked %s lost after mapped recovery (lastAck %d)", cycle, id, la)
-				}
-				for _, f := range []string{"sku", "title", "body"} {
-					if rec[f] == "" {
-						t.Fatalf("cycle %d: %s recovered partially: missing %s", cycle, id, f)
-					}
-				}
-			}
-			hits, err := ds.SearchContext(ctx, store.SearchRequest{Query: "torture", Limit: 5})
-			if err != nil || len(hits) == 0 {
-				t.Fatalf("cycle %d: search after mapped recovery = %v, %v", cycle, hits, err)
-			}
+			checkAcked(t, cycle, ds, la)
 			start = int(la) + 1
 		}
 		// Leave a clean recovery point for the next cycle's boot.
 		if err := cp.CloseContext(ctx); err != nil {
 			t.Fatalf("cycle %d: close: %v", cycle, err)
+		}
+	}
+}
+
+// TestMappedBootKillBeforeFirstCheckpoint: every child boots mapped
+// from a restored snapshot, replays the log and writes until it is
+// killed — during boot or after it, but always before a checkpoint.
+// The snapshot files never change, so each recovery replays every log
+// generation written since the seed checkpoint, and must serve every
+// acknowledged write. The recovering boot also skips its checkpoint
+// and closes only the log, so the tail keeps growing across cycles.
+func TestMappedBootKillBeforeFirstCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec torture is not -short")
+	}
+	cycles, rng := mmapTortureSetup(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+
+	// Seed the dir: one checkpoint holding the dataset's creation.
+	p0 := New(Config{Seed: 1})
+	cp0, err := p0.NewCheckpointer(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p0.Store.CreateTenant("t", "ann"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p0.Store.CreateDataset("t", "ann", mmapBootSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp0.CloseContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(cp0.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	start, lastAck := 0, int64(-1)
+	for cycle := 0; cycle < cycles; cycle++ {
+		la, childErr := runMmapTortureChild(t, rng, dir, start, "MMAP_TORTURE_NO_CHECKPOINT=1")
+		if la > lastAck {
+			lastAck = la
+		}
+		p := New(Config{Seed: 1})
+		cp, err := p.NewCheckpointer(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.MMap = true
+		if restored, err := cp.RestoreLatestContext(ctx); err != nil || !restored {
+			t.Fatalf("cycle %d: mapped boot after SIGKILL = %v, %v\nchild stderr: %s", cycle, restored, err, childErr)
+		}
+		st, err := cp.EnableWALContext(ctx, wal.Options{Policy: wal.PolicyAlways})
+		if err != nil {
+			t.Fatalf("cycle %d: wal replay after SIGKILL: %v\nchild stderr: %s", cycle, err, childErr)
+		}
+		if got, err := os.ReadFile(cp.Path()); err != nil || !bytes.Equal(got, snap) {
+			t.Fatalf("cycle %d: snapshot rewritten without a checkpoint (err %v)", cycle, err)
+		}
+		if _, err := os.Stat(cp.PrevPath()); !os.IsNotExist(err) {
+			t.Fatalf("cycle %d: a checkpoint ran: %s exists (%v)", cycle, cp.PrevPath(), err)
+		}
+		if lastAck >= 0 {
+			ds, err := p.Store.DatasetContext(ctx, "t", "ann", "inv", store.PermRead)
+			if err != nil {
+				t.Fatalf("cycle %d: dataset after recovery: %v", cycle, err)
+			}
+			checkAcked(t, cycle, ds, lastAck)
+			start = int(lastAck) + 1
+		}
+		t.Logf("cycle %d: acked through %d, replayed %d records from %d segments", cycle, la, st.Records, st.Segments)
+		if err := cp.WAL().Close(); err != nil {
+			t.Fatalf("cycle %d: close wal: %v", cycle, err)
 		}
 	}
 }

@@ -1,17 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 	"repro/internal/wal"
 )
 
 // bootWAL builds a platform over dir with WAL durability enabled,
-// exactly like symphonyd boot: restore, replay, open, attach,
-// boot checkpoint.
+// exactly like symphonyd boot: restore, replay, open, attach, and a
+// boot checkpoint only when nothing was restored (a fresh dir).
 func bootWAL(t *testing.T, dir string, policy wal.Policy) (*Platform, *Checkpointer) {
 	t.Helper()
 	p := New(Config{Seed: 1, ShardTarget: 2})
@@ -109,7 +112,7 @@ func TestWALCorruptSnapshotFallsBack(t *testing.T) {
 // TestWALCorruptPrimaryQuarantinedOnFallback pins the crash-window
 // fix around fallback recovery: once boot restores from the previous
 // snapshot because the primary is corrupt, the corrupt primary must
-// be quarantined before the boot checkpoint runs. Otherwise the
+// be quarantined before the first checkpoint runs. Otherwise the
 // checkpoint's retention rename would move the known-bad file over
 // the good previous snapshot, and a crash between the two renames
 // would leave the next boot with nothing restorable.
@@ -130,12 +133,16 @@ func TestWALCorruptPrimaryQuarantinedOnFallback(t *testing.T) {
 
 	// Corrupt the primary in place; boot must fall back, quarantine
 	// the bad file, and leave the good previous snapshot untouched
-	// through the boot checkpoint.
+	// through the first checkpoint after it (a restored boot writes
+	// none itself, so the test takes it).
 	bad := []byte("SYMSNP2\ngarbage")
 	if err := os.WriteFile(cp.Path(), bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	p2, cp2 := bootWAL(t, dir, wal.PolicyAlways)
+	if err := cp2.CheckpointContext(ctx); err != nil {
+		t.Fatal(err)
+	}
 
 	q, err := os.ReadFile(cp2.Path() + ".corrupt")
 	if err != nil || string(q) != string(bad) {
@@ -146,7 +153,7 @@ func TestWALCorruptPrimaryQuarantinedOnFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(prev) != string(good) {
-		t.Fatal("boot checkpoint replaced the good previous snapshot while the primary was known corrupt")
+		t.Fatal("first checkpoint replaced the good previous snapshot while the primary was known corrupt")
 	}
 	if got := inventory(t, p2, store.PermRead).Len(); got != want {
 		t.Fatalf("fallback recovery has %d records, want %d", got, want)
@@ -181,12 +188,148 @@ func TestWALTruncationLagsOneCheckpoint(t *testing.T) {
 	}
 	// Rotation adds a segment per checkpoint and truncation removes
 	// the sealed ones two checkpoints back; the directory must not
-	// grow without bound. Boot + 4 checkpoints = 5 rotations; without
-	// truncation there would be >6 files.
+	// grow without bound. Fresh-dir boot + 4 checkpoints = 5 rotations;
+	// without truncation there would be >6 files.
 	if n := countSegs(); n > 4 {
 		t.Fatalf("wal dir holds %d segments after 4 checkpoints; truncation is not engaging", n)
 	}
 	if err := cp.CloseContext(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// putGame writes one inventory row, acknowledged once durable.
+func putGame(t *testing.T, ds *store.Dataset, sku, title string) {
+	t.Helper()
+	if _, err := ds.PutContext(context.Background(), store.Record{"sku": sku, "title": title, "producer": "Studio" + sku,
+		"description": "written to the log", "image": "http://img.example/" + sku + ".png", "detailurl": "http://gamerqueen.example/g/" + sku}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// crashWithCheckpoints leaves dir as a daemon killed after two
+// checkpoints (store.snap and store.snap.1 both on disk) and one
+// log-only write, and returns the inventory size it acknowledged.
+func crashWithCheckpoints(t *testing.T, dir string) int {
+	t.Helper()
+	p, cp := bootWAL(t, dir, wal.PolicyAlways)
+	buildGamerQueen(t, p)
+	if err := cp.CheckpointContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ds := inventory(t, p, store.PermWrite)
+	putGame(t, ds, "T1", "Log Only")
+	return ds.Len()
+}
+
+// TestWALFreshBootCheckpoints: a boot that restored nothing writes its
+// checkpoint before serving — seeded state exists only in memory.
+func TestWALFreshBootCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	_, cp := bootWAL(t, dir, wal.PolicyAlways)
+	if _, err := os.Stat(cp.Path()); err != nil {
+		t.Fatalf("fresh-dir boot wrote no checkpoint: %v", err)
+	}
+}
+
+// TestWALRestoredBootWritesNoSnapshot: a boot from a restored snapshot
+// serves once the tail is replayed; both snapshot files stay
+// byte-identical.
+func TestWALRestoredBootWritesNoSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	want := crashWithCheckpoints(t, dir)
+	paths := []string{filepath.Join(dir, "store.snap"), filepath.Join(dir, "store.snap.1")}
+	var before [][]byte
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = append(before, b)
+	}
+
+	p2, _ := bootWAL(t, dir, wal.PolicyAlways)
+	if got := inventory(t, p2, store.PermRead).Len(); got != want {
+		t.Fatalf("restored boot holds %d records, want %d", got, want)
+	}
+	for i, path := range paths {
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before[i]) {
+			t.Fatalf("restored boot rewrote %s", path)
+		}
+	}
+}
+
+// TestWALSecondCrashBeforeCheckpoint: crash, reboot from the restored
+// snapshot (no boot checkpoint), write to a second log generation —
+// including a delete of a row the first generation put — and crash
+// again before any checkpoint. The next boot replays both generations
+// and holds every acknowledged write.
+func TestWALSecondCrashBeforeCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	n := crashWithCheckpoints(t, dir)
+
+	p2, _ := bootWAL(t, dir, wal.PolicyAlways)
+	ds2 := inventory(t, p2, store.PermWrite)
+	putGame(t, ds2, "T2", "Second Generation")
+	if ok, err := ds2.DeleteContext(context.Background(), "T1"); !ok || err != nil {
+		t.Fatalf("delete T1 = %v, %v", ok, err)
+	}
+	putGame(t, ds2, "G0", "Rewritten In Generation Two")
+
+	p3, _ := bootWAL(t, dir, wal.PolicyAlways)
+	ds3 := inventory(t, p3, store.PermRead)
+	if got := ds3.Len(); got != n {
+		t.Fatalf("second recovery holds %d records, want %d", got, n)
+	}
+	if _, ok := ds3.Get("T1"); ok {
+		t.Fatal("row deleted in the second generation resurrected")
+	}
+	for sku, title := range map[string]string{"T2": "Second Generation", "G0": "Rewritten In Generation Two"} {
+		if rec, ok := ds3.Get(sku); !ok || rec["title"] != title {
+			t.Fatalf("%s after second recovery = %v, %v", sku, rec, ok)
+		}
+	}
+}
+
+// TestWALStartCoversReplayedTail: after a restored boot that replayed
+// records, Start checkpoints at once rather than an interval later.
+func TestWALStartCoversReplayedTail(t *testing.T) {
+	dir := t.TempDir()
+	crashWithCheckpoints(t, dir)
+
+	p := New(Config{Seed: 1, ShardTarget: 2})
+	cp, err := p.NewCheckpointer(dir, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := cp.RestoreLatestContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st, err := cp.EnableWALContext(ctx, wal.Options{Policy: wal.PolicyAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Applied == 0 {
+		t.Fatalf("boot replayed nothing: %+v", st)
+	}
+	before, err := os.ReadFile(cp.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Start()
+	defer cp.CloseContext(ctx)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		// The first pass retains the boot's snapshot as the previous one.
+		if prev, err := os.ReadFile(cp.PrevPath()); err == nil && bytes.Equal(prev, before) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Start did not checkpoint the replayed tail promptly")
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strconv"
 
+	"repro/internal/index"
 	"repro/internal/wal"
 )
 
@@ -18,9 +20,10 @@ import (
 // AFTER releasing the lock, so an fsync stalls only the writers that
 // need the acknowledgment, never the whole store.
 //
-// Boot order is restore-snapshot, ApplyWAL-replay, then AttachWAL:
+// Boot order is restore-snapshot, ReplayContext, then AttachWAL:
 // replay runs with no log attached, so re-applying history can never
-// re-log it.
+// re-log it. Replay batches runs of puts through the same index write
+// path uploads use, which is what keeps a long log tail cheap to boot.
 
 // AttachWAL attaches l to the store: every subsequent acknowledged
 // mutation is appended to it. Attach after restore + replay, before
@@ -47,14 +50,86 @@ func (s *Store) walAppendLocked(rec *wal.Record) *wal.Commit {
 	return s.wal.Append(rec)
 }
 
-// ApplyWAL applies one replayed log record, the callback side of
-// wal.Replay. Application is idempotent — a record already reflected
-// in the restored snapshot converges to the same state — and never
-// re-logs (boot attaches the log only after replay). Records whose
-// target tenant or dataset does not exist are skipped via
-// wal.ErrSkipRecord: the only way to log one is a racing drop whose
-// outcome was ambiguous when the crash hit, and the drop won.
-func (s *Store) ApplyWAL(rec *wal.Record) error {
+// replayBatchMax caps a run of buffered puts at one upload batch, so
+// replay memory stays bounded however long the log tail is.
+const replayBatchMax = 1024
+
+// ReplayContext replays the write-ahead log in dir over the store, the
+// boot step between restore and AttachWAL. Application is idempotent —
+// a record already reflected in the restored snapshot converges to the
+// same state — and never re-logs (boot attaches the log only after
+// replay). Records whose target tenant or dataset does not exist are
+// skipped via wal.ErrSkipRecord: the only way to log one is a racing
+// drop whose outcome was ambiguous when the crash hit, and the drop won.
+//
+// Consecutive puts into one dataset go through the batched write path
+// the uploads use: they are buffered (the dataset is looked up when a
+// put is buffered, so Applied and Skipped count exactly as per-record
+// replay would) and flushed as one index batch on any other op, a
+// change of dataset, replayBatchMax buffered puts, or the end of the
+// log. The result is identical to applying every record alone.
+//
+// inspect, when non-nil, sees every decoded record before it is
+// applied; returning wal.ErrSkipRecord drops the record and any other
+// error fails the replay. ctx is checked before each flush.
+func (s *Store) ReplayContext(ctx context.Context, dir string, inspect func(*wal.Record) error) (wal.ReplayStats, error) {
+	var run putRun
+	st, err := wal.Replay(dir, func(rec *wal.Record) error {
+		if inspect != nil {
+			if err := inspect(rec); err != nil {
+				return err
+			}
+		}
+		if rec.Op != wal.OpPut {
+			if err := run.flush(ctx); err != nil {
+				return err
+			}
+			return s.applyRecord(rec)
+		}
+		ds, ok := s.lookupDataset(rec.Tenant, rec.Dataset)
+		if !ok {
+			return wal.ErrSkipRecord
+		}
+		if ds != run.ds || len(run.recs) == replayBatchMax {
+			if err := run.flush(ctx); err != nil {
+				return err
+			}
+			run.ds = ds
+		}
+		run.recs = append(run.recs, rec)
+		return nil
+	})
+	// Puts buffered before a replay error (damaged history, a failed
+	// inspect) still land, as they would have one by one; the error is
+	// still reported.
+	if ferr := run.flush(ctx); err == nil {
+		err = ferr
+	}
+	return st, err
+}
+
+// putRun is the replay buffer: consecutive logged puts into ds.
+type putRun struct {
+	ds   *Dataset
+	recs []*wal.Record
+}
+
+// flush applies the buffered puts and empties the buffer, even on
+// error.
+func (r *putRun) flush(ctx context.Context) error {
+	if len(r.recs) == 0 {
+		return nil
+	}
+	recs := r.recs
+	r.recs = r.recs[:0]
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return r.ds.applyPuts(ctx, recs)
+}
+
+// applyRecord applies one replayed record other than a put.
+func (s *Store) applyRecord(rec *wal.Record) error {
 	switch rec.Op {
 	case wal.OpCreateTenant:
 		s.mu.Lock()
@@ -125,12 +200,6 @@ func (s *Store) ApplyWAL(rec *wal.Record) error {
 			ds.setQuotaCheck(usageExcluding(t, ds), rec.N)
 		}
 		return nil
-	case wal.OpPut:
-		ds, ok := s.lookupDataset(rec.Tenant, rec.Dataset)
-		if !ok {
-			return wal.ErrSkipRecord
-		}
-		return ds.applyPut(rec.ID, Record(rec.Rec))
 	case wal.OpDelete:
 		ds, ok := s.lookupDataset(rec.Tenant, rec.Dataset)
 		if !ok {
@@ -177,31 +246,46 @@ func (d *Dataset) walAppendLocked(rec *wal.Record) *wal.Commit {
 	return d.wlog.Append(rec)
 }
 
-// applyPut installs a replayed record under its logged ID: no quota
-// check (the write was admitted when acknowledged), no re-logging,
-// and the sequential-ID high-water mark advances so post-recovery
-// inserts cannot collide with replayed IDs.
-func (d *Dataset) applyPut(id string, rec Record) error {
+// applyPuts installs a run of replayed puts under their logged IDs:
+// no quota check (the writes were admitted when acknowledged), no
+// re-logging, and the sequential-ID high-water mark advances so
+// post-recovery inserts cannot collide with replayed IDs. One lock,
+// one materialization, one version bump and one index batch cover the
+// run; the index batch resolves duplicate IDs last-write-wins, exactly
+// like applying the puts one by one. The index goes first: a ctx error
+// there applies nothing.
+func (d *Dataset) applyPuts(ctx context.Context, recs []*wal.Record) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// Replay is the one boot path that mutates a mapped dataset: only
 	// datasets with a log tail pay materialization.
 	d.materializeRecordsLocked()
-	if d.schema.Key == "" {
-		if n, err := strconv.Atoi(id); err == nil && n > d.nextID {
-			d.nextID = n
+	cps := make([]Record, len(recs))
+	docs := make([]index.Document, len(recs))
+	for i, rec := range recs {
+		cp := make(Record, len(rec.Rec))
+		for k, v := range rec.Rec {
+			cp[k] = v
 		}
+		cps[i] = cp
+		docs[i] = docFor(d.schema, rec.ID, cp)
 	}
-	if _, exists := d.records[id]; !exists {
-		d.order = append(d.order, id)
+	if err := d.ix.AddBatchContext(ctx, docs); err != nil {
+		return err
 	}
-	cp := make(Record, len(rec))
-	for k, v := range rec {
-		cp[k] = v
+	for i, rec := range recs {
+		if d.schema.Key == "" {
+			if n, err := strconv.Atoi(rec.ID); err == nil && n > d.nextID {
+				d.nextID = n
+			}
+		}
+		if _, exists := d.records[rec.ID]; !exists {
+			d.order = append(d.order, rec.ID)
+		}
+		d.records[rec.ID] = cps[i]
 	}
-	d.records[id] = cp
 	d.ver++
-	return d.reindexLocked(id, cp)
+	return nil
 }
 
 // applyDelete removes a replayed record; deleting an absent ID is the

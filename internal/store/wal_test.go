@@ -39,7 +39,7 @@ func openStoreWAL(t *testing.T, dir string, policy wal.Policy) (*Store, *wal.Log
 func recoverStore(t *testing.T, dir string) (*Store, wal.ReplayStats) {
 	t.Helper()
 	s := New(WithShardTarget(2))
-	st, err := wal.Replay(dir, s.ApplyWAL)
+	st, err := s.ReplayContext(context.Background(), dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestWALReplayIdempotent(t *testing.T) {
 
 	r := New(WithShardTarget(2))
 	for pass := 0; pass < 2; pass++ {
-		if _, err := wal.Replay(dir, r.ApplyWAL); err != nil {
+		if _, err := r.ReplayContext(ctx, dir, nil); err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
 	}
@@ -202,22 +202,18 @@ func TestWALSkipsOrphanedWrites(t *testing.T) {
 	// we instead replay into a store missing the tenant entirely for
 	// the data ops, by filtering which records are applied.
 	r := New()
-	skipped := 0
-	_, err := wal.Replay(dir, func(rec *wal.Record) error {
+	st, err := r.ReplayContext(ctx, dir, func(rec *wal.Record) error {
 		if rec.Op == wal.OpCreateDataset {
 			return wal.ErrSkipRecord // pretend the DDL predates the snapshot's truncated history
 		}
-		err := r.ApplyWAL(rec)
-		if errors.Is(err, wal.ErrSkipRecord) {
-			skipped++
-		}
-		return err
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped == 0 {
-		t.Fatal("orphaned put was not skipped")
+	// The skipped DDL plus the orphaned put.
+	if st.Skipped != 2 {
+		t.Fatalf("orphaned put was not skipped: %+v", st)
 	}
 }
 

@@ -246,32 +246,32 @@ func tortureCycle(t *testing.T, rng *rand.Rand, pol wal.Policy, corrupt string) 
 		corruptTail(t, rng, dir, corrupt)
 	}
 
-	// Recovery: replay into a fresh store, checking the log-level
-	// contract record by record.
+	// Recovery: replay into a fresh store through the store's boot
+	// path, checking the log-level contract record by record.
 	s := store.New(store.WithShardTarget(2))
-	next := 0        // contiguity: the only acceptable put sequence is doc-0, doc-1, ...
-	appliedPuts := 0 // puts the store accepted (all of them unless the DDL was torn away)
-	_, err := wal.Replay(dir, func(rec *wal.Record) error {
-		if rec.Op == wal.OpPut {
-			if want := fmt.Sprintf("doc-%06d", next); rec.ID != want {
-				t.Fatalf("recovered %s out of order, want %s", rec.ID, want)
-			}
-			for _, f := range []string{"sku", "title", "body"} {
-				if rec.Rec[f] == "" {
-					t.Fatalf("partially written document %s recovered: missing %s", rec.ID, f)
-				}
-			}
-			next++
+	next := 0    // contiguity: the only acceptable put sequence is doc-0, doc-1, ...
+	nonPuts := 0 // DDL records; every one applies (the tenant comes first)
+	st, err := s.ReplayContext(context.Background(), dir, func(rec *wal.Record) error {
+		if rec.Op != wal.OpPut {
+			nonPuts++
+			return nil
 		}
-		aerr := s.ApplyWAL(rec)
-		if aerr == nil && rec.Op == wal.OpPut {
-			appliedPuts++
+		if want := fmt.Sprintf("doc-%06d", next); rec.ID != want {
+			return fmt.Errorf("recovered %s out of order, want %s", rec.ID, want)
 		}
-		return aerr
+		for _, f := range []string{"sku", "title", "body"} {
+			if rec.Rec[f] == "" {
+				return fmt.Errorf("partially written document %s recovered: missing %s", rec.ID, f)
+			}
+		}
+		next++
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("recovery replay failed (must never happen): %v; child stderr: %s", err, childErr)
 	}
+	// Puts the store accepted: all of them unless the DDL was torn away.
+	appliedPuts := st.Applied - nonPuts
 
 	// Durability: an acknowledged write under always/group was fsynced
 	// before the ack, so a pure kill (no injected damage) cannot lose it.
@@ -346,19 +346,20 @@ func TestTortureCrashLoopSameLog(t *testing.T) {
 		// then seal the tear so the next generation opens clean.
 		s := store.New(store.WithShardTarget(2))
 		next := 0
-		st, err := wal.Replay(dir, func(rec *wal.Record) error {
-			if rec.Op == wal.OpPut {
-				if want := fmt.Sprintf("doc-%06d", next); rec.ID != want {
-					t.Fatalf("cycle %d: recovered %s out of order, want %s", cycle, rec.ID, want)
-				}
-				for _, f := range []string{"sku", "title", "body"} {
-					if rec.Rec[f] == "" {
-						t.Fatalf("cycle %d: partially written document %s: missing %s", cycle, rec.ID, f)
-					}
-				}
-				next++
+		st, err := s.ReplayContext(context.Background(), dir, func(rec *wal.Record) error {
+			if rec.Op != wal.OpPut {
+				return nil
 			}
-			return s.ApplyWAL(rec)
+			if want := fmt.Sprintf("doc-%06d", next); rec.ID != want {
+				return fmt.Errorf("cycle %d: recovered %s out of order, want %s", cycle, rec.ID, want)
+			}
+			for _, f := range []string{"sku", "title", "body"} {
+				if rec.Rec[f] == "" {
+					return fmt.Errorf("cycle %d: partially written document %s: missing %s", cycle, rec.ID, f)
+				}
+			}
+			next++
+			return nil
 		})
 		if err != nil {
 			t.Fatalf("cycle %d: recovery replay failed (must never happen): %v; child stderr: %s", cycle, err, childErr)
