@@ -21,8 +21,9 @@
 // latest snapshot missed, and a completed checkpoint truncates the
 // replayed history — so recovery converges to the last acknowledged
 // write, not the last checkpoint. A boot that restored a snapshot
-// serves as soon as the tail is replayed; the checkpoint covering the
-// tail runs in the background right after. --fsync picks the ack policy:
+// serves as soon as the tail is replayed; the next periodic checkpoint
+// covers the tail (with --checkpoint-interval 0, a checkpoint at boot
+// does). --fsync picks the ack policy:
 // "always" (fsync before every ack), "group" (group commit: batch
 // many acks per fsync, default) or "interval" (ack immediately,
 // fsync periodically — bounded loss window).
@@ -83,6 +84,47 @@ func parseShards(v string) (int, error) {
 		return 0, fmt.Errorf("symphonyd: --shards must be \"auto\" or a positive integer, got %q", v)
 	}
 	return n, nil
+}
+
+// openDataDir makes p durable over dir: restore the latest snapshot,
+// replay and attach the write-ahead log (when walOn), and start the
+// checkpoint loop every interval.
+func openDataDir(ctx context.Context, p *core.Platform, dir string, every time.Duration, mmapOn, walOn bool, policy wal.Policy) (*core.Checkpointer, error) {
+	cp, err := p.NewCheckpointer(dir, every)
+	if err != nil {
+		return nil, err
+	}
+	cp.Logf = log.Printf
+	cp.MMap = mmapOn
+	restored, err := cp.RestoreLatestContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if !restored {
+		log.Printf("symphonyd: no snapshot in %s, starting from seeded data", dir)
+	}
+	// WAL under the checkpoint cycle: replay the tail the last
+	// snapshot missed, then log every acknowledged write, so boot
+	// recovers to the last ack — not just the last checkpoint.
+	if walOn {
+		st, err := cp.EnableWALContext(ctx, wal.Options{Policy: policy})
+		if err != nil {
+			return nil, err
+		}
+		log.Printf("symphonyd: wal enabled (fsync=%s): replayed %d records (%d applied, %d skipped) from %d segments",
+			policy, st.Records, st.Applied, st.Skipped, st.Segments)
+		// A restored boot serves without a checkpoint and leaves the
+		// next one to the loop. With no loop, take it now: otherwise
+		// the log and its replay grow with every crash until a clean
+		// shutdown.
+		if restored && every <= 0 {
+			if err := cp.CheckpointContext(ctx); err != nil {
+				return nil, err
+			}
+		}
+	}
+	cp.Start()
+	return cp, nil
 }
 
 func main() {
@@ -165,33 +207,10 @@ func run() error {
 	// edits from before the restart survive it.
 	var cp *core.Checkpointer
 	if *dataDir != "" {
-		cp, err = p.NewCheckpointer(*dataDir, *checkpointEvery)
+		cp, err = openDataDir(ctx, p, *dataDir, *checkpointEvery, mmapOn, *walEnabled, fsyncPolicy)
 		if err != nil {
 			return err
 		}
-		cp.Logf = log.Printf
-		cp.MMap = mmapOn
-		restored, err := cp.RestoreLatestContext(ctx)
-		if err != nil {
-			return err
-		}
-		if !restored {
-			log.Printf("symphonyd: no snapshot in %s, starting from seeded data", *dataDir)
-		}
-		// WAL under the checkpoint cycle: replay the tail the last
-		// snapshot missed, then log every acknowledged write, so boot
-		// recovers to the last ack — not just the last checkpoint.
-		// Only a fresh dir checkpoints here; after a restore, Start
-		// below covers a replayed tail in the background.
-		if *walEnabled {
-			st, err := cp.EnableWALContext(ctx, wal.Options{Policy: fsyncPolicy})
-			if err != nil {
-				return err
-			}
-			log.Printf("symphonyd: wal enabled (fsync=%s): replayed %d records (%d applied, %d skipped) from %d segments",
-				fsyncPolicy, st.Records, st.Applied, st.Skipped, st.Segments)
-		}
-		cp.Start()
 	}
 
 	// Admission control: per-tenant concurrency quotas with a bounded

@@ -67,10 +67,6 @@ type Checkpointer struct {
 	// restored records that RestoreLatestContext loaded a snapshot, so
 	// EnableWALContext can skip the boot checkpoint.
 	restored bool
-	// tailPending records that the boot skipped its checkpoint after
-	// replaying records, so Start checkpoints at once instead of a full
-	// interval later.
-	tailPending bool
 }
 
 // NewCheckpointer prepares a checkpointer over dir, creating the
@@ -261,15 +257,16 @@ func (c *Checkpointer) restoreMappedFrom(ctx context.Context, path string) (bool
 // returning. After a restore the snapshot on disk plus the kept log
 // segments is already a complete recovery point (truncation lags one
 // checkpoint), so the platform serves as soon as the tail is replayed;
-// a crash before the next checkpoint replays the same tail again.
-// Start covers a replayed tail with a checkpoint at once, in the
-// background.
+// a crash before the next checkpoint replays the same tail again. The
+// periodic loop takes that checkpoint; a checkpointer without one
+// (interval <= 0) leaves it to the caller, or the log and its replay
+// grow with every crash until a clean shutdown.
 //
 // Writes made between RestoreLatestContext and EnableWALContext are
 // not logged; after a restore they are durable only from the next
 // checkpoint.
 func (c *Checkpointer) EnableWALContext(ctx context.Context, opts wal.Options) (wal.ReplayStats, error) {
-	st, err := c.p.Store.ReplayContext(ctx, c.WALDir(), nil)
+	st, err := c.p.Store.ReplayContext(ctx, c.WALDir())
 	if err != nil {
 		// Includes wal.ErrDamagedHistory: damage in a sealed segment
 		// with acked writes beyond it fails boot loudly instead of
@@ -296,7 +293,6 @@ func (c *Checkpointer) EnableWALContext(ctx context.Context, opts wal.Options) (
 	c.wlog = l
 	c.p.Store.AttachWAL(l)
 	if c.restored {
-		c.tailPending = st.Applied > 0
 		return st, nil
 	}
 	if err := c.CheckpointContext(ctx); err != nil {
@@ -389,10 +385,7 @@ func (c *Checkpointer) CheckpointContext(ctx context.Context) error {
 	return nil
 }
 
-// Start launches the periodic checkpoint loop. When the boot skipped
-// its checkpoint after replaying a log tail (see EnableWALContext),
-// the loop's first pass runs at once, so the tail is covered in the
-// background rather than an interval after boot. A checkpointer starts
+// Start launches the periodic checkpoint loop. A checkpointer starts
 // at most once; CloseContext stops it.
 func (c *Checkpointer) Start() {
 	if c.interval <= 0 || c.stop != nil {
@@ -400,24 +393,16 @@ func (c *Checkpointer) Start() {
 	}
 	c.stop = make(chan struct{})
 	c.done = make(chan struct{})
-	first := c.tailPending
-	c.tailPending = false
 	go func() {
 		defer close(c.done)
 		ticker := time.NewTicker(c.interval)
 		defer ticker.Stop()
-		checkpoint := func() {
-			if err := c.CheckpointContext(context.Background()); err != nil {
-				c.logf("checkpoint failed: %v", err)
-			}
-		}
-		if first {
-			checkpoint()
-		}
 		for {
 			select {
 			case <-ticker.C:
-				checkpoint()
+				if err := c.CheckpointContext(context.Background()); err != nil {
+					c.logf("checkpoint failed: %v", err)
+				}
 			case <-c.stop:
 				return
 			}

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/store"
 	"repro/internal/wal"
@@ -291,45 +290,6 @@ func TestWALSecondCrashBeforeCheckpoint(t *testing.T) {
 	for sku, title := range map[string]string{"T2": "Second Generation", "G0": "Rewritten In Generation Two"} {
 		if rec, ok := ds3.Get(sku); !ok || rec["title"] != title {
 			t.Fatalf("%s after second recovery = %v, %v", sku, rec, ok)
-		}
-	}
-}
-
-// TestWALStartCoversReplayedTail: after a restored boot that replayed
-// records, Start checkpoints at once rather than an interval later.
-func TestWALStartCoversReplayedTail(t *testing.T) {
-	dir := t.TempDir()
-	crashWithCheckpoints(t, dir)
-
-	p := New(Config{Seed: 1, ShardTarget: 2})
-	cp, err := p.NewCheckpointer(dir, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := cp.RestoreLatestContext(ctx); err != nil {
-		t.Fatal(err)
-	}
-	st, err := cp.EnableWALContext(ctx, wal.Options{Policy: wal.PolicyAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Applied == 0 {
-		t.Fatalf("boot replayed nothing: %+v", st)
-	}
-	before, err := os.ReadFile(cp.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Start()
-	defer cp.CloseContext(ctx)
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		// The first pass retains the boot's snapshot as the previous one.
-		if prev, err := os.ReadFile(cp.PrevPath()); err == nil && bytes.Equal(prev, before) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("Start did not checkpoint the replayed tail promptly")
 		}
 	}
 }

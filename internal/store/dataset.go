@@ -219,10 +219,7 @@ func (d *Dataset) AddBatchContext(ctx context.Context, recs []Record) ([]string,
 	}
 
 	d.mu.Lock()
-	d.materializeRecordsLocked()
 	ids := make([]string, len(recs))
-	cps := make([]Record, len(recs))
-	docs := make([]index.Document, len(recs))
 	assigned := 0
 	for i, rec := range recs {
 		if d.schema.Key != "" {
@@ -232,6 +229,38 @@ func (d *Dataset) AddBatchContext(ctx context.Context, recs []Record) ([]string,
 			assigned++
 			ids[i] = strconv.Itoa(d.nextID)
 		}
+	}
+	cps, err := d.installBatchLocked(ctx, ids, recs)
+	if err != nil {
+		// Nothing was applied: return the assigned IDs to the sequence
+		// for the next batch to reuse.
+		d.nextID -= assigned
+		d.mu.Unlock()
+		return nil, err
+	}
+	var last *wal.Commit
+	for i, id := range ids {
+		last = d.walAppendLocked(&wal.Record{Op: wal.OpPut, ID: id, Rec: cps[i]})
+	}
+	d.mu.Unlock()
+	if err := last.Wait(ctx); err != nil {
+		return nil, err
+	}
+	return ids, nil
+}
+
+// installBatchLocked inserts or replaces recs[i] under ids[i] as one
+// batch — the write path uploads and log replay share — and returns
+// the installed copies. One materialization, one index batch and one
+// version bump cover the batch; the index batch resolves duplicate
+// IDs last-write-wins, exactly like installing the records one by
+// one. The index goes first: a ctx error there applies nothing.
+// Callers hold d.mu.
+func (d *Dataset) installBatchLocked(ctx context.Context, ids []string, recs []Record) ([]Record, error) {
+	d.materializeRecordsLocked()
+	cps := make([]Record, len(recs))
+	docs := make([]index.Document, len(recs))
+	for i, rec := range recs {
 		cp := make(Record, len(rec))
 		for k, v := range rec {
 			cp[k] = v
@@ -239,28 +268,17 @@ func (d *Dataset) AddBatchContext(ctx context.Context, recs []Record) ([]string,
 		cps[i] = cp
 		docs[i] = docFor(d.schema, ids[i], cp)
 	}
-	// Index first: a ctx error here means nothing was applied, so the
-	// records map is untouched and the assigned IDs can be returned to
-	// the sequence for the next batch to reuse.
 	if err := d.ix.AddBatchContext(ctx, docs); err != nil {
-		d.nextID -= assigned
-		d.mu.Unlock()
 		return nil, err
 	}
-	var last *wal.Commit
 	for i, id := range ids {
 		if _, exists := d.records[id]; !exists {
 			d.order = append(d.order, id)
 		}
 		d.records[id] = cps[i]
-		last = d.walAppendLocked(&wal.Record{Op: wal.OpPut, ID: id, Rec: cps[i]})
 	}
 	d.ver++
-	d.mu.Unlock()
-	if err := last.Wait(ctx); err != nil {
-		return nil, err
-	}
-	return ids, nil
+	return cps, nil
 }
 
 // Get returns the record with the given ID.

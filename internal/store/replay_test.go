@@ -271,7 +271,7 @@ func TestReplayBatchedMatchesSequential(t *testing.T) {
 		replay func(*Store, string) (wal.ReplayStats, error)
 	}{
 		{"sequential", replaySequential},
-		{"batched", func(s *Store, dir string) (wal.ReplayStats, error) { return s.ReplayContext(ctx, dir, nil) }},
+		{"batched", func(s *Store, dir string) (wal.ReplayStats, error) { return s.ReplayContext(ctx, dir) }},
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/index"
 	"repro/internal/wal"
 )
 
@@ -67,19 +66,11 @@ const replayBatchMax = 1024
 // put is buffered, so Applied and Skipped count exactly as per-record
 // replay would) and flushed as one index batch on any other op, a
 // change of dataset, replayBatchMax buffered puts, or the end of the
-// log. The result is identical to applying every record alone.
-//
-// inspect, when non-nil, sees every decoded record before it is
-// applied; returning wal.ErrSkipRecord drops the record and any other
-// error fails the replay. ctx is checked before each flush.
-func (s *Store) ReplayContext(ctx context.Context, dir string, inspect func(*wal.Record) error) (wal.ReplayStats, error) {
+// log. The result is identical to applying every record alone. ctx is
+// checked before each flush.
+func (s *Store) ReplayContext(ctx context.Context, dir string) (wal.ReplayStats, error) {
 	var run putRun
 	st, err := wal.Replay(dir, func(rec *wal.Record) error {
-		if inspect != nil {
-			if err := inspect(rec); err != nil {
-				return err
-			}
-		}
 		if rec.Op != wal.OpPut {
 			if err := run.flush(ctx); err != nil {
 				return err
@@ -99,9 +90,8 @@ func (s *Store) ReplayContext(ctx context.Context, dir string, inspect func(*wal
 		run.recs = append(run.recs, rec)
 		return nil
 	})
-	// Puts buffered before a replay error (damaged history, a failed
-	// inspect) still land, as they would have one by one; the error is
-	// still reported.
+	// Puts buffered before a replay error (damaged history) still land,
+	// as they would have one by one; the error is still reported.
 	if ferr := run.flush(ctx); err == nil {
 		err = ferr
 	}
@@ -246,45 +236,30 @@ func (d *Dataset) walAppendLocked(rec *wal.Record) *wal.Commit {
 	return d.wlog.Append(rec)
 }
 
-// applyPuts installs a run of replayed puts under their logged IDs:
-// no quota check (the writes were admitted when acknowledged), no
-// re-logging, and the sequential-ID high-water mark advances so
-// post-recovery inserts cannot collide with replayed IDs. One lock,
-// one materialization, one version bump and one index batch cover the
-// run; the index batch resolves duplicate IDs last-write-wins, exactly
-// like applying the puts one by one. The index goes first: a ctx error
-// there applies nothing.
+// applyPuts installs a run of replayed puts under their logged IDs
+// through the upload batch path: no quota check (the writes were
+// admitted when acknowledged), no re-logging, and the sequential-ID
+// high-water mark advances so post-recovery inserts cannot collide
+// with replayed IDs. Replay is the one boot path that mutates a mapped
+// dataset: only datasets with a log tail pay materialization.
 func (d *Dataset) applyPuts(ctx context.Context, recs []*wal.Record) error {
+	ids := make([]string, len(recs))
+	rows := make([]Record, len(recs))
+	for i, rec := range recs {
+		ids[i], rows[i] = rec.ID, rec.Rec
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Replay is the one boot path that mutates a mapped dataset: only
-	// datasets with a log tail pay materialization.
-	d.materializeRecordsLocked()
-	cps := make([]Record, len(recs))
-	docs := make([]index.Document, len(recs))
-	for i, rec := range recs {
-		cp := make(Record, len(rec.Rec))
-		for k, v := range rec.Rec {
-			cp[k] = v
-		}
-		cps[i] = cp
-		docs[i] = docFor(d.schema, rec.ID, cp)
-	}
-	if err := d.ix.AddBatchContext(ctx, docs); err != nil {
+	if _, err := d.installBatchLocked(ctx, ids, rows); err != nil {
 		return err
 	}
-	for i, rec := range recs {
-		if d.schema.Key == "" {
-			if n, err := strconv.Atoi(rec.ID); err == nil && n > d.nextID {
+	if d.schema.Key == "" {
+		for _, id := range ids {
+			if n, err := strconv.Atoi(id); err == nil && n > d.nextID {
 				d.nextID = n
 			}
 		}
-		if _, exists := d.records[rec.ID]; !exists {
-			d.order = append(d.order, rec.ID)
-		}
-		d.records[rec.ID] = cps[i]
 	}
-	d.ver++
 	return nil
 }
 

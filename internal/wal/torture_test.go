@@ -246,29 +246,19 @@ func tortureCycle(t *testing.T, rng *rand.Rand, pol wal.Policy, corrupt string) 
 		corruptTail(t, rng, dir, corrupt)
 	}
 
-	// Recovery: replay into a fresh store through the store's boot
-	// path, checking the log-level contract record by record.
-	s := store.New(store.WithShardTarget(2))
-	next := 0    // contiguity: the only acceptable put sequence is doc-0, doc-1, ...
-	nonPuts := 0 // DDL records; every one applies (the tenant comes first)
-	st, err := s.ReplayContext(context.Background(), dir, func(rec *wal.Record) error {
-		if rec.Op != wal.OpPut {
-			nonPuts++
-			return nil
-		}
-		if want := fmt.Sprintf("doc-%06d", next); rec.ID != want {
-			return fmt.Errorf("recovered %s out of order, want %s", rec.ID, want)
-		}
-		for _, f := range []string{"sku", "title", "body"} {
-			if rec.Rec[f] == "" {
-				return fmt.Errorf("partially written document %s recovered: missing %s", rec.ID, f)
-			}
-		}
-		next++
-		return nil
-	})
+	// Recovery: check the log-level contract record by record, then
+	// replay into a fresh store through the store's boot path.
+	next, nonPuts, err := checkRecoveredLog(dir)
 	if err != nil {
 		t.Fatalf("recovery replay failed (must never happen): %v; child stderr: %s", err, childErr)
+	}
+	s := store.New(store.WithShardTarget(2))
+	st, err := s.ReplayContext(context.Background(), dir)
+	if err != nil {
+		t.Fatalf("store replay failed (must never happen): %v; child stderr: %s", err, childErr)
+	}
+	if st.Records != next+nonPuts {
+		t.Fatalf("store replay decoded %d records, the check pass %d", st.Records, next+nonPuts)
 	}
 	// Puts the store accepted: all of them unless the DDL was torn away.
 	appliedPuts := st.Applied - nonPuts
@@ -344,25 +334,14 @@ func TestTortureCrashLoopSameLog(t *testing.T) {
 
 		// Boot: replay (contiguous, whole documents, never an error),
 		// then seal the tear so the next generation opens clean.
-		s := store.New(store.WithShardTarget(2))
-		next := 0
-		st, err := s.ReplayContext(context.Background(), dir, func(rec *wal.Record) error {
-			if rec.Op != wal.OpPut {
-				return nil
-			}
-			if want := fmt.Sprintf("doc-%06d", next); rec.ID != want {
-				return fmt.Errorf("cycle %d: recovered %s out of order, want %s", cycle, rec.ID, want)
-			}
-			for _, f := range []string{"sku", "title", "body"} {
-				if rec.Rec[f] == "" {
-					return fmt.Errorf("cycle %d: partially written document %s: missing %s", cycle, rec.ID, f)
-				}
-			}
-			next++
-			return nil
-		})
+		next, _, err := checkRecoveredLog(dir)
 		if err != nil {
 			t.Fatalf("cycle %d: recovery replay failed (must never happen): %v; child stderr: %s", cycle, err, childErr)
+		}
+		s := store.New(store.WithShardTarget(2))
+		st, err := s.ReplayContext(context.Background(), dir)
+		if err != nil {
+			t.Fatalf("cycle %d: store replay failed (must never happen): %v; child stderr: %s", cycle, err, childErr)
 		}
 		if err := wal.SealTornTail(st); err != nil {
 			t.Fatalf("cycle %d: seal torn tail: %v", cycle, err)
@@ -379,6 +358,30 @@ func TestTortureCrashLoopSameLog(t *testing.T) {
 			cycle, pol, la, next, st.Torn, corrupted)
 		start = next
 	}
+}
+
+// checkRecoveredLog reads dir without applying anything and checks
+// the log-level contract record by record: the only acceptable put
+// sequence is doc-0, doc-1, ..., and every put is a whole document. It
+// returns how many puts and how many other (DDL) records it saw.
+func checkRecoveredLog(dir string) (puts, other int, err error) {
+	_, err = wal.Replay(dir, func(rec *wal.Record) error {
+		if rec.Op != wal.OpPut {
+			other++
+			return nil
+		}
+		if want := fmt.Sprintf("doc-%06d", puts); rec.ID != want {
+			return fmt.Errorf("recovered %s out of order, want %s", rec.ID, want)
+		}
+		for _, f := range []string{"sku", "title", "body"} {
+			if rec.Rec[f] == "" {
+				return fmt.Errorf("partially written document %s recovered: missing %s", rec.ID, f)
+			}
+		}
+		puts++
+		return nil
+	})
+	return puts, other, err
 }
 
 // corruptTail injects a torn write into the end of the newest segment:
