@@ -48,6 +48,12 @@
 // common case for a published app's landing page — are answered from
 // the cache; any write to an index invalidates its entries by
 // generation stamp. /statusz reports hit/miss/eviction counters.
+//
+// The synthetic web the engine stands in for Bing with is generated
+// when a request first needs it, and each vertical is indexed by the
+// first request that reads it, so boot is restore + replay only.
+// /statusz's engine block reports per vertical whether it is built,
+// its document count and how long its build took.
 package main
 
 import (
@@ -96,10 +102,12 @@ func openDataDir(ctx context.Context, p *core.Platform, dir string, every time.D
 	}
 	cp.Logf = log.Printf
 	cp.MMap = mmapOn
+	t0 := time.Now()
 	restored, err := cp.RestoreLatestContext(ctx)
 	if err != nil {
 		return nil, err
 	}
+	restoreDur := time.Since(t0)
 	if !restored {
 		log.Printf("symphonyd: no snapshot in %s, starting from seeded data", dir)
 	}
@@ -107,12 +115,13 @@ func openDataDir(ctx context.Context, p *core.Platform, dir string, every time.D
 	// snapshot missed, then log every acknowledged write, so boot
 	// recovers to the last ack — not just the last checkpoint.
 	if walOn {
+		t0 = time.Now()
 		st, err := cp.EnableWALContext(ctx, wal.Options{Policy: policy})
 		if err != nil {
 			return nil, err
 		}
-		log.Printf("symphonyd: wal enabled (fsync=%s): replayed %d records (%d applied, %d skipped) from %d segments",
-			policy, st.Records, st.Applied, st.Skipped, st.Segments)
+		log.Printf("symphonyd: wal enabled (fsync=%s): replayed %d records (%d applied, %d skipped) from %d segments; restore %s, replay %s",
+			policy, st.Records, st.Applied, st.Skipped, st.Segments, restoreDur.Round(time.Microsecond), time.Since(t0).Round(time.Microsecond))
 		// A restored boot serves without a checkpoint and leaves the
 		// next one to the loop. With no loop, take it now: otherwise
 		// the log and its replay grow with every crash until a clean
@@ -223,9 +232,10 @@ func run() error {
 	})
 
 	// /statusz: operator view of every dataset's index layout (shard
-	// count, ring generation, tombstone ratio, in-flight reshards)
-	// plus the admission counters, refreshed per request so reshard
-	// progress and load shedding are visible live.
+	// count, ring generation, tombstone ratio, in-flight reshards),
+	// the admission counters and which engine verticals the traffic
+	// has built so far, refreshed per request so reshard progress and
+	// load shedding are visible live.
 	mux := http.NewServeMux()
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -267,6 +277,7 @@ func run() error {
 			"queryTimeout": queryTimeout.String(),
 			"cache":        cacheStats,
 			"wal":          walStats,
+			"engine":       p.Engine.Status(),
 		}); err != nil {
 			log.Printf("symphonyd: statusz: %v", err)
 		}

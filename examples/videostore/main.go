@@ -47,13 +47,13 @@ func main() {
 	// URL-crawling upload: crawl a movie site from the synthetic web
 	// into a new dataset (§II-A upload methods).
 	seeds := []string{}
-	for _, page := range p.Corpus.Pages {
+	for _, page := range p.Engine.Corpus().Pages {
 		if page.Site == "imdb.example" && page.Vertical == webcorpus.VerticalWeb {
 			seeds = append(seeds, page.URL)
 			break
 		}
 	}
-	pages, err := crawler.Crawl(crawler.CorpusFetcher{Corpus: p.Corpus}, seeds, crawler.Config{
+	pages, err := crawler.Crawl(crawler.CorpusFetcher{Corpus: p.Engine.Corpus()}, seeds, crawler.Config{
 		MaxDepth: 1, MaxPages: 25, SameSiteOnly: true,
 	})
 	if err != nil {

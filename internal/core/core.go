@@ -58,7 +58,8 @@ type Config struct {
 
 // Platform is a fully wired Symphony instance.
 type Platform struct {
-	Corpus *webcorpus.Corpus
+	// Engine is the web substrate. It generates its corpus and indexes
+	// each vertical on first use, so construction builds nothing.
 	Engine *engine.Engine
 	Store  *store.Store
 	// Cache is the shared cross-request result cache (nil when
@@ -73,27 +74,28 @@ type Platform struct {
 	Facebook *publish.SocialPlatform
 }
 
-// New builds a platform over a freshly generated synthetic web.
+// New builds a platform over the synthetic web of cfg's seed. The web
+// is generated only when a request first reads it.
 func New(cfg Config) *Platform {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	corpus := webcorpus.Generate(webcorpus.Config{
-		Seed:         cfg.Seed,
-		PagesPerSite: cfg.CorpusPagesPerSite,
-	})
-	return NewWithCorpus(cfg, corpus)
+	wc := webcorpus.Config{Seed: cfg.Seed, PagesPerSite: cfg.CorpusPagesPerSite}
+	return newPlatform(cfg, func() *webcorpus.Corpus { return webcorpus.Generate(wc) })
 }
 
 // NewWithCorpus builds a platform over an existing corpus (shared by
 // benchmarks to avoid regenerating the web per run).
 func NewWithCorpus(cfg Config, corpus *webcorpus.Corpus) *Platform {
+	return newPlatform(cfg, func() *webcorpus.Corpus { return corpus })
+}
+
+func newPlatform(cfg Config, corpus func() *webcorpus.Corpus) *Platform {
 	var cache *index.Cache
 	if cfg.CacheMB > 0 {
 		cache = index.NewCache(int64(cfg.CacheMB) << 20)
 	}
 	p := &Platform{
-		Corpus:   corpus,
 		Cache:    cache,
 		Engine:   engine.New(corpus),
 		Store:    store.New(store.WithShardTarget(cfg.ShardTarget), store.WithCache(cache)),

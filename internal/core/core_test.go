@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ads"
 	"repro/internal/app"
+	"repro/internal/engine"
 	"repro/internal/ingest"
 	"repro/internal/layout"
 	"repro/internal/publish"
@@ -251,5 +253,81 @@ func TestTenantIsolationAcrossDesigners(t *testing.T) {
 	}
 	if len(resp.Blocks) != 0 {
 		t.Fatal("bob read ann's proprietary data")
+	}
+}
+
+// TestProprietaryAppsNeverBuildTheWeb: a platform whose apps read only
+// proprietary data boots, serves hits, typo corrections and empty
+// queries, over the API and over HTTP, without generating the
+// synthetic web or indexing any engine vertical. The first web query
+// then generates the corpus once and indexes only its own vertical.
+func TestProprietaryAppsNeverBuildTheWeb(t *testing.T) {
+	for _, st := range New(Config{Seed: 1}).Engine.Status() {
+		if st.Built {
+			t.Fatalf("New indexed vertical %s", st.Vertical)
+		}
+	}
+	var generated atomic.Int32
+	p := newPlatform(Config{Seed: 1}, func() *webcorpus.Corpus {
+		generated.Add(1)
+		return webcorpus.Generate(webcorpus.Config{Seed: 1})
+	})
+	if err := p.RegisterDesigner("cara", "catalog"); err != nil {
+		t.Fatal(err)
+	}
+	csv := "sku,title,description\nC1,Copper Kettle,a stovetop kettle\nC2,Cast Iron Pan,a heavy skillet\n"
+	if _, err := p.Upload(ingest.Options{
+		Tenant: "catalog", Actor: "cara", Dataset: "items",
+		Format: ingest.FormatCSV, KeyField: "sku",
+	}, strings.NewReader(csv)); err != nil {
+		t.Fatal(err)
+	}
+	d := p.NewApp("catalog", "Catalog", "cara", "catalog")
+	d.DropPrimary(app.SourceConfig{ID: "items", Kind: app.KindProprietary, Dataset: "items", MaxResults: 5})
+	d.SetSearchFields("items", "title", "description")
+	a, err := d.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Publish(a); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, q := range []string{"kettle", "ketle", ""} {
+		if _, err := p.Query(context.Background(), "catalog", runtime.Query{Text: q}); err != nil {
+			t.Fatalf("query %q: %v", q, err)
+		}
+	}
+	srv := httptest.NewServer(p.Serve("http://symphony.example"))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/query?app=catalog&q=cast+iron")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "Cast Iron Pan") {
+		t.Fatalf("hosted query = %d %.200s", resp.StatusCode, body)
+	}
+
+	if n := generated.Load(); n != 0 {
+		t.Fatalf("corpus generated %d times for proprietary-only traffic", n)
+	}
+	for _, st := range p.Engine.Status() {
+		if st.Built || st.Docs != 0 {
+			t.Fatalf("vertical %s built for proprietary-only traffic: %+v", st.Vertical, st)
+		}
+	}
+
+	if _, err := p.Engine.Search(context.Background(), engine.Request{Query: "review", Vertical: webcorpus.VerticalNews}); err != nil {
+		t.Fatal(err)
+	}
+	if n := generated.Load(); n != 1 {
+		t.Fatalf("corpus generated %d times after one web query, want 1", n)
+	}
+	for _, st := range p.Engine.Status() {
+		if want := st.Vertical == webcorpus.VerticalNews; st.Built != want || (st.Docs > 0) != want {
+			t.Errorf("after a news query, vertical %s: %+v", st.Vertical, st)
+		}
 	}
 }

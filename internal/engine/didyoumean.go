@@ -10,11 +10,9 @@ import (
 // each token with no hits is replaced by its best spell suggestion.
 // It returns the corrected query and whether anything changed, the
 // "did you mean" line a hosted application shows above empty results.
+// The first call indexes the web vertical if nothing has read it yet.
 func (e *Engine) DidYouMean(query string) (string, bool) {
-	ix := e.perVert[webcorpus.VerticalWeb]
-	if ix == nil {
-		return query, false
-	}
+	ix := e.index(webcorpus.VerticalWeb)
 	words := strings.Fields(query)
 	changed := false
 	for i, w := range words {

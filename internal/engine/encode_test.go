@@ -53,7 +53,7 @@ func TestEncodeJSONParity(t *testing.T) {
 
 func TestEncodeJSONParityLive(t *testing.T) {
 	corpus := webcorpus.Generate(webcorpus.Config{Seed: 11})
-	e := New(corpus)
+	e := New(func() *webcorpus.Corpus { return corpus })
 	resp, err := e.Query(context.Background(), Request{Query: "the", Limit: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,11 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/index"
 	"repro/internal/textproc"
@@ -56,11 +59,14 @@ type Result struct {
 	Entity   string
 }
 
-// Engine is the simulated general search engine.
+// Engine is the simulated general search engine. Nothing is built at
+// construction: the corpus is generated when first needed and each
+// vertical is indexed when the first request that reads it arrives,
+// so a platform whose apps never query the web never pays for it.
 type Engine struct {
-	corpus  *webcorpus.Corpus
-	perVert map[webcorpus.Vertical]*index.Index
-	quality map[string]float64
+	corpus  func() *webcorpus.Corpus
+	quality func() map[string]float64
+	perVert map[webcorpus.Vertical]*vertical
 
 	mu sync.Mutex
 	// seq numbers log entries in arrival order across the two logs.
@@ -71,6 +77,17 @@ type Engine struct {
 	next    int
 	clicks  []loggedEntry
 	sugg    *suggester
+}
+
+// vertical is one service's index, filled from the corpus on first
+// use.
+type vertical struct {
+	ix    *index.Index
+	once  sync.Once
+	built atomic.Bool
+	// buildNs is how long the one-time indexing took; set before
+	// built.
+	buildNs atomic.Int64
 }
 
 // queryLogSize bounds the queries the log keeps: about 400 Fig 2
@@ -92,46 +109,73 @@ type LogEntry struct {
 	Site       string
 }
 
-// New indexes the corpus into per-vertical indexes.
-func New(corpus *webcorpus.Corpus) *Engine {
+// New returns an engine over the corpus that corpus yields. corpus is
+// called at most once, when a request first needs the pages or the
+// site-quality table; each vertical's index is created empty here,
+// with its field options, and filled on first use.
+func New(corpus func() *webcorpus.Corpus) *Engine {
 	e := &Engine{
-		corpus:  corpus,
-		perVert: make(map[webcorpus.Vertical]*index.Index),
-		quality: make(map[string]float64),
+		corpus:  sync.OnceValue(corpus),
+		perVert: make(map[webcorpus.Vertical]*vertical, len(webcorpus.Verticals)),
 	}
+	e.quality = sync.OnceValue(func() map[string]float64 {
+		sites := e.corpus().Sites
+		q := make(map[string]float64, len(sites))
+		for _, s := range sites {
+			q[s.Domain] = s.Quality
+		}
+		return q
+	})
 	for _, v := range webcorpus.Verticals {
 		ix := index.New()
 		ix.SetFieldOptions("title", index.FieldOptions{Boost: 2.5})
 		ix.SetFieldOptions("body", index.FieldOptions{Boost: 1})
 		ix.SetFieldOptions("site", index.FieldOptions{Analyzer: textproc.KeywordAnalyzer})
-		e.perVert[v] = ix
-	}
-	for _, s := range corpus.Sites {
-		e.quality[s.Domain] = s.Quality
-	}
-	for _, p := range corpus.Pages {
-		doc := index.Document{
-			ID: p.URL,
-			Fields: map[string]string{
-				"title": p.Title,
-				"body":  p.Body,
-				"site":  p.Site,
-			},
-			Stored: map[string]string{
-				"url":    p.URL,
-				"site":   p.Site,
-				"title":  p.Title,
-				"entity": p.Entity,
-				"day":    fmt.Sprintf("%d", p.PublishedDay),
-			},
-		}
-		// Indexing the generated corpus cannot fail (IDs are URLs and
-		// never empty); a failure here is a programming error.
-		if err := e.perVert[p.Vertical].Add(doc); err != nil {
-			panic(err)
-		}
+		e.perVert[v] = &vertical{ix: ix}
 	}
 	return e
+}
+
+// index returns vertical v's index, indexing its pages first if no
+// request has read it yet; nil for an unknown vertical. The build is
+// shared by every caller and owned by none, so it takes no context: a
+// cancelled request cannot leave a vertical half indexed.
+func (e *Engine) index(v webcorpus.Vertical) *index.Index {
+	vt, ok := e.perVert[v]
+	if !ok {
+		return nil
+	}
+	vt.once.Do(func() {
+		start := time.Now()
+		for _, p := range e.corpus().Pages {
+			if p.Vertical != v {
+				continue
+			}
+			doc := index.Document{
+				ID: p.URL,
+				Fields: map[string]string{
+					"title": p.Title,
+					"body":  p.Body,
+					"site":  p.Site,
+				},
+				Stored: map[string]string{
+					"url":    p.URL,
+					"site":   p.Site,
+					"title":  p.Title,
+					"entity": p.Entity,
+					"day":    strconv.Itoa(p.PublishedDay),
+				},
+			}
+			// Indexing the generated corpus cannot fail (IDs are URLs
+			// and never empty); a failure here is a programming error.
+			if err := vt.ix.Add(doc); err != nil {
+				panic(err)
+			}
+		}
+		vt.buildNs.Store(int64(time.Since(start)))
+		vt.built.Store(true)
+	})
+	return vt.ix
 }
 
 // prepare normalizes the request and builds the index query it
@@ -141,8 +185,8 @@ func (e *Engine) prepare(req *Request) (*index.Index, index.Query, int, error) {
 	if req.Vertical == "" {
 		req.Vertical = webcorpus.VerticalWeb
 	}
-	ix, ok := e.perVert[req.Vertical]
-	if !ok {
+	ix := e.index(req.Vertical)
+	if ix == nil {
 		return nil, nil, 0, fmt.Errorf("engine: unknown vertical %q", req.Vertical)
 	}
 	queryText := req.Query
@@ -172,10 +216,11 @@ func (e *Engine) rerank(req Request, raw []index.Result, limit int) []Result {
 	for _, u := range req.PreferURLs {
 		prefer[u] = true
 	}
+	quality := e.quality()
 	out := make([]Result, 0, len(raw))
 	for _, r := range raw {
 		site := r.Stored["site"]
-		score := r.Score * (0.5 + e.quality[site])
+		score := r.Score * (0.5 + quality[site])
 		if prefer[r.ID] {
 			score *= 4
 		}
@@ -349,20 +394,48 @@ func (e *Engine) AttachCache(c *index.Cache) {
 	if c == nil {
 		return
 	}
-	for _, ix := range e.perVert {
-		ix.AttachCache(c)
+	for _, vt := range e.perVert {
+		vt.ix.AttachCache(c)
 	}
 }
 
 // Corpus exposes the underlying synthetic web (used by the crawler
-// substrate and tests).
-func (e *Engine) Corpus() *webcorpus.Corpus { return e.corpus }
+// substrate and tests), generating it on the first call.
+func (e *Engine) Corpus() *webcorpus.Corpus { return e.corpus() }
 
-// DocCount returns the number of documents indexed in a vertical.
+// DocCount returns the number of documents indexed in a vertical,
+// indexing it first if nothing has read it yet.
 func (e *Engine) DocCount(v webcorpus.Vertical) int {
-	ix, ok := e.perVert[v]
-	if !ok {
+	ix := e.index(v)
+	if ix == nil {
 		return 0
 	}
 	return ix.Len()
+}
+
+// VerticalStatus is the operator view of one vertical's index.
+type VerticalStatus struct {
+	Vertical webcorpus.Vertical `json:"vertical"`
+	// Built reports whether a request has made the vertical index its
+	// pages yet.
+	Built   bool    `json:"built"`
+	Docs    int     `json:"docs"`
+	BuildMs float64 `json:"buildMs"`
+}
+
+// Status reports each vertical's build state in webcorpus.Verticals
+// order. It never triggers a build.
+func (e *Engine) Status() []VerticalStatus {
+	out := make([]VerticalStatus, 0, len(webcorpus.Verticals))
+	for _, v := range webcorpus.Verticals {
+		vt := e.perVert[v]
+		st := VerticalStatus{Vertical: v}
+		if vt.built.Load() {
+			st.Built = true
+			st.Docs = vt.ix.Len()
+			st.BuildMs = float64(vt.buildNs.Load()) / 1e6
+		}
+		out = append(out, st)
+	}
+	return out
 }

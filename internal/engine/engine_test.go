@@ -15,7 +15,12 @@ var testCorpus = webcorpus.Generate(webcorpus.Config{Seed: 42})
 
 func newEngine(t testing.TB) *Engine {
 	t.Helper()
-	return New(testCorpus)
+	return New(func() *webcorpus.Corpus { return testCorpus })
+}
+
+// generated is a corpus source that generates cfg's web on first use.
+func generated(cfg webcorpus.Config) func() *webcorpus.Corpus {
+	return func() *webcorpus.Corpus { return webcorpus.Generate(cfg) }
 }
 
 func TestAllVerticalsIndexed(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRelatedQueries(t *testing.T) {
-	e := New(webcorpus.Generate(webcorpus.Config{Seed: 61, PagesPerSite: 4}))
+	e := New(generated(webcorpus.Config{Seed: 61, PagesPerSite: 4}))
 	issue := func(q string, times int) {
 		for i := 0; i < times; i++ {
 			e.Search(context.Background(), Request{Query: q})
@@ -34,7 +34,7 @@ func TestRelatedQueries(t *testing.T) {
 }
 
 func TestRelatedQueriesExcludesSelf(t *testing.T) {
-	e := New(webcorpus.Generate(webcorpus.Config{Seed: 62, PagesPerSite: 4}))
+	e := New(generated(webcorpus.Config{Seed: 62, PagesPerSite: 4}))
 	e.Search(context.Background(), Request{Query: "halo review"})
 	e.Search(context.Background(), Request{Query: "halo trailer"})
 	for _, r := range e.RelatedQueries("Halo Review", 5) {
@@ -45,7 +45,7 @@ func TestRelatedQueriesExcludesSelf(t *testing.T) {
 }
 
 func TestRelatedQueriesStemMatch(t *testing.T) {
-	e := New(webcorpus.Generate(webcorpus.Config{Seed: 63, PagesPerSite: 4}))
+	e := New(generated(webcorpus.Config{Seed: 63, PagesPerSite: 4}))
 	e.Search(context.Background(), Request{Query: "game reviews"})
 	rel := e.RelatedQueries("best review", 5)
 	if len(rel) != 1 || rel[0] != "game reviews" {
@@ -54,7 +54,7 @@ func TestRelatedQueriesStemMatch(t *testing.T) {
 }
 
 func TestRelatedQueriesEmpty(t *testing.T) {
-	e := New(webcorpus.Generate(webcorpus.Config{Seed: 64, PagesPerSite: 4}))
+	e := New(generated(webcorpus.Config{Seed: 64, PagesPerSite: 4}))
 	if rel := e.RelatedQueries("", 5); rel != nil {
 		t.Fatalf("empty query related = %v", rel)
 	}

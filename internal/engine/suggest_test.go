@@ -10,7 +10,7 @@ import (
 
 func suggestEngine(t testing.TB) *Engine {
 	t.Helper()
-	e := New(webcorpus.Generate(webcorpus.Config{Seed: 51, PagesPerSite: 4}))
+	e := New(generated(webcorpus.Config{Seed: 51, PagesPerSite: 4}))
 	issue := func(q string, times int) {
 		for i := 0; i < times; i++ {
 			if _, err := e.Search(context.Background(), Request{Query: q}); err != nil {
@@ -74,7 +74,7 @@ func TestSuggestSeesNewQueries(t *testing.T) {
 }
 
 func TestSuggestDefaultLimit(t *testing.T) {
-	e := New(webcorpus.Generate(webcorpus.Config{Seed: 52, PagesPerSite: 4}))
+	e := New(generated(webcorpus.Config{Seed: 52, PagesPerSite: 4}))
 	for i := 0; i < 10; i++ {
 		e.Search(context.Background(), Request{Query: "common prefix " + string(rune('a'+i))})
 	}

@@ -174,7 +174,8 @@ func (s *Server) Handler() http.Handler {
 // the loop with the RSS upload path (one app's feed can be another
 // designer's proprietary source).
 func (s *Server) handleRSS(w http.ResponseWriter, r *http.Request) {
-	appID := r.URL.Query().Get("app")
+	params := r.URL.Query()
+	appID := params.Get("app")
 	a, ok := s.Registry.Get(appID)
 	if !ok {
 		http.Error(w, "unknown application", http.StatusNotFound)
@@ -186,7 +187,7 @@ func (s *Server) handleRSS(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp, err := s.Executor.Execute(ctx, a, runtime.Query{Text: r.URL.Query().Get("q")})
+	resp, err := s.Executor.Execute(ctx, a, runtime.Query{Text: params.Get("q")})
 	rel()
 	if err != nil {
 		writeQueryError(w, err)
@@ -239,7 +240,8 @@ func (s *Server) handleRSS(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	appID := r.URL.Query().Get("app")
+	params := r.URL.Query()
+	appID := params.Get("app")
 	a, ok := s.Registry.Get(appID)
 	if !ok {
 		http.Error(w, "unknown application", http.StatusNotFound)
@@ -250,10 +252,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := runtime.Query{
-		Text:     r.URL.Query().Get("q"),
-		Customer: r.URL.Query().Get("customer"),
+		Text:     params.Get("q"),
+		Customer: params.Get("customer"),
 	}
-	if off := r.URL.Query().Get("offset"); off != "" {
+	if off := params.Get("offset"); off != "" {
 		n, err := strconv.Atoi(off)
 		if err != nil || n < 0 {
 			http.Error(w, "bad offset", http.StatusBadRequest)
@@ -261,7 +263,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		q.Offset = n
 	}
-	if prefer := r.URL.Query().Get("prefer"); prefer != "" {
+	if prefer := params.Get("prefer"); prefer != "" {
 		q.Profile = &runtime.CustomerProfile{PreferTerms: []string{prefer}}
 	}
 	ctx, cancel := s.queryContext(r)
@@ -276,7 +278,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, err)
 		return
 	}
-	if r.URL.Query().Get("format") == "json" {
+	if params.Get("format") == "json" {
 		// The one JSON endpoint on the end-user serving path: encoded
 		// with the pooled streaming writer, not encoding/json, so a
 		// saturated host does not allocate per response. TestQueryJSON

@@ -37,7 +37,7 @@ func newServer(t testing.TB) (*Server, *httptest.Server) {
 		Registry: NewRegistry(),
 		Executor: &runtime.Executor{
 			Store:  st,
-			Engine: engine.New(webcorpus.Generate(webcorpus.Config{Seed: 17})),
+			Engine: engine.New(func() *webcorpus.Corpus { return webcorpus.Generate(webcorpus.Config{Seed: 17}) }),
 			Log:    log,
 		},
 		Log:     log,

@@ -12,7 +12,7 @@ import (
 )
 
 var corpus = webcorpus.Generate(webcorpus.Config{Seed: 31})
-var eng = engine.New(corpus)
+var eng = engine.New(func() *webcorpus.Corpus { return corpus })
 
 func gameInventory(t testing.TB) *store.Dataset {
 	t.Helper()

@@ -75,7 +75,7 @@ func newFixture(t testing.TB, parallelism int) *fixture {
 
 	exec := &Executor{
 		Store:                   st,
-		Engine:                  engine.New(corpus),
+		Engine:                  engine.New(func() *webcorpus.Corpus { return corpus }),
 		Services:                webservice.NewClient(srv.Client()),
 		Ads:                     adSvc,
 		Log:                     analytics.NewLog(),

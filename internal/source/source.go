@@ -9,6 +9,7 @@ package source
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/ads"
@@ -90,7 +91,7 @@ func (s *StoreSource) Search(ctx context.Context, req Request) ([]Item, error) {
 	out := make([]Item, len(hits))
 	for i, h := range hits {
 		out[i] = Item(h.Record)
-		out[i]["_score"] = fmt.Sprintf("%.4f", h.Score)
+		out[i]["_score"] = formatScore(h.Score)
 	}
 	return out, nil
 }
@@ -155,11 +156,18 @@ func (s *EngineSource) Search(ctx context.Context, req Request) ([]Item, error) 
 			"title":   r.Title,
 			"snippet": r.Snippet,
 			"entity":  r.Entity,
-			"_score":  fmt.Sprintf("%.4f", r.Score),
+			"_score":  formatScore(r.Score),
 		}
 	}
 	return out, nil
 }
+
+// formatScore renders a hit's _score field; byte-identical to
+// fmt's "%.4f" without its per-call boxing.
+func formatScore(x float64) string { return strconv.FormatFloat(x, 'f', 4, 64) }
+
+// formatCPC renders an ad's cpc field; byte-identical to "%.2f".
+func formatCPC(x float64) string { return strconv.FormatFloat(x, 'f', 2, 64) }
 
 // CorrectQuery implements QueryCorrector over the engine's web-title
 // vocabulary.
@@ -254,7 +262,7 @@ func (s *AdSource) Search(_ context.Context, req Request) ([]Item, error) {
 			"title":      sel.Ad.Title,
 			"text":       sel.Ad.Text,
 			"url":        sel.Ad.LandingURL,
-			"cpc":        fmt.Sprintf("%.2f", sel.ClickCPC),
+			"cpc":        formatCPC(sel.ClickCPC),
 			"adid":       sel.Ad.ID,
 			"advertiser": sel.Ad.Advertiser,
 		}

@@ -60,7 +60,7 @@ func TestStoreSourceError(t *testing.T) {
 
 func TestEngineSourceDirectQuery(t *testing.T) {
 	corpus := webcorpus.Generate(webcorpus.Config{Seed: 3})
-	e := engine.New(corpus)
+	e := engine.New(func() *webcorpus.Corpus { return corpus })
 	src := &EngineSource{SourceName: "web", Engine: e}
 	if src.Kind() != "websearch" {
 		t.Errorf("kind = %s", src.Kind())
@@ -76,7 +76,7 @@ func TestEngineSourceDirectQuery(t *testing.T) {
 
 func TestEngineSourceTemplateQuery(t *testing.T) {
 	corpus := webcorpus.Generate(webcorpus.Config{Seed: 3})
-	e := engine.New(corpus)
+	e := engine.New(func() *webcorpus.Corpus { return corpus })
 	entity := corpus.Pages[0].Entity
 	src := &EngineSource{
 		SourceName:    "reviews",
