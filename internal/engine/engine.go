@@ -199,7 +199,6 @@ func (e *Engine) prepare(req *Request) (*index.Index, index.Query, int, error) {
 		for _, s := range req.Sites {
 			should = append(should, index.TermQuery{Field: "site", Term: s})
 		}
-		q = index.BoolQuery{Must: []index.Query{q}, Should: nil, MustNot: nil}
 		q = index.BoolQuery{Must: []index.Query{q, orQuery(should)}}
 	}
 	limit := req.Limit

@@ -84,16 +84,22 @@ func (r *binReader) count() (int, error) {
 }
 
 func (r *binReader) str() (string, error) {
+	b, err := r.bytes()
+	return string(b), err
+}
+
+// bytes reads a length-prefixed byte string as a view into buf.
+func (r *binReader) bytes() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n < 0 || r.off+n > len(r.buf) {
-		return "", errShardPayload
+		return nil, errShardPayload
 	}
-	s := string(r.buf[r.off : r.off+n])
+	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
-	return s, nil
+	return b, nil
 }
 
 func (r *binReader) strmap() (map[string]string, error) {

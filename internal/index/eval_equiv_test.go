@@ -107,38 +107,33 @@ func TestEvalEquivalence(t *testing.T) {
 		for _, n := range shardCounts {
 			ix := equivCorpus(t, n)
 			ix.SetRanker(ranker)
-			for _, force := range []bool{false, true} {
-				// force=true pins the block-max evaluator on even for the
-				// dense disjunctions the density fallback would hand back.
-				ix.wandDenseForce.Store(force)
-				for name, q := range equivQueries() {
-					label := fmt.Sprintf("ranker=%d shards=%d force=%v %s", ranker, n, force, name)
-					opts := []SearchOptions{
-						{},
-						{Limit: 10},
-						{Limit: 10, Offset: 7},
-						{Limit: 5, Filters: map[string]string{"producer": "Epic"}},
-						{Filters: map[string]string{"parity": "0"}},
-					}
-					for i, o := range opts {
-						mustEqualResults(t, fmt.Sprintf("%s opts%d", label, i),
-							ix.mustSearch(q, o), refSearch(ix, q, o))
-					}
-					if got, want := ix.mustCount(q, nil), refCount(ix, q, nil); got != want {
-						t.Fatalf("%s: Count %d, want %d", label, got, want)
-					}
-					filt := map[string]string{"producer": "Nintendo"}
-					if got, want := ix.mustCount(q, filt), refCount(ix, q, filt); got != want {
-						t.Fatalf("%s: filtered Count %d, want %d", label, got, want)
-					}
-					gotF, wantF := ix.mustFacets(q, "producer", nil), refFacets(ix, q, "producer", nil)
-					if len(gotF) != len(wantF) {
-						t.Fatalf("%s: %d facets, want %d", label, len(gotF), len(wantF))
-					}
-					for i := range wantF {
-						if gotF[i] != wantF[i] {
-							t.Fatalf("%s facet %d: got %v, want %v", label, i, gotF[i], wantF[i])
-						}
+			for name, q := range equivQueries() {
+				label := fmt.Sprintf("ranker=%d shards=%d %s", ranker, n, name)
+				opts := []SearchOptions{
+					{},
+					{Limit: 10},
+					{Limit: 10, Offset: 7},
+					{Limit: 5, Filters: map[string]string{"producer": "Epic"}},
+					{Filters: map[string]string{"parity": "0"}},
+				}
+				for i, o := range opts {
+					mustEqualResults(t, fmt.Sprintf("%s opts%d", label, i),
+						ix.mustSearch(q, o), refSearch(ix, q, o))
+				}
+				if got, want := ix.mustCount(q, nil), refCount(ix, q, nil); got != want {
+					t.Fatalf("%s: Count %d, want %d", label, got, want)
+				}
+				filt := map[string]string{"producer": "Nintendo"}
+				if got, want := ix.mustCount(q, filt), refCount(ix, q, filt); got != want {
+					t.Fatalf("%s: filtered Count %d, want %d", label, got, want)
+				}
+				gotF, wantF := ix.mustFacets(q, "producer", nil), refFacets(ix, q, "producer", nil)
+				if len(gotF) != len(wantF) {
+					t.Fatalf("%s: %d facets, want %d", label, len(gotF), len(wantF))
+				}
+				for i := range wantF {
+					if gotF[i] != wantF[i] {
+						t.Fatalf("%s facet %d: got %v, want %v", label, i, gotF[i], wantF[i])
 					}
 				}
 			}
@@ -164,9 +159,8 @@ func mappedCopy(t testing.TB, ix *Index) *Index {
 
 // TestEvalEquivalenceMapped: an index served from mapped v3 snapshot
 // views must rank bit-identically to the heap index it was written
-// from — for every query type, both rankers, across shard counts, with
-// block-max early exit forced on and off, and after copy-on-write
-// materialization from post-boot writes.
+// from — for every query type, both rankers, across shard counts, and
+// after copy-on-write materialization from post-boot writes.
 func TestEvalEquivalenceMapped(t *testing.T) {
 	for _, ranker := range []Ranker{RankerBM25, RankerTFIDF} {
 		for _, n := range []int{1, 3, 8} {
@@ -206,11 +200,6 @@ func TestEvalEquivalenceMapped(t *testing.T) {
 				}
 			}
 			compare("cold")
-			mx.wandDenseForce.Store(true)
-			ix.wandDenseForce.Store(true)
-			compare("wand-forced")
-			mx.wandDenseForce.Store(false)
-			ix.wandDenseForce.Store(false)
 
 			// Copy-on-write: the same post-boot mutations applied to both
 			// sides must keep rankings bit-identical while only the
@@ -412,12 +401,6 @@ func TestEvalEquivalenceFuzz(t *testing.T) {
 				}
 			}
 			runAll("early-exit")
-			// Fuzz corpora are tiny and dense, so the density fallback
-			// routes most disjunctions to the accumulator; forcing the
-			// block-max evaluator keeps WAND itself under fuzz.
-			ix.wandDenseForce.Store(true)
-			runAll("wand-forced")
-			ix.wandDenseForce.Store(false)
 			ix.earlyExitOff.Store(true)
 			runAll("exhaustive")
 			ix.earlyExitOff.Store(false)

@@ -160,20 +160,18 @@ type Index struct {
 	// reshardMu serializes Reshard calls (one migration at a time).
 	reshardMu sync.Mutex
 
-	// earlyExitOff disables the block-max top-k evaluator (wand.go),
-	// forcing every search through the exhaustive accumulator path.
-	// Only equivalence tests set it; results are identical either way.
+	// earlyExitOff disables the single-cursor block-max loop
+	// (wand.go), so single-list top-k queries (a TermQuery, or a
+	// non-"and" MatchQuery that expands to one posting list in a
+	// shard) also run on the accumulator path, as every other query
+	// does. Only equivalence tests set it; results are identical
+	// either way.
 	earlyExitOff atomic.Bool
 	// scanScored / scanSkipped count postings decoded vs. jumped
 	// without decoding by the block-max evaluator, across all
 	// searches — operator-visible proof that early exit is live.
 	scanScored  atomic.Uint64
 	scanSkipped atomic.Uint64
-	// wandDenseForce disables the dense-disjunction fallback in
-	// searchTopK, sending every streamable top-k through the
-	// block-max evaluator even when no skipping is possible. Only
-	// equivalence tests set it: small fixtures are always "dense".
-	wandDenseForce atomic.Bool
 	// mig, when non-nil, is the active migration. Writers load it
 	// under their shard's write lock and journal every applied op so
 	// the commit replay cannot lose a write. See reshard.go.

@@ -14,10 +14,10 @@ import (
 // fixed-width offset directories — doc table, ID order, per-field
 // term dictionaries — so every lookup the query path needs is a
 // binary search plus a bounds-checked uvarint decode over the raw
-// bytes. The block iterators and WAND cursors already consume plain
-// []byte posting streams, so a decoded "view" posting list whose
-// docTF/posBuf point into the mapped payload evaluates through the
-// exact same code as a heap-built one, bit-identically.
+// bytes. The block iterators and the block-max cursor already consume
+// plain []byte posting streams, so a decoded "view" posting list
+// whose docTF/posBuf point into the mapped payload evaluates through
+// the exact same code as a heap-built one, bit-identically.
 //
 // Mutability is copy-on-write with two granularities:
 //
@@ -219,17 +219,19 @@ func (ix *Index) attachShardV3(payload []byte, optsFor func(string) (FieldOption
 	return s, nil
 }
 
-// termAt decodes the term string of dictionary slot i.
-func (mf *mappedField) termAt(i int) (string, error) {
+// termAt returns the term bytes of dictionary slot i as a view into
+// the payload.
+func (mf *mappedField) termAt(i int) ([]byte, error) {
 	off := binary.LittleEndian.Uint64(mf.termDir[i*8:])
 	if off > uint64(len(mf.payload)) {
-		return "", errShardPayload
+		return nil, errShardPayload
 	}
-	br := &binReader{buf: mf.payload, off: int(off)}
-	return br.str()
+	br := binReader{buf: mf.payload, off: int(off)}
+	return br.bytes()
 }
 
-// find binary-searches the mapped term dictionary.
+// find binary-searches the mapped term dictionary. Probes compare the
+// payload bytes in place, so a lookup allocates nothing.
 func (mf *mappedField) find(term string) (slot int, ok bool) {
 	lo, hi := 0, mf.nTerms
 	for lo < hi {
@@ -239,7 +241,7 @@ func (mf *mappedField) find(term string) (slot int, ok bool) {
 			mf.ix.lazyErr()
 			return 0, false
 		}
-		if t < term {
+		if string(t) < term {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -251,7 +253,7 @@ func (mf *mappedField) find(term string) (slot int, ok bool) {
 			mf.ix.lazyErr()
 			return 0, false
 		}
-		if t == term {
+		if string(t) == term {
 			return lo, true
 		}
 	}
@@ -267,7 +269,7 @@ func (mf *mappedField) decodeSlot(i int) (*postingList, error) {
 		return nil, errShardPayload
 	}
 	br := &binReader{buf: mf.payload, off: int(off)}
-	if _, err := br.str(); err != nil { // term, already known to callers
+	if _, err := br.bytes(); err != nil { // term, already known to callers
 		return nil, err
 	}
 	l := &postingList{}
@@ -408,7 +410,7 @@ func (mf *mappedField) mappedTermNames() []string {
 			mf.ix.lazyErr()
 			break
 		}
-		names = append(names, t)
+		names = append(names, string(t))
 	}
 	mf.names.Store(&names)
 	return names

@@ -5,9 +5,9 @@ import "sync"
 // Request-scratch pooling: every transient a query evaluation needs —
 // the aggregated-statistics struct with its maps, the per-shard
 // partial-result buffers, the merge cursors, the bounded top-k heap
-// backing arrays and the block-max cursor/plan objects (wandArena in
-// wand.go) — recycles through sync.Pools instead of being reallocated
-// per request. Two rules make this safe:
+// backing arrays and the block-max cursor (topkScan in wand.go) —
+// recycles through sync.Pools instead of being reallocated per
+// request. Two rules make this safe:
 //
 //  1. Join before release. Every fan-out (runShards) returns only
 //     after all shard tasks have returned, even on a cancelled

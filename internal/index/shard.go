@@ -476,9 +476,10 @@ func (s *shard) search(ctx context.Context, q Query, st *searchStats, filters ma
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	// Streamable top-k queries take the block-max early-exit path
-	// (wand.go), which skips whole posting blocks the bounded heap's
-	// threshold rules out — same hits, same scores, same order.
+	// A top-k query over one posting list takes the block-max
+	// early-exit path (wand.go), which skips whole posting blocks the
+	// bounded heap's threshold rules out — same hits, same scores,
+	// same order.
 	if k > 0 && !s.ix.earlyExitOff.Load() {
 		if hits, ok := s.searchTopK(q, st, filters, k); ok {
 			return hits

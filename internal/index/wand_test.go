@@ -1,0 +1,47 @@
+package index
+
+import (
+	"fmt"
+	"testing"
+)
+
+// TestBlockMaxRouting pins which query shapes reach the single-cursor
+// block-max loop: only those that resolve in a shard to one (field,
+// term) posting list. Over the 12k benchmark corpus the loop always
+// skips postings for a common term, so ScanStats().Skipped grows for
+// exactly those shapes; every other shape runs on the accumulator,
+// which skips nothing. Every shape must still rank bit-identically to
+// the reference evaluator.
+func TestBlockMaxRouting(t *testing.T) {
+	ix := New(WithShards(3))
+	ix.SetFieldOptions("title", FieldOptions{Boost: 2})
+	if err := ix.AddBatch(queryBenchCorpus(queryBenchDocs)); err != nil {
+		t.Fatal(err)
+	}
+	body := []string{"body"}
+	for _, tc := range []struct {
+		name  string
+		q     Query
+		skips bool
+	}{
+		{"term", TermQuery{Field: "body", Term: "w0001"}, true},
+		{"match-one-word", MatchQuery{Fields: body, Text: "w0001"}, true},
+		{"match-two-fields", MatchQuery{Fields: []string{"title", "body"}, Text: "w0001"}, false},
+		{"match-two-terms", MatchQuery{Fields: body, Text: "w0001 w0007"}, false},
+		{"match-and", MatchQuery{Fields: body, Text: "w0001 w0007", Operator: "and"}, false},
+		{"bool", BoolQuery{Must: []Query{TermQuery{Field: "body", Term: "w0001"}}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := SearchOptions{Limit: 10}
+			before := ix.ScanStats().Skipped
+			got := ix.mustSearch(tc.q, opts)
+			if skipped := ix.ScanStats().Skipped - before; (skipped > 0) != tc.skips {
+				t.Fatalf("skipped %d postings; want skips=%v", skipped, tc.skips)
+			}
+			if len(got) == 0 {
+				t.Fatal("no hits")
+			}
+			mustEqualResults(t, fmt.Sprintf("%s top10", tc.name), got, refSearch(ix, tc.q, opts))
+		})
+	}
+}

@@ -70,6 +70,10 @@ type Client struct {
 
 	mu    sync.Mutex
 	cache map[string]cacheEntry
+	// sweepAt is the cache size at which the next insert sweeps out
+	// expired entries: twice the size the last sweep left, so the
+	// sweeps cost O(1) amortized per insert.
+	sweepAt int
 	// stats
 	calls     int
 	cacheHits int
@@ -81,10 +85,13 @@ type cacheEntry struct {
 	expires time.Time
 }
 
+// minSweep is the smallest cache size that triggers a sweep.
+const minSweep = 64
+
 // NewClient returns a service client using the given HTTP client
 // (nil means http.DefaultClient).
 func NewClient(h *http.Client) *Client {
-	return &Client{HTTP: h, now: time.Now, cache: make(map[string]cacheEntry)}
+	return &Client{HTTP: h, now: time.Now, cache: make(map[string]cacheEntry), sweepAt: minSweep}
 }
 
 // ExpandTemplate substitutes {field} placeholders from args.
@@ -135,10 +142,13 @@ func (c *Client) Call(ctx context.Context, def Definition, args map[string]strin
 	ttl := time.Duration(def.CacheTTLMS) * time.Millisecond
 	if ttl > 0 {
 		c.mu.Lock()
-		if e, ok := c.cache[key]; ok && c.now().Before(e.expires) {
-			c.cacheHits++
-			c.mu.Unlock()
-			return e.resp, nil
+		if e, ok := c.cache[key]; ok {
+			if c.now().Before(e.expires) {
+				c.cacheHits++
+				c.mu.Unlock()
+				return e.resp, nil
+			}
+			delete(c.cache, key)
 		}
 		c.mu.Unlock()
 	}
@@ -178,7 +188,18 @@ func (c *Client) Call(ctx context.Context, def Definition, args map[string]strin
 	c.mu.Lock()
 	c.calls++
 	if ttl > 0 {
-		c.cache[key] = cacheEntry{resp: resp, expires: c.now().Add(ttl)}
+		now := c.now()
+		c.cache[key] = cacheEntry{resp: resp, expires: now.Add(ttl)}
+		if len(c.cache) >= c.sweepAt {
+			// An expired entry never hits, so dropping it keeps the
+			// hit ratio and bounds the map by the keys live in one TTL.
+			for k, e := range c.cache {
+				if !now.Before(e.expires) {
+					delete(c.cache, k)
+				}
+			}
+			c.sweepAt = max(2*len(c.cache), minSweep)
+		}
 	}
 	c.mu.Unlock()
 	return resp, nil

@@ -2,6 +2,7 @@ package webservice
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -158,6 +159,48 @@ func TestCacheHitsAndExpiry(t *testing.T) {
 	if p.Requests() != first+1 {
 		t.Error("cache did not expire")
 	}
+
+	// An expired entry is deleted by the lookup that finds it, even
+	// when the refetch then fails (here: a cancelled context).
+	now = now.Add(2 * time.Second)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Call(cancelled, def, args); err == nil {
+		t.Fatal("call with a cancelled context succeeded")
+	}
+	if n := cacheLen(c); n != 0 {
+		t.Fatalf("expired entry kept after lookup: %d entries", n)
+	}
+
+	// Distinct keys that all expire are swept once the map reaches the
+	// sweep threshold, so it shrinks instead of growing per key.
+	for i := 0; i < minSweep-1; i++ {
+		if _, err := c.Call(context.Background(), def, map[string]string{"title": fmt.Sprint("old", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cacheLen(c); n != minSweep-1 {
+		t.Fatalf("cache holds %d entries before the sweep, want %d", n, minSweep-1)
+	}
+	now = now.Add(2 * time.Second)
+	if _, err := c.Call(context.Background(), def, args); err != nil {
+		t.Fatal(err)
+	}
+	if n := cacheLen(c); n != 1 {
+		t.Fatalf("cache holds %d entries after the sweep, want 1", n)
+	}
+	if _, err := c.Call(context.Background(), def, args); err != nil {
+		t.Fatal(err)
+	}
+	if _, hits := c.Stats(); hits != 2 {
+		t.Errorf("live entry did not survive the sweep: %d hits", hits)
+	}
+}
+
+func cacheLen(c *Client) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.cache)
 }
 
 func TestCacheKeyDistinguishesArgs(t *testing.T) {
