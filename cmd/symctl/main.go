@@ -107,9 +107,8 @@ func main() {
 			}
 		}
 	case "serp":
-		// A full engine results page through one statistics session:
-		// ranked hits, total count and the site facet sidebar share a
-		// single cross-shard df/avgLen aggregation.
+		// A full engine results page: ranked hits, total count and the
+		// site facet sidebar.
 		text := *q
 		if text == "" {
 			text = sc.Titles[0] + " review"

@@ -55,8 +55,7 @@ func main() {
 
 	// Ann previews how the crowd sees her niche on the general engine:
 	// one Query call renders a full results page — ranked hits, total
-	// match count and the per-site facet sidebar — through one
-	// request-scoped statistics session instead of three index passes.
+	// match count and the per-site facet sidebar.
 	page, err := p.Engine.Query(context.Background(), engine.Request{Query: sc.Titles[0] + " review", Limit: 5})
 	if err != nil {
 		log.Fatal(err)

@@ -299,21 +299,21 @@ type Stats struct {
 
 // Query answers one end-user request in full: ranked results and,
 // unless req.ResultsOnly is set, total hit count and site facets.
-// Everything runs through one index.Session, so the document
-// frequencies and field statistics of the shared query are aggregated
-// across shards once, not three times. Cancelling ctx aborts the
-// index evaluation within one posting block and returns ctx.Err().
+// A vertical's index never changes after its first-use build, so the
+// three index calls read one state; with a cache attached, the count
+// and facets take the search's document frequencies and field
+// statistics from it instead of aggregating them again. Cancelling
+// ctx aborts the index evaluation within one posting block and
+// returns ctx.Err().
 func (e *Engine) Query(ctx context.Context, req Request) (Response, error) {
 	ix, q, limit, err := e.prepare(&req)
 	if err != nil {
 		return Response{}, err
 	}
-	sess := ix.Session()
-	defer sess.Release()
 	// Over-fetch so quality/preference reordering has candidates. The
 	// candidate pool depends only on limit+offset so that paginated
 	// requests reorder a consistent set.
-	raw, err := sess.SearchContext(ctx, q, index.SearchOptions{Limit: (limit + req.Offset) * 3, SnippetField: "body"})
+	raw, err := ix.SearchContext(ctx, q, index.SearchOptions{Limit: (limit + req.Offset) * 3, SnippetField: "body"})
 	if err != nil {
 		return Response{}, err
 	}
@@ -322,10 +322,10 @@ func (e *Engine) Query(ctx context.Context, req Request) (Response, error) {
 		Stats:   Stats{Candidates: len(raw)},
 	}
 	if !req.ResultsOnly {
-		if resp.Total, err = sess.CountContext(ctx, q, nil); err != nil {
+		if resp.Total, err = ix.CountContext(ctx, q); err != nil {
 			return Response{}, err
 		}
-		if resp.SiteFacets, err = sess.FacetsContext(ctx, q, "site", nil); err != nil {
+		if resp.SiteFacets, err = ix.FacetsContext(ctx, q, "site"); err != nil {
 			return Response{}, err
 		}
 	}

@@ -242,9 +242,8 @@ func TestSearchDeterministic(t *testing.T) {
 	}
 }
 
-// TestQueryMatchesSeparateCalls: the session-backed Query must
-// return exactly what separate Search + per-call aggregation would,
-// while reusing one statistics pass.
+// TestQueryMatchesSeparateCalls: Query's page must return exactly what
+// a separate Search would, with a total and facets that agree.
 func TestQueryMatchesSeparateCalls(t *testing.T) {
 	e := newEngine(t)
 	req := Request{Query: "review", Limit: 5}

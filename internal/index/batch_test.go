@@ -161,7 +161,7 @@ func TestAddBatchDuringReshard(t *testing.T) {
 	// Every live- doc written before the final reshard completed must
 	// be present (journal replay), and the index must be internally
 	// consistent: Len equals the count of distinct IDs ever added.
-	res, err := ix.CountContext(context.Background(), MatchQuery{Fields: []string{"body"}, Text: "symphony"}, nil)
+	res, err := ix.CountContext(context.Background(), MatchQuery{Fields: []string{"body"}, Text: "symphony"})
 	if err != nil {
 		t.Fatal(err)
 	}

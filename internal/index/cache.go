@@ -2,7 +2,8 @@ package index
 
 import (
 	"container/list"
-	"sort"
+	"context"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -22,8 +23,7 @@ import (
 // AFTER they complete, so any value computed concurrently with a
 // mutation carries a stamp no post-mutation reader can present — stale
 // data dies at the bump without the mutation path ever touching the
-// cache. A pinned Session keeps presenting its creation-time stamp,
-// which is exactly its documented snapshot semantics.
+// cache.
 //
 // The cache is size-bounded (bytes, estimated) with LRU eviction, and
 // every index attached to it gets a private key namespace, so tenants
@@ -145,8 +145,8 @@ func (c *Cache) Stats() CacheStats {
 // get returns the value stored under k if its stamp matches st
 // exactly. An entry with an older stamp is dead for every future
 // reader — it is removed on sight. An entry with a newer stamp is kept
-// (the reader is a pinned session presenting an old stamp) but not
-// served.
+// (the reader captured its stamp before a mutation that a later reader
+// already cached past) but not served.
 func (c *Cache) get(k cacheKey, st Stamp) (any, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[k]
@@ -176,7 +176,8 @@ func (c *Cache) get(k cacheKey, st Stamp) (any, bool) {
 // put stores val under k with stamp st, evicting least-recently-used
 // entries to stay within budget. A value larger than the whole budget
 // is not cached. An existing entry with a newer stamp wins over the
-// incoming one (a pinned session must not clobber fresher data).
+// incoming one (a read that started before a mutation must not clobber
+// fresher data).
 func (c *Cache) put(k cacheKey, st Stamp, val any, bytes int64) {
 	bytes += entryOverhead + int64(len(k.key))
 	if bytes > c.budget {
@@ -320,25 +321,6 @@ func appendQueryKey(b []byte, q Query) ([]byte, bool) {
 	}
 }
 
-// appendFiltersKey serializes a filter map with sorted keys.
-func appendFiltersKey(b []byte, filters map[string]string) []byte {
-	b = strconv.AppendInt(b, int64(len(filters)), 10)
-	b = append(b, ';')
-	if len(filters) == 0 {
-		return b
-	}
-	keys := make([]string, 0, len(filters))
-	for k := range filters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b = appendComp(b, k)
-		b = appendComp(b, filters[k])
-	}
-	return b
-}
-
 // serpKey keys one (query, options) SERP. ok is false when the query
 // is an unknown implementation and must not be cached.
 func serpKey(q Query, opts SearchOptions) (string, bool) {
@@ -352,30 +334,23 @@ func serpKey(q Query, opts SearchOptions) (string, bool) {
 	b = strconv.AppendInt(b, int64(opts.Offset), 10)
 	b = append(b, ',')
 	b = appendComp(b, opts.SnippetField)
-	b = appendFiltersKey(b, opts.Filters)
 	return string(b), true
 }
 
-// countKey keys one (query, filters) count.
-func countKey(q Query, filters map[string]string) (string, bool) {
+// countKey keys one query's count.
+func countKey(q Query) (string, bool) {
 	b, ok := appendQueryKey(make([]byte, 0, 48), q)
-	if !ok {
-		return "", false
-	}
-	b = append(b, '|')
-	b = appendFiltersKey(b, filters)
-	return string(b), true
+	return string(b), ok
 }
 
-// facetsKey keys one (query, facet field, filters) facet table.
-func facetsKey(q Query, field string, filters map[string]string) (string, bool) {
+// facetsKey keys one (query, facet field) facet table.
+func facetsKey(q Query, field string) (string, bool) {
 	b, ok := appendQueryKey(make([]byte, 0, 48), q)
 	if !ok {
 		return "", false
 	}
 	b = append(b, '|')
 	b = appendComp(b, field)
-	b = appendFiltersKey(b, filters)
 	return string(b), true
 }
 
@@ -405,25 +380,54 @@ func facetBytes(fc []FacetCount) int64 {
 	return n
 }
 
-// copyResults returns a shallow copy of cached hits so a caller
-// appending to or reslicing its result cannot corrupt the cached
-// value. Stored maps stay shared, as they already are with the index.
-func copyResults(hits []Result) []Result {
-	if hits == nil {
-		return nil
-	}
-	out := make([]Result, len(hits))
-	copy(out, hits)
-	return out
+// --- the read path --------------------------------------------------
+
+// answerKind describes one kind of cached whole answer: its key-grammar
+// tag, its size estimate, and the copy a caller receives so that
+// appending to or reslicing its result cannot corrupt the cached value
+// (Stored maps stay shared, as they already are with the index).
+type answerKind[T any] struct {
+	kind  uint8
+	bytes func(T) int64
+	clone func(T) T
 }
 
-func copyFacets(fc []FacetCount) []FacetCount {
-	if fc == nil {
-		return nil
+var (
+	serpAnswers  = answerKind[[]Result]{kindSERP, serpBytes, slices.Clone[[]Result]}
+	countAnswers = answerKind[int]{kindCount, func(int) int64 { return 8 }, func(n int) int { return n }}
+	facetAnswers = answerKind[[]FacetCount]{kindFacets, facetBytes, slices.Clone[[]FacetCount]}
+)
+
+// read is the one read path of SearchContext, CountContext and
+// FacetsContext. It loads the shard ring and the mutation stamp once,
+// so statistics, evaluation and any cache entry belong to one layout
+// and one era. An identical request answered in that era is served
+// from the attached cache; otherwise read gathers statistics for q,
+// evaluates, and stores the answer. key runs only when a cache is
+// attached; ok=false (a query type the cache cannot key) bypasses it.
+func (a answerKind[T]) read(ctx context.Context, ix *Index, q Query, key func() (string, bool), eval func(*ring, *searchStats) (T, error)) (T, error) {
+	if err := ctx.Err(); err != nil {
+		var zero T
+		return zero, err
 	}
-	out := make([]FacetCount, len(fc))
-	copy(out, fc)
-	return out
+	r := ix.ring.Load()
+	ref := ix.cache.Load()
+	stamp := ix.stampFor(r)
+	if ref != nil {
+		if k, ok := key(); ok {
+			ck := ref.key(a.kind, k)
+			if v, hit := ref.c.get(ck, stamp); hit {
+				return a.clone(v.(T)), nil
+			}
+			v, err := eval(r, ix.gatherStats(ctx, r, ref, stamp, q))
+			if err == nil {
+				ref.c.put(ck, stamp, v, a.bytes(v))
+				v = a.clone(v)
+			}
+			return v, err
+		}
+	}
+	return eval(r, ix.gatherStats(ctx, r, ref, stamp, q))
 }
 
 // --- decoded posting lists ----------------------------------------
@@ -462,56 +466,4 @@ func cachedPostings(ref *cacheRef, st Stamp, list *postingList) *decodedList {
 	dec := decodePostings(list)
 	ref.c.put(k, st, dec, int64(len(dec.ords))*8)
 	return dec
-}
-
-// --- cached statistics aggregation --------------------------------
-
-// aggregateStatsCached is aggregateStats through the shared cache:
-// per-term document frequencies, per-field average lengths and the
-// live count are served from the cache when stamped current, and only
-// the misses pay a shard walk (whose results are then cached). With
-// ref nil it is exactly aggregateStats.
-func aggregateStatsCached(ref *cacheRef, st Stamp, r *ring, needFields map[string]bool, needTerms map[fieldTerm]bool) (int, map[string]float64, map[fieldTerm]int) {
-	if ref == nil {
-		return aggregateStats(r, needFields, needTerms)
-	}
-	avgLen := make(map[string]float64, len(needFields))
-	df := make(map[fieldTerm]int, len(needTerms))
-	missFields := make(map[string]bool)
-	missTerms := make(map[fieldTerm]bool)
-	for f := range needFields {
-		if v, ok := ref.c.get(ref.key(kindAvgLen, f), st); ok {
-			avgLen[f] = v.(float64)
-		} else {
-			missFields[f] = true
-		}
-	}
-	for ft := range needTerms {
-		if v, ok := ref.c.get(ref.key(kindDF, dfKey(ft)), st); ok {
-			df[ft] = v.(int)
-		} else {
-			missTerms[ft] = true
-		}
-	}
-	live, liveOK := 0, false
-	if v, ok := ref.c.get(ref.key(kindLive, ""), st); ok {
-		live, liveOK = v.(int), true
-	}
-	if liveOK && len(missFields) == 0 && len(missTerms) == 0 {
-		return live, avgLen, df
-	}
-	aggLive, aggAvg, aggDF := aggregateStats(r, missFields, missTerms)
-	if !liveOK {
-		live = aggLive
-		ref.c.put(ref.key(kindLive, ""), st, live, 8)
-	}
-	for f, v := range aggAvg {
-		avgLen[f] = v
-		ref.c.put(ref.key(kindAvgLen, f), st, v, 8)
-	}
-	for ft, n := range aggDF {
-		df[ft] = n
-		ref.c.put(ref.key(kindDF, dfKey(ft)), st, n, 8)
-	}
-	return live, avgLen, df
 }

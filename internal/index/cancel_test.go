@@ -65,22 +65,11 @@ func TestSearchContextPreCancelled(t *testing.T) {
 	if res, err := ix.SearchContext(ctx, q, SearchOptions{}); !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("SearchContext = %v, %v; want nil, context.Canceled", res, err)
 	}
-	if n, err := ix.CountContext(ctx, q, nil); !errors.Is(err, context.Canceled) || n != 0 {
+	if n, err := ix.CountContext(ctx, q); !errors.Is(err, context.Canceled) || n != 0 {
 		t.Fatalf("CountContext = %d, %v; want 0, context.Canceled", n, err)
 	}
-	if fc, err := ix.FacetsContext(ctx, q, "kind", nil); !errors.Is(err, context.Canceled) || fc != nil {
+	if fc, err := ix.FacetsContext(ctx, q, "kind"); !errors.Is(err, context.Canceled) || fc != nil {
 		t.Fatalf("FacetsContext = %v, %v; want nil, context.Canceled", fc, err)
-	}
-
-	sess := ix.Session()
-	if res, err := sess.SearchContext(ctx, q, SearchOptions{}); !errors.Is(err, context.Canceled) || res != nil {
-		t.Fatalf("Session.SearchContext = %v, %v; want nil, context.Canceled", res, err)
-	}
-	if n, err := sess.CountContext(ctx, q, nil); !errors.Is(err, context.Canceled) || n != 0 {
-		t.Fatalf("Session.CountContext = %d, %v; want 0, context.Canceled", n, err)
-	}
-	if fc, err := sess.FacetsContext(ctx, q, "kind", nil); !errors.Is(err, context.Canceled) || fc != nil {
-		t.Fatalf("Session.FacetsContext = %v, %v; want nil, context.Canceled", fc, err)
 	}
 }
 
@@ -97,7 +86,7 @@ func TestCancelStopsWithinOneBlock(t *testing.T) {
 	s := r.shards[0]
 
 	q := TermQuery{Field: "body", Term: "foo"}
-	st := ix.gatherStats(context.Background(), r, q)
+	st := ix.gatherStats(context.Background(), r, nil, ix.stampFor(r), q)
 	st.done = closedCh
 
 	s.mu.RLock()
@@ -217,7 +206,7 @@ func TestReshardContextCancelled(t *testing.T) {
 	if got := ix.NumShards(); got != 4 {
 		t.Fatalf("NumShards = %d; want 4", got)
 	}
-	n, err := ix.CountContext(context.Background(), TermQuery{Field: "body", Term: "foo"}, nil)
+	n, err := ix.CountContext(context.Background(), TermQuery{Field: "body", Term: "foo"})
 	if err != nil {
 		t.Fatal(err)
 	}

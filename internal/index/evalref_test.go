@@ -22,14 +22,14 @@ func refSearch(ix *Index, q Query, opts SearchOptions) []Result {
 		q = AllQuery{}
 	}
 	r := ix.ring.Load()
-	st := ix.gatherStats(context.Background(), r, q)
+	st := ix.gatherStats(context.Background(), r, nil, ix.stampFor(r), q)
 	want := 0
 	if opts.Limit > 0 {
 		want = opts.Offset + opts.Limit
 	}
 	parts := make([][]shardHit, len(r.shards))
 	eachShard(r, func(i int, s *shard) {
-		parts[i] = refSearchShard(s, q, st, opts.Filters, want)
+		parts[i] = refSearchShard(s, q, st, want)
 	})
 	merged := mergeHits(r.shards, parts, want)
 	if opts.Offset > 0 {
@@ -48,18 +48,17 @@ func refSearch(ix *Index, q Query, opts SearchOptions) []Result {
 	return hits
 }
 
-func refCount(ix *Index, q Query, filters map[string]string) int {
+func refCount(ix *Index, q Query) int {
 	if q == nil {
 		q = AllQuery{}
 	}
 	r := ix.ring.Load()
-	st := ix.gatherStats(context.Background(), r, q)
+	st := ix.gatherStats(context.Background(), r, nil, ix.stampFor(r), q)
 	n := 0
 	for _, s := range r.shards {
 		s.mu.RLock()
 		for ord := range refEval(q, s, st) {
-			doc := s.docAt(ord)
-			if doc.ID != "" && matchFilters(doc, filters) {
+			if s.docAt(ord).ID != "" {
 				n++
 			}
 		}
@@ -68,19 +67,19 @@ func refCount(ix *Index, q Query, filters map[string]string) int {
 	return n
 }
 
-func refFacets(ix *Index, q Query, field string, filters map[string]string) []FacetCount {
+func refFacets(ix *Index, q Query, field string) []FacetCount {
 	if q == nil {
 		q = AllQuery{}
 	}
 	r := ix.ring.Load()
-	st := ix.gatherStats(context.Background(), r, q)
+	st := ix.gatherStats(context.Background(), r, nil, ix.stampFor(r), q)
 	parts := make([]map[string]int, 0, len(r.shards))
 	for _, s := range r.shards {
 		s.mu.RLock()
 		counts := make(map[string]int)
 		for ord := range refEval(q, s, st) {
 			doc := s.docAt(ord)
-			if doc.ID == "" || !matchFilters(doc, filters) {
+			if doc.ID == "" {
 				continue
 			}
 			if v := doc.Stored[field]; v != "" {
@@ -95,7 +94,7 @@ func refFacets(ix *Index, q Query, field string, filters map[string]string) []Fa
 
 // refSearchShard is the old shard.search: score everything, sort
 // everything, truncate.
-func refSearchShard(s *shard, q Query, st *searchStats, filters map[string]string, cap int) []shardHit {
+func refSearchShard(s *shard, q Query, st *searchStats, cap int) []shardHit {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	scores := refEval(q, s, st)
@@ -103,9 +102,6 @@ func refSearchShard(s *shard, q Query, st *searchStats, filters map[string]strin
 	for ord, score := range scores {
 		doc := s.docAt(ord)
 		if doc.ID == "" {
-			continue
-		}
-		if !matchFilters(doc, filters) {
 			continue
 		}
 		hits = append(hits, shardHit{ord: ord, res: Result{ID: doc.ID, Score: score, Stored: doc.Stored}})

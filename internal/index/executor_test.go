@@ -67,7 +67,7 @@ func TestExecutorNoGoroutineLeak(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%5)*100*time.Microsecond)
 				ix.SearchContext(ctx, q, SearchOptions{Limit: 10})
-				ix.CountContext(ctx, q, nil)
+				ix.CountContext(ctx, q)
 				cancel()
 			}
 		}(g)
@@ -158,10 +158,10 @@ func TestRunShardsCancelledGenCheck(t *testing.T) {
 	if _, err := ix.SearchContext(ctx, MatchQuery{Text: "common zelda"}, SearchOptions{Limit: 10}); err == nil {
 		t.Fatal("cancelled search returned nil error")
 	}
-	if _, err := ix.CountContext(ctx, MatchQuery{Text: "common"}, nil); err == nil {
+	if _, err := ix.CountContext(ctx, MatchQuery{Text: "common"}); err == nil {
 		t.Fatal("cancelled count returned nil error")
 	}
-	if _, err := ix.FacetsContext(ctx, MatchQuery{Text: "common"}, "parity", nil); err == nil {
+	if _, err := ix.FacetsContext(ctx, MatchQuery{Text: "common"}, "parity"); err == nil {
 		t.Fatal("cancelled facets returned nil error")
 	}
 	// And a healthy query right after is unaffected by the cancelled

@@ -16,34 +16,16 @@ type FacetCount struct {
 // before sorting, so counts are exact across shard boundaries.
 // Cancelling ctx stops evaluation within one posting block per shard
 // and returns ctx.Err().
-func (ix *Index) FacetsContext(ctx context.Context, q Query, field string, filters map[string]string) ([]FacetCount, error) {
+func (ix *Index) FacetsContext(ctx context.Context, q Query, field string) ([]FacetCount, error) {
 	if q == nil {
 		q = AllQuery{}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r := ix.ring.Load()
-	ref := ix.cache.Load()
-	st := ix.stampFor(r)
-	if ref != nil {
-		if key, ok := facetsKey(q, field, filters); ok {
-			ck := ref.key(kindFacets, key)
-			if v, ok := ref.c.get(ck, st); ok {
-				return copyFacets(v.([]FacetCount)), nil
-			}
-			fc, err := ix.facetsWith(ctx, r, ix.gatherStats(ctx, r, q), q, field, filters)
-			if err != nil {
-				return nil, err
-			}
-			ref.c.put(ck, st, fc, facetBytes(fc))
-			return copyFacets(fc), nil
-		}
-	}
-	return ix.facetsWith(ctx, r, ix.gatherStats(ctx, r, q), q, field, filters)
+	return facetAnswers.read(ctx, ix, q,
+		func() (string, bool) { return facetsKey(q, field) },
+		func(r *ring, st *searchStats) ([]FacetCount, error) { return ix.facetsWith(ctx, r, st, q, field) })
 }
 
-func (ix *Index) facetsWith(ctx context.Context, r *ring, st *searchStats, q Query, field string, filters map[string]string) ([]FacetCount, error) {
+func (ix *Index) facetsWith(ctx context.Context, r *ring, st *searchStats, q Query, field string) ([]FacetCount, error) {
 	defer putSearchStats(st)
 	parts := facetPartsPool.get(len(r.shards))
 	defer facetPartsPool.put(parts)
@@ -52,7 +34,7 @@ func (ix *Index) facetsWith(ctx context.Context, r *ring, st *searchStats, q Que
 		if st.gen.Load() != gen {
 			return
 		}
-		parts[i] = s.facets(ctx, q, st, field, filters)
+		parts[i] = s.facets(ctx, q, st, field)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err

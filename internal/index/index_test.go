@@ -167,19 +167,23 @@ func TestBoolQueryShouldOnly(t *testing.T) {
 
 func TestAllQueryAndFilters(t *testing.T) {
 	ix := sampleIndex(t)
-	rs := ix.mustSearch(AllQuery{}, SearchOptions{Filters: map[string]string{"producer": "Nintendo"}})
-	if len(rs) != 2 {
-		t.Fatalf("filter producer=Nintendo = %v", ids(rs))
+	if rs := ix.mustSearch(AllQuery{}, SearchOptions{}); len(rs) != 4 {
+		t.Fatalf("all = %v", ids(rs))
+	}
+	// A restriction is a filter-only clause next to the AllQuery.
+	q := BoolQuery{Must: []Query{AllQuery{}, TermQuery{Field: "title", Term: "zelda"}}}
+	if rs := ix.mustSearch(q, SearchOptions{}); len(rs) != 2 {
+		t.Fatalf("all restricted to title:zelda = %v", ids(rs))
 	}
 }
 
 func TestCount(t *testing.T) {
 	ix := sampleIndex(t)
-	if n := ix.mustCount(MatchQuery{Text: "game"}, nil); n != 4 {
+	if n := ix.mustCount(MatchQuery{Text: "game"}); n != 4 {
 		t.Fatalf("Count(game) = %d", n)
 	}
-	if n := ix.mustCount(nil, map[string]string{"producer": "Epic"}); n != 1 {
-		t.Fatalf("Count(producer=Epic) = %d", n)
+	if n := ix.mustCount(nil); n != 4 {
+		t.Fatalf("Count(nil) = %d", n)
 	}
 }
 
@@ -370,7 +374,7 @@ func TestPropertySearchFindsAdded(t *testing.T) {
 				return false
 			}
 		}
-		return ix.mustCount(MatchQuery{Text: "shared"}, nil) == n &&
+		return ix.mustCount(MatchQuery{Text: "shared"}) == n &&
 			len(ix.mustSearch(MatchQuery{Text: "shared"}, SearchOptions{})) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

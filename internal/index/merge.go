@@ -149,20 +149,23 @@ func (st *searchStats) analyzedToks(fp *fieldPostings, field, raw string) []text
 	return fp.opts.Analyzer.Analyze(raw)
 }
 
-// gatherStats walks q to find every (field, term) pair it will score,
-// then makes one pass over r's shards summing live counts, field
-// lengths and document frequencies. Integer sums are exact, so the
-// derived floats are bit-identical for any shard count. The ring is
-// supplied by the caller so statistics and evaluation read the same
-// layout generation even if a reshard swaps rings mid-request. The
-// context's Done channel is carried into the stats so every
-// evaluation loop downstream can poll for cancellation.
-func (ix *Index) gatherStats(ctx context.Context, r *ring, q Query) *searchStats {
+// gatherStats walks q to find every (field, term) pair it will score
+// and fills a pooled searchStats with what scoring them needs: the live
+// doc count, the fields' average lengths and the terms' document
+// frequencies. With a cache attached, values stamped in this era are
+// served from it, and only the misses pay a pass over r's shards, whose
+// results are then cached. The pass holds one shard lock at a time,
+// never nested, and sums integers, so the derived floats are
+// bit-identical for any shard count. The ring is supplied by the caller
+// so statistics and evaluation read the same layout generation even if
+// a reshard swaps rings mid-request. The context's Done channel is
+// carried into the stats so every evaluation loop downstream can poll
+// for cancellation.
+func (ix *Index) gatherStats(ctx context.Context, r *ring, ref *cacheRef, stamp Stamp, q Query) *searchStats {
 	st := getSearchStats()
 	st.done = ctx.Done()
 	st.ranker, st.k1, st.b = ix.scoringParams()
-	st.cref = ix.cache.Load()
-	st.stamp = ix.stampFor(r)
+	st.cref, st.stamp = ref, stamp
 	need := st.need
 	ix.collectTerms(q, need, st)
 	if len(need) == 0 {
@@ -174,40 +177,29 @@ func (ix *Index) gatherStats(ctx context.Context, r *ring, q Query) *searchStats
 	for ft := range need {
 		needFields[ft.field] = true
 	}
-	if st.cref == nil {
-		// No cache attached: aggregate straight into the pooled stats
-		// maps, no intermediates.
-		st.live = aggregateStatsInto(r, needFields, need, st.avgLen, st.df)
-		return st
+	liveOK := false
+	if ref != nil {
+		// need and needFields are pooled working maps: dropping what
+		// the cache answers leaves exactly the misses in them.
+		for f := range needFields {
+			if v, ok := ref.c.get(ref.key(kindAvgLen, f), stamp); ok {
+				st.avgLen[f] = v.(float64)
+				delete(needFields, f)
+			}
+		}
+		for ft := range need {
+			if v, ok := ref.c.get(ref.key(kindDF, dfKey(ft)), stamp); ok {
+				st.df[ft] = v.(int)
+				delete(need, ft)
+			}
+		}
+		if v, ok := ref.c.get(ref.key(kindLive, ""), stamp); ok {
+			st.live, liveOK = v.(int), true
+		}
+		if liveOK && len(needFields) == 0 && len(need) == 0 {
+			return st
+		}
 	}
-	live, avgLen, df := aggregateStatsCached(st.cref, st.stamp, r, needFields, need)
-	st.live = live
-	for f, v := range avgLen {
-		st.avgLen[f] = v
-	}
-	for ft, n := range df {
-		st.df[ft] = n
-	}
-	return st
-}
-
-// aggregateStats makes one pass over the ring's shards — one shard
-// lock at a time, never nested — summing the live doc count, the
-// requested fields' total lengths and doc counts, and the requested
-// terms' document frequencies. avgLen has an entry only for fields
-// some shard actually carries, mirroring the scoring fallback to 1.
-func aggregateStats(r *ring, needFields map[string]bool, needTerms map[fieldTerm]bool) (live int, avgLen map[string]float64, df map[fieldTerm]int) {
-	avgLen = make(map[string]float64, len(needFields))
-	df = make(map[fieldTerm]int, len(needTerms))
-	live = aggregateStatsInto(r, needFields, needTerms, avgLen, df)
-	return live, avgLen, df
-}
-
-// aggregateStatsInto is aggregateStats writing into caller-supplied
-// maps (typically a pooled searchStats'), so the uncached aggregation
-// path allocates nothing. avgLen gets an entry only for fields some
-// shard actually carries, mirroring the scoring fallback to 1.
-func aggregateStatsInto(r *ring, needFields map[string]bool, needTerms map[fieldTerm]bool, avgLen map[string]float64, df map[fieldTerm]int) (live int) {
 	// The handful of requested fields makes a linear-scanned slice
 	// cheaper than a map — and allocation-free at steady state.
 	type lenAcc struct {
@@ -218,13 +210,9 @@ func aggregateStatsInto(r *ring, needFields map[string]bool, needTerms map[field
 	var accBuf [8]lenAcc
 	acc := accBuf[:0]
 	for f := range needFields {
-		if len(acc) == cap(acc) {
-			acc = append(acc, lenAcc{field: f})
-			continue
-		}
-		acc = acc[:len(acc)+1]
-		acc[len(acc)-1] = lenAcc{field: f}
+		acc = append(acc, lenAcc{field: f})
 	}
+	live := 0
 	for _, s := range r.shards {
 		s.mu.RLock()
 		live += s.live
@@ -235,31 +223,46 @@ func aggregateStatsInto(r *ring, needFields map[string]bool, needTerms map[field
 				acc[i].present = true
 			}
 		}
-		for ft := range needTerms {
-			df[ft] += s.liveDFLocked(ft.field, ft.term)
+		for ft := range need {
+			st.df[ft] += s.liveDFLocked(ft.field, ft.term)
 		}
 		s.mu.RUnlock()
 	}
+	// avgLen gets an entry only for fields some shard actually
+	// carries, mirroring the scoring fallback to 1.
 	for i := range acc {
 		if !acc[i].present {
 			continue
 		}
+		v := 1.0
 		if acc[i].docCount > 0 {
-			avgLen[acc[i].field] = float64(acc[i].totalLen) / float64(acc[i].docCount)
-		} else {
-			avgLen[acc[i].field] = 1
+			v = float64(acc[i].totalLen) / float64(acc[i].docCount)
+		}
+		st.avgLen[acc[i].field] = v
+		if ref != nil {
+			ref.c.put(ref.key(kindAvgLen, acc[i].field), stamp, v, 8)
 		}
 	}
-	return live
+	if ref != nil {
+		for ft := range need {
+			ref.c.put(ref.key(kindDF, dfKey(ft)), stamp, st.df[ft], 8)
+		}
+	}
+	if !liveOK {
+		st.live = live
+		if ref != nil {
+			ref.c.put(ref.key(kindLive, ""), stamp, live, 8)
+		}
+	}
+	return st
 }
 
 // collectTerms records every (field, analyzed term) pair q scores and
 // fills st's analysis caches so shard evaluation never re-runs an
-// analyzer under a shard lock. Pre-seeded cache entries (a Session
-// reusing a previous query's analysis) are honored instead of
-// re-analyzing. Analysis uses the index-level field registry, which
-// SetFieldOptions keeps in lockstep with every shard's per-field
-// options.
+// analyzer under a shard lock. Text that appears twice in q (the same
+// words under several Bool clauses) is analyzed once. Analysis uses
+// the index-level field registry, which SetFieldOptions keeps in
+// lockstep with every shard's per-field options.
 func (ix *Index) collectTerms(q Query, need map[fieldTerm]bool, st *searchStats) {
 	switch t := q.(type) {
 	case MatchQuery:

@@ -72,12 +72,12 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 						name, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
 				}
 			}
-			if wc, gc := fresh.mustCount(q, nil), restored.mustCount(q, nil); wc != gc {
+			if wc, gc := fresh.mustCount(q), restored.mustCount(q); wc != gc {
 				t.Fatalf("%s: Count %d, want %d", name, gc, wc)
 			}
 		}
-		wantFacets := fresh.mustFacets(MatchQuery{Text: "zelda"}, "producer", nil)
-		gotFacets := restored.mustFacets(MatchQuery{Text: "zelda"}, "producer", nil)
+		wantFacets := fresh.mustFacets(MatchQuery{Text: "zelda"}, "producer")
+		gotFacets := restored.mustFacets(MatchQuery{Text: "zelda"}, "producer")
 		if fmt.Sprint(wantFacets) != fmt.Sprint(gotFacets) {
 			t.Fatalf("facets = %v, want %v", gotFacets, wantFacets)
 		}

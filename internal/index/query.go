@@ -79,9 +79,6 @@ type SearchOptions struct {
 	// SnippetField, when non-empty, generates a highlighted snippet
 	// from that field for each hit using the query's match terms.
 	SnippetField string
-	// Filters restricts hits to documents whose stored field equals
-	// the given value (e.g. site:"ign.com"). Applied post-scoring.
-	Filters map[string]string
 }
 
 // SearchContext evaluates q and returns ranked results. Evaluation
@@ -99,27 +96,9 @@ func (ix *Index) SearchContext(ctx context.Context, q Query, opts SearchOptions)
 	if q == nil {
 		q = AllQuery{}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r := ix.ring.Load()
-	ref := ix.cache.Load()
-	st := ix.stampFor(r)
-	if ref != nil {
-		if key, ok := serpKey(q, opts); ok {
-			ck := ref.key(kindSERP, key)
-			if v, ok := ref.c.get(ck, st); ok {
-				return copyResults(v.([]Result)), nil
-			}
-			hits, err := ix.searchWith(ctx, r, ix.gatherStats(ctx, r, q), q, opts)
-			if err != nil {
-				return nil, err
-			}
-			ref.c.put(ck, st, hits, serpBytes(hits))
-			return copyResults(hits), nil
-		}
-	}
-	return ix.searchWith(ctx, r, ix.gatherStats(ctx, r, q), q, opts)
+	return serpAnswers.read(ctx, ix, q,
+		func() (string, bool) { return serpKey(q, opts) },
+		func(r *ring, st *searchStats) ([]Result, error) { return ix.searchWith(ctx, r, st, q, opts) })
 }
 
 func (ix *Index) searchWith(ctx context.Context, r *ring, st *searchStats, q Query, opts SearchOptions) ([]Result, error) {
@@ -144,7 +123,7 @@ func (ix *Index) searchWith(ctx context.Context, r *ring, st *searchStats, q Que
 		if st.gen.Load() != gen {
 			return
 		}
-		parts[i] = s.search(ctx, q, st, opts.Filters, want)
+		parts[i] = s.search(ctx, q, st, want)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -175,36 +154,18 @@ func (ix *Index) searchWith(ctx context.Context, r *ring, st *searchStats, q Que
 	return hits, nil
 }
 
-// CountContext returns how many live documents match q with the
-// filters, honoring ctx like SearchContext.
-func (ix *Index) CountContext(ctx context.Context, q Query, filters map[string]string) (int, error) {
+// CountContext returns how many live documents match q, honoring ctx
+// like SearchContext.
+func (ix *Index) CountContext(ctx context.Context, q Query) (int, error) {
 	if q == nil {
 		q = AllQuery{}
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	r := ix.ring.Load()
-	ref := ix.cache.Load()
-	st := ix.stampFor(r)
-	if ref != nil {
-		if key, ok := countKey(q, filters); ok {
-			ck := ref.key(kindCount, key)
-			if v, ok := ref.c.get(ck, st); ok {
-				return v.(int), nil
-			}
-			n, err := ix.countWith(ctx, r, ix.gatherStats(ctx, r, q), q, filters)
-			if err != nil {
-				return 0, err
-			}
-			ref.c.put(ck, st, n, 8)
-			return n, nil
-		}
-	}
-	return ix.countWith(ctx, r, ix.gatherStats(ctx, r, q), q, filters)
+	return countAnswers.read(ctx, ix, q,
+		func() (string, bool) { return countKey(q) },
+		func(r *ring, st *searchStats) (int, error) { return ix.countWith(ctx, r, st, q) })
 }
 
-func (ix *Index) countWith(ctx context.Context, r *ring, st *searchStats, q Query, filters map[string]string) (int, error) {
+func (ix *Index) countWith(ctx context.Context, r *ring, st *searchStats, q Query) (int, error) {
 	defer putSearchStats(st)
 	counts := countsPool.get(len(r.shards))
 	defer countsPool.put(counts)
@@ -213,7 +174,7 @@ func (ix *Index) countWith(ctx context.Context, r *ring, st *searchStats, q Quer
 		if st.gen.Load() != gen {
 			return
 		}
-		counts[i] = s.count(ctx, q, st, filters)
+		counts[i] = s.count(ctx, q, st)
 	})
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -223,15 +184,6 @@ func (ix *Index) countWith(ctx context.Context, r *ring, st *searchStats, q Quer
 		n += c
 	}
 	return n, nil
-}
-
-func matchFilters(doc Document, filters map[string]string) bool {
-	for f, want := range filters {
-		if doc.Stored[f] != want {
-			return false
-		}
-	}
-	return true
 }
 
 func (AllQuery) eval(s *shard, st *searchStats, out *accum) {

@@ -91,7 +91,7 @@ func BenchmarkQuery(b *testing.B) {
 	b.Run("facets", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if fc := ix.mustFacets(MatchQuery{Text: "w0001"}, "producer", nil); len(fc) == 0 {
+			if fc := ix.mustFacets(MatchQuery{Text: "w0001"}, "producer"); len(fc) == 0 {
 				b.Fatal("no facets")
 			}
 		}
@@ -104,20 +104,8 @@ func BenchmarkQuery(b *testing.B) {
 		q := MatchQuery{Text: "w0001 w0007 saga"}
 		for i := 0; i < b.N; i++ {
 			ix.mustSearch(q, SearchOptions{Limit: 10})
-			ix.mustCount(q, nil)
-			ix.mustFacets(q, "producer", nil)
-		}
-	})
-	// serp-session is the same page through one request-scoped
-	// Session: the df/avgLen aggregation runs once instead of thrice.
-	b.Run("serp-session", func(b *testing.B) {
-		b.ReportAllocs()
-		q := MatchQuery{Text: "w0001 w0007 saga"}
-		for i := 0; i < b.N; i++ {
-			sess := ix.Session()
-			sess.mustSearch(q, SearchOptions{Limit: 10})
-			sess.mustCount(q, nil)
-			sess.mustFacets(q, "producer", nil)
+			ix.mustCount(q)
+			ix.mustFacets(q, "producer")
 		}
 	})
 }
@@ -182,8 +170,8 @@ func BenchmarkQueryCache(b *testing.B) {
 	q := MatchQuery{Text: "w0001 w0007 saga"}
 	serp := func() {
 		ix.mustSearch(q, SearchOptions{Limit: 10})
-		ix.mustCount(q, nil)
-		ix.mustFacets(q, "producer", nil)
+		ix.mustCount(q)
+		ix.mustFacets(q, "producer")
 	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()

@@ -12,7 +12,7 @@ import (
 
 // TestReshardEquivalence walks an index through the shard-count
 // transitions 1→3→5→2 and pins, after every transition, the full
-// query suite (search with pagination and filters, counts, facets)
+// query suite (search with pagination, counts, facets)
 // float-equal to both the reference evaluator and a freshly built
 // index at that count — extending the eval_equiv harness across
 // reshard transitions.
@@ -38,17 +38,16 @@ func TestReshardEquivalence(t *testing.T) {
 				{},
 				{Limit: 10},
 				{Limit: 10, Offset: 7},
-				{Limit: 5, Filters: map[string]string{"producer": "Epic"}},
 			}
 			for i, o := range opts {
 				got := ix.mustSearch(q, o)
 				mustEqualResults(t, fmt.Sprintf("%s ref opts%d", label, i), got, refSearch(ix, q, o))
 				mustEqualResults(t, fmt.Sprintf("%s fresh opts%d", label, i), got, fresh.mustSearch(q, o))
 			}
-			if got, want := ix.mustCount(q, nil), fresh.mustCount(q, nil); got != want {
+			if got, want := ix.mustCount(q), fresh.mustCount(q); got != want {
 				t.Fatalf("%s: Count %d, want %d", label, got, want)
 			}
-			gotF, wantF := ix.mustFacets(q, "producer", nil), fresh.mustFacets(q, "producer", nil)
+			gotF, wantF := ix.mustFacets(q, "producer"), fresh.mustFacets(q, "producer")
 			if fmt.Sprint(gotF) != fmt.Sprint(wantF) {
 				t.Fatalf("%s: facets %v, want %v", label, gotF, wantF)
 			}
@@ -145,7 +144,7 @@ func TestReshardReadersBitIdenticalDuringMigration(t *testing.T) {
 	ix := equivCorpus(t, 2)
 	q := MatchQuery{Text: "zelda strategy"}
 	baseline := ix.mustSearch(q, SearchOptions{Limit: 20})
-	baseCount := ix.mustCount(q, nil)
+	baseCount := ix.mustCount(q)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -171,7 +170,7 @@ func TestReshardReadersBitIdenticalDuringMigration(t *testing.T) {
 						return
 					}
 				}
-				if ix.mustCount(q, nil) != baseCount {
+				if ix.mustCount(q) != baseCount {
 					failed.Store(true)
 					return
 				}
@@ -190,7 +189,7 @@ func TestReshardReadersBitIdenticalDuringMigration(t *testing.T) {
 	}
 }
 
-// TestReshardTorture races concurrent Add/Delete/Search/Session
+// TestReshardTorture races concurrent Add/Delete/Search/Count
 // traffic against a sequence of reshards under the race detector,
 // then quiesces and pins the surviving state float-equal to a fresh
 // build of the same live documents — no write may be lost or
@@ -240,9 +239,8 @@ func TestReshardTorture(t *testing.T) {
 			default:
 			}
 			ix.mustSearch(q, SearchOptions{Limit: 10})
-			sess := ix.Session()
-			sess.mustSearch(q, SearchOptions{Limit: 5})
-			sess.mustCount(q, nil)
+			ix.mustSearch(q, SearchOptions{Limit: 5})
+			ix.mustCount(q)
 		}
 	}()
 

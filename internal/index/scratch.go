@@ -108,9 +108,3 @@ var (
 func getShardHits() []shardHit { return shardHitsPool.get(0) }
 
 func putShardHits(h []shardHit) { shardHitsPool.put(h) }
-
-// sessionPool recycles Session structs with their memo maps; see
-// Session.Release in session.go.
-var sessionPool = sync.Pool{New: func() any { return newSession() }}
-
-func getSession() *Session { return sessionPool.Get().(*Session) }

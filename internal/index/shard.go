@@ -470,7 +470,7 @@ type shardHit struct {
 // A cancelled ctx skips the shard entirely; cancellation mid-eval is
 // caught by the stride polls inside the eval loops, and the caller
 // (searchWith) discards every partial once any poll has fired.
-func (s *shard) search(ctx context.Context, q Query, st *searchStats, filters map[string]string, k int) []shardHit {
+func (s *shard) search(ctx context.Context, q Query, st *searchStats, k int) []shardHit {
 	if ctx.Err() != nil {
 		return nil
 	}
@@ -481,7 +481,7 @@ func (s *shard) search(ctx context.Context, q Query, st *searchStats, filters ma
 	// bounded heap's threshold rules out — same hits, same scores,
 	// same order.
 	if k > 0 && !s.ix.earlyExitOff.Load() {
-		if hits, ok := s.searchTopK(q, st, filters, k); ok {
+		if hits, ok := s.searchTopK(q, st, k); ok {
 			return hits
 		}
 	}
@@ -492,7 +492,7 @@ func (s *shard) search(ctx context.Context, q Query, st *searchStats, filters ma
 		return nil
 	}
 	if k > 0 {
-		return s.topKLocked(acc, filters, k)
+		return s.topKLocked(acc, k)
 	}
 	hits := getShardHits()
 	for ord, seen := range acc.seen {
@@ -500,7 +500,7 @@ func (s *shard) search(ctx context.Context, q Query, st *searchStats, filters ma
 			continue
 		}
 		doc := s.docAt(ord)
-		if doc.ID == "" || !matchFilters(doc, filters) {
+		if doc.ID == "" {
 			continue
 		}
 		hits = append(hits, shardHit{ord: ord, res: Result{ID: doc.ID, Score: acc.scores[ord], Stored: doc.Stored}})
@@ -533,7 +533,7 @@ func cmpShardHits(a, b shardHit) int {
 // even built. (score, ID) is a total order — IDs are unique — so the
 // selected set and final sort are identical to sorting every match
 // and truncating.
-func (s *shard) topKLocked(acc *accum, filters map[string]string, k int) []shardHit {
+func (s *shard) topKLocked(acc *accum, k int) []shardHit {
 	h := &topkHeap{k: k, h: getShardHits()}
 	for ord, seen := range acc.seen {
 		if !seen {
@@ -542,7 +542,7 @@ func (s *shard) topKLocked(acc *accum, filters map[string]string, k int) []shard
 		if !s.liveAt(ord) {
 			continue
 		}
-		h.offer(s, ord, acc.scores[ord], filters)
+		h.offer(s, ord, acc.scores[ord])
 	}
 	return h.sorted()
 }
@@ -562,16 +562,11 @@ func (t *topkHeap) full() bool { return len(t.h) == t.k }
 // first — with fewer than k hits every candidate must be evaluated.
 func (t *topkHeap) threshold() float64 { return t.h[0].res.Score }
 
-// offer considers the live document at ord with score sc. The
-// cannot-place rejection runs before the filter check, exactly as the
-// original loop ordered them.
-func (t *topkHeap) offer(s *shard, ord int, sc float64, filters map[string]string) {
+// offer considers the live document at ord with score sc.
+func (t *topkHeap) offer(s *shard, ord int, sc float64) {
 	doc := s.docAt(ord)
 	// ranksBelow: (sc, id) orders after the heap root, i.e. is worse.
 	if t.full() && (sc < t.h[0].res.Score || (sc == t.h[0].res.Score && doc.ID > t.h[0].res.ID)) {
-		return
-	}
-	if !matchFilters(doc, filters) {
 		return
 	}
 	hit := shardHit{ord: ord, res: Result{ID: doc.ID, Score: sc, Stored: doc.Stored}}
@@ -625,9 +620,10 @@ func siftDown(h []shardHit, i int) {
 	}
 }
 
-// count returns how many live documents in this shard match q with the
-// filters.
-func (s *shard) count(ctx context.Context, q Query, st *searchStats, filters map[string]string) int {
+// count returns how many live documents in this shard match q. It
+// tests liveness only: on an unmaterialized mapped shard, decoding
+// each match's doc entry would cost allocations per match.
+func (s *shard) count(ctx context.Context, q Query, st *searchStats) int {
 	if ctx.Err() != nil {
 		return 0
 	}
@@ -638,10 +634,7 @@ func (s *shard) count(ctx context.Context, q Query, st *searchStats, filters map
 	q.eval(s, st, acc)
 	n := 0
 	for ord, seen := range acc.seen {
-		if !seen {
-			continue
-		}
-		if doc := s.docAt(ord); doc.ID != "" && matchFilters(doc, filters) {
+		if seen && s.liveAt(ord) {
 			n++
 		}
 	}
@@ -650,7 +643,7 @@ func (s *shard) count(ctx context.Context, q Query, st *searchStats, filters map
 
 // facets returns this shard's stored-field value counts for docs
 // matching q.
-func (s *shard) facets(ctx context.Context, q Query, st *searchStats, field string, filters map[string]string) map[string]int {
+func (s *shard) facets(ctx context.Context, q Query, st *searchStats, field string) map[string]int {
 	if ctx.Err() != nil {
 		return nil
 	}
@@ -665,7 +658,7 @@ func (s *shard) facets(ctx context.Context, q Query, st *searchStats, field stri
 			continue
 		}
 		doc := s.docAt(ord)
-		if doc.ID == "" || !matchFilters(doc, filters) {
+		if doc.ID == "" {
 			continue
 		}
 		if v := doc.Stored[field]; v != "" {

@@ -70,7 +70,7 @@ func TestWithShardsEquivalence(t *testing.T) {
 						n, name, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
 				}
 			}
-			if bc, sc := base.mustCount(q, nil), sharded.mustCount(q, nil); bc != sc {
+			if bc, sc := base.mustCount(q), sharded.mustCount(q); bc != sc {
 				t.Fatalf("shards=%d %s: Count %d, want %d", n, name, sc, bc)
 			}
 		}
@@ -109,7 +109,7 @@ func TestWithShards1PreRefactorRanking(t *testing.T) {
 func TestCrossShardFacetsSummation(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		ix := shardCorpus(t, WithShards(n))
-		got := ix.mustFacets(AllQuery{}, "producer", nil)
+		got := ix.mustFacets(AllQuery{}, "producer")
 		if len(got) != 3 {
 			t.Fatalf("shards=%d facets = %v", n, got)
 		}
@@ -124,7 +124,7 @@ func TestCrossShardFacetsSummation(t *testing.T) {
 			t.Fatalf("shards=%d facet total = %d, want 60", n, total)
 		}
 		// Restricted query: every third doc mentions zelda.
-		zelda := ix.mustFacets(MatchQuery{Text: "zelda"}, "producer", nil)
+		zelda := ix.mustFacets(MatchQuery{Text: "zelda"}, "producer")
 		zTotal := 0
 		for _, f := range zelda {
 			zTotal += f.N
@@ -166,7 +166,7 @@ func TestDeleteCompactNonZeroShard(t *testing.T) {
 	if df := ix.DocFreq("body", "rarestterm"); df != 0 {
 		t.Fatalf("post-compact df = %d", df)
 	}
-	for _, f := range ix.mustFacets(nil, "kind", nil) {
+	for _, f := range ix.mustFacets(nil, "kind") {
 		if f.Value == "victim" {
 			t.Fatalf("deleted doc still faceted: %v", f)
 		}
@@ -248,8 +248,8 @@ func TestShardedConcurrentMixedOps(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				ix.mustSearch(MatchQuery{Text: "platform"}, SearchOptions{Limit: 10, SnippetField: "body"})
-				ix.mustFacets(MatchQuery{Text: "sharded"}, "w", nil)
-				ix.mustCount(AllQuery{}, nil)
+				ix.mustFacets(MatchQuery{Text: "sharded"}, "w")
+				ix.mustCount(AllQuery{})
 			}
 		}()
 	}

@@ -15,40 +15,16 @@ func (ix *Index) mustSearch(q Query, opts SearchOptions) []Result {
 	return rs
 }
 
-func (ix *Index) mustCount(q Query, filters map[string]string) int {
-	n, err := ix.CountContext(context.Background(), q, filters)
+func (ix *Index) mustCount(q Query) int {
+	n, err := ix.CountContext(context.Background(), q)
 	if err != nil {
 		panic(err)
 	}
 	return n
 }
 
-func (ix *Index) mustFacets(q Query, field string, filters map[string]string) []FacetCount {
-	fc, err := ix.FacetsContext(context.Background(), q, field, filters)
-	if err != nil {
-		panic(err)
-	}
-	return fc
-}
-
-func (sess *Session) mustSearch(q Query, opts SearchOptions) []Result {
-	rs, err := sess.SearchContext(context.Background(), q, opts)
-	if err != nil {
-		panic(err)
-	}
-	return rs
-}
-
-func (sess *Session) mustCount(q Query, filters map[string]string) int {
-	n, err := sess.CountContext(context.Background(), q, filters)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
-func (sess *Session) mustFacets(q Query, field string, filters map[string]string) []FacetCount {
-	fc, err := sess.FacetsContext(context.Background(), q, field, filters)
+func (ix *Index) mustFacets(q Query, field string) []FacetCount {
+	fc, err := ix.FacetsContext(context.Background(), q, field)
 	if err != nil {
 		panic(err)
 	}

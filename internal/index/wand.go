@@ -319,7 +319,7 @@ func (s *shard) soleMember(q Query, st *searchStats) (first topkMember, n int, o
 // exactly one posting list; a query that resolves to none matches
 // nothing here. ok=false sends every other query to the accumulator
 // path. Must be called with the shard read lock held and k > 0.
-func (s *shard) searchTopK(q Query, st *searchStats, filters map[string]string, k int) ([]shardHit, bool) {
+func (s *shard) searchTopK(q Query, st *searchStats, k int) ([]shardHit, bool) {
 	mem, n, ok := s.soleMember(q, st)
 	if !ok || n > 1 {
 		return nil, false
@@ -331,7 +331,7 @@ func (s *shard) searchTopK(q Query, st *searchStats, filters map[string]string, 
 	ts.cnt = scanCounters{}
 	ts.cur.reset(mem.list, mem.fp, mem.sc, &ts.cnt)
 	h := topkHeap{k: k, h: getShardHits()}
-	s.wandSingle(&ts.cur, st, &h, filters)
+	s.wandSingle(&ts.cur, st, &h)
 	s.ix.scanScored.Add(ts.cnt.scored)
 	s.ix.scanSkipped.Add(ts.cnt.skipped)
 	// Drop the list references so a pooled cursor pins no postings.
@@ -349,7 +349,7 @@ func (s *shard) searchTopK(q Query, st *searchStats, filters map[string]string, 
 // metadata, and the memoized per-tf bound skips a posting's doc-table
 // and doc-length lookups. Each decoded posting costs two uvarints and
 // up to three memoized compares.
-func (s *shard) wandSingle(m *memberCursor, st *searchStats, h *topkHeap, filters map[string]string) {
+func (s *shard) wandSingle(m *memberCursor, st *searchStats, h *topkHeap) {
 	n := 0
 	for !m.done {
 		if n++; n&(cancelStride-1) == 0 && st.canceled() {
@@ -372,7 +372,7 @@ func (s *shard) wandSingle(m *memberCursor, st *searchStats, h *topkHeap, filter
 			}
 		}
 		if d := m.doc; s.liveAt(d) {
-			h.offer(s, d, m.score(), filters)
+			h.offer(s, d, m.score())
 		}
 		m.next()
 	}
