@@ -48,8 +48,8 @@ type Reader struct {
 }
 
 // NewReader returns a Reader positioned at offset 0 of r. If the
-// stream starts with a magic string, consume it first with
-// ExpectMagic and pass the magic length via Skip.
+// stream starts with a magic string, consume and check it first and
+// pass the magic length via Skip.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{r: r}
 }
@@ -106,18 +106,6 @@ const MaxFrame = 1 << 30
 func WriteMagic(w io.Writer, magic string) error {
 	_, err := io.WriteString(w, magic)
 	return err
-}
-
-// ExpectMagic consumes and verifies the format's magic string.
-func ExpectMagic(r io.Reader, magic string) error {
-	buf := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return fmt.Errorf("frameio: reading magic: %w", err)
-	}
-	if string(buf) != magic {
-		return fmt.Errorf("frameio: bad magic %q, want %q", buf, magic)
-	}
-	return nil
 }
 
 // WriteFrame writes one length-prefixed, checksummed frame.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"strings"
 	"testing"
 )
 
@@ -19,8 +18,8 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ExpectMagic(bytes.NewReader(buf.Bytes()), "MAGIC01\n"); err != nil {
-		t.Fatal(err)
+	if !bytes.HasPrefix(buf.Bytes(), []byte("MAGIC01\n")) {
+		t.Fatalf("stream starts %q, want the magic", buf.Bytes()[:8])
 	}
 	off := len("MAGIC01\n")
 	for i, want := range frames {
@@ -35,15 +34,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if _, _, err := NextFrameInBuf(buf.Bytes(), off, true); err != io.EOF {
 		t.Fatalf("end of stream = %v, want io.EOF", err)
-	}
-}
-
-func TestBadMagic(t *testing.T) {
-	if err := ExpectMagic(strings.NewReader("WRONG!!\n"), "MAGIC01\n"); err == nil {
-		t.Fatal("wrong magic accepted")
-	}
-	if err := ExpectMagic(strings.NewReader("MA"), "MAGIC01\n"); err == nil {
-		t.Fatal("short magic accepted")
 	}
 }
 
@@ -183,10 +173,7 @@ func TestReaderSkipOffsets(t *testing.T) {
 	if err := WriteFrame(&buf, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	r := bytes.NewReader(buf.Bytes())
-	if err := ExpectMagic(r, "MAGIC01\n"); err != nil {
-		t.Fatal(err)
-	}
+	r := bytes.NewReader(buf.Bytes()[len("MAGIC01\n"):])
 	fr := NewReader(r)
 	fr.Skip(int64(len("MAGIC01\n")))
 	if _, err := fr.Next(); err != nil {

@@ -427,11 +427,16 @@ func (ix *Index) AddBatch(docs []Document) error {
 	return ix.AddBatchContext(context.Background(), docs)
 }
 
+// analyzeChunk is how many documents an AddBatchContext analysis
+// worker claims at a time.
+const analyzeChunk = 16
+
 // AddBatchContext indexes docs as one batch: text analysis — the
-// dominant indexing cost — runs in a worker pool, documents are
-// grouped by owning shard, and each shard group is applied under ONE
-// write-lock acquisition (in parallel across shards) instead of one
-// per document. The result is bit-identical to sequential Adds of
+// dominant indexing cost — runs on up to GOMAXPROCS goroutines (the
+// caller among them) that claim documents in chunks from a shared
+// cursor, documents are grouped by owning shard, and each shard group
+// is applied under ONE write-lock acquisition (in parallel across
+// shards) instead of one per document. The result is bit-identical to sequential Adds of
 // the same slice: within a shard, documents apply in slice order, so
 // duplicate IDs resolve last-write-wins exactly like the loop would.
 //
@@ -458,44 +463,34 @@ func (ix *Index) AddBatchContext(ctx context.Context, docs []Document) error {
 			ix.ensureField(field)
 		}
 	}
+	// Analysis: workers claim chunks of document indexes from a shared
+	// cursor, and the calling goroutine is one of them. ctx is checked
+	// once per chunk; the check after the join makes a cancelled batch
+	// apply nothing.
 	analyzed := make([]map[string][]textproc.Token, len(docs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	if workers <= 1 {
-		for i := range docs {
-			if i%64 == 0 && ctx.Err() != nil {
-				return ctx.Err()
+	var cursor atomic.Int64
+	analyze := func() {
+		for ctx.Err() == nil {
+			end := int(cursor.Add(analyzeChunk))
+			start := end - analyzeChunk
+			if start >= len(docs) {
+				return
 			}
-			analyzed[i] = ix.analyzeDoc(&docs[i])
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					analyzed[i] = ix.analyzeDoc(&docs[i])
-				}
-			}()
-		}
-		dispatched := len(docs)
-		for i := range docs {
-			if ctx.Err() != nil {
-				dispatched = i
-				break
+			for i := start; i < min(end, len(docs)); i++ {
+				analyzed[i] = ix.analyzeDoc(&docs[i])
 			}
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		if dispatched < len(docs) {
-			return ctx.Err()
 		}
 	}
+	var wg sync.WaitGroup
+	for k := min(runtime.GOMAXPROCS(0), (len(docs)+analyzeChunk-1)/analyzeChunk); k > 1; k-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			analyze()
+		}()
+	}
+	analyze()
+	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -510,7 +505,6 @@ func (ix *Index) AddBatchContext(ctx context.Context, docs []Document) error {
 		si := r.shardIndexFor(docs[i].ID)
 		groups[si] = append(groups[si], i)
 	}
-	var wg sync.WaitGroup
 	for si, idxs := range groups {
 		if len(idxs) == 0 {
 			continue

@@ -118,8 +118,8 @@ func (u *Uploader) load(opts Options, recs []store.Record) (*Report, error) {
 	}
 	// Fast path: one batched write. The whole upload is analyzed in
 	// parallel and applied with one lock acquisition per index shard —
-	// and, with a WAL attached, acknowledged by one group commit
-	// instead of one fsync per record.
+	// and, with a WAL attached, logged as one record and acknowledged
+	// by one fsync instead of one per record.
 	if _, err := ds.AddBatchContext(context.Background(), recs); err == nil {
 		rep.Loaded = len(recs)
 		return rep, nil

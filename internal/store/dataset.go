@@ -181,10 +181,9 @@ func docFor(s Schema, id string, rec Record) index.Document {
 // document), which is what makes bulk loads scale; results are
 // bit-identical to looping PutContext. The batch is atomic in memory:
 // cancellation is honored before anything is applied, and once
-// application starts the whole batch lands. One WAL record is still
-// appended per document (replay needs per-record granularity), but
-// the call waits once, on the last commit — the log syncs in order,
-// so the last record durable implies the whole batch is.
+// application starts the whole batch lands. The log is atomic too:
+// the batch is appended as ONE put-batch record, so the call waits on
+// one commit and recovery replays all of the batch or none of it.
 func (d *Dataset) AddBatchContext(ctx context.Context, recs []Record) ([]string, error) {
 	if len(recs) == 0 {
 		return nil, nil
@@ -238,12 +237,16 @@ func (d *Dataset) AddBatchContext(ctx context.Context, recs []Record) ([]string,
 		d.mu.Unlock()
 		return nil, err
 	}
-	var last *wal.Commit
-	for i, id := range ids {
-		last = d.walAppendLocked(&wal.Record{Op: wal.OpPut, ID: id, Rec: cps[i]})
+	var c *wal.Commit
+	if d.wlog != nil {
+		puts := make([]wal.Put, len(ids))
+		for i, id := range ids {
+			puts[i] = wal.Put{ID: id, Rec: cps[i]}
+		}
+		c = d.walAppendLocked(&wal.Record{Op: wal.OpPutBatch, Puts: puts})
 	}
 	d.mu.Unlock()
-	if err := last.Wait(ctx); err != nil {
+	if err := c.Wait(ctx); err != nil {
 		return nil, err
 	}
 	return ids, nil

@@ -19,17 +19,25 @@ import (
 // before puts were batched: each put takes the dataset lock, advances
 // the keyless high-water mark and goes through Index.Add on its own.
 
-// replaySequential replays dir one record at a time.
+// replaySequential replays dir one row at a time.
 func replaySequential(s *Store, dir string) (wal.ReplayStats, error) {
 	return wal.Replay(dir, func(rec *wal.Record) error {
-		if rec.Op != wal.OpPut {
+		if rec.Op != wal.OpPut && rec.Op != wal.OpPutBatch {
 			return s.applyRecord(rec)
 		}
 		ds, ok := s.lookupDataset(rec.Tenant, rec.Dataset)
 		if !ok {
 			return wal.ErrSkipRecord
 		}
-		return ds.applyPutSequential(rec.ID, Record(rec.Rec))
+		if rec.Op == wal.OpPut {
+			return ds.applyPutSequential(rec.ID, Record(rec.Rec))
+		}
+		for _, p := range rec.Puts {
+			if err := ds.applyPutSequential(p.ID, Record(p.Rec)); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 }
 
@@ -116,13 +124,17 @@ func replayBase(t *testing.T) []byte {
 
 // replayLog synthesizes a random log: runs of puts interleaved across
 // datasets (duplicate IDs inside a run, keyless IDs that jump the
-// high-water mark), deletes of just-put IDs, drops and re-creates,
+// high-water mark), some of them logged as one put-batch record the
+// way uploads log them, deletes of just-put IDs, drops and re-creates,
 // puts into dropped or never-created datasets, grants and quotas.
 // long adds one run past the batch cap.
 func replayLog(rng *rand.Rand, long bool) []*wal.Record {
 	var out []*wal.Record
 	keylessNext := 21
 	recent := map[string][]string{}
+	// batch, when non-nil, collects the current run's puts into one
+	// put-batch record instead of one put record each.
+	var batch *wal.Record
 	put := func(dataset string) {
 		id := fmt.Sprintf("sku-%02d", rng.Intn(40))
 		rec := map[string]string{"title": replayText(rng, 2), "body": replayText(rng, 1+rng.Intn(5))}
@@ -142,6 +154,10 @@ func replayLog(rng *rand.Rand, long bool) []*wal.Record {
 			rec["price"] = strconv.Itoa(rng.Intn(100))
 		}
 		recent[dataset] = append(recent[dataset], id)
+		if batch != nil {
+			batch.Puts = append(batch.Puts, wal.Put{ID: id, Rec: rec})
+			return
+		}
 		out = append(out, &wal.Record{Op: wal.OpPut, Tenant: "acme", Dataset: dataset, ID: id, Rec: rec})
 	}
 	datasets := []string{"inv", "inv", "log", "log", "tmp", "ghost"}
@@ -162,8 +178,15 @@ func replayLog(rng *rand.Rand, long bool) []*wal.Record {
 		switch r := rng.Intn(20); {
 		case r < 11:
 			dataset := datasets[rng.Intn(len(datasets))]
+			if rng.Intn(3) == 0 {
+				batch = &wal.Record{Op: wal.OpPutBatch, Tenant: "acme", Dataset: dataset}
+			}
 			for n := 1 + rng.Intn(12); n > 0; n-- {
 				put(dataset)
+			}
+			if batch != nil {
+				out = append(out, batch)
+				batch = nil
 			}
 		case r < 14:
 			dataset := datasets[rng.Intn(len(datasets))]

@@ -320,9 +320,9 @@ func (s *Store) ReshardContext(ctx context.Context, tenantID, actor, name string
 
 // AddBatchContext bulk-inserts recs into a dataset after a write-
 // level access check, returning the assigned IDs in input order. The
-// batched write path analyzes documents in a worker pool and applies
-// per-shard groups under one lock acquisition each — the bulk-load
-// fast path behind `symctl load`.
+// batched write path analyzes documents in parallel, applies per-shard
+// groups under one lock acquisition each and logs the batch as one
+// record — the bulk-load fast path behind `symctl load`.
 func (s *Store) AddBatchContext(ctx context.Context, tenantID, actor, name string, recs []Record) ([]string, error) {
 	ds, err := s.DatasetContext(ctx, tenantID, actor, name, PermWrite)
 	if err != nil {

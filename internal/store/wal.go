@@ -66,8 +66,10 @@ const replayBatchMax = 1024
 // put is buffered, so Applied and Skipped count exactly as per-record
 // replay would) and flushed as one index batch on any other op, a
 // change of dataset, replayBatchMax buffered puts, or the end of the
-// log. The result is identical to applying every record alone. ctx is
-// checked before each flush.
+// log. A put-batch record flushes the buffer and applies as one batch
+// of its own, or is skipped whole if its dataset is gone. The result
+// is identical to applying every row alone. ctx is checked before
+// each flush.
 func (s *Store) ReplayContext(ctx context.Context, dir string) (wal.ReplayStats, error) {
 	var run putRun
 	st, err := wal.Replay(dir, func(rec *wal.Record) error {
@@ -75,19 +77,32 @@ func (s *Store) ReplayContext(ctx context.Context, dir string) (wal.ReplayStats,
 			if err := run.flush(ctx); err != nil {
 				return err
 			}
-			return s.applyRecord(rec)
+			if rec.Op != wal.OpPutBatch {
+				return s.applyRecord(rec)
+			}
+			ds, ok := s.lookupDataset(rec.Tenant, rec.Dataset)
+			if !ok {
+				return wal.ErrSkipRecord
+			}
+			run.ds = ds
+			for _, p := range rec.Puts {
+				run.ids = append(run.ids, p.ID)
+				run.rows = append(run.rows, p.Rec)
+			}
+			return run.flush(ctx)
 		}
 		ds, ok := s.lookupDataset(rec.Tenant, rec.Dataset)
 		if !ok {
 			return wal.ErrSkipRecord
 		}
-		if ds != run.ds || len(run.recs) == replayBatchMax {
+		if ds != run.ds || len(run.ids) == replayBatchMax {
 			if err := run.flush(ctx); err != nil {
 				return err
 			}
 			run.ds = ds
 		}
-		run.recs = append(run.recs, rec)
+		run.ids = append(run.ids, rec.ID)
+		run.rows = append(run.rows, rec.Rec)
 		return nil
 	})
 	// Puts buffered before a replay error (damaged history) still land,
@@ -101,21 +116,22 @@ func (s *Store) ReplayContext(ctx context.Context, dir string) (wal.ReplayStats,
 // putRun is the replay buffer: consecutive logged puts into ds.
 type putRun struct {
 	ds   *Dataset
-	recs []*wal.Record
+	ids  []string
+	rows []Record
 }
 
 // flush applies the buffered puts and empties the buffer, even on
 // error.
 func (r *putRun) flush(ctx context.Context) error {
-	if len(r.recs) == 0 {
+	if len(r.ids) == 0 {
 		return nil
 	}
-	recs := r.recs
-	r.recs = r.recs[:0]
+	ids, rows := r.ids, r.rows
+	r.ids, r.rows = r.ids[:0], r.rows[:0]
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return r.ds.applyPuts(ctx, recs)
+	return r.ds.applyPuts(ctx, ids, rows)
 }
 
 // applyRecord applies one replayed record other than a put.
@@ -236,18 +252,13 @@ func (d *Dataset) walAppendLocked(rec *wal.Record) *wal.Commit {
 	return d.wlog.Append(rec)
 }
 
-// applyPuts installs a run of replayed puts under their logged IDs
+// applyPuts installs replayed rows under their logged IDs
 // through the upload batch path: no quota check (the writes were
 // admitted when acknowledged), no re-logging, and the sequential-ID
 // high-water mark advances so post-recovery inserts cannot collide
 // with replayed IDs. Replay is the one boot path that mutates a mapped
 // dataset: only datasets with a log tail pay materialization.
-func (d *Dataset) applyPuts(ctx context.Context, recs []*wal.Record) error {
-	ids := make([]string, len(recs))
-	rows := make([]Record, len(recs))
-	for i, rec := range recs {
-		ids[i], rows[i] = rec.ID, rec.Rec
-	}
+func (d *Dataset) applyPuts(ctx context.Context, ids []string, rows []Record) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, err := d.installBatchLocked(ctx, ids, rows); err != nil {

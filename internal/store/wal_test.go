@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -240,5 +242,65 @@ func TestWALSequentialIDsAdvance(t *testing.T) {
 	}
 	if rds.Len() != 6 {
 		t.Fatalf("len = %d, want 6 (no collision overwrote a replayed record)", rds.Len())
+	}
+}
+
+// TestWALTornBatchRecoversNone: an upload is one log record, so a
+// crash that tears it mid-frame recovers none of its rows, while an
+// earlier acknowledged upload recovers whole.
+func TestWALTornBatchRecoversNone(t *testing.T) {
+	dir := t.TempDir()
+	s, l := openStoreWAL(t, dir, wal.PolicyAlways)
+	ctx := context.Background()
+	if err := s.CreateTenant("acme", "alice"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateDataset("acme", "alice", invSchema()); err != nil {
+		t.Fatal(err)
+	}
+	ds, _ := s.DatasetContext(ctx, "acme", "alice", "inventory", PermWrite)
+	batch := func(prefix string, n int) []Record {
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = Record{"sku": fmt.Sprintf("%s-%03d", prefix, i), "title": prefix + " widget", "price": "1"}
+		}
+		return recs
+	}
+	if _, err := ds.AddBatchContext(ctx, batch("acked", 40)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.AddBatchContext(ctx, batch("torn", 40)); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, fmt.Sprintf("wal-%08d.log", l.ActiveSegment()))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, info.Size()-64); err != nil { // crash inside the second upload's frame
+		t.Fatal(err)
+	}
+
+	r, st := recoverStore(t, dir)
+	if !st.Torn {
+		t.Fatalf("torn upload not reported: %+v", st)
+	}
+	rds, err := r.DatasetContext(ctx, "acme", "alice", "inventory", PermRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rds.Len() != 40 {
+		t.Fatalf("recovered %d rows, want the 40 of the acknowledged upload", rds.Len())
+	}
+	for i := 0; i < 40; i++ {
+		if _, ok := rds.Get(fmt.Sprintf("acked-%03d", i)); !ok {
+			t.Fatalf("acknowledged row acked-%03d lost", i)
+		}
+		if _, ok := rds.Get(fmt.Sprintf("torn-%03d", i)); ok {
+			t.Fatalf("row torn-%03d of the torn upload recovered", i)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,15 +28,16 @@ var ErrSkipRecord = errors.New("wal: skip record")
 // dropped silently, and an operator has to decide what to salvage.
 var ErrDamagedHistory = errors.New("wal: damaged sealed segment")
 
-// ReplayStats reports what a recovery pass found.
+// ReplayStats reports what a recovery pass found. Records, Applied
+// and Skipped count rows: a put-batch record of n rows counts n.
 type ReplayStats struct {
 	// Segments is how many segment files were read.
 	Segments int
-	// Records is how many records were decoded.
+	// Records is how many rows were decoded.
 	Records int
-	// Applied is how many records the apply function accepted.
+	// Applied is how many rows the apply function accepted.
 	Applied int
-	// Skipped counts records dropped via ErrSkipRecord.
+	// Skipped counts rows dropped via ErrSkipRecord.
 	Skipped int
 	// Torn reports that the newest segment ended at a damaged frame
 	// instead of a clean end of log — the expected signature of a
@@ -48,10 +50,14 @@ type ReplayStats struct {
 }
 
 // Replay reads every WAL segment in dir in order and hands each
-// record to apply. A torn or corrupt tail of the NEWEST segment ends
-// the replay cleanly at the last verified frame (recovery's contract:
-// lose at most the unsynced suffix, never apply a partial record);
-// the caller then seals the tear with SealTornTail before opening a
+// record to apply; a put-batch record is one call, applied or skipped
+// as a whole. Each segment's magic selects its decoder: binary
+// records, or JSON in segments written before the binary format.
+//
+// A torn or corrupt tail of the NEWEST segment ends the replay
+// cleanly at the last verified frame (recovery's contract: lose at
+// most the unsynced suffix, never apply a partial record); the
+// caller then seals the tear with SealTornTail before opening a
 // new log generation. Damage in any older segment is another matter:
 // boot sealed that segment's tail before the next one was created, so
 // a bad frame behind the frontier is corruption of acknowledged
@@ -125,7 +131,18 @@ func replaySegment(name string, apply func(*Record) error, st *ReplayStats) (tor
 		// tear, or sealed history would look damaged forever.
 		return false, nil
 	}
-	if err := frameio.ExpectMagic(f, segmentMagic); err != nil {
+	br := bufio.NewReaderSize(f, 64<<10)
+	var magic [len(segmentMagic)]byte
+	var decode func([]byte) (*Record, error)
+	if _, err := io.ReadFull(br, magic[:]); err == nil {
+		switch string(magic[:]) {
+		case segmentMagic:
+			decode = decodeRecord
+		case segmentMagicJSON:
+			decode = decodeJSONRecord
+		}
+	}
+	if decode == nil {
 		// A crash can leave a segment with a partial (or absent)
 		// magic: created, never fsynced. Nothing in it was ever
 		// acknowledged under any policy; treat it as a torn tail at
@@ -133,9 +150,10 @@ func replaySegment(name string, apply func(*Record) error, st *ReplayStats) (tor
 		st.TornOffset = 0
 		return true, nil
 	}
-	fr := frameio.NewReader(f)
-	fr.Skip(int64(len(segmentMagic)))
+	fr := frameio.NewReader(br)
+	fr.Skip(int64(len(magic)))
 	for {
+		start := fr.Offset()
 		payload, err := fr.Next()
 		if err == io.EOF {
 			return false, nil
@@ -148,23 +166,33 @@ func replaySegment(name string, apply func(*Record) error, st *ReplayStats) (tor
 		if err != nil {
 			return false, fmt.Errorf("wal: replay %s: %w", name, err)
 		}
-		var rec Record
-		if uerr := json.Unmarshal(payload, &rec); uerr != nil {
+		rec, derr := decode(payload)
+		if derr != nil {
 			// The frame passed its CRC but does not decode: not tail
-			// damage, structural corruption. Stop here like a tear —
-			// applying anything after a hole would reorder history.
-			st.TornOffset = fr.Offset()
+			// damage, structural corruption. Stop before it like a tear
+			// — applying anything after a hole would reorder history.
+			st.TornOffset = start
 			return true, nil
 		}
-		st.Records++
-		switch aerr := apply(&rec); {
+		rows := rec.rows()
+		st.Records += rows
+		switch aerr := apply(rec); {
 		case aerr == nil:
-			st.Applied++
+			st.Applied += rows
 		case errors.Is(aerr, ErrSkipRecord):
-			st.Skipped++
+			st.Skipped += rows
 		default:
 			return false, fmt.Errorf("wal: replay %s record seq %d (%s %s/%s): %w",
 				name, rec.Seq, rec.Op, rec.Tenant, rec.Dataset, aerr)
 		}
 	}
+}
+
+// decodeJSONRecord parses one record of a SYMWAL1 segment.
+func decodeJSONRecord(p []byte) (*Record, error) {
+	rec := new(Record)
+	if err := json.Unmarshal(p, rec); err != nil {
+		return nil, err
+	}
+	return rec, nil
 }

@@ -6,8 +6,8 @@
 //
 // Durability policy is explicit. PolicyAlways fsyncs before a write
 // is acknowledged; PolicyGroup batches concurrent commits into one
-// fsync (bounded by a batch size and a max-latency window) — the
-// classic group commit that turns thousands of writers into tens of
+// fsync (bounded by a pending row count and a max-latency window) —
+// the classic group commit that turns thousands of writers into tens of
 // fsyncs; PolicyInterval acknowledges immediately and fsyncs on a
 // timer, trading a bounded loss window for throughput.
 //
@@ -29,6 +29,7 @@ package wal
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -52,8 +53,10 @@ const (
 	// one, so "always" is group commit with a zero wait window.
 	PolicyAlways Policy = "always"
 	// PolicyGroup acknowledges after the batch fsync that covers the
-	// record: the committer syncs when GroupBatch records are pending
-	// or the oldest has waited GroupWait, whichever comes first.
+	// record: the committer syncs when GroupBatch rows are pending or
+	// the oldest has waited GroupWait, whichever comes first. A record
+	// weighs its row count, so a large put-batch syncs at once while
+	// small concurrent puts still coalesce.
 	PolicyGroup Policy = "group"
 	// PolicyInterval acknowledges immediately and fsyncs every
 	// Interval; a crash loses at most the last window of acked writes.
@@ -73,8 +76,8 @@ func ParsePolicy(s string) (Policy, error) {
 type Options struct {
 	// Policy is the fsync policy (default PolicyGroup).
 	Policy Policy
-	// GroupBatch is the pending-append count that triggers a group
-	// fsync (default 128). PolicyGroup only.
+	// GroupBatch is the pending row count that triggers a group fsync
+	// (default 128). PolicyGroup only.
 	GroupBatch int
 	// GroupWait bounds how long the oldest pending append waits for
 	// its batch to fill (default 2ms). PolicyGroup only.
@@ -115,13 +118,16 @@ const (
 	OpGrant         = "grant"
 	OpRevoke        = "revoke"
 	OpSetQuota      = "set-quota"
+	OpPutBatch      = "put-batch"
 )
 
 // Record is one logged mutation. Fields are a union over the ops:
-// put carries Rec, create-dataset carries Schema (the store's schema
-// JSON, opaque to this package), grant carries Actor and Perm, and
-// so on. Seq is assigned by Append and is strictly increasing within
-// one process lifetime; replay order is file order, not Seq.
+// put carries Rec, put-batch carries Puts (one upload's rows, applied
+// and replayed all or nothing), create-dataset carries Schema (the
+// store's schema JSON, opaque to this package), grant carries Actor
+// and Perm, and so on. Seq is assigned by Append and is strictly
+// increasing within one process lifetime; replay order is file order,
+// not Seq.
 type Record struct {
 	Seq     uint64            `json:"seq"`
 	Op      string            `json:"op"`
@@ -133,6 +139,22 @@ type Record struct {
 	Schema  json.RawMessage   `json:"schema,omitempty"`
 	Perm    string            `json:"perm,omitempty"`
 	N       int               `json:"n,omitempty"`
+	Puts    []Put             `json:"puts,omitempty"`
+}
+
+// Put is one row of a put-batch record.
+type Put struct {
+	ID  string
+	Rec map[string]string
+}
+
+// rows is the record's group-commit weight and its count in Stats and
+// ReplayStats: a put-batch counts its rows, every other record one.
+func (r *Record) rows() int {
+	if r.Op == OpPutBatch {
+		return len(r.Puts)
+	}
+	return 1
 }
 
 // WriteError is the typed error surfaced to writers once the log has
@@ -150,8 +172,13 @@ func (e *WriteError) Error() string {
 
 func (e *WriteError) Unwrap() error { return e.Cause }
 
-// segmentMagic starts every segment file.
-const segmentMagic = "SYMWAL1\n"
+// segmentMagic starts every segment this package writes: its frames
+// hold binary records (codec.go). segmentMagicJSON marks the older
+// format, whose frames hold JSON records; replay still reads it.
+const (
+	segmentMagic     = "SYMWAL2\n"
+	segmentMagicJSON = "SYMWAL1\n"
+)
 
 // segmentName formats the file name of segment n.
 func segmentName(n int) string { return fmt.Sprintf("wal-%08d.log", n) }
@@ -217,6 +244,7 @@ func (c *Commit) Wait(ctx context.Context) error {
 }
 
 // Stats is the operator-facing view of a log, served on /statusz.
+// Appends counts rows, so a put-batch of n rows adds n.
 type Stats struct {
 	Policy            string `json:"policy"`
 	Appends           uint64 `json:"appends"`
@@ -250,6 +278,7 @@ type Log struct {
 	flushed  uint64 // highest seq written through to the OS
 	synced   uint64 // highest seq known durable
 	pending  []*Commit
+	rowsDue  int       // rows covered by pending, the group-commit trigger
 	oldest   time.Time // arrival of pending[0]
 	failed   error
 	closed   bool
@@ -356,8 +385,17 @@ func (l *Log) Healthy() bool { return !l.failedFlag.Load() }
 // buffers it into the active segment. The returned Commit resolves
 // when the record is durable under the policy (immediately for
 // PolicyInterval). Appends on a failed or closed log resolve
-// immediately with a *WriteError. Append never blocks on disk.
+// immediately with a *WriteError; a record with an unknown op
+// resolves with an encoding error and leaves the log healthy. Append
+// never blocks on disk. The record is encoded before the log lock is
+// taken: under it run only the seq stamp, the checksum and the
+// buffered write.
 func (l *Log) Append(rec *Record) *Commit {
+	payload, err := encodeRecord(nil, rec)
+	if err != nil {
+		return resolvedCommit(err)
+	}
+	rows := rec.rows()
 	l.mu.Lock()
 	if l.failed != nil {
 		err := l.failed
@@ -370,8 +408,8 @@ func (l *Log) Append(rec *Record) *Commit {
 	}
 	l.seq++
 	rec.Seq = l.seq
-	payload, err := json.Marshal(rec)
-	if err == nil && l.opts.InjectFault != nil {
+	binary.LittleEndian.PutUint64(payload, l.seq)
+	if l.opts.InjectFault != nil {
 		err = l.opts.InjectFault("append")
 	}
 	if err == nil {
@@ -382,7 +420,7 @@ func (l *Log) Append(rec *Record) *Commit {
 		l.mu.Unlock()
 		return resolvedCommit(werr)
 	}
-	l.appends++
+	l.appends += uint64(rows)
 	l.bytes += uint64(len(payload)) + 12
 	var c *Commit
 	if l.opts.Policy == PolicyInterval {
@@ -393,6 +431,7 @@ func (l *Log) Append(rec *Record) *Commit {
 			l.oldest = time.Now()
 		}
 		l.pending = append(l.pending, c)
+		l.rowsDue += rows
 	}
 	l.mu.Unlock()
 	select {
@@ -413,7 +452,7 @@ func (l *Log) failLocked(op string, cause error) error {
 			c.err = werr
 			close(c.done)
 		}
-		l.pending = nil
+		l.pending, l.rowsDue = nil, 0
 	}
 	return l.failed
 }
@@ -443,13 +482,12 @@ func (l *Log) committer() {
 func (l *Log) drainPending() {
 	for {
 		l.mu.Lock()
-		n := len(l.pending)
-		if n == 0 || l.failed != nil {
+		if len(l.pending) == 0 || l.failed != nil {
 			l.mu.Unlock()
 			return
 		}
 		var wait time.Duration
-		if l.opts.Policy == PolicyGroup && n < l.opts.GroupBatch {
+		if l.opts.Policy == PolicyGroup && l.rowsDue < l.opts.GroupBatch {
 			if elapsed := time.Since(l.oldest); elapsed < l.opts.GroupWait {
 				wait = l.opts.GroupWait - elapsed
 			}
@@ -491,7 +529,7 @@ func (l *Log) syncNow() error {
 		return nil
 	}
 	batch := l.pending
-	l.pending = nil
+	l.pending, l.rowsDue = nil, 0
 	covered := l.seq
 	err := l.bw.Flush()
 	if err == nil && l.opts.InjectFault != nil {
@@ -555,7 +593,7 @@ func (l *Log) Rotate() (boundary int, err error) {
 		return 0, &WriteError{Op: "closed", Cause: fmt.Errorf("log closed")}
 	}
 	batch := l.pending
-	l.pending = nil
+	l.pending, l.rowsDue = nil, 0
 	covered := l.seq
 	err = l.bw.Flush()
 	if err == nil && l.opts.InjectFault != nil {
