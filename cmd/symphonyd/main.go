@@ -29,9 +29,10 @@
 // fsync periodically — bounded loss window).
 //
 // --mmap (default on) boots v3 snapshots as mmap'd read-only views:
-// records and postings stay in the snapshot file's pages and
-// materialize copy-on-write as writes touch them, so boot time and
-// resident set stop scaling with corpus size.
+// records and postings stay in the snapshot file's pages as an
+// immutable base, writes land in a heap overlay and copy only the
+// posting lists they touch, so boot time and resident set stop
+// scaling with corpus size.
 // /statusz reports the mapped-vs-materialized byte split.
 // --pprof-addr serves net/http/pprof on its own listener (off by
 // default, never the tenant port) for heap and CPU profiles.
@@ -161,7 +162,7 @@ func run() error {
 	retryAfter := flag.Int("retry-after", 1, "Retry-After seconds hint on shed (429) responses")
 	walEnabled := flag.Bool("wal", true, "with --data-dir, layer a write-ahead log under the checkpoint cycle")
 	fsync := flag.String("fsync", "group", "WAL fsync policy: always (fsync before every ack), group (batch commits), interval (periodic)")
-	mmapMode := flag.String("mmap", "on", "boot from v3 snapshots as mmap'd views with copy-on-write materialization: on|off")
+	mmapMode := flag.String("mmap", "on", "boot from v3 snapshots as mmap'd views under a heap write overlay: on|off")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof on its own listener (empty = disabled)")
 	flag.Parse()
 

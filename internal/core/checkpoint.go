@@ -39,9 +39,9 @@ type Checkpointer struct {
 	Logf func(format string, args ...any)
 	// MMap, when set before RestoreLatestContext, makes boot attach v3
 	// snapshots as mmap'd views instead of decoding them to the heap:
-	// records and postings materialize copy-on-write as the workload
-	// touches them, so time-to-serving and resident set stop scaling
-	// with corpus size. Older snapshot formats (and platforms where
+	// the mapped bytes stay an immutable base, writes land in a heap
+	// overlay and copy only the posting lists they touch, so
+	// time-to-serving and resident set stop scaling with corpus size. Older snapshot formats (and platforms where
 	// mmap is unavailable — mmapio falls back to a heap read) restore
 	// through the heap path transparently. The checkpoint cycle
 	// is unchanged: snapshots are always written to a temp file and

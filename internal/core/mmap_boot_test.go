@@ -516,8 +516,11 @@ func TestMappedBootFallsBackOnTruncatedPrimary(t *testing.T) {
 }
 
 // TestMappedBootWALTailMaterializesOnlyTailedDatasets: replaying the
-// log tail over a mapped boot materializes exactly the datasets the
-// tail touches; everything else keeps serving from the mapping.
+// log tail over a mapped boot copies posting bytes only for the
+// datasets the tail touches, and decodes no whole table anywhere: a
+// tail that appends, replaces and deletes base rows lands in the heap
+// overlay, so every record section and index payload stays mapped and
+// no doc table is materialized.
 func TestMappedBootWALTailMaterializesOnlyTailedDatasets(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -567,6 +570,21 @@ func TestMappedBootWALTailMaterializesOnlyTailedDatasets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Replace two base rows and delete two others.
+	for _, i := range []int{3, 11} {
+		if _, err := hot.Put(store.Record{
+			"sku":   fmt.Sprintf("hot-%03d", i),
+			"title": fmt.Sprintf("replaced item %d", i),
+			"body":  "rewritten after the last checkpoint",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sku := range []string{"hot-005", "hot-017"} {
+		if ok, err := hot.DeleteContext(ctx, sku); err != nil || !ok {
+			t.Fatalf("delete %s = %v, %v", sku, ok, err)
+		}
+	}
 	if err := cp1.WAL().Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -580,6 +598,10 @@ func TestMappedBootWALTailMaterializesOnlyTailedDatasets(t *testing.T) {
 	if restored, err := cp2.RestoreLatestContext(ctx); err != nil || !restored {
 		t.Fatalf("mapped restore = %v, %v", restored, err)
 	}
+	mappedAtBoot := map[string]int64{}
+	for _, ds := range p2.Store.Status() {
+		mappedAtBoot[ds.Dataset] = ds.MappedBytes
+	}
 	st, err := cp2.EnableWALContext(ctx, wal.Options{Policy: wal.PolicyAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -588,10 +610,14 @@ func TestMappedBootWALTailMaterializesOnlyTailedDatasets(t *testing.T) {
 		t.Fatalf("wal tail replayed nothing: %+v", st)
 	}
 	for _, ds := range p2.Store.Status() {
+		if ds.MappedBytes != mappedAtBoot[ds.Dataset] || ds.MaterializedDocTables != 0 {
+			t.Fatalf("dataset %q: mapped bytes %d after replay, %d at boot, %d doc tables materialized; want no section or doc table decoded",
+				ds.Dataset, ds.MappedBytes, mappedAtBoot[ds.Dataset], ds.MaterializedDocTables)
+		}
 		switch ds.Dataset {
 		case "hot":
 			if ds.MaterializedBytes == 0 {
-				t.Fatalf("tailed dataset %q did not materialize: %+v", ds.Dataset, ds)
+				t.Fatalf("tailed dataset %q copied no postings: %+v", ds.Dataset, ds)
 			}
 		case "cold":
 			if ds.MaterializedBytes != 0 || ds.MappedBytes == 0 {
@@ -605,5 +631,16 @@ func TestMappedBootWALTailMaterializesOnlyTailedDatasets(t *testing.T) {
 	}
 	if _, ok := hot2.Get("tail-004"); !ok {
 		t.Fatal("tail write missing after mapped boot + replay")
+	}
+	if rec, ok := hot2.Get("hot-011"); !ok || rec["title"] != "replaced item 11" {
+		t.Fatalf("replaced base row after replay = %v, %v", rec, ok)
+	}
+	for _, sku := range []string{"hot-005", "hot-017"} {
+		if _, ok := hot2.Get(sku); ok {
+			t.Fatalf("deleted base row %s served after replay", sku)
+		}
+	}
+	if n := hot2.Len(); n != 20+5-2 {
+		t.Fatalf("hot has %d rows after replay, want 23", n)
 	}
 }

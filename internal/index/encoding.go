@@ -122,6 +122,20 @@ func (r *binReader) strmap() (map[string]string, error) {
 	return m, nil
 }
 
+// skipStrmap steps over a strmap without decoding it.
+func (r *binReader) skipStrmap() error {
+	n, err := r.count()
+	if err != nil {
+		return err
+	}
+	for i := 0; i < 2*n; i++ {
+		if _, err := r.bytes(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Block-compressed posting lists: the in-memory representation of one
 // (field, term)'s postings. Document ordinals are strictly increasing
 // per shard, so they delta+uvarint encode into a byte stream split

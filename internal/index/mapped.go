@@ -3,6 +3,7 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,19 +20,27 @@ import (
 // whose docTF/posBuf point into the mapped payload evaluates through
 // the exact same code as a heap-built one, bit-identically.
 //
-// Mutability is copy-on-write with two granularities:
+// A shard is an immutable mapped base plus a heap overlay:
 //
-//   - the doc table (docs, byID) materializes onto the heap as a
-//     whole on the shard's first mutation — every write needs the
-//     ordinal space anyway;
-//   - posting lists materialize per term: a write that touches one
-//     term copies only that term's bytes to the heap, so a lightly
+//   - the doc table: ordinals below base are the mapped payload's and
+//     are never rewritten; docs/byID hold only ordinals from base up,
+//     the documents written since attach. Deleting or replacing a
+//     base document sets its bit in a lazily allocated dead bitset
+//     and decodes that one entry's field keys to adjust the field
+//     lengths. A heap-built shard is the empty-base case, so there is
+//     one representation and a write costs O(documents written),
+//     never a decode of the whole table;
+//   - posting lists copy per term: a write that touches one term
+//     decodes only that term's bytes onto the heap, so a lightly
 //     written tenant keeps almost all of its index off-heap.
 //
-// The invariant the v3 encoder relies on: a dirty shard (any
-// mutation since attach) always has its doc table materialized, so
-// re-encoding walks heap docs; a clean mapped shard re-encodes by
-// writing its payload bytes verbatim.
+// Only compaction and the heap restore fold the base into the heap
+// (materializeAllLocked); a reshard migration reads through the
+// accessors into new heap shards. The
+// v3 encoder writes a clean shard's payload verbatim and a written
+// one by copying the surviving base doc entries and still-mapped term
+// entries verbatim around the overlay — the same bytes a decode of
+// everything followed by a fresh encode produces.
 //
 // View slices are cap-clamped (buf[a:b:b]), so an append through a
 // promoted posting list reallocates instead of scribbling on the
@@ -71,9 +80,9 @@ type mappedShard struct {
 	nDocs    int
 	docDir   []byte // nDocs * 8
 	idSorted []byte // live * 4
-	// docsMat flips once when the doc table has been materialized
-	// into s.docs/s.byID; after that the heap table is authoritative.
-	docsMat bool
+	// gone marks base ordinals deleted or replaced since attach. nil
+	// until the first such write; guarded by the shard lock.
+	gone []uint64
 }
 
 // mappedField is the view side of one field's term dictionary.
@@ -81,6 +90,12 @@ type mappedField struct {
 	payload []byte
 	termDir []byte // nTerms * 8
 	nTerms  int
+	// lens is the field's (ordinal, length) list for the base: one
+	// entry per base document that carried the field at snapshot
+	// time, ascending by ordinal. The encoder re-emits it filtered by
+	// liveness.
+	lens  []byte
+	nLens int
 	// lazy caches decoded view posting lists by term. Pointer
 	// identity matters: the cross-request cache keys decoded postings
 	// by *postingList, so repeated lookups must return the same list.
@@ -91,7 +106,9 @@ type mappedField struct {
 }
 
 // MMapStats reports where an index's bytes live: still mapped, or
-// materialized onto the heap by writes.
+// copied onto the heap. MaterializedTerms/Bytes count posting lists
+// writes copied; MaterializedDocTabs counts whole-shard conversions,
+// which only compaction performs — writes land in the overlay.
 type MMapStats struct {
 	MappedShards        int   `json:"mappedShards"`
 	MappedBytes         int64 `json:"mappedBytes"`
@@ -165,6 +182,7 @@ func (ix *Index) attachShardV3(payload []byte, optsFor func(string) (FieldOption
 	s := newShard(ix)
 	s.live, s.dead = live, dead
 	s.ms = &mappedShard{payload: payload, nDocs: nDocs, docDir: docDir, idSorted: idSorted}
+	s.base = nDocs
 	ix.mmMappedBytes.Add(int64(len(payload)))
 	for i := 0; i < nFields; i++ {
 		off := binary.LittleEndian.Uint64(fieldDir[i*8:])
@@ -190,6 +208,7 @@ func (ix *Index) attachShardV3(payload []byte, optsFor func(string) (FieldOption
 		if err != nil {
 			return fail(err)
 		}
+		lensOff := br.off
 		for j := 0; j < nLens; j++ {
 			ord, err := br.uvarint()
 			if err != nil {
@@ -202,6 +221,7 @@ func (ix *Index) attachShardV3(payload []byte, optsFor func(string) (FieldOption
 				return fail(err)
 			}
 		}
+		lens := payload[lensOff:br.off:br.off]
 		nTerms, err := br.count()
 		if err != nil {
 			return fail(err)
@@ -210,7 +230,8 @@ func (ix *Index) attachShardV3(payload []byte, optsFor func(string) (FieldOption
 		if err != nil {
 			return fail(fmt.Errorf("field %q: %w", name, err))
 		}
-		fp.mapped = &mappedField{payload: payload, termDir: termDir, nTerms: nTerms, ix: ix}
+		fp.mapped = &mappedField{payload: payload, termDir: termDir, nTerms: nTerms, ix: ix,
+			lens: lens, nLens: nLens}
 		if opts, ok := optsFor(name); ok {
 			fp.opts = opts
 		}
@@ -258,6 +279,47 @@ func (mf *mappedField) find(term string) (slot int, ok bool) {
 		}
 	}
 	return 0, false
+}
+
+// slotBytes returns dictionary slot i's term and its whole term
+// entry as views into the payload, for verbatim re-encoding. It
+// checks what decodeSlot checks, so a slot it accepts decodes.
+func (mf *mappedField) slotBytes(i int) (term, entry []byte, err error) {
+	off := binary.LittleEndian.Uint64(mf.termDir[i*8:])
+	if off > uint64(len(mf.payload)) {
+		return nil, nil, errShardPayload
+	}
+	br := &binReader{buf: mf.payload, off: int(off)}
+	if term, err = br.bytes(); err != nil {
+		return nil, nil, err
+	}
+	n, err := br.uvarint()
+	if err != nil {
+		return nil, nil, err
+	}
+	for range 2 { // lastDoc, maxTF
+		if _, err = br.uvarint(); err != nil {
+			return nil, nil, err
+		}
+	}
+	nBlocks, err := br.count()
+	if err != nil {
+		return nil, nil, err
+	}
+	if nBlocks != (n+postingBlockSize-1)/postingBlockSize {
+		return nil, nil, errShardPayload
+	}
+	for range 4 * nBlocks {
+		if _, err = br.uvarint(); err != nil {
+			return nil, nil, err
+		}
+	}
+	for range 2 { // docTF, posBuf
+		if _, err = br.bytes(); err != nil {
+			return nil, nil, err
+		}
+	}
+	return term, mf.payload[off:br.off:br.off], nil
 }
 
 // decodeSlot builds a view posting list for dictionary slot i: block
@@ -376,25 +438,33 @@ func (fp *fieldPostings) promoteTermLocked(term string, count bool) *postingList
 	if mf == nil {
 		return nil
 	}
-	view := fp.lookup(term)
-	if view == nil {
+	slot, ok := mf.find(term)
+	if !ok {
 		return nil
 	}
-	heap := &postingList{
-		n:       view.n,
-		lastDoc: view.lastDoc,
-		maxTF:   view.maxTF,
-		docTF:   append([]byte(nil), view.docTF...),
-		posBuf:  append([]byte(nil), view.posBuf...),
-		blocks:  append([]blockMeta(nil), view.blocks...),
+	return fp.promoteSlotLocked(term, slot, count)
+}
+
+// promoteSlotLocked decodes dictionary slot i straight into a heap
+// posting list for term: the block metadata decodeSlot allocates is
+// kept, the byte streams are copied off the mapping.
+func (fp *fieldPostings) promoteSlotLocked(term string, slot int, count bool) *postingList {
+	mf := fp.mapped
+	l, err := mf.decodeSlot(slot)
+	if err != nil {
+		mf.ix.lazyErr()
+		return nil
 	}
-	fp.terms[term] = heap
+	l.docTF = append([]byte(nil), l.docTF...)
+	l.posBuf = append([]byte(nil), l.posBuf...)
+	fp.terms[term] = l
+	// Drop a view a reader may have cached; the heap list shadows it.
 	mf.lazy.Delete(term)
 	if count {
 		mf.ix.mmMatTerms.Add(1)
-		mf.ix.mmMatBytes.Add(int64(len(heap.docTF) + len(heap.posBuf)))
+		mf.ix.mmMatBytes.Add(int64(len(l.docTF) + len(l.posBuf)))
 	}
-	return heap
+	return l
 }
 
 // mappedTermNames returns the sorted mapped dictionary, decoding and
@@ -440,38 +510,76 @@ func (fp *fieldPostings) sortedTermsAll() []string {
 	return merged
 }
 
-// numDocs returns the shard's ordinal-space size.
-func (s *shard) numDocs() int {
-	if s.ms != nil && !s.ms.docsMat {
-		return s.ms.nDocs
-	}
-	return len(s.docs)
-}
+// numDocs returns the shard's ordinal-space size: the base's
+// ordinals, then the overlay's.
+func (s *shard) numDocs() int { return s.base + len(s.docs) }
 
 // liveAt reports whether ordinal ord holds a live document. O(1) on
-// both representations: heap checks the doc table, mapped checks the
-// doc directory's tombstone sentinel.
+// both halves: the overlay checks its doc table, the base its doc
+// directory's tombstone sentinel and the dead bitset.
 func (s *shard) liveAt(ord int) bool {
-	if s.ms != nil && !s.ms.docsMat {
-		return binary.LittleEndian.Uint64(s.ms.docDir[ord*8:]) != v3Tombstone
+	if ord >= s.base {
+		return s.docs[ord-s.base].ID != ""
 	}
-	return s.docs[ord].ID != ""
+	return s.ms.liveAt(ord)
 }
 
-// docEntryAt decodes the mapped doc entry at ordinal ord; ok=false
-// for tombstones. The returned Document's maps are freshly decoded —
-// a per-call allocation, so callers on hot paths should only reach it
-// for actual hits.
-func (ms *mappedShard) docEntryAt(ix *Index, ord int) (Document, bool) {
+// liveAt reports whether base ordinal ord was live in the snapshot
+// and has not been deleted or replaced since attach.
+func (ms *mappedShard) liveAt(ord int) bool {
+	if ms.gone != nil && ms.gone[ord>>6]&(1<<(ord&63)) != 0 {
+		return false
+	}
+	return binary.LittleEndian.Uint64(ms.docDir[ord*8:]) != v3Tombstone
+}
+
+// kill marks base ordinal ord deleted or replaced.
+func (ms *mappedShard) kill(ord int) {
+	if ms.gone == nil {
+		ms.gone = make([]uint64, (ms.nDocs+63)/64)
+	}
+	ms.gone[ord>>6] |= 1 << (ord & 63)
+}
+
+// entryAt positions a reader at the doc entry of base ordinal ord,
+// whatever its liveness; ok=false for a snapshot tombstone or a
+// corrupt offset (counted).
+func (ms *mappedShard) entryAt(ix *Index, ord int) (binReader, bool) {
 	off := binary.LittleEndian.Uint64(ms.docDir[ord*8:])
 	if off == v3Tombstone {
-		return Document{}, false
+		return binReader{}, false
 	}
 	if off > uint64(len(ms.payload)) {
 		ix.lazyErr()
+		return binReader{}, false
+	}
+	return binReader{buf: ms.payload, off: int(off)}, true
+}
+
+// idBytesAt returns the ID of base ordinal ord's entry as a view into
+// the payload (nil for tombstones and corrupt entries).
+func (ms *mappedShard) idBytesAt(ix *Index, ord int) []byte {
+	br, ok := ms.entryAt(ix, ord)
+	if !ok {
+		return nil
+	}
+	id, err := br.bytes()
+	if err != nil || len(id) == 0 {
+		ix.lazyErr()
+		return nil
+	}
+	return id
+}
+
+// docEntryAt decodes the doc entry at base ordinal ord; ok=false for
+// tombstones and corrupt entries. The returned Document's maps are
+// freshly decoded — a per-call allocation, so callers on hot paths
+// should only reach it for actual hits.
+func (ms *mappedShard) docEntryAt(ix *Index, ord int) (Document, bool) {
+	br, ok := ms.entryAt(ix, ord)
+	if !ok {
 		return Document{}, false
 	}
-	br := &binReader{buf: ms.payload, off: int(off)}
 	doc := Document{}
 	var err error
 	if doc.ID, err = br.str(); err != nil || doc.ID == "" {
@@ -489,107 +597,190 @@ func (ms *mappedShard) docEntryAt(ix *Index, ord int) (Document, bool) {
 	return doc, true
 }
 
-// idAt returns the document ID at ord ("" for tombstones).
-func (s *shard) idAt(ord int) string {
-	if s.ms != nil && !s.ms.docsMat {
-		off := binary.LittleEndian.Uint64(s.ms.docDir[ord*8:])
-		if off == v3Tombstone {
-			return ""
+// hitAt decodes what a search result needs from base ordinal ord's
+// entry — the ID and the Stored map — stepping over Fields in place.
+func (ms *mappedShard) hitAt(ix *Index, ord int) (string, map[string]string) {
+	br, ok := ms.entryAt(ix, ord)
+	if !ok {
+		return "", nil
+	}
+	id, err := br.str()
+	if err == nil && id != "" {
+		if err = br.skipStrmap(); err == nil {
+			var stored map[string]string
+			if stored, err = br.strmap(); err == nil {
+				return id, stored
+			}
 		}
-		if off > uint64(len(s.ms.payload)) {
-			s.ix.lazyErr()
-			return ""
+	}
+	ix.lazyErr()
+	return "", nil
+}
+
+// fieldKeys yields the Fields keys of base ordinal ord's entry as
+// views into the payload, in entry order, decoding nothing else. A
+// corrupt entry yields what precedes the damage and is counted.
+func (ms *mappedShard) fieldKeys(ix *Index, ord int) iter.Seq[[]byte] {
+	return func(yield func([]byte) bool) {
+		br, ok := ms.entryAt(ix, ord)
+		if !ok {
+			return
 		}
-		br := &binReader{buf: s.ms.payload, off: int(off)}
-		id, err := br.str()
+		if _, err := br.bytes(); err != nil {
+			ix.lazyErr()
+			return
+		}
+		n, err := br.count()
 		if err != nil {
-			s.ix.lazyErr()
-			return ""
+			ix.lazyErr()
+			return
 		}
-		return id
+		for i := 0; i < n; i++ {
+			k, err := br.bytes()
+			if err == nil {
+				_, err = br.bytes()
+			}
+			if err != nil {
+				ix.lazyErr()
+				return
+			}
+			if !yield(k) {
+				return
+			}
+		}
 	}
-	return s.docs[ord].ID
 }
 
-// docAt returns the document at ord (zero Document for tombstones).
-func (s *shard) docAt(ord int) Document {
-	if s.ms != nil && !s.ms.docsMat {
-		doc, _ := s.ms.docEntryAt(s.ix, ord)
-		return doc
+// entryBytes returns the whole encoded entry of base ordinal ord —
+// ID, Fields, Stored — as a view into the payload, for verbatim
+// re-encoding; nil for tombstones and corrupt entries.
+func (ms *mappedShard) entryBytes(ix *Index, ord int) []byte {
+	br, ok := ms.entryAt(ix, ord)
+	if !ok {
+		return nil
 	}
-	return s.docs[ord]
+	start := br.off
+	id, err := br.bytes()
+	if err == nil && len(id) > 0 {
+		if err = br.skipStrmap(); err == nil {
+			if err = br.skipStrmap(); err == nil {
+				return br.buf[start:br.off:br.off]
+			}
+		}
+	}
+	ix.lazyErr()
+	return nil
 }
 
-// findOrd resolves a document ID to its ordinal. The mapped path
-// binary-searches the ID-sorted ordinal permutation.
-func (s *shard) findOrd(id string) (int, bool) {
-	if s.ms == nil || s.ms.docsMat {
-		ord, ok := s.byID[id]
-		return ord, ok
-	}
-	ms := s.ms
+// find binary-searches the ID-sorted ordinal permutation for id,
+// comparing payload bytes in place: a probe allocates nothing. The
+// result may be a base ordinal that has since died; callers check
+// liveAt.
+func (ms *mappedShard) find(ix *Index, id string) (int, bool) {
 	n := len(ms.idSorted) / 4
+	ordAt := func(i int) (int, bool) {
+		ord := int(binary.LittleEndian.Uint32(ms.idSorted[i*4:]))
+		if ord >= ms.nDocs {
+			ix.lazyErr()
+			return 0, false
+		}
+		return ord, true
+	}
 	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		ord := int(binary.LittleEndian.Uint32(ms.idSorted[mid*4:]))
-		if s.idAt(ord) < id {
+		ord, ok := ordAt(mid)
+		if !ok {
+			return 0, false
+		}
+		if string(ms.idBytesAt(ix, ord)) < id {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	if lo < n {
-		ord := int(binary.LittleEndian.Uint32(ms.idSorted[lo*4:]))
-		if s.idAt(ord) == id {
+		if ord, ok := ordAt(lo); ok && string(ms.idBytesAt(ix, ord)) == id {
 			return ord, true
 		}
 	}
 	return 0, false
 }
 
-// materializeDocsLocked decodes the mapped doc table into the heap
-// representation (docs, byID). Corrupt entries — unreachable after
-// the frame CRC — are counted and land as tombstones.
-func (s *shard) materializeDocsLocked() {
-	ms := s.ms
-	if ms == nil || ms.docsMat {
-		return
+// idAt returns the document ID at ord ("" for tombstones).
+func (s *shard) idAt(ord int) string {
+	if ord >= s.base {
+		return s.docs[ord-s.base].ID
 	}
-	s.docs = make([]Document, ms.nDocs)
-	s.byID = make(map[string]int, s.live)
-	for ord := 0; ord < ms.nDocs; ord++ {
-		doc, ok := ms.docEntryAt(s.ix, ord)
-		if !ok {
-			continue
-		}
-		s.docs[ord] = doc
-		s.byID[doc.ID] = ord
+	if !s.ms.liveAt(ord) {
+		return ""
 	}
-	ms.docsMat = true
+	return string(s.ms.idBytesAt(s.ix, ord))
 }
 
-// prepareWriteLocked is the copy-on-write hook every mutation runs
-// first: materialize the doc table and mark the shard dirty, so the
-// encoder knows this shard can no longer be written verbatim.
-func (s *shard) prepareWriteLocked() {
-	if s.ms != nil && !s.ms.docsMat {
-		s.materializeDocsLocked()
-		s.ix.mmMatDocTabs.Add(1)
+// idAfter reports whether the live document at ord has an ID ordering
+// after id, comparing mapped bytes in place.
+func (s *shard) idAfter(ord int, id string) bool {
+	if ord >= s.base {
+		return s.docs[ord-s.base].ID > id
 	}
-	s.dirty = true
+	return string(s.ms.idBytesAt(s.ix, ord)) > id
+}
+
+// docAt returns the document at ord (zero Document for tombstones).
+func (s *shard) docAt(ord int) Document {
+	if ord >= s.base {
+		return s.docs[ord-s.base]
+	}
+	if !s.ms.liveAt(ord) {
+		return Document{}
+	}
+	doc, _ := s.ms.docEntryAt(s.ix, ord)
+	return doc
+}
+
+// hitAt returns the ID and Stored map of the document at ord ("" and
+// nil for tombstones), without decoding a base entry's Fields.
+func (s *shard) hitAt(ord int) (string, map[string]string) {
+	if ord >= s.base {
+		doc := &s.docs[ord-s.base]
+		return doc.ID, doc.Stored
+	}
+	if !s.ms.liveAt(ord) {
+		return "", nil
+	}
+	return s.ms.hitAt(s.ix, ord)
+}
+
+// findOrd resolves a live document ID to its ordinal: the overlay's
+// map first (it holds every document written since attach, including
+// replacements of base documents), then the base's ID permutation.
+func (s *shard) findOrd(id string) (int, bool) {
+	if ord, ok := s.byID[id]; ok {
+		return ord, true
+	}
+	if s.ms == nil {
+		return 0, false
+	}
+	ord, ok := s.ms.find(s.ix, id)
+	if !ok || !s.ms.liveAt(ord) {
+		return 0, false
+	}
+	return ord, true
 }
 
 // materializeAllLocked converts the whole shard to the heap
-// representation and detaches the mapping: doc table, then every
-// still-mapped term. Used by whole-shard rewrites (compaction,
-// reshard migration) and by the heap restore path, where the "mapped"
-// payload is a heap frame that should not stay referenced.
+// representation and detaches the mapping: the base doc table folds
+// in under the overlay, then every still-mapped term is copied. Used
+// by compaction, which rewrites every list, and by the heap restore
+// path, where the "mapped" payload is a heap frame that should not
+// stay referenced. count selects whether the conversion shows in the
+// copy-on-write counters.
 func (s *shard) materializeAllLocked(count bool) {
 	if s.ms == nil {
 		return
 	}
-	if count && !s.ms.docsMat {
+	if count {
 		s.ix.mmMatDocTabs.Add(1)
 	}
 	s.materializeDocsLocked()
@@ -598,12 +789,41 @@ func (s *shard) materializeAllLocked(count bool) {
 		if mf == nil {
 			continue
 		}
-		for _, term := range mf.mappedTermNames() {
-			fp.promoteTermLocked(term, count)
+		for slot := 0; slot < mf.nTerms; slot++ {
+			t, err := mf.termAt(slot)
+			if err != nil {
+				mf.ix.lazyErr()
+				break
+			}
+			if _, ok := fp.terms[string(t)]; !ok {
+				fp.promoteSlotLocked(string(t), slot, count)
+			}
 		}
 		fp.mapped = nil
 		fp.dict.Store(nil)
 	}
 	s.ix.mmMappedBytes.Add(-int64(len(s.ms.payload)))
 	s.ms = nil
+}
+
+// materializeDocsLocked decodes the live base entries onto the heap
+// ahead of the overlay, so ordinals keep their meaning and the base
+// becomes empty. Corrupt entries — unreachable after the frame CRC —
+// are counted and land as tombstones.
+func (s *shard) materializeDocsLocked() {
+	docs := make([]Document, s.base, s.base+len(s.docs))
+	if len(s.byID) == 0 {
+		s.byID = make(map[string]int, s.live)
+	}
+	for ord := range s.base {
+		if !s.ms.liveAt(ord) {
+			continue
+		}
+		if doc, ok := s.ms.docEntryAt(s.ix, ord); ok {
+			docs[ord] = doc
+			s.byID[doc.ID] = ord
+		}
+	}
+	s.docs = append(docs, s.docs...)
+	s.base = 0
 }

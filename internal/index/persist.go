@@ -3,10 +3,13 @@ package index
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/frameio"
 )
@@ -82,10 +85,10 @@ type indexHeader struct {
 // (see mapped.go for the full map). A shard that is still an
 // untouched mapped view writes its payload bytes verbatim — the
 // incremental-checkpoint fast path that makes re-checkpointing a
-// mapped, read-mostly corpus byte-copy cheap. Anything dirty has its
-// doc table materialized (prepareWriteLocked's invariant), so the
-// generic walk below reads heap docs and per-term lookups that may
-// still be views — both encode identically.
+// mapped, read-mostly corpus byte-copy cheap. A written mapped shard
+// copies its surviving base doc entries and still-mapped term entries
+// verbatim and encodes only the overlay; the bytes are the ones a
+// decode of the whole shard followed by a fresh encode would write.
 func (s *shard) snapshotV3(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -99,13 +102,25 @@ func (s *shard) snapshotV3(w io.Writer) error {
 	// Doc entries first, recording each live doc's offset; the
 	// directory and ID permutation follow.
 	docOff := make([]uint64, nDocs)
+	for ord := 0; ord < s.base; ord++ {
+		var e []byte
+		if s.ms.liveAt(ord) {
+			e = s.ms.entryBytes(s.ix, ord)
+		}
+		if e == nil {
+			docOff[ord] = v3Tombstone
+			continue
+		}
+		docOff[ord] = uint64(len(bw.buf))
+		bw.buf = append(bw.buf, e...)
+	}
 	type idOrd struct {
 		id  string
 		ord int
 	}
-	byIDSorted := make([]idOrd, 0, s.live)
-	for ord := 0; ord < nDocs; ord++ {
-		doc := s.docAt(ord)
+	overlay := make([]idOrd, 0, len(s.byID))
+	for i := range s.docs {
+		doc, ord := &s.docs[i], s.base+i
 		if doc.ID == "" {
 			docOff[ord] = v3Tombstone
 			continue
@@ -114,16 +129,32 @@ func (s *shard) snapshotV3(w io.Writer) error {
 		bw.str(doc.ID)
 		bw.strmap(doc.Fields)
 		bw.strmap(doc.Stored)
-		byIDSorted = append(byIDSorted, idOrd{doc.ID, ord})
+		overlay = append(overlay, idOrd{doc.ID, ord})
 	}
 	docDirOff := len(bw.buf)
 	for _, off := range docOff {
 		bw.u64(off)
 	}
-	sort.Slice(byIDSorted, func(i, j int) bool { return byIDSorted[i].id < byIDSorted[j].id })
+	// The ID permutation merges the base's (already ID-sorted, minus
+	// the dead) with the sorted overlay; the two share no live ID.
+	slices.SortFunc(overlay, func(a, b idOrd) int { return strings.Compare(a.id, b.id) })
 	idSortedOff := len(bw.buf)
-	for _, e := range byIDSorted {
-		bw.u32(uint32(e.ord))
+	j := 0
+	if s.ms != nil {
+		for i := 0; i < len(s.ms.idSorted)/4; i++ {
+			ord := int(binary.LittleEndian.Uint32(s.ms.idSorted[i*4:]))
+			if ord >= s.base || docOff[ord] == v3Tombstone {
+				continue
+			}
+			id := s.ms.idBytesAt(s.ix, ord)
+			for ; j < len(overlay) && overlay[j].id < string(id); j++ {
+				bw.u32(uint32(overlay[j].ord))
+			}
+			bw.u32(uint32(ord))
+		}
+	}
+	for ; j < len(overlay); j++ {
+		bw.u32(uint32(overlay[j].ord))
 	}
 	names := make([]string, 0, len(s.fields))
 	for name := range s.fields {
@@ -138,13 +169,25 @@ func (s *shard) snapshotV3(w io.Writer) error {
 		bw.uvarint(fp.totalLen)
 		bw.uvarint(fp.docCount)
 		bw.uvarint(fp.minLen)
+		// The ordinals carrying the field: the base's from its mapped
+		// length list, the overlay's from their Fields.
 		ords := make([]int, 0, fp.docCount)
-		for ord := 0; ord < nDocs; ord++ {
-			if !s.liveAt(ord) {
-				continue
+		if mf := fp.mapped; mf != nil {
+			// attachShardV3 validated the list: ordinals below nDocs.
+			br := binReader{buf: mf.lens}
+			for range mf.nLens {
+				ord, _ := br.uvarint()
+				br.uvarint()
+				if docOff[ord] != v3Tombstone {
+					ords = append(ords, ord)
+				}
 			}
-			if _, ok := s.docAt(ord).Fields[name]; ok {
-				ords = append(ords, ord)
+		}
+		for i := range s.docs {
+			if doc := &s.docs[i]; doc.ID != "" {
+				if _, ok := doc.Fields[name]; ok {
+					ords = append(ords, s.base+i)
+				}
 			}
 		}
 		bw.uvarint(len(ords))
@@ -152,36 +195,26 @@ func (s *shard) snapshotV3(w io.Writer) error {
 			bw.uvarint(ord)
 			bw.uvarint(fp.lenAt(ord))
 		}
-		terms := fp.sortedTermsAll()
-		lists := make([]*postingList, 0, len(terms))
-		kept := make([]string, 0, len(terms))
-		for _, term := range terms {
-			if l := fp.lookup(term); l != nil {
-				lists = append(lists, l)
-				kept = append(kept, term)
+		if fp.mapped == nil {
+			terms := fp.sortedTerms()
+			bw.uvarint(len(terms))
+			termDirOff := bw.reserve(len(terms) * 8)
+			for ti, term := range terms {
+				bw.patchU64(termDirOff+ti*8, uint64(len(bw.buf)))
+				bw.termEntry(term, fp.terms[term])
 			}
+			continue
 		}
-		terms = kept
-		bw.uvarint(len(terms))
-		termDirOff := bw.reserve(len(terms) * 8)
-		for ti, term := range terms {
+		plan := fp.encodePlan()
+		bw.uvarint(len(plan))
+		termDirOff := bw.reserve(len(plan) * 8)
+		for ti, te := range plan {
 			bw.patchU64(termDirOff+ti*8, uint64(len(bw.buf)))
-			list := lists[ti]
-			bw.str(term)
-			bw.uvarint(list.n)
-			bw.uvarint(list.lastDoc)
-			bw.uvarint(list.maxTF)
-			bw.uvarint(len(list.blocks))
-			for _, b := range list.blocks {
-				bw.uvarint(b.firstDoc)
-				bw.uvarint(b.docOff)
-				bw.uvarint(b.posOff)
-				bw.uvarint(b.maxTF)
+			if te.list == nil {
+				bw.buf = append(bw.buf, te.raw...)
+			} else {
+				bw.termEntry(te.term, te.list)
 			}
-			bw.uvarint(len(list.docTF))
-			bw.buf = append(bw.buf, list.docTF...)
-			bw.uvarint(len(list.posBuf))
-			bw.buf = append(bw.buf, list.posBuf...)
 		}
 	}
 	fieldDirOff := len(bw.buf)
@@ -195,6 +228,70 @@ func (s *shard) snapshotV3(w io.Writer) error {
 	}
 	_, err := w.Write(bw.buf)
 	return err
+}
+
+// termEntry encodes one v3 term entry from a posting list.
+func (bw *binWriter) termEntry(term string, list *postingList) {
+	bw.str(term)
+	bw.uvarint(list.n)
+	bw.uvarint(list.lastDoc)
+	bw.uvarint(list.maxTF)
+	bw.uvarint(len(list.blocks))
+	for _, b := range list.blocks {
+		bw.uvarint(b.firstDoc)
+		bw.uvarint(b.docOff)
+		bw.uvarint(b.posOff)
+		bw.uvarint(b.maxTF)
+	}
+	bw.uvarint(len(list.docTF))
+	bw.buf = append(bw.buf, list.docTF...)
+	bw.uvarint(len(list.posBuf))
+	bw.buf = append(bw.buf, list.posBuf...)
+}
+
+// termEntry is one term of a mapped field's encoded dictionary: a
+// heap list to encode, or a still-mapped term entry to copy verbatim.
+type termEntry struct {
+	term string
+	list *postingList
+	raw  []byte
+}
+
+// encodePlan returns a mapped field's dictionary in term order: the
+// mapped slots merged with the heap terms, a heap list (new or
+// promoted) winning over the mapped slot of the same term. Corrupt
+// slots are counted and left out, as a decode would.
+func (fp *fieldPostings) encodePlan() []termEntry {
+	mf := fp.mapped
+	// fp.dict caches the merged dictionary on a mapped field, so the
+	// heap terms are sorted here instead of through sortedTerms.
+	heap := make([]string, 0, len(fp.terms))
+	for t := range fp.terms {
+		heap = append(heap, t)
+	}
+	sort.Strings(heap)
+	plan := make([]termEntry, 0, mf.nTerms+len(heap))
+	j := 0
+	for slot := 0; slot < mf.nTerms; slot++ {
+		term, raw, err := mf.slotBytes(slot)
+		if err != nil {
+			mf.ix.lazyErr()
+			continue
+		}
+		for ; j < len(heap) && heap[j] < string(term); j++ {
+			plan = append(plan, termEntry{term: heap[j], list: fp.terms[heap[j]]})
+		}
+		if j < len(heap) && heap[j] == string(term) {
+			plan = append(plan, termEntry{term: heap[j], list: fp.terms[heap[j]]})
+			j++
+			continue
+		}
+		plan = append(plan, termEntry{raw: raw})
+	}
+	for ; j < len(heap); j++ {
+		plan = append(plan, termEntry{term: heap[j], list: fp.terms[heap[j]]})
+	}
+	return plan
 }
 
 // decodeShard builds a fresh heap shard from a v1 or v2 shard
@@ -433,8 +530,7 @@ func (ix *Index) Restore(data []byte) error {
 // RestoreMapped attaches the index from an in-memory v3 Snapshot
 // stream — typically a subslice of an mmap'd snapshot file — without
 // decoding postings or documents onto the heap: shards become views
-// over data and materialize copy-on-write as writes arrive
-// (mapped.go). The caller guarantees data stays valid (and unmodified)
+// over data, under a heap overlay that takes the writes (mapped.go). The caller guarantees data stays valid (and unmodified)
 // for the life of the index; internal/mmapio's contract is that
 // mappings are never unmapped while a serving process holds views.
 //

@@ -88,18 +88,23 @@ type shard struct {
 	ix *Index
 
 	fields map[string]*fieldPostings
-	docs   []Document // by ordinal; deleted entries have ID ""
-	byID   map[string]int
-	live   int
+	// docs is the overlay: docs[i] is ordinal base+i; deleted entries
+	// have ID "". byID maps the overlay's live IDs to their ordinals.
+	docs []Document
+	byID map[string]int
+	// base is the number of ordinals the mapped payload holds (0 for
+	// a heap shard): ordinals below it read from ms.
+	base int
+	live int
 	// dead counts tombstoned ordinals whose postings have not been
 	// compacted away yet; compact resets it. The tombstone ratio
 	// dead/(dead+live) drives per-shard auto-compaction.
 	dead int
 
 	// ms, when non-nil, is the mapped v3 payload this shard was
-	// attached from (mapped.go); the doc table and posting lists
-	// materialize onto the heap copy-on-write. dirty records any
-	// mutation since attach: a clean mapped shard snapshots verbatim.
+	// attached from (mapped.go): the immutable base under the overlay.
+	// dirty records any mutation since attach: a clean mapped shard
+	// snapshots verbatim.
 	ms    *mappedShard
 	dirty bool
 
@@ -226,12 +231,12 @@ func (s *shard) addStaging(doc Document, analyzed map[string][]textproc.Token) {
 // grow monotonically, so postings always append in increasing doc
 // order — the invariant the delta-encoded lists rely on.
 func (s *shard) addLocked(doc Document, analyzed map[string][]textproc.Token) {
-	s.prepareWriteLocked()
-	if ord, ok := s.byID[doc.ID]; ok {
+	s.dirty = true
+	if ord, ok := s.findOrd(doc.ID); ok {
 		s.deleteOrdLocked(ord)
 		defer s.maybeCompactLocked()
 	}
-	ord := len(s.docs)
+	ord := s.numDocs()
 	s.docs = append(s.docs, doc)
 	s.byID[doc.ID] = ord
 	s.live++
@@ -278,19 +283,11 @@ func (s *shard) deleteStaging(id string) {
 }
 
 func (s *shard) deleteByIDLocked(id string) bool {
-	// On a still-mapped shard, resolve the ID against the mapped table
-	// first: a miss must not materialize anything.
-	if s.ms != nil && !s.ms.docsMat {
-		if _, ok := s.findOrd(id); !ok {
-			return false
-		}
-		s.prepareWriteLocked()
-	}
-	s.dirty = true
-	ord, ok := s.byID[id]
+	ord, ok := s.findOrd(id)
 	if !ok {
 		return false
 	}
+	s.dirty = true
 	s.deleteOrdLocked(ord)
 	s.maybeCompactLocked()
 	return true
@@ -298,27 +295,40 @@ func (s *shard) deleteByIDLocked(id string) bool {
 
 // deleteOrdLocked tombstones a document ordinal. Postings are lazily
 // skipped at query time (posting lists may still reference the
-// ordinal) and fully dropped at Compact.
+// ordinal) and fully dropped at Compact. A base ordinal gets its dead
+// bit, and only its entry's field keys are decoded.
 func (s *shard) deleteOrdLocked(ord int) {
-	doc := s.docs[ord]
-	if doc.ID == "" {
+	if !s.liveAt(ord) {
 		return
 	}
-	delete(s.byID, doc.ID)
-	for field := range doc.Fields {
-		fp := s.fields[field]
-		if fp == nil {
-			continue
+	if ord < s.base {
+		for field := range s.ms.fieldKeys(s.ix, ord) {
+			s.fields[string(field)].dropLen(ord)
 		}
-		fp.totalLen -= fp.lenAt(ord)
-		if ord < len(fp.docLen) {
-			fp.docLen[ord] = 0
+		s.ms.kill(ord)
+	} else {
+		doc := &s.docs[ord-s.base]
+		delete(s.byID, doc.ID)
+		for field := range doc.Fields {
+			s.fields[field].dropLen(ord)
 		}
-		fp.docCount--
+		*doc = Document{}
 	}
-	s.docs[ord] = Document{}
 	s.live--
 	s.dead++
+}
+
+// dropLen removes the deleted ordinal ord's length from the field's
+// statistics; a nil field (never registered) has none.
+func (fp *fieldPostings) dropLen(ord int) {
+	if fp == nil {
+		return
+	}
+	fp.totalLen -= fp.lenAt(ord)
+	if ord < len(fp.docLen) {
+		fp.docLen[ord] = 0
+	}
+	fp.docCount--
 }
 
 // maybeCompactLocked compacts this shard when its tombstone ratio has
@@ -362,9 +372,8 @@ func (s *shard) compactLocked() {
 		return
 	}
 	// Compaction rewrites every list containing tombstones; the walk
-	// below iterates the heap maps, so a mapped shard converts first.
-	// (Deletes materialized the doc table already; this pulls the
-	// posting lists across too.)
+	// below iterates the heap maps and doc table, so a mapped shard
+	// converts first.
 	s.materializeAllLocked(true)
 	s.dirty = true
 	var positions []int
@@ -499,11 +508,11 @@ func (s *shard) search(ctx context.Context, q Query, st *searchStats, k int) []s
 		if !seen {
 			continue
 		}
-		doc := s.docAt(ord)
-		if doc.ID == "" {
+		id, stored := s.hitAt(ord)
+		if id == "" {
 			continue
 		}
-		hits = append(hits, shardHit{ord: ord, res: Result{ID: doc.ID, Score: acc.scores[ord], Stored: doc.Stored}})
+		hits = append(hits, shardHit{ord: ord, res: Result{ID: id, Score: acc.scores[ord], Stored: stored}})
 	}
 	slices.SortFunc(hits, cmpShardHits)
 	return hits
@@ -562,14 +571,20 @@ func (t *topkHeap) full() bool { return len(t.h) == t.k }
 // first — with fewer than k hits every candidate must be evaluated.
 func (t *topkHeap) threshold() float64 { return t.h[0].res.Score }
 
-// offer considers the live document at ord with score sc.
+// offer considers the live document at ord with score sc. The score
+// decides first and the ID only breaks a tie, compared in place, so a
+// mapped candidate the heap rejects decodes nothing; an admitted one
+// decodes its ID and Stored map, never its Fields.
 func (t *topkHeap) offer(s *shard, ord int, sc float64) {
-	doc := s.docAt(ord)
-	// ranksBelow: (sc, id) orders after the heap root, i.e. is worse.
-	if t.full() && (sc < t.h[0].res.Score || (sc == t.h[0].res.Score && doc.ID > t.h[0].res.ID)) {
-		return
+	// (sc, id) ordering after the heap root is worse: reject.
+	if t.full() {
+		root := &t.h[0].res
+		if sc < root.Score || (sc == root.Score && s.idAfter(ord, root.ID)) {
+			return
+		}
 	}
-	hit := shardHit{ord: ord, res: Result{ID: doc.ID, Score: sc, Stored: doc.Stored}}
+	id, stored := s.hitAt(ord)
+	hit := shardHit{ord: ord, res: Result{ID: id, Score: sc, Stored: stored}}
 	if len(t.h) < t.k {
 		t.h = append(t.h, hit)
 		siftUp(t.h, len(t.h)-1)
@@ -621,8 +636,8 @@ func siftDown(h []shardHit, i int) {
 }
 
 // count returns how many live documents in this shard match q. It
-// tests liveness only: on an unmaterialized mapped shard, decoding
-// each match's doc entry would cost allocations per match.
+// tests liveness only: on a mapped shard's base, decoding each
+// match's doc entry would cost allocations per match.
 func (s *shard) count(ctx context.Context, q Query, st *searchStats) int {
 	if ctx.Err() != nil {
 		return 0
@@ -657,11 +672,8 @@ func (s *shard) facets(ctx context.Context, q Query, st *searchStats, field stri
 		if !seen {
 			continue
 		}
-		doc := s.docAt(ord)
-		if doc.ID == "" {
-			continue
-		}
-		if v := doc.Stored[field]; v != "" {
+		_, stored := s.hitAt(ord)
+		if v := stored[field]; v != "" {
 			counts[v]++
 		}
 	}

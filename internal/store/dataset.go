@@ -18,16 +18,17 @@ import (
 type Dataset struct {
 	schema Schema
 
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// records and order are the heap overlay: every record written
+	// since attach (all of them for a heap dataset), and the insertion
+	// order of the IDs the base does not place. mrecs, when non-nil,
+	// is the base: views into a mapped snapshot's record section (see
+	// mapped.go). Guarded by mu.
 	records map[string]Record
-	order   []string // insertion order of IDs, for stable listing
-	// mrecs, when non-nil, holds the dataset's records as views into a
-	// mapped snapshot's record section; records/order are empty until
-	// the first mutation materializes them (see mapped.go). Guarded by
-	// mu.
-	mrecs  *mappedRecords
-	nextID int
-	ix     *index.Index
+	order   []string
+	mrecs   *mappedRecords
+	nextID  int
+	ix      *index.Index
 	// ver counts mutations (puts, deletes, reshards) for dirty
 	// tracking: incremental checkpoints re-encode a dataset's frame
 	// only when its version moved since the cached encode. Guarded by
@@ -120,7 +121,6 @@ func (d *Dataset) PutContext(ctx context.Context, rec Record) (string, error) {
 	}
 
 	d.mu.Lock()
-	d.materializeRecordsLocked()
 	var id string
 	if d.schema.Key != "" {
 		id = rec[d.schema.Key]
@@ -132,14 +132,11 @@ func (d *Dataset) PutContext(ctx context.Context, rec Record) (string, error) {
 		d.nextID++
 		id = strconv.Itoa(d.nextID)
 	}
-	if _, exists := d.records[id]; !exists {
-		d.order = append(d.order, id)
-	}
 	cp := make(Record, len(rec))
 	for k, v := range rec {
 		cp[k] = v
 	}
-	d.records[id] = cp
+	d.setRecordLocked(id, cp)
 	d.ver++
 	err := d.reindexLocked(id, cp)
 	// Append under the lock (log order = apply order for this key),
@@ -229,7 +226,7 @@ func (d *Dataset) AddBatchContext(ctx context.Context, recs []Record) ([]string,
 			ids[i] = strconv.Itoa(d.nextID)
 		}
 	}
-	cps, err := d.installBatchLocked(ctx, ids, recs)
+	cps, err := d.installBatchLocked(ctx, ids, recs, false)
 	if err != nil {
 		// Nothing was applied: return the assigned IDs to the sequence
 		// for the next batch to reuse.
@@ -254,31 +251,33 @@ func (d *Dataset) AddBatchContext(ctx context.Context, recs []Record) ([]string,
 
 // installBatchLocked inserts or replaces recs[i] under ids[i] as one
 // batch — the write path uploads and log replay share — and returns
-// the installed copies. One materialization, one index batch and one
-// version bump cover the batch; the index batch resolves duplicate
-// IDs last-write-wins, exactly like installing the records one by
-// one. The index goes first: a ctx error there applies nothing.
-// Callers hold d.mu.
-func (d *Dataset) installBatchLocked(ctx context.Context, ids []string, recs []Record) ([]Record, error) {
-	d.materializeRecordsLocked()
-	cps := make([]Record, len(recs))
-	docs := make([]index.Document, len(recs))
-	for i, rec := range recs {
-		cp := make(Record, len(rec))
-		for k, v := range rec {
-			cp[k] = v
+// the installed records. One index batch and one version bump cover
+// the batch; the index batch resolves duplicate IDs last-write-wins,
+// exactly like installing the records one by one. The index goes
+// first: a ctx error there applies nothing. owned says the dataset
+// may keep recs itself, as replay's freshly decoded rows; an upload's
+// rows belong to the caller and are copied. Callers hold d.mu.
+func (d *Dataset) installBatchLocked(ctx context.Context, ids []string, recs []Record, owned bool) ([]Record, error) {
+	cps := recs
+	if !owned {
+		cps = make([]Record, len(recs))
+		for i, rec := range recs {
+			cp := make(Record, len(rec))
+			for k, v := range rec {
+				cp[k] = v
+			}
+			cps[i] = cp
 		}
-		cps[i] = cp
-		docs[i] = docFor(d.schema, ids[i], cp)
+	}
+	docs := make([]index.Document, len(cps))
+	for i, rec := range cps {
+		docs[i] = docFor(d.schema, ids[i], rec)
 	}
 	if err := d.ix.AddBatchContext(ctx, docs); err != nil {
 		return nil, err
 	}
 	for i, id := range ids {
-		if _, exists := d.records[id]; !exists {
-			d.order = append(d.order, id)
-		}
-		d.records[id] = cps[i]
+		d.setRecordLocked(id, cps[i])
 	}
 	d.ver++
 	return cps, nil
@@ -323,18 +322,8 @@ func (d *Dataset) DeleteContext(ctx context.Context, id string) (bool, error) {
 }
 
 func (d *Dataset) deleteLocked(id string) bool {
-	// Check before materializing: deleting an absent ID from a mapped
-	// dataset must stay a no-op, not a whole-table copy.
-	if !d.existsLocked(id) {
+	if !d.removeRecordLocked(id) {
 		return false
-	}
-	d.materializeRecordsLocked()
-	delete(d.records, id)
-	for i, o := range d.order {
-		if o == id {
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			break
-		}
 	}
 	d.ix.Delete(id)
 	d.ver++
@@ -412,26 +401,26 @@ func (d *Dataset) Len() int {
 func (d *Dataset) List(offset, limit int) []Record {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	offset = max(offset, 0)
 	n := d.lenLocked()
 	if offset >= n {
 		return nil
 	}
-	end := n
-	if limit > 0 && offset+limit < end {
-		end = offset + limit
+	want := n - offset
+	if limit > 0 && limit < want {
+		want = limit
 	}
-	out := make([]Record, 0, end-offset)
-	for i := offset; i < end; i++ {
-		id, rec, ok := d.viewAtLocked(i)
-		if !ok {
-			continue
-		}
+	out := make([]Record, 0, want)
+	for id, rec := range d.recordsLocked(offset) {
 		cp := make(Record, len(rec)+1)
 		for k, v := range rec {
 			cp[k] = v
 		}
 		cp["_id"] = id
 		out = append(out, cp)
+		if len(out) == want {
+			break
+		}
 	}
 	return out
 }

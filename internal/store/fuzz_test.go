@@ -1,0 +1,156 @@
+package store
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"testing"
+
+	"repro/internal/frameio"
+)
+
+// fixtureSections walks testdata/multitenant_v3.snap and returns, per
+// dataset frame ("tenant-dataset"), its record section and its index
+// snapshot's shard payloads.
+func fixtureSections(tb testing.TB) (names []string, recSecs [][]byte, shards [][][]byte) {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "multitenant_v3.snap"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hdr, off, err := frameio.NextFrameInBuf(data, len(snapshotMagicV3), true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, expects, err := parseFramedHeader(hdr, snapshotVersionV3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, e := range expects {
+		var frame []byte
+		if frame, off, err = frameio.NextFrameInBuf(data, off, true); err != nil {
+			tb.Fatal(err)
+		}
+		_, rest, err := cutSection(frame, "metadata")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rec, ixBytes, err := cutSection(rest, "record section")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		// The index snapshot: magic, a header frame, one frame per shard.
+		ixOff := len("SYMIDX1\n")
+		if _, ixOff, err = frameio.NextFrameInBuf(ixBytes, ixOff, true); err != nil {
+			tb.Fatal(err)
+		}
+		var payloads [][]byte
+		for ixOff < len(ixBytes) {
+			var p []byte
+			if p, ixOff, err = frameio.NextFrameInBuf(ixBytes, ixOff, true); err != nil {
+				tb.Fatal(err)
+			}
+			payloads = append(payloads, p)
+		}
+		names = append(names, e.tenant+"-"+e.name)
+		recSecs = append(recSecs, rec)
+		shards = append(shards, payloads)
+	}
+	return names, recSecs, shards
+}
+
+// fuzzSeedFrames names the fixture frames the committed seed corpora
+// are cut from.
+var fuzzSeedFrames = []string{"tenant0-data0", "tenant3-data1"}
+
+// TestFuzzCorporaMatchFixture keeps the committed seed corpora of
+// FuzzRecordSection (here) and FuzzV3DocEntry (internal/index) cut
+// from multitenant_v3.snap: one file per record section and per index
+// shard payload of the frames in fuzzSeedFrames. Run with
+// UPDATE_FUZZ_CORPUS=1 to rewrite them after a deliberate format
+// change.
+func TestFuzzCorporaMatchFixture(t *testing.T) {
+	names, recSecs, shards := fixtureSections(t)
+	want := map[string][]byte{}
+	for i, name := range names {
+		for _, seed := range fuzzSeedFrames {
+			if name != seed {
+				continue
+			}
+			want[filepath.Join("testdata", "fuzz", "FuzzRecordSection", name)] = recSecs[i]
+			for j, p := range shards[i] {
+				want[filepath.Join("..", "index", "testdata", "fuzz", "FuzzV3DocEntry", fmt.Sprintf("%s-shard%d", name, j))] = p
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("no seed frames found in the fixture")
+	}
+	for path, b := range want {
+		body := []byte("go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n")
+		if os.Getenv("UPDATE_FUZZ_CORPUS") != "" {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (UPDATE_FUZZ_CORPUS=1 writes the corpus)", err)
+		}
+		if !bytes.Equal(got, body) {
+			t.Fatalf("%s is not the fixture's bytes (UPDATE_FUZZ_CORPUS=1 rewrites it)", path)
+		}
+	}
+}
+
+// FuzzRecordSection: attaching arbitrary bytes as a record section
+// either fails or yields a section whose every accessor — entry
+// decode, ID probe, verbatim entry walk, ordered walk, dead-bit
+// bookkeeping and re-encode — returns an error or a zero value without
+// panicking. The section is cap-clamped, so a read past its end panics
+// instead of silently reading the neighbouring bytes of a mapping.
+func FuzzRecordSection(f *testing.F) {
+	_, recSecs, _ := fixtureSections(f)
+	for _, sec := range recSecs {
+		f.Add(sec)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		raw := bytes.Clone(data)
+		raw = raw[:len(raw):len(raw)]
+		mr, err := attachRecordSection(raw)
+		if err != nil {
+			return
+		}
+		d := &Dataset{records: make(map[string]Record), mrecs: mr}
+		for i := 0; i < mr.count; i++ {
+			id, rec, ok := mr.entryAt(i)
+			idb, entry, eok := mr.entryBytes(i)
+			if ok != eok || (ok && (string(idb) != id || len(entry) == 0)) {
+				t.Fatalf("entry %d: entryAt %q %v, entryBytes %q %v", i, id, ok, idb, eok)
+			}
+			if !ok {
+				continue
+			}
+			mr.find(id)
+			d.existsLocked(id)
+			if i%3 == 0 {
+				d.removeRecordLocked(id)
+			} else if i%3 == 1 {
+				d.setRecordLocked(id, rec)
+			}
+		}
+		mr.find("")
+		d.setRecordLocked("fuzz-new", Record{"k": "v"})
+		for range d.recordsLocked(1) {
+		}
+		if _, err := attachRecordSection(d.encodeRecordsLocked()); err != nil {
+			t.Fatalf("re-encoded section does not attach: %v", err)
+		}
+	})
+}

@@ -3,7 +3,11 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
+
+	"repro/internal/index"
 )
 
 // Mapped record sections: the store half of zero-copy boot.
@@ -18,16 +22,17 @@ import (
 //	entries  count x {uvarint-len id, uvarint nFields,
 //	                  nFields x {uvarint-len key, uvarint-len value}}
 //
-// The fixed-width directories are random-accessed in place — List
-// seeks to an insertion-order window, Get binary-searches idSorted —
-// and individual entries decode on demand. A dataset restored mapped
-// holds only the section's byte views until its first mutation, at
-// which point the whole record table materializes to the heap
-// (copy-on-write at dataset granularity; per-term posting
-// materialization lives in the index layer). Entry keys are written
-// sorted, so re-encoding a materialized-but-unchanged dataset
-// reproduces the mapped bytes exactly — incremental checkpoints stay
-// deterministic across the materialization boundary.
+// The fixed-width directories are random-accessed in place — Get
+// binary-searches idSorted, List walks recDir — and individual
+// entries decode on demand. A dataset restored mapped keeps the
+// section as an immutable base under a heap overlay: records holds
+// what was written since attach, a replaced base record is shadowed
+// there and keeps its position, a deleted one gets a bit in the
+// base's dead set, and a new or re-added one joins order after the
+// base. A write therefore costs O(rows written), never a decode of
+// the section. Entry keys are written sorted, so the encoder can copy
+// surviving base entries verbatim and still produce the bytes a fresh
+// encode of the same content would.
 
 // recWriter accumulates a record section. It mirrors the index
 // package's unexported codec; the duplication is the price of keeping
@@ -49,40 +54,6 @@ func (w *recWriter) patchU64(off int, x uint64) {
 	binary.LittleEndian.PutUint64(w.buf[off:], x)
 }
 
-// encodeRecordSection serializes records in insertion order. Keys are
-// sorted per entry so the encoding is a pure function of dataset
-// content.
-func encodeRecordSection(order []string, records map[string]Record) []byte {
-	var w recWriter
-	w.u64(uint64(len(order)))
-	dirOff := w.reserve(len(order) * 8)
-	perm := make([]int, len(order))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool { return order[perm[a]] < order[perm[b]] })
-	for _, p := range perm {
-		w.u32(uint32(p))
-	}
-	keys := make([]string, 0, 16)
-	for i, id := range order {
-		w.patchU64(dirOff+i*8, uint64(len(w.buf)))
-		w.str(id)
-		rec := records[id]
-		keys = keys[:0]
-		for k := range rec {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		w.uvarint(len(keys))
-		for _, k := range keys {
-			w.str(k)
-			w.str(rec[k])
-		}
-	}
-	return w.buf
-}
-
 var errRecordSection = fmt.Errorf("store: corrupt record section")
 
 // mappedRecords is a record section attached in place: raw stays a
@@ -93,6 +64,10 @@ type mappedRecords struct {
 	count    int
 	recDir   []byte // count x u64
 	idSorted []byte // count x u32
+	// gone marks positions deleted since attach (nil until the first
+	// delete) and nGone counts them. Guarded by the dataset lock.
+	gone  []uint64
+	nGone int
 }
 
 // attachRecordSection validates the section's directory structure —
@@ -120,7 +95,7 @@ func attachRecordSection(raw []byte) (*mappedRecords, error) {
 		idSorted: raw[dirEnd:idEnd:idEnd],
 	}
 	for i := 0; i < n; i++ {
-		if off := mr.entryOff(i); off < idEnd || off >= len(raw) {
+		if off := binary.LittleEndian.Uint64(mr.recDir[i*8:]); off < uint64(idEnd) || off >= uint64(len(raw)) {
 			return nil, errRecordSection
 		}
 	}
@@ -131,20 +106,26 @@ func (mr *mappedRecords) entryOff(i int) int {
 	return int(binary.LittleEndian.Uint64(mr.recDir[i*8:]))
 }
 
-// readStr decodes one length-prefixed string at off, returning the
-// string and the next offset, or ok=false on a malformed entry.
-func (mr *mappedRecords) readStr(off int) (s string, next int, ok bool) {
+// readBytes decodes one length-prefixed string at off as a view into
+// raw, returning the next offset, or ok=false on a malformed entry.
+func (mr *mappedRecords) readBytes(off int) (b []byte, next int, ok bool) {
 	n, w := binary.Uvarint(mr.raw[off:])
 	if w <= 0 || n > uint64(len(mr.raw)-off-w) {
-		return "", 0, false
+		return nil, 0, false
 	}
 	off += w
-	return string(mr.raw[off : off+int(n)]), off + int(n), true
+	return mr.raw[off : off+int(n) : off+int(n)], off + int(n), true
 }
 
-// idAt decodes only the record ID of entry i.
-func (mr *mappedRecords) idAt(i int) (string, bool) {
-	id, _, ok := mr.readStr(mr.entryOff(i))
+// readStr is readBytes returning a copy.
+func (mr *mappedRecords) readStr(off int) (s string, next int, ok bool) {
+	b, next, ok := mr.readBytes(off)
+	return string(b), next, ok
+}
+
+// idBytesAt returns the record ID of entry i as a view into raw.
+func (mr *mappedRecords) idBytesAt(i int) ([]byte, bool) {
+	id, _, ok := mr.readBytes(mr.entryOff(i))
 	return id, ok
 }
 
@@ -175,21 +156,47 @@ func (mr *mappedRecords) entryAt(i int) (string, Record, bool) {
 	return id, rec, true
 }
 
+// entryBytes returns entry i whole — ID and fields — as a view into
+// raw, for verbatim re-encoding, along with its ID.
+func (mr *mappedRecords) entryBytes(i int) (id, entry []byte, ok bool) {
+	start := mr.entryOff(i)
+	id, off, ok := mr.readBytes(start)
+	if !ok {
+		return nil, nil, false
+	}
+	nf, w := binary.Uvarint(mr.raw[off:])
+	if w <= 0 || nf > uint64(len(mr.raw)-off) {
+		return nil, nil, false
+	}
+	off += w
+	for f := uint64(0); f < 2*nf; f++ {
+		if _, off, ok = mr.readBytes(off); !ok {
+			return nil, nil, false
+		}
+	}
+	return id, mr.raw[start:off:off], true
+}
+
 // find binary-searches idSorted for id, returning the entry's
-// insertion-order index.
+// insertion-order index. Probes compare raw bytes in place, so a
+// lookup allocates nothing. The entry may have died since attach;
+// callers check isGone.
 func (mr *mappedRecords) find(id string) (int, bool) {
 	lo, hi := 0, mr.count
 	for lo < hi {
 		mid := (lo + hi) / 2
 		ord := int(binary.LittleEndian.Uint32(mr.idSorted[mid*4:]))
-		got, ok := mr.idAt(ord)
+		if ord >= mr.count {
+			return 0, false
+		}
+		got, ok := mr.idBytesAt(ord)
 		if !ok {
 			return 0, false
 		}
 		switch {
-		case got < id:
+		case string(got) < id:
 			lo = mid + 1
-		case got > id:
+		case string(got) > id:
 			hi = mid
 		default:
 			return ord, true
@@ -198,88 +205,240 @@ func (mr *mappedRecords) find(id string) (int, bool) {
 	return 0, false
 }
 
-// Dataset record accessors. Every read path goes through these so a
-// dataset serves identically whether its records live in the heap map
-// or a mapped section; write paths call materializeRecordsLocked
-// first. All require d.mu held (read paths at least RLock, the
-// materializer the write lock).
+func (mr *mappedRecords) isGone(i int) bool {
+	return mr.gone != nil && mr.gone[i>>6]&(1<<(i&63)) != 0
+}
+
+func (mr *mappedRecords) kill(i int) {
+	if mr.gone == nil {
+		mr.gone = make([]uint64, (mr.count+63)/64)
+	}
+	mr.gone[i>>6] |= 1 << (i & 63)
+	mr.nGone++
+}
+
+// Dataset record accessors. Every path goes through these so a
+// dataset serves identically whether a record lives in the heap
+// overlay or the mapped base. All require d.mu held (read paths at
+// least RLock, writers the write lock).
 
 func (d *Dataset) lenLocked() int {
-	if d.mrecs != nil {
-		return d.mrecs.count
+	n := len(d.order)
+	if mr := d.mrecs; mr != nil {
+		n += mr.count - mr.nGone
 	}
-	return len(d.records)
+	return n
+}
+
+// baseLiveLocked returns the base position of id when the base holds
+// it and it has not been deleted since attach.
+func (d *Dataset) baseLiveLocked(id string) (int, bool) {
+	mr := d.mrecs
+	if mr == nil {
+		return 0, false
+	}
+	i, ok := mr.find(id)
+	if !ok || mr.isGone(i) {
+		return 0, false
+	}
+	return i, true
 }
 
 func (d *Dataset) existsLocked(id string) bool {
-	if d.mrecs != nil {
-		_, ok := d.mrecs.find(id)
-		return ok
+	if _, ok := d.records[id]; ok {
+		return true
 	}
-	_, ok := d.records[id]
+	_, ok := d.baseLiveLocked(id)
 	return ok
 }
 
-// recordViewLocked returns a read-only view of the record: the live
-// map on the heap path, a fresh decode on the mapped path. Callers
-// must copy before mutating or retaining past the lock.
+// recordViewLocked returns a read-only view of the record: the
+// overlay's map, or a fresh decode of the base entry. Callers must
+// copy before mutating or retaining past the lock.
 func (d *Dataset) recordViewLocked(id string) (Record, bool) {
-	if d.mrecs != nil {
-		i, ok := d.mrecs.find(id)
-		if !ok {
-			return nil, false
-		}
-		_, rec, ok := d.mrecs.entryAt(i)
-		return rec, ok
+	if rec, ok := d.records[id]; ok {
+		return rec, true
 	}
-	rec, ok := d.records[id]
+	i, ok := d.baseLiveLocked(id)
+	if !ok {
+		return nil, false
+	}
+	_, rec, ok := d.mrecs.entryAt(i)
 	return rec, ok
 }
 
-// viewAtLocked returns the id and read-only record at insertion
-// position i.
-func (d *Dataset) viewAtLocked(i int) (string, Record, bool) {
-	if d.mrecs != nil {
-		return d.mrecs.entryAt(i)
+// setRecordLocked installs rec, which the dataset owns from here on,
+// under id. A live base record is shadowed in place; any other ID is
+// new and goes to the end of the insertion order.
+func (d *Dataset) setRecordLocked(id string, rec Record) {
+	if _, ok := d.records[id]; !ok {
+		if _, ok := d.baseLiveLocked(id); !ok {
+			d.order = append(d.order, id)
+		}
 	}
-	id := d.order[i]
-	return id, d.records[id], true
+	d.records[id] = rec
 }
 
-// materializeRecordsLocked promotes a mapped record section to the
-// heap map — the store-level copy-on-write boundary, crossed once per
-// dataset on its first mutation (or first WAL-replayed record, which
-// is the same thing: only datasets with a log tail pay it at boot).
-func (d *Dataset) materializeRecordsLocked() {
-	mr := d.mrecs
-	if mr == nil {
-		return
+// removeRecordLocked deletes id, reporting whether it was live. A
+// base record gets its dead bit (and loses any shadowing overlay
+// copy); an overlay one leaves the map and the insertion order.
+func (d *Dataset) removeRecordLocked(id string) bool {
+	if i, ok := d.baseLiveLocked(id); ok {
+		d.mrecs.kill(i)
+		delete(d.records, id)
+		return true
 	}
-	d.records = make(map[string]Record, mr.count)
-	d.order = make([]string, 0, mr.count)
-	for i := 0; i < mr.count; i++ {
-		id, rec, ok := mr.entryAt(i)
-		if !ok {
-			// Post-checksum corruption; surface what decodes rather
-			// than fail a write path that cannot return decode errors.
+	if _, ok := d.records[id]; !ok {
+		return false
+	}
+	delete(d.records, id)
+	d.order = slices.DeleteFunc(d.order, func(o string) bool { return o == id })
+	return true
+}
+
+// recordsLocked walks the live records in insertion order, read-only,
+// skipping the first skip of them without decoding them: the base's
+// surviving positions (a shadowed one yields its overlay copy), then
+// the overlay's new IDs. Post-checksum corrupt base entries are
+// stepped over.
+func (d *Dataset) recordsLocked(skip int) iter.Seq2[string, Record] {
+	return func(yield func(string, Record) bool) {
+		if mr := d.mrecs; mr != nil {
+			for i := 0; i < mr.count; i++ {
+				if mr.isGone(i) {
+					continue
+				}
+				if skip > 0 {
+					skip--
+					continue
+				}
+				if len(d.records) > 0 {
+					idb, ok := mr.idBytesAt(i)
+					if !ok {
+						continue
+					}
+					if rec, ok := d.records[string(idb)]; ok {
+						if !yield(string(idb), rec) {
+							return
+						}
+						continue
+					}
+				}
+				id, rec, ok := mr.entryAt(i)
+				if !ok {
+					continue
+				}
+				if !yield(id, rec) {
+					return
+				}
+			}
+		}
+		for _, id := range d.order[min(skip, len(d.order)):] {
+			if !yield(id, d.records[id]) {
+				return
+			}
+		}
+	}
+}
+
+// encodeRecordsLocked serializes the live records in insertion order
+// as a record section. Keys are sorted per entry, so the encoding is
+// a pure function of dataset content; an unshadowed base entry is
+// already in that form and is copied verbatim.
+func (d *Dataset) encodeRecordsLocked() []byte {
+	// basePos maps each surviving base position to its output
+	// position (-1: deleted, or corrupt past the frame checksum).
+	var basePos []int
+	pos := 0
+	mr := d.mrecs
+	if mr != nil {
+		basePos = make([]int, mr.count)
+		for i := range basePos {
+			basePos[i] = -1
+			if _, _, ok := mr.entryBytes(i); ok && !mr.isGone(i) {
+				basePos[i] = pos
+				pos++
+			}
+		}
+	}
+	overlayAt := pos
+	n := overlayAt + len(d.order)
+	var w recWriter
+	w.u64(uint64(n))
+	dirOff := w.reserve(n * 8)
+	permOff := w.reserve(n * 4)
+	keys := make([]string, 0, 16)
+	put := func(pos int, id string, rec Record) {
+		w.patchU64(dirOff+pos*8, uint64(len(w.buf)))
+		w.str(id)
+		keys = keys[:0]
+		for k := range rec {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		w.uvarint(len(keys))
+		for _, k := range keys {
+			w.str(k)
+			w.str(rec[k])
+		}
+	}
+	for i, p := range basePos {
+		if p < 0 {
 			continue
 		}
-		d.records[id] = rec
-		d.order = append(d.order, id)
+		idb, entry, _ := mr.entryBytes(i)
+		if rec, ok := d.records[string(idb)]; ok {
+			put(p, string(idb), rec)
+			continue
+		}
+		w.patchU64(dirOff+p*8, uint64(len(w.buf)))
+		w.buf = append(w.buf, entry...)
 	}
-	d.mrecs = nil
+	for j, id := range d.order {
+		put(overlayAt+j, id, d.records[id])
+	}
+	// The ID permutation merges the base's (ID-sorted already) with
+	// the sorted overlay; the two share no live ID.
+	perm := make([]int, len(d.order))
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.Slice(perm, func(a, b int) bool { return d.order[perm[a]] < d.order[perm[b]] })
+	at, j := permOff, 0
+	emit := func(p int) {
+		if at < permOff+n*4 { // a corrupt base permutation may repeat entries
+			binary.LittleEndian.PutUint32(w.buf[at:], uint32(p))
+			at += 4
+		}
+	}
+	if mr != nil {
+		for k := 0; k < mr.count; k++ {
+			i := int(binary.LittleEndian.Uint32(mr.idSorted[k*4:]))
+			if i >= mr.count || basePos[i] < 0 {
+				continue
+			}
+			idb, _ := mr.idBytesAt(i)
+			for ; j < len(perm) && d.order[perm[j]] < string(idb); j++ {
+				emit(overlayAt + perm[j])
+			}
+			emit(basePos[i])
+		}
+	}
+	for ; j < len(perm); j++ {
+		emit(overlayAt + perm[j])
+	}
+	return w.buf
 }
 
-// MemStats reports the dataset's mapped-vs-heap residency: bytes
+// memStats reports the dataset's mapped-vs-heap residency: bytes
 // still served from mapped snapshot views (record section + index
-// payloads) and bytes copied to the heap by copy-on-write
-// materialization.
-func (d *Dataset) MemStats() (mappedBytes, materializedBytes int64) {
+// payloads), and the index's residency counters.
+func (d *Dataset) memStats() (mappedBytes int64, st index.MMapStats) {
 	d.mu.RLock()
 	if d.mrecs != nil {
 		mappedBytes = int64(len(d.mrecs.raw))
 	}
 	d.mu.RUnlock()
-	st := d.ix.MMapStats()
-	return mappedBytes + st.MappedBytes, st.MaterializedBytes
+	st = d.ix.MMapStats()
+	return mappedBytes + st.MappedBytes, st
 }

@@ -98,8 +98,9 @@ func TestMappedCopyOnWrite(t *testing.T) {
 		t.Fatalf("mapped CoW state:\n%s\nheap state:\n%s", got, want)
 	}
 
-	// Only the written dataset materialized its record section; its
-	// siblings still serve mapped.
+	// Every dataset still serves its record section mapped; only the
+	// written one carries an overlay, holding just the two puts and
+	// one dead base position — nothing was decoded wholesale.
 	for _, st := range mapped.Status() {
 		touched := st.Tenant == "tenant0" && st.Dataset == "data0"
 		ds, err := mapped.DatasetContext(context.Background(), st.Tenant, "owner"+st.Tenant[len("tenant"):], st.Dataset, PermRead)
@@ -107,13 +108,16 @@ func TestMappedCopyOnWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		ds.mu.RLock()
-		stillMapped := ds.mrecs != nil
+		mr, overlay, order := ds.mrecs, len(ds.records), len(ds.order)
 		ds.mu.RUnlock()
-		if touched && stillMapped {
-			t.Fatalf("%s/%s: records still mapped after writes", st.Tenant, st.Dataset)
+		if mr == nil {
+			t.Fatalf("%s/%s: record section no longer mapped", st.Tenant, st.Dataset)
 		}
-		if !touched && !stillMapped {
-			t.Fatalf("%s/%s: untouched dataset materialized its records", st.Tenant, st.Dataset)
+		switch {
+		case touched && (overlay != 2 || order != 1 || mr.nGone != 1):
+			t.Fatalf("%s/%s: overlay holds %d records (%d new), %d dead base rows; want 2, 1, 1", st.Tenant, st.Dataset, overlay, order, mr.nGone)
+		case !touched && (overlay != 0 || mr.nGone != 0):
+			t.Fatalf("%s/%s: untouched dataset has an overlay", st.Tenant, st.Dataset)
 		}
 	}
 }

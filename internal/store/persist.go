@@ -26,9 +26,9 @@ import (
 // the index's v3 mmap-ready stream. The same bytes serve two restore
 // paths: RestoreContext decodes them to the heap, while
 // RestoreMappedContext attaches datasets as lazy views over the
-// snapshot's (typically mmap'd) bytes — records and postings
-// materialize copy-on-write, so boot cost and resident set scale with
-// what the workload touches, not corpus size.
+// snapshot's (typically mmap'd) bytes — writes land in a heap overlay
+// over them, so boot cost and resident set scale with what the
+// workload touches, not corpus size.
 //
 // Format v2 (read-only) is the same framed envelope with JSON records
 // and an index v2 stream per dataset. Format v1 (read-only) is a
@@ -369,14 +369,14 @@ func (ref datasetRef) encodeFrame(cache *FrameCache) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A still-mapped record section round-trips verbatim; only
-	// materialized datasets re-encode (and produce the same bytes for
-	// the same content — the encoder is deterministic).
+	// An unwritten mapped record section round-trips verbatim; a
+	// written one re-encodes around its base, producing the same bytes
+	// for the same content — the encoder is deterministic.
 	var recSec []byte
-	if ds.mrecs != nil {
-		recSec = ds.mrecs.raw
+	if mr := ds.mrecs; mr != nil && len(ds.records) == 0 && mr.nGone == 0 {
+		recSec = mr.raw
 	} else {
-		recSec = encodeRecordSection(ds.order, ds.records)
+		recSec = ds.encodeRecordsLocked()
 	}
 	payload := make([]byte, 8, 16+len(meta)+len(recSec))
 	binary.BigEndian.PutUint64(payload, uint64(len(meta)))
@@ -588,11 +588,10 @@ func parseFramedHeader(hdrBytes []byte, wantVersion int) (map[string]*tenant, []
 // configured target, so checkpoint layout never caps query fan-out on
 // the restoring machine. The mapped path (v3 only) attaches both
 // sections as views over the frame's bytes: records and postings stay
-// unmaterialized, the index keeps the snapshot's shard layout, and
-// per-record validation is deferred to the write path that
-// materializes them — the frame checksum already vouches for the
-// bytes, and re-validating every record would decode everything the
-// mapping exists to avoid.
+// the base under a heap overlay, the index keeps the snapshot's shard
+// layout, and records are not validated one by one — the frame
+// checksum already vouches for the bytes, and re-validating every
+// record would decode everything the mapping exists to avoid.
 func (s *Store) decodeFrame(payload []byte, want frameExpect, version int, mapped bool) (*Dataset, error) {
 	metaBytes, ixBytes, err := cutSection(payload, "metadata")
 	if err != nil {

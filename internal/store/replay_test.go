@@ -44,20 +44,16 @@ func replaySequential(s *Store, dir string) (wal.ReplayStats, error) {
 func (d *Dataset) applyPutSequential(id string, rec Record) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.materializeRecordsLocked()
 	if d.schema.Key == "" {
 		if n, err := strconv.Atoi(id); err == nil && n > d.nextID {
 			d.nextID = n
 		}
 	}
-	if _, exists := d.records[id]; !exists {
-		d.order = append(d.order, id)
-	}
 	cp := make(Record, len(rec))
 	for k, v := range rec {
 		cp[k] = v
 	}
-	d.records[id] = cp
+	d.setRecordLocked(id, cp)
 	d.ver++
 	return d.reindexLocked(id, cp)
 }

@@ -39,11 +39,7 @@ func (d *Dataset) Stats() []FieldStats {
 		fs := FieldStats{Field: f.Name, Type: f.Type}
 		counts := make(map[string]int)
 		first := true
-		for i, n := 0, d.lenLocked(); i < n; i++ {
-			_, rec, ok := d.viewAtLocked(i)
-			if !ok {
-				continue
-			}
+		for _, rec := range d.recordsLocked(0) {
 			v := rec[f.Name]
 			if v == "" {
 				continue

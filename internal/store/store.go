@@ -348,10 +348,14 @@ type DatasetStatus struct {
 	PostingsScored  uint64  `json:"postingsScored"`
 	PostingsSkipped uint64  `json:"postingsSkipped"`
 	// Residency counters for mapped restores: bytes still served as
-	// views over the mapped snapshot vs. bytes copied to the heap by
-	// copy-on-write materialization. Both zero for heap restores.
+	// views over the mapped snapshot vs. posting bytes copied to the
+	// heap by writes. Both zero for heap restores.
 	MappedBytes       int64 `json:"mappedBytes,omitempty"`
 	MaterializedBytes int64 `json:"materializedBytes,omitempty"`
+	// MaterializedDocTables counts whole-shard conversions of mapped
+	// index shards to the heap, which only compaction performs. Writes
+	// never convert a shard: they land in its heap overlay.
+	MaterializedDocTables int64 `json:"materializedDocTables,omitempty"`
 }
 
 // Status reports every dataset's shard layout in deterministic
@@ -380,7 +384,7 @@ func (s *Store) Status() []DatasetStatus {
 	out := make([]DatasetStatus, len(refs))
 	for i, r := range refs {
 		scan := r.ds.ScanStats()
-		mapped, materialized := r.ds.MemStats()
+		mapped, mm := r.ds.memStats()
 		out[i] = DatasetStatus{
 			Tenant:          r.tenant,
 			Dataset:         r.name,
@@ -392,8 +396,9 @@ func (s *Store) Status() []DatasetStatus {
 			PostingsScored:  scan.Scored,
 			PostingsSkipped: scan.Skipped,
 
-			MappedBytes:       mapped,
-			MaterializedBytes: materialized,
+			MappedBytes:           mapped,
+			MaterializedBytes:     mm.MaterializedBytes,
+			MaterializedDocTables: mm.MaterializedDocTabs,
 		}
 	}
 	return out

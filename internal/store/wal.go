@@ -256,12 +256,13 @@ func (d *Dataset) walAppendLocked(rec *wal.Record) *wal.Commit {
 // through the upload batch path: no quota check (the writes were
 // admitted when acknowledged), no re-logging, and the sequential-ID
 // high-water mark advances so post-recovery inserts cannot collide
-// with replayed IDs. Replay is the one boot path that mutates a mapped
-// dataset: only datasets with a log tail pay materialization.
+// with replayed IDs. The rows were decoded fresh from the log, so the
+// dataset keeps them without a copy. On a mapped dataset the rows land
+// in the heap overlay: replay costs O(rows replayed).
 func (d *Dataset) applyPuts(ctx context.Context, ids []string, rows []Record) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, err := d.installBatchLocked(ctx, ids, rows); err != nil {
+	if _, err := d.installBatchLocked(ctx, ids, rows, true); err != nil {
 		return err
 	}
 	if d.schema.Key == "" {
