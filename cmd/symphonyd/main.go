@@ -28,11 +28,10 @@
 // many acks per fsync, default) or "interval" (ack immediately,
 // fsync periodically — bounded loss window).
 //
-// --mmap (default on) boots v3 snapshots as mmap'd read-only views:
-// records and postings stay in the snapshot file's pages as an
-// immutable base, writes land in a heap overlay and copy only the
-// posting lists they touch, so boot time and resident set stop
-// scaling with corpus size.
+// Boot maps the snapshot read-only and attaches it: records and
+// postings stay in the snapshot file's pages as an immutable base,
+// writes land in a heap overlay and copy only the posting lists they
+// touch, so boot time and resident set do not scale with corpus size.
 // /statusz reports the mapped-vs-materialized byte split.
 // --pprof-addr serves net/http/pprof on its own listener (off by
 // default, never the tenant port) for heap and CPU profiles.
@@ -40,7 +39,8 @@
 // --shards controls dataset index parallelism: "auto" (default, one
 // shard per CPU) or a fixed count. Snapshots written under another
 // layout reshard to the target on restore, so a checkpoint from a
-// small box serves at full fan-out here. /statusz reports each
+// small box serves at full fan-out here; the reshard moves those
+// datasets' indexes onto the heap. /statusz reports each
 // dataset's shard count, ring generation and tombstone ratio as
 // JSON, so operators can watch reshard progress.
 //
@@ -96,13 +96,12 @@ func parseShards(v string) (int, error) {
 // openDataDir makes p durable over dir: restore the latest snapshot,
 // replay and attach the write-ahead log (when walOn), and start the
 // checkpoint loop every interval.
-func openDataDir(ctx context.Context, p *core.Platform, dir string, every time.Duration, mmapOn, walOn bool, policy wal.Policy) (*core.Checkpointer, error) {
+func openDataDir(ctx context.Context, p *core.Platform, dir string, every time.Duration, walOn bool, policy wal.Policy) (*core.Checkpointer, error) {
 	cp, err := p.NewCheckpointer(dir, every)
 	if err != nil {
 		return nil, err
 	}
 	cp.Logf = log.Printf
-	cp.MMap = mmapOn
 	t0 := time.Now()
 	restored, err := cp.RestoreLatestContext(ctx)
 	if err != nil {
@@ -162,7 +161,6 @@ func run() error {
 	retryAfter := flag.Int("retry-after", 1, "Retry-After seconds hint on shed (429) responses")
 	walEnabled := flag.Bool("wal", true, "with --data-dir, layer a write-ahead log under the checkpoint cycle")
 	fsync := flag.String("fsync", "group", "WAL fsync policy: always (fsync before every ack), group (batch commits), interval (periodic)")
-	mmapMode := flag.String("mmap", "on", "boot from v3 snapshots as mmap'd views under a heap write overlay: on|off")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof on its own listener (empty = disabled)")
 	flag.Parse()
 
@@ -173,14 +171,6 @@ func run() error {
 	fsyncPolicy, err := wal.ParsePolicy(*fsync)
 	if err != nil {
 		return err
-	}
-	var mmapOn bool
-	switch *mmapMode {
-	case "on":
-		mmapOn = true
-	case "off":
-	default:
-		return fmt.Errorf("symphonyd: --mmap must be \"on\" or \"off\", got %q", *mmapMode)
 	}
 
 	// pprof gets its own listener so profiling endpoints never share a
@@ -217,7 +207,7 @@ func run() error {
 	// edits from before the restart survive it.
 	var cp *core.Checkpointer
 	if *dataDir != "" {
-		cp, err = openDataDir(ctx, p, *dataDir, *checkpointEvery, mmapOn, *walEnabled, fsyncPolicy)
+		cp, err = openDataDir(ctx, p, *dataDir, *checkpointEvery, *walEnabled, fsyncPolicy)
 		if err != nil {
 			return err
 		}
@@ -266,7 +256,6 @@ func run() error {
 		}
 		if err := enc.Encode(map[string]any{
 			"mmap": map[string]any{
-				"mode":              *mmapMode,
 				"mappedBytes":       mappedBytes,
 				"materializedBytes": materializedBytes,
 			},

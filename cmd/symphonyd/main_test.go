@@ -36,7 +36,7 @@ func TestRestoredBootCheckpointsOnlyWithoutLoop(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(gq.Close)
-				cp, err := openDataDir(ctx, p, dir, tc.every, true, true, wal.PolicyAlways)
+				cp, err := openDataDir(ctx, p, dir, tc.every, true, wal.PolicyAlways)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -24,6 +24,15 @@ import (
 // The snapshot uses store format v3, whose per-dataset locking means
 // a running checkpoint does not block writers on other datasets.
 //
+// Boot maps the snapshot (internal/mmapio, which falls back to a heap
+// read where mmap is unavailable) and attaches it: records and
+// postings stay in the file's pages as an immutable base, writes land
+// in a heap overlay and copy only the posting lists they touch, so
+// time-to-serving and resident set do not scale with corpus size.
+// Checkpoints always write a temp file and rename it into place, never
+// rewriting in place, so a live process keeps serving from the
+// replaced file's pages.
+//
 // Checkpoints are incremental: a frame cache shared across the
 // checkpointer's lifetime means each periodic pass re-encodes only
 // the datasets mutated since the previous one (dirty tracking by
@@ -37,16 +46,9 @@ type Checkpointer struct {
 	cache    *store.FrameCache
 	// Logf reports checkpoint activity (default: silent).
 	Logf func(format string, args ...any)
-	// MMap, when set before RestoreLatestContext, makes boot attach v3
-	// snapshots as mmap'd views instead of decoding them to the heap:
-	// the mapped bytes stay an immutable base, writes land in a heap
-	// overlay and copy only the posting lists they touch, so
-	// time-to-serving and resident set stop scaling with corpus size. Older snapshot formats (and platforms where
-	// mmap is unavailable — mmapio falls back to a heap read) restore
-	// through the heap path transparently. The checkpoint cycle
-	// is unchanged: snapshots are always written to a temp file and
-	// renamed into place, never rewritten in place, so live mapped
-	// readers keep serving from the replaced file's still-open pages.
+	// MMap has no effect: every boot maps and attaches the snapshot.
+	//
+	// Deprecated: kept only so existing callers compile.
 	MMap bool
 
 	mu   sync.Mutex // serializes CheckpointContext calls
@@ -176,69 +178,33 @@ func syncDir(dir string) error {
 	return err
 }
 
-// restoreFrom loads one snapshot file; a missing file is (false, nil).
-// With MMap set and a v3 snapshot on disk, the file is mapped and
-// attached zero-copy; anything else is read whole and decoded onto
-// the heap.
+// restoreFrom maps one snapshot file and restores the store from it;
+// a missing file is (false, nil). The mapping is never unmapped, even
+// when the restore fails: a partially built replacement may still
+// hold views into it, and boot failure is terminal anyway.
 func (c *Checkpointer) restoreFrom(ctx context.Context, path string) (bool, error) {
-	if c.MMap {
-		ok, err := c.restoreMappedFrom(ctx, path)
-		if ok || err != nil {
-			return ok, err
-		}
-		// Not mappable (missing file falls through too — the heap path
-		// reports it the same way).
-	}
-	data, err := os.ReadFile(path)
+	m, err := mmapio.Open(path)
 	if os.IsNotExist(err) {
 		return false, nil
 	}
 	if err != nil {
 		return false, fmt.Errorf("core: restore checkpoint: %w", err)
 	}
-	if err := c.p.Store.RestoreContext(ctx, data); err != nil {
+	if err := c.p.Store.RestoreContext(ctx, m.Data()); err != nil {
 		return false, fmt.Errorf("core: restore checkpoint %s: %w", path, err)
-	}
-	c.logf("restored store from %s", path)
-	// The restore resharded every dataset to the store's configured
-	// target (snapshot layout is decoupled from runtime parallelism);
-	// log the resulting layout so the transition is visible in the
-	// boot log.
-	for _, st := range c.p.Store.Status() {
-		c.logf("restored %s/%s: %d records in %d shards (ring gen %d)",
-			st.Tenant, st.Dataset, st.Records, st.Shards, st.RingGen)
-	}
-	return true, nil
-}
-
-// restoreMappedFrom attaches a v3 snapshot as mapped views. (false,
-// nil) means the file is missing or not a v3 stream and the caller
-// should try the heap path. A failed mapped restore leaves the
-// mapping unmunmapped deliberately: a partially decoded replacement
-// may still hold views into it, and boot failure is terminal anyway.
-func (c *Checkpointer) restoreMappedFrom(ctx context.Context, path string) (bool, error) {
-	m, err := mmapio.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, fmt.Errorf("core: map checkpoint: %w", err)
-	}
-	if !store.SnapshotIsMappable(m.Data()) {
-		m.Close()
-		return false, nil
-	}
-	if err := c.p.Store.RestoreMappedContext(ctx, m.Data()); err != nil {
-		return false, fmt.Errorf("core: restore mapped checkpoint %s: %w", path, err)
 	}
 	kind := "heap-backed"
 	if m.Mapped() {
 		kind = "mmap-backed"
 	}
-	c.logf("restored store from %s (%s, %d bytes attached lazily)", path, kind, m.Len())
+	c.logf("restored store from %s (%s, %d bytes)", path, kind, m.Len())
+	// A dataset whose snapshot layout differs from the store's
+	// configured target was resharded to it (snapshot layout is
+	// decoupled from runtime parallelism); log the resulting layout so
+	// the transition is visible in the boot log.
 	for _, st := range c.p.Store.Status() {
-		c.logf("restored %s/%s: %d records in %d shards (ring gen %d, %d bytes mapped)",
-			st.Tenant, st.Dataset, st.Records, st.Shards, st.RingGen, st.MappedBytes)
+		c.logf("restored %s/%s: %d records in %d shards (ring gen %d, %d shards and %d bytes mapped)",
+			st.Tenant, st.Dataset, st.Records, st.Shards, st.RingGen, st.MappedShards, st.MappedBytes)
 	}
 	return true, nil
 }

@@ -88,7 +88,6 @@ func mmapTortureChild() {
 	if err != nil {
 		fail(err)
 	}
-	cp.MMap = true
 	if _, err := cp.RestoreLatestContext(ctx); err != nil {
 		fail(err)
 	}
@@ -263,7 +262,6 @@ func TestMappedBootTortureKillRecover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp.MMap = true
 		restored, err := cp.RestoreLatestContext(ctx)
 		if err != nil {
 			t.Fatalf("cycle %d: mapped boot after SIGKILL: %v\nchild stderr: %s", cycle, err, childErr)
@@ -337,7 +335,6 @@ func TestMappedBootKillBeforeFirstCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp.MMap = true
 		if restored, err := cp.RestoreLatestContext(ctx); err != nil || !restored {
 			t.Fatalf("cycle %d: mapped boot after SIGKILL = %v, %v\nchild stderr: %s", cycle, restored, err, childErr)
 		}
@@ -366,6 +363,41 @@ func TestMappedBootKillBeforeFirstCheckpoint(t *testing.T) {
 	}
 }
 
+// TestMappedBootAtTargetStaysMapped: a default-config checkpointer
+// booting a snapshot written at its own shard target attaches every
+// dataset in place — no reshard, no shard converted to the heap.
+func TestMappedBootAtTargetStaysMapped(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	p1 := New(Config{Seed: 1})
+	buildGamerQueen(t, p1)
+	cp1, err := p1.NewCheckpointer(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp1.CheckpointContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	p2 := New(Config{Seed: 1})
+	cp2, err := p2.NewCheckpointer(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored, err := cp2.RestoreLatestContext(ctx); err != nil || !restored {
+		t.Fatalf("boot = %v, %v", restored, err)
+	}
+	statuses := p2.Store.Status()
+	if len(statuses) == 0 {
+		t.Fatal("boot restored no datasets")
+	}
+	for _, st := range statuses {
+		if st.MappedShards != st.Shards || st.MaterializedDocTables != 0 {
+			t.Fatalf("%s/%s: %d of %d shards mapped, %d doc tables materialized; want every shard attached",
+				st.Tenant, st.Dataset, st.MappedShards, st.Shards, st.MaterializedDocTables)
+		}
+	}
+}
+
 // TestMappedBootServesAcrossCheckpointReplace: the checkpoint cycle
 // replaces store.snap (rename, never in-place rewrite) while the
 // platform that mapped the old file keeps serving from its pages.
@@ -387,7 +419,6 @@ func TestMappedBootServesAcrossCheckpointReplace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp2.MMap = true
 	if restored, err := cp2.RestoreLatestContext(ctx); err != nil || !restored {
 		t.Fatalf("mapped restore = %v, %v", restored, err)
 	}
@@ -450,7 +481,6 @@ func TestMappedBootServesAcrossCheckpointReplace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp3.MMap = true
 	if restored, err := cp3.RestoreLatestContext(ctx); err != nil || !restored {
 		t.Fatalf("boot from replaced snapshot = %v, %v", restored, err)
 	}
@@ -498,7 +528,6 @@ func TestMappedBootFallsBackOnTruncatedPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp2.MMap = true
 	restored, err := cp2.RestoreLatestContext(ctx)
 	if err != nil || !restored {
 		t.Fatalf("mapped boot with truncated primary = %v, %v, want fallback restore", restored, err)
@@ -594,7 +623,6 @@ func TestMappedBootWALTailMaterializesOnlyTailedDatasets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp2.MMap = true
 	if restored, err := cp2.RestoreLatestContext(ctx); err != nil || !restored {
 		t.Fatalf("mapped restore = %v, %v", restored, err)
 	}

@@ -93,7 +93,6 @@ func BenchmarkReplayTail(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rcp.MMap = true
 		if ok, err := rcp.RestoreLatestContext(ctx); err != nil || !ok {
 			b.Fatalf("mapped restore = %v, %v", ok, err)
 		}

@@ -338,3 +338,57 @@ func (l *postingList) tfAt(doc int) (tf int, ok bool) {
 	}
 	return 0, false
 }
+
+// checkPostings walks both streams of a list decoded from snapshot
+// bytes once, so the iterators, tfAt and the block-max cursor — which
+// decode without bounds checks — can never index past a stream, land
+// on an ordinal outside [0, nDocs) or read a block maximum the list
+// maximum does not cover. It holds the list to what appendPosting
+// writes: each block's anchors match the walk, ordinals ascend
+// strictly (a block's first entry is delta 0), lastDoc is the last
+// ordinal (so an empty list is rejected: the writer never emits one),
+// the block and list maxima are the true maxima, and the streams end
+// exactly where the last posting does.
+func (l *postingList) checkPostings(nDocs int) error {
+	docTF, posBuf := l.docTF, l.posBuf
+	docOff, posOff, doc, listMax := 0, 0, -1, 0
+	for b, bm := range l.blocks {
+		if bm.docOff != docOff || bm.posOff != posOff || bm.firstDoc <= doc || bm.firstDoc >= nDocs {
+			return errShardPayload
+		}
+		doc = bm.firstDoc
+		blockMax := 0
+		for i := b * postingBlockSize; i < l.blockEnd(b); i++ {
+			delta, n := binary.Uvarint(docTF[docOff:])
+			if n <= 0 {
+				return errShardPayload
+			}
+			docOff += n
+			tf, n := binary.Uvarint(docTF[docOff:])
+			if n <= 0 || (i%postingBlockSize == 0) != (delta == 0) || delta >= uint64(nDocs-doc) {
+				return errShardPayload
+			}
+			docOff += n
+			doc += int(delta)
+			blockMax = max(blockMax, int(tf))
+			for range tf {
+				if posOff < len(posBuf) && posBuf[posOff] < 0x80 {
+					posOff++ // the common one-byte position
+					continue
+				}
+				if _, n = binary.Uvarint(posBuf[posOff:]); n <= 0 {
+					return errShardPayload
+				}
+				posOff += n
+			}
+		}
+		if bm.maxTF != blockMax {
+			return errShardPayload
+		}
+		listMax = max(listMax, blockMax)
+	}
+	if doc != l.lastDoc || l.maxTF != listMax || docOff != len(docTF) || posOff != len(posBuf) {
+		return errShardPayload
+	}
+	return nil
+}

@@ -135,17 +135,20 @@ func TestEvalEquivalence(t *testing.T) {
 }
 
 // mappedCopy snapshots ix in v3 and attaches the bytes to a fresh
-// index through the zero-copy path, so queries decode postings lazily
-// from the snapshot layout instead of heap structures.
+// index of the same shard count, so no reshard moves them onto the
+// heap and queries decode postings lazily from the snapshot layout.
 func mappedCopy(t testing.TB, ix *Index) *Index {
 	t.Helper()
 	var snap bytes.Buffer
 	if err := ix.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	mx := New()
-	if err := mx.RestoreMapped(snap.Bytes()); err != nil {
+	mx := New(WithShards(ix.NumShards()))
+	if err := mx.Restore(snap.Bytes()); err != nil {
 		t.Fatal(err)
+	}
+	if st := mx.MMapStats(); st.MappedShards != mx.NumShards() {
+		t.Fatalf("attached copy has %d of %d shards mapped", st.MappedShards, mx.NumShards())
 	}
 	return mx
 }

@@ -19,33 +19,10 @@ import (
 // shard payloads cut from internal/store's v3 fixture; a fresh
 // snapshot adds one more.
 func FuzzV3DocEntry(f *testing.F) {
-	var snap bytes.Buffer
-	if err := equivCorpus(f, 2).Snapshot(&snap); err != nil {
-		f.Fatal(err)
-	}
-	data := snap.Bytes()
-	_, off, err := frameio.NextFrameInBuf(data, len(indexSnapshotMagic), true)
-	for err == nil && off < len(data) {
-		var p []byte
-		if p, off, err = frameio.NextFrameInBuf(data, off, true); err == nil {
-			f.Add(p)
-		}
-	}
-	if err != nil {
-		f.Fatal(err)
-	}
-	noOpts := func(string) (FieldOptions, bool) { return FieldOptions{}, false }
+	addShardSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Attach sizes a length table per field and document; bound the
-		// input so a hostile header cannot make the fuzzer itself OOM.
-		if len(data) > 1<<16 {
-			return
-		}
-		payload := bytes.Clone(data)
-		payload = payload[:len(payload):len(payload)]
-		ix := New(WithShards(1))
-		s, err := ix.attachShardV3(payload, noOpts)
-		if err != nil {
+		ix, s := attachFuzzShard(data)
+		if s == nil {
 			return
 		}
 		ms := s.ms
@@ -85,6 +62,92 @@ func FuzzV3DocEntry(f *testing.F) {
 		var out bytes.Buffer
 		if err := s.snapshotV3(&out); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// addShardSeeds adds the shard payloads of a fresh 2-shard snapshot to
+// a v3 shard fuzzer's seed corpus.
+func addShardSeeds(f *testing.F) {
+	var snap bytes.Buffer
+	if err := equivCorpus(f, 2).Snapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	data := snap.Bytes()
+	_, off, err := frameio.NextFrameInBuf(data, len(indexSnapshotMagic), true)
+	for err == nil && off < len(data) {
+		var p []byte
+		if p, off, err = frameio.NextFrameInBuf(data, off, true); err == nil {
+			f.Add(p)
+		}
+	}
+	if err != nil {
+		f.Fatal(err)
+	}
+}
+
+// attachFuzzShard attaches fuzz input as the one shard of a fresh
+// index, or returns a nil shard when attach rejects it. The payload is
+// a cap-clamped copy, so a read past its end panics instead of
+// silently reading the neighbouring bytes of a mapping.
+func attachFuzzShard(data []byte) (*Index, *shard) {
+	// Attach sizes a length table per field and document; bound the
+	// input so a hostile header cannot make the fuzzer itself OOM.
+	if len(data) > 1<<16 {
+		return nil, nil
+	}
+	payload := bytes.Clone(data)
+	payload = payload[:len(payload):len(payload)]
+	ix := New(WithShards(1))
+	s, err := ix.attachShardV3(payload, func(string) (FieldOptions, bool) { return FieldOptions{}, false })
+	if err != nil {
+		return nil, nil
+	}
+	return ix, s
+}
+
+// FuzzV3Postings: every term of an attached v3 shard payload either
+// reads as absent (its slot rejected, counted as a lazy decode error)
+// or serves a posting list that the iterators, the position walk,
+// tfAt, the block-max top-k path and the accumulator count all walk
+// without panicking. The committed corpus
+// (testdata/fuzz/FuzzV3Postings) holds shard payloads cut from
+// internal/store's v3 fixture; a fresh snapshot adds more.
+func FuzzV3Postings(f *testing.F) {
+	addShardSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ix, s := attachFuzzShard(data)
+		if s == nil {
+			return
+		}
+		ix.ring.Store(&ring{gen: ix.ring.Load().gen + 1, shards: []*shard{s}})
+		for name := range s.fields {
+			ix.SetFieldOptions(name, FieldOptions{Boost: 1})
+		}
+		var pos []int
+		for name, fp := range s.fields {
+			if fp.mapped == nil {
+				continue
+			}
+			for _, term := range fp.mapped.mappedTermNames() {
+				s.mu.RLock()
+				l := fp.lookup(term)
+				if l != nil {
+					it, pi := l.iter(), l.positions()
+					for it.next() {
+						pos = pi.read(it.tf, pos)
+						if tf, ok := l.tfAt(it.doc); !ok || tf != it.tf {
+							t.Fatalf("%s:%q: tfAt(%d) = %d %v, iterator saw tf %d", name, term, it.doc, tf, ok, it.tf)
+						}
+						s.liveAt(it.doc)
+					}
+					l.tfAt(l.lastDoc + 1)
+				}
+				s.mu.RUnlock()
+				q := TermQuery{Field: name, Term: term}
+				ix.mustSearch(q, SearchOptions{Limit: 3})
+				ix.mustCount(q)
+			}
 		}
 	})
 }

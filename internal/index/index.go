@@ -193,14 +193,12 @@ type Index struct {
 	// with it an analyzer) changes. Populated lazily; see analysisMemo.
 	an atomic.Pointer[analysisMemo]
 
-	// Mapped-vs-heap residency counters (mapped.go): bytes still
-	// served from attached v3 payloads, and what copy-on-write has
-	// materialized onto the heap so far.
-	mmMappedBytes atomic.Int64
-	mmMatTerms    atomic.Int64
-	mmMatBytes    atomic.Int64
-	mmMatDocTabs  atomic.Int64
-	mmLazyErrs    atomic.Int64
+	// Residency counters (mapped.go): what copy-on-write has
+	// materialized onto the heap so far, and lazy decode failures.
+	mmMatTerms   atomic.Int64
+	mmMatBytes   atomic.Int64
+	mmMatDocTabs atomic.Int64
+	mmLazyErrs   atomic.Int64
 
 	// cfg guards global, shard-independent state: the scoring
 	// configuration and the registry of known fields with their

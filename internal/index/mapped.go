@@ -34,13 +34,12 @@ import (
 //     decodes only that term's bytes onto the heap, so a lightly
 //     written tenant keeps almost all of its index off-heap.
 //
-// Only compaction and the heap restore fold the base into the heap
-// (materializeAllLocked); a reshard migration reads through the
-// accessors into new heap shards. The
-// v3 encoder writes a clean shard's payload verbatim and a written
-// one by copying the surviving base doc entries and still-mapped term
-// entries verbatim around the overlay — the same bytes a decode of
-// everything followed by a fresh encode produces.
+// Only compaction folds the base into the heap (materializeAllLocked);
+// a reshard migration reads through the accessors into new heap
+// shards. The v3 encoder writes a clean shard's payload verbatim and
+// a written one by copying the surviving base doc entries and
+// still-mapped term entries verbatim around the overlay — the same
+// bytes a decode of everything followed by a fresh encode produces.
 //
 // View slices are cap-clamped (buf[a:b:b]), so an append through a
 // promoted posting list reallocates instead of scribbling on the
@@ -48,6 +47,9 @@ import (
 // (see internal/mmapio); decode errors on lazy paths — impossible
 // after the frame CRC unless the writer was buggy — are counted on
 // the index and degrade to "term/document absent" rather than panic.
+// A term entry's posting streams are walked once when the term is
+// first decoded (checkPostings), so the query path's unchecked
+// decoders only ever see lists whose anchors and ordinals are sound.
 
 // v3 shard payload layout (all offsets absolute within the payload):
 //
@@ -102,6 +104,9 @@ type mappedField struct {
 	lazy sync.Map // term -> *postingList
 	// names caches the decoded term dictionary (sorted).
 	names atomic.Pointer[[]string]
+	// nDocs is the shard's base ordinal count: every posting of a
+	// mapped term names an ordinal below it.
+	nDocs int
 	ix    *Index
 }
 
@@ -119,9 +124,10 @@ type MMapStats struct {
 }
 
 // MMapStats reports the index's mapped-vs-heap residency counters.
+// MappedShards and MappedBytes describe the current ring, so a reshard
+// or restore that replaces mapped shards drops them from both.
 func (ix *Index) MMapStats() MMapStats {
 	st := MMapStats{
-		MappedBytes:         ix.mmMappedBytes.Load(),
 		MaterializedTerms:   ix.mmMatTerms.Load(),
 		MaterializedBytes:   ix.mmMatBytes.Load(),
 		MaterializedDocTabs: ix.mmMatDocTabs.Load(),
@@ -132,6 +138,7 @@ func (ix *Index) MMapStats() MMapStats {
 		s.mu.RLock()
 		if s.ms != nil {
 			st.MappedShards++
+			st.MappedBytes += int64(len(s.ms.payload))
 		}
 		s.mu.RUnlock()
 	}
@@ -183,7 +190,6 @@ func (ix *Index) attachShardV3(payload []byte, optsFor func(string) (FieldOption
 	s.live, s.dead = live, dead
 	s.ms = &mappedShard{payload: payload, nDocs: nDocs, docDir: docDir, idSorted: idSorted}
 	s.base = nDocs
-	ix.mmMappedBytes.Add(int64(len(payload)))
 	for i := 0; i < nFields; i++ {
 		off := binary.LittleEndian.Uint64(fieldDir[i*8:])
 		if off > uint64(len(payload)) {
@@ -231,7 +237,7 @@ func (ix *Index) attachShardV3(payload []byte, optsFor func(string) (FieldOption
 			return fail(fmt.Errorf("field %q: %w", name, err))
 		}
 		fp.mapped = &mappedField{payload: payload, termDir: termDir, nTerms: nTerms, ix: ix,
-			lens: lens, nLens: nLens}
+			lens: lens, nLens: nLens, nDocs: nDocs}
 		if opts, ok := optsFor(name); ok {
 			fp.opts = opts
 		}
@@ -282,8 +288,10 @@ func (mf *mappedField) find(term string) (slot int, ok bool) {
 }
 
 // slotBytes returns dictionary slot i's term and its whole term
-// entry as views into the payload, for verbatim re-encoding. It
-// checks what decodeSlot checks, so a slot it accepts decodes.
+// entry as views into the payload, for verbatim re-encoding. It checks
+// the entry's framing only: like the verbatim copy of a clean shard,
+// it carries the posting streams over as they are, and decodeSlot
+// judges them when the term is read.
 func (mf *mappedField) slotBytes(i int) (term, entry []byte, err error) {
 	off := binary.LittleEndian.Uint64(mf.termDir[i*8:])
 	if off > uint64(len(mf.payload)) {
@@ -324,7 +332,8 @@ func (mf *mappedField) slotBytes(i int) (term, entry []byte, err error) {
 
 // decodeSlot builds a view posting list for dictionary slot i: block
 // metadata on the heap (it is decoded integers either way), byte
-// streams as cap-clamped views into the payload.
+// streams as cap-clamped views into the payload. A list whose streams
+// fail checkPostings is rejected.
 func (mf *mappedField) decodeSlot(i int) (*postingList, error) {
 	off := binary.LittleEndian.Uint64(mf.termDir[i*8:])
 	if off > uint64(len(mf.payload)) {
@@ -384,6 +393,9 @@ func (mf *mappedField) decodeSlot(i int) (*postingList, error) {
 	if l.posBuf, err = view(); err != nil {
 		return nil, err
 	}
+	if err := l.checkPostings(mf.nDocs); err != nil {
+		return nil, err
+	}
 	return l, nil
 }
 
@@ -417,20 +429,12 @@ func (fp *fieldPostings) lookup(term string) *postingList {
 	return actual.(*postingList)
 }
 
-// lookupForWrite resolves a term for appending: a mapped term is
-// first copied onto the heap (copy-on-write at term granularity) so
-// the mutation cannot touch the mapping. Returns nil when the term
-// does not exist yet anywhere. Callers hold the write lock.
-func (fp *fieldPostings) lookupForWrite(term string) *postingList {
-	return fp.promoteTermLocked(term, true)
-}
-
-// promoteTermLocked copies a mapped term's bytes onto the heap and
-// installs the copy in the heap map. count selects whether the
-// copy-on-write counters record it: writes do, a wholesale heap
-// restore does not (there the heap is the chosen representation, not
-// a mutation cost).
-func (fp *fieldPostings) promoteTermLocked(term string, count bool) *postingList {
+// promoteTermLocked resolves a term for appending: a mapped term is
+// first copied onto the heap (copy-on-write at term granularity) and
+// installed in the heap map, so the mutation cannot touch the
+// mapping. Returns nil when the term does not exist yet anywhere.
+// Callers hold the write lock.
+func (fp *fieldPostings) promoteTermLocked(term string) *postingList {
 	if l, ok := fp.terms[term]; ok {
 		return l
 	}
@@ -442,13 +446,13 @@ func (fp *fieldPostings) promoteTermLocked(term string, count bool) *postingList
 	if !ok {
 		return nil
 	}
-	return fp.promoteSlotLocked(term, slot, count)
+	return fp.promoteSlotLocked(term, slot)
 }
 
 // promoteSlotLocked decodes dictionary slot i straight into a heap
 // posting list for term: the block metadata decodeSlot allocates is
 // kept, the byte streams are copied off the mapping.
-func (fp *fieldPostings) promoteSlotLocked(term string, slot int, count bool) *postingList {
+func (fp *fieldPostings) promoteSlotLocked(term string, slot int) *postingList {
 	mf := fp.mapped
 	l, err := mf.decodeSlot(slot)
 	if err != nil {
@@ -460,10 +464,8 @@ func (fp *fieldPostings) promoteSlotLocked(term string, slot int, count bool) *p
 	fp.terms[term] = l
 	// Drop a view a reader may have cached; the heap list shadows it.
 	mf.lazy.Delete(term)
-	if count {
-		mf.ix.mmMatTerms.Add(1)
-		mf.ix.mmMatBytes.Add(int64(len(l.docTF) + len(l.posBuf)))
-	}
+	mf.ix.mmMatTerms.Add(1)
+	mf.ix.mmMatBytes.Add(int64(len(l.docTF) + len(l.posBuf)))
 	return l
 }
 
@@ -771,18 +773,13 @@ func (s *shard) findOrd(id string) (int, bool) {
 
 // materializeAllLocked converts the whole shard to the heap
 // representation and detaches the mapping: the base doc table folds
-// in under the overlay, then every still-mapped term is copied. Used
-// by compaction, which rewrites every list, and by the heap restore
-// path, where the "mapped" payload is a heap frame that should not
-// stay referenced. count selects whether the conversion shows in the
-// copy-on-write counters.
-func (s *shard) materializeAllLocked(count bool) {
+// in under the overlay, then every still-mapped term is copied. Only
+// compaction, which rewrites every list, needs it.
+func (s *shard) materializeAllLocked() {
 	if s.ms == nil {
 		return
 	}
-	if count {
-		s.ix.mmMatDocTabs.Add(1)
-	}
+	s.ix.mmMatDocTabs.Add(1)
 	s.materializeDocsLocked()
 	for _, fp := range s.fields {
 		mf := fp.mapped
@@ -796,13 +793,12 @@ func (s *shard) materializeAllLocked(count bool) {
 				break
 			}
 			if _, ok := fp.terms[string(t)]; !ok {
-				fp.promoteSlotLocked(string(t), slot, count)
+				fp.promoteSlotLocked(string(t), slot)
 			}
 		}
 		fp.mapped = nil
 		fp.dict.Store(nil)
 	}
-	s.ix.mmMappedBytes.Add(-int64(len(s.ms.payload)))
 	s.ms = nil
 }
 

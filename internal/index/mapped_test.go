@@ -1,6 +1,41 @@
 package index
 
-import "testing"
+import (
+	"bytes"
+	"context"
+	"testing"
+)
+
+// TestMMapStatsFollowRing: MappedShards and MappedBytes describe the
+// current ring. A second restore replaces the first one's payloads
+// instead of adding to them, and a reshard, which moves every
+// document onto the heap, drops both to zero.
+func TestMMapStatsFollowRing(t *testing.T) {
+	var snap bytes.Buffer
+	if err := persistCorpus(t, WithShards(3)).Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	ix := New(WithShards(3))
+	var first MMapStats
+	for i := range 2 {
+		if err := ix.Restore(snap.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		st := ix.MMapStats()
+		if i == 0 {
+			first = st
+		}
+		if st.MappedShards != 3 || st.MappedBytes == 0 || st.MappedBytes != first.MappedBytes {
+			t.Fatalf("restore %d: %+v, want 3 mapped shards and the first restore's %d bytes", i+1, st, first.MappedBytes)
+		}
+	}
+	if err := ix.ReshardContext(context.Background(), 5); err != nil {
+		t.Fatal(err)
+	}
+	if st := ix.MMapStats(); st.MappedShards != 0 || st.MappedBytes != 0 {
+		t.Fatalf("after reshard: %+v, want nothing mapped", st)
+	}
+}
 
 // TestMappedFindAllocs: a dictionary probe on a mapped field compares
 // payload bytes in place, so looking a term up — present or absent —
@@ -48,5 +83,59 @@ func TestCountMappedAllocs(t *testing.T) {
 	// the race detector injects at random.
 	if many-few > float64(manyN-fewN)/20 {
 		t.Errorf("Count made %v allocations for %d matches but %v for %d; want no growth with matches", many, manyN, few, fewN)
+	}
+}
+
+// TestCheckPostingsRejectsBadAnchors: a term entry decoded from
+// snapshot bytes is accepted only if every anchor the query path
+// trusts matches its streams; each corruption below would otherwise
+// index past a stream or past the shard's ordinals at query time.
+func TestCheckPostingsRejectsBadAnchors(t *testing.T) {
+	const nDocs = 800 // the valid list's last ordinal is 765
+	valid := func() *postingList {
+		l := &postingList{}
+		for doc := 0; doc < 2*postingBlockSize; doc++ {
+			l.appendPosting(3*doc, []int{doc % 5, doc%5 + 2})
+		}
+		l.blocks = append([]blockMeta(nil), l.blocks...)
+		return l
+	}
+	if err := valid().checkPostings(nDocs); err != nil {
+		t.Fatalf("a list appendPosting wrote is rejected: %v", err)
+	}
+	for name, corrupt := range map[string]func(l *postingList){
+		"firstDoc not increasing": func(l *postingList) {
+			l.blocks[1].firstDoc -= 3 // block 0's last ordinal
+			l.lastDoc -= 3
+		},
+		"firstDoc past ordinals": func(l *postingList) {
+			*l = postingList{}
+			l.appendPosting(nDocs+5, []int{1})
+		},
+		"lastDoc below a posting":  func(l *postingList) { l.lastDoc = l.blocks[1].firstDoc },
+		"lastDoc past ordinals":    func(l *postingList) { l.lastDoc = nDocs },
+		"docOff decreases":         func(l *postingList) { l.blocks[1].docOff-- },
+		"docOff past stream":       func(l *postingList) { l.blocks[1].docOff = len(l.docTF) + 1 },
+		"posOff decreases":         func(l *postingList) { l.blocks[1].posOff-- },
+		"posOff past stream":       func(l *postingList) { l.blocks[1].posOff = len(l.posBuf) + 1 },
+		"block max tf above list":  func(l *postingList) { l.blocks[0].maxTF = l.maxTF + 1 },
+		"list max tf below block":  func(l *postingList) { l.maxTF-- },
+		"doc stream trailing":      func(l *postingList) { l.docTF = append(l.docTF, 0) },
+		"position stream short":    func(l *postingList) { l.posBuf = l.posBuf[:len(l.posBuf)-1] },
+		"position stream trailing": func(l *postingList) { l.posBuf = append(l.posBuf, 0) },
+		"repeated ordinal": func(l *postingList) {
+			l.docTF[len(l.docTF)-2] = 0 // the last posting's delta, 3 → 0
+			l.lastDoc -= 3
+		},
+		"delta past ordinals": func(l *postingList) {
+			l.docTF[len(l.docTF)-2] = 0x7f // the last posting's delta, 3 → 127
+			l.lastDoc += 0x7f - 3
+		},
+	} {
+		l := valid()
+		corrupt(l)
+		if err := l.checkPostings(nDocs); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

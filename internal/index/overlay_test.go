@@ -176,10 +176,26 @@ func checkOverlayTwins(t *testing.T, label string, mx, hx *Index) {
 	}
 }
 
+// heapCopy restores a v3 snapshot and folds every shard onto the
+// heap: the heap twin an attached copy is compared against.
+func heapCopy(t testing.TB, data []byte, shards int) *Index {
+	t.Helper()
+	hx := New(WithShards(shards))
+	if err := hx.Restore(data); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range hx.ring.Load().shards {
+		s.mu.Lock()
+		s.materializeAllLocked()
+		s.mu.Unlock()
+	}
+	return hx
+}
+
 // TestOverlayMatchesHeap: seeded random appends, replacements and
 // deletes of base documents, re-adds and replacements of overlay
 // documents on a mapped index answer every query type exactly like
-// the same writes on a heap restore of the same snapshot, and both
+// the same writes on a heap copy of the same snapshot, and both
 // snapshot to the same bytes — the reference decode-then-encode bytes.
 // No write folds the base into the heap.
 func TestOverlayMatchesHeap(t *testing.T) {
@@ -191,13 +207,10 @@ func TestOverlayMatchesHeap(t *testing.T) {
 				t.Fatal(err)
 			}
 			mx := New(WithShards(shards))
-			if err := mx.RestoreMapped(snap.Bytes()); err != nil {
+			if err := mx.Restore(snap.Bytes()); err != nil {
 				t.Fatal(err)
 			}
-			hx := New(WithShards(shards))
-			if err := hx.Restore(snap.Bytes()); err != nil {
-				t.Fatal(err)
-			}
+			hx := heapCopy(t, snap.Bytes(), shards)
 			rng := rand.New(rand.NewSource(seed))
 			ids := func() string {
 				if rng.Intn(4) == 0 {
@@ -327,7 +340,7 @@ func BenchmarkSnapshotWrittenMapped(b *testing.B) {
 	}
 	written := func() *Index {
 		mx := New(WithShards(2))
-		if err := mx.RestoreMapped(snap.Bytes()); err != nil {
+		if err := mx.Restore(snap.Bytes()); err != nil {
 			b.Fatal(err)
 		}
 		for i := 0; i < 200; i++ {

@@ -510,47 +510,27 @@ func (ix *Index) Snapshot(w io.Writer) error {
 }
 
 // Restore replaces the index contents from a Snapshot stream of any
-// version, decoding every shard onto the heap: nothing in the
-// restored index refers to data, so the caller may reuse the buffer.
-// The snapshot's shard layout does not pin the index: frames decode
-// concurrently into the layout they were written with (document
-// routing hashes by ID mod shard count, so postings only make sense
-// under the count they were written with), and the index then
-// reshards to its configured shard count (WithShards, default
-// GOMAXPROCS) when the two differ. A checkpoint taken on a 4-core box
-// therefore restores to full fan-out on a 64-core one, with rankings
-// bit-identical to a fresh build at the configured count.
+// version. A v3 stream attaches in place: each shard becomes an
+// immutable base over its frame's bytes under a heap overlay
+// (mapped.go), so data — typically an mmap'd snapshot file — must
+// stay valid and unmodified for the life of the index. The v1 and v2
+// readers copy what they keep; for those formats the caller may reuse
+// data.
 //
-// Restore must not run concurrently with other operations on the
-// same index: callers restore into a fresh or quiesced index.
+// Shards restore in the layout they were written with (document
+// routing hashes by ID mod shard count), and the index then reshards
+// to its configured count (WithShards, default GOMAXPROCS) when the
+// two differ, moving every document onto the heap. A checkpoint taken
+// on a 4-core box therefore restores to full fan-out on a 64-core one,
+// with rankings bit-identical to a fresh build at the configured count.
+//
+// Frame checksums are verified and every shard is attached or decoded
+// before anything is installed, so a truncated or corrupt snapshot
+// fails here and leaves the index unchanged. Restore must not run
+// concurrently with other operations on the same index: callers
+// restore into a fresh or quiesced index.
 func (ix *Index) Restore(data []byte) error {
-	return ix.restore(data, false)
-}
-
-// RestoreMapped attaches the index from an in-memory v3 Snapshot
-// stream — typically a subslice of an mmap'd snapshot file — without
-// decoding postings or documents onto the heap: shards become views
-// over data, under a heap overlay that takes the writes (mapped.go). The caller guarantees data stays valid (and unmodified)
-// for the life of the index; internal/mmapio's contract is that
-// mappings are never unmapped while a serving process holds views.
-//
-// Unlike Restore, RestoreMapped adopts the snapshot's shard layout
-// instead of resharding to the configured target: scores are
-// bit-identical at any shard count, and resharding would materialize
-// every byte, forfeiting the zero-copy boot.
-func (ix *Index) RestoreMapped(data []byte) error {
-	return ix.restore(data, true)
-}
-
-// restore is the one snapshot walk behind Restore and RestoreMapped.
-// Frame checksums are verified during the walk, and every shard is
-// decoded before anything is installed, so a truncated or corrupt
-// snapshot fails here and leaves the index unchanged.
-func (ix *Index) restore(data []byte, mapped bool) error {
-	op := "index: restore"
-	if mapped {
-		op = "index: restore mapped"
-	}
+	const op = "index: restore"
 	off := len(indexSnapshotMagic)
 	if len(data) < off || string(data[:off]) != indexSnapshotMagic {
 		return fmt.Errorf("%s: bad magic", op)
@@ -565,9 +545,6 @@ func (ix *Index) restore(data []byte, mapped bool) error {
 	}
 	if hdr.Version < 1 || hdr.Version > indexSnapshotVersion {
 		return fmt.Errorf("%s: unsupported snapshot version %d", op, hdr.Version)
-	}
-	if mapped && hdr.Version != indexSnapshotVersion {
-		return fmt.Errorf("%s: snapshot version %d is not mappable (v3 required)", op, hdr.Version)
 	}
 	// Bound the shard count before it sizes allocations and goroutine
 	// fan-out: no sane snapshot exceeds this, and a corrupt-but-CRC-
@@ -603,9 +580,8 @@ func (ix *Index) restore(data []byte, mapped bool) error {
 		return opts, ok
 	}
 
-	// v1/v2 payloads go through the walking decoder. v3 payloads attach
-	// as views over the frame; the heap path then materializes them,
-	// so the shard stops referring to data.
+	// v1/v2 payloads go through the walking decoder; v3 payloads
+	// attach as views over the frame.
 	shards := make([]*shard, hdr.Shards)
 	errs := make([]error, hdr.Shards)
 	fanOut(hdr.Shards, func(i int) {
@@ -614,9 +590,6 @@ func (ix *Index) restore(data []byte, mapped bool) error {
 			return
 		}
 		shards[i], errs[i] = ix.attachShardV3(frames[i], optsFor)
-		if errs[i] == nil && !mapped {
-			shards[i].materializeAllLocked(false)
-		}
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -633,11 +606,10 @@ func (ix *Index) restore(data []byte, mapped bool) error {
 	ix.invalidateAnalysis()
 	old := ix.ring.Load()
 	ix.ring.Store(&ring{gen: old.gen + 1, shards: shards})
-	// Durability layout is decoupled from runtime parallelism: the heap
-	// path honors the configured shard count, not the snapshot's. The
+	// Durability layout is decoupled from runtime parallelism. The
 	// index is quiesced here (Restore's contract), so the reshard's
 	// journal stays empty and this is a pure rehash.
-	if !mapped && hdr.Shards != ix.target {
+	if hdr.Shards != ix.target {
 		return ix.ReshardContext(context.Background(), ix.target)
 	}
 	return nil

@@ -158,7 +158,7 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
-		decoded.materializeAllLocked(false)
+		decoded.materializeAllLocked()
 		if decoded.live != s.live || decoded.dead != s.dead {
 			t.Fatalf("shard %d: live/dead = %d/%d, want %d/%d", i, decoded.live, decoded.dead, s.live, s.dead)
 		}
@@ -261,34 +261,34 @@ func TestRestoreRejectsDeclaredMaxTFMismatch(t *testing.T) {
 	}
 }
 
-// TestRestoreDoesNotAliasInput: a heap restore copies everything it
-// keeps, so the caller may reuse the snapshot buffer — zeroing it
-// afterwards must not change a single result.
+// TestRestoreDoesNotAliasInput: the v1 and v2 readers copy everything
+// they keep, so the caller may reuse the snapshot buffer — zeroing it
+// afterwards must not change a single result. (A v3 restore attaches
+// in place and needs the bytes for the life of the index.)
 func TestRestoreDoesNotAliasInput(t *testing.T) {
 	fresh := persistCorpus(t, WithShards(3))
-	var buf bytes.Buffer
-	if err := fresh.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	restored := New(WithShards(3))
-	if err := restored.Restore(data); err != nil {
-		t.Fatal(err)
-	}
-	clear(data)
-	for name, q := range shardQueries() {
-		want := fresh.mustSearch(q, SearchOptions{})
-		got := restored.mustSearch(q, SearchOptions{})
-		if fmt.Sprint(want) != fmt.Sprint(got) {
-			t.Fatalf("%s after zeroing the input: got %v, want %v", name, got, want)
+	for _, name := range []string{"persist_v1.snap", "persist_v2.snap"} {
+		data := readFixture(t, name)
+		restored := New(WithShards(3))
+		restored.SetFieldOptions("title", FieldOptions{Boost: 2})
+		if err := restored.Restore(data); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 60; i++ {
-		id := fmt.Sprintf("doc%02d", i)
-		want, wok := fresh.Get(id)
-		got, gok := restored.Get(id)
-		if wok != gok || fmt.Sprint(want) != fmt.Sprint(got) {
-			t.Fatalf("Get(%s) after zeroing the input = %v %v, want %v %v", id, got, gok, want, wok)
+		clear(data)
+		for qname, q := range shardQueries() {
+			want := fresh.mustSearch(q, SearchOptions{})
+			got := restored.mustSearch(q, SearchOptions{})
+			if fmt.Sprint(want) != fmt.Sprint(got) {
+				t.Fatalf("%s %s after zeroing the input: got %v, want %v", name, qname, got, want)
+			}
+		}
+		for i := 0; i < 60; i++ {
+			id := fmt.Sprintf("doc%02d", i)
+			want, wok := fresh.Get(id)
+			got, gok := restored.Get(id)
+			if wok != gok || fmt.Sprint(want) != fmt.Sprint(got) {
+				t.Fatalf("%s Get(%s) after zeroing the input = %v %v, want %v %v", name, id, got, gok, want, wok)
+			}
 		}
 	}
 }

@@ -31,7 +31,7 @@ type fieldPostings struct {
 	opts   FieldOptions
 	// mapped, when non-nil, backs terms absent from the heap map with
 	// the shard's v3 payload (see mapped.go). Read lookups go through
-	// lookup(), writes through lookupForWrite().
+	// lookup(), writes through promoteTermLocked().
 	mapped *mappedField
 	// dict caches the sorted term dictionary for prefix scans and
 	// spell candidates. Writers holding the shard write lock
@@ -247,9 +247,9 @@ func (s *shard) addLocked(doc Document, analyzed map[string][]textproc.Token) {
 		fp.totalLen += len(toks)
 		s.groups.group(toks)
 		for i, term := range s.groups.terms {
-			// lookupForWrite copies a still-mapped term onto the heap
-			// first, so the append never touches the mapping.
-			list := fp.lookupForWrite(term)
+			// promoteTermLocked copies a still-mapped term onto the
+			// heap first, so the append never touches the mapping.
+			list := fp.promoteTermLocked(term)
 			if list == nil {
 				list = &postingList{}
 				fp.terms[term] = list
@@ -374,7 +374,7 @@ func (s *shard) compactLocked() {
 	// Compaction rewrites every list containing tombstones; the walk
 	// below iterates the heap maps and doc table, so a mapped shard
 	// converts first.
-	s.materializeAllLocked(true)
+	s.materializeAllLocked()
 	s.dirty = true
 	var positions []int
 	for _, fp := range s.fields {

@@ -66,11 +66,11 @@ func fixtureSections(tb testing.TB) (names []string, recSecs [][]byte, shards []
 var fuzzSeedFrames = []string{"tenant0-data0", "tenant3-data1"}
 
 // TestFuzzCorporaMatchFixture keeps the committed seed corpora of
-// FuzzRecordSection (here) and FuzzV3DocEntry (internal/index) cut
-// from multitenant_v3.snap: one file per record section and per index
-// shard payload of the frames in fuzzSeedFrames. Run with
-// UPDATE_FUZZ_CORPUS=1 to rewrite them after a deliberate format
-// change.
+// FuzzRecordSection (here), FuzzV3DocEntry and FuzzV3Postings
+// (internal/index) cut from multitenant_v3.snap: one file per record
+// section and per index shard payload of the frames in
+// fuzzSeedFrames. Run with UPDATE_FUZZ_CORPUS=1 to rewrite them after
+// a deliberate format change.
 func TestFuzzCorporaMatchFixture(t *testing.T) {
 	names, recSecs, shards := fixtureSections(t)
 	want := map[string][]byte{}
@@ -81,7 +81,9 @@ func TestFuzzCorporaMatchFixture(t *testing.T) {
 			}
 			want[filepath.Join("testdata", "fuzz", "FuzzRecordSection", name)] = recSecs[i]
 			for j, p := range shards[i] {
-				want[filepath.Join("..", "index", "testdata", "fuzz", "FuzzV3DocEntry", fmt.Sprintf("%s-shard%d", name, j))] = p
+				for _, target := range []string{"FuzzV3DocEntry", "FuzzV3Postings"} {
+					want[filepath.Join("..", "index", "testdata", "fuzz", target, fmt.Sprintf("%s-shard%d", name, j))] = p
+				}
 			}
 		}
 	}

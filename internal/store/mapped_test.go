@@ -8,69 +8,87 @@ import (
 	"testing"
 )
 
-// restoreMapped attaches a v3 snapshot's bytes to a fresh store.
-func restoreMapped(t testing.TB, data []byte) *Store {
+// restoreMapped restores a v3 snapshot written by a 3-shard store —
+// every snapshot these tests attach is — into a fresh 3-shard store
+// with opts, so no reshard moves an index onto the heap, and fails
+// unless every dataset is still served from the snapshot bytes.
+func restoreMapped(t testing.TB, data []byte, opts ...Option) *Store {
 	t.Helper()
-	s := New()
-	if err := s.RestoreMappedContext(context.Background(), data); err != nil {
+	s := New(append([]Option{WithShardTarget(3)}, opts...)...)
+	if err := s.RestoreContext(context.Background(), data); err != nil {
 		t.Fatal(err)
 	}
+	requireMapped(t, s)
 	return s
 }
 
-// TestMappedRestoreMatchesHeap: the same v3 snapshot restored mapped
-// and restored to the heap serves identical state — counts, listing
-// order, records, and search hits with scores.
-func TestMappedRestoreMatchesHeap(t *testing.T) {
-	orig := multiTenantStore(t)
-	want := storeFingerprint(t, orig)
-
-	var buf bytes.Buffer
-	if err := orig.SnapshotContext(context.Background(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	heap := New()
-	if err := heap.RestoreContext(context.Background(), buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	mapped := restoreMapped(t, buf.Bytes())
-
-	if got := storeFingerprint(t, heap); got != want {
-		t.Fatalf("heap restore state:\n%s\nwant:\n%s", got, want)
-	}
-	if got := storeFingerprint(t, mapped); got != want {
-		t.Fatalf("mapped restore state:\n%s\nwant:\n%s", got, want)
-	}
-
-	// The mapped store reports mapped residency; the heap one none.
-	var mappedBytes int64
-	for _, st := range mapped.Status() {
-		mappedBytes += st.MappedBytes
-	}
-	if mappedBytes == 0 {
-		t.Fatal("mapped restore reports zero mapped bytes")
-	}
-	for _, st := range heap.Status() {
-		if st.MappedBytes != 0 {
-			t.Fatalf("heap restore reports %d mapped bytes for %s/%s", st.MappedBytes, st.Tenant, st.Dataset)
+// requireMapped fails unless every dataset of s serves its record
+// section and every index shard from an attached snapshot, with no
+// shard converted to the heap.
+func requireMapped(t testing.TB, s *Store) {
+	t.Helper()
+	for _, st := range s.Status() {
+		if st.MappedShards != st.Shards || st.MaterializedDocTables != 0 {
+			t.Fatalf("%s/%s: %d of %d shards mapped, %d doc tables materialized", st.Tenant, st.Dataset, st.MappedShards, st.Shards, st.MaterializedDocTables)
+		}
+		s.mu.RLock()
+		ds := s.tenants[st.Tenant].datasets[st.Dataset]
+		s.mu.RUnlock()
+		ds.mu.RLock()
+		mapped := ds.mrecs != nil
+		ds.mu.RUnlock()
+		if !mapped {
+			t.Fatalf("%s/%s: record section not mapped", st.Tenant, st.Dataset)
 		}
 	}
 }
 
+// snapshotBytes returns s's v3 snapshot.
+func snapshotBytes(t testing.TB, s *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.SnapshotContext(context.Background(), &buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMappedRestoreMatchesHeap: a v3 snapshot restored at its own
+// shard count serves from the snapshot bytes and answers exactly like
+// the heap-built store it was written from — counts, listing order,
+// records, and search hits with scores.
+func TestMappedRestoreMatchesHeap(t *testing.T) {
+	heap := multiTenantStore(t)
+	mapped := restoreMapped(t, snapshotBytes(t, heap))
+	if got, want := storeFingerprint(t, mapped), storeFingerprint(t, heap); got != want {
+		t.Fatalf("mapped restore state:\n%s\nwant:\n%s", got, want)
+	}
+	for _, st := range heap.Status() {
+		if st.MappedBytes != 0 || st.MappedShards != 0 {
+			t.Fatalf("heap-built store reports %d mapped bytes in %d shards for %s/%s", st.MappedBytes, st.MappedShards, st.Tenant, st.Dataset)
+		}
+	}
+}
+
+// TestRestoreAtTargetStaysMapped: a default store restoring a snapshot
+// written at its own shard target keeps every dataset mapped — the
+// reshard runs only when the counts differ.
+func TestRestoreAtTargetStaysMapped(t *testing.T) {
+	src, _ := newInventory(t)
+	s := New()
+	if err := s.RestoreContext(context.Background(), snapshotBytes(t, src)); err != nil {
+		t.Fatal(err)
+	}
+	requireMapped(t, s)
+}
+
 // TestMappedCopyOnWrite: mutations against a mapped store apply
 // copy-on-write and converge to exactly the state of the same
-// mutations against a heap restore; untouched datasets stay mapped.
+// mutations against the heap-built store it was restored from;
+// untouched datasets stay mapped.
 func TestMappedCopyOnWrite(t *testing.T) {
-	orig := multiTenantStore(t)
-	var buf bytes.Buffer
-	if err := orig.SnapshotContext(context.Background(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	heap := New()
-	if err := heap.RestoreContext(context.Background(), buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	mapped := restoreMapped(t, buf.Bytes())
+	heap := multiTenantStore(t)
+	mapped := restoreMapped(t, snapshotBytes(t, heap))
 
 	mutate := func(s *Store) {
 		t.Helper()
@@ -164,12 +182,7 @@ func TestMappedSnapshotAfterCoWRoundTrips(t *testing.T) {
 	if err := mapped.SnapshotContext(context.Background(), &a); err != nil {
 		t.Fatal(err)
 	}
-	// A heap restore reshards to its store's target, so restore at the
-	// snapshot's own layout for the bytes to round-trip.
-	restored := New(WithShardTarget(3))
-	if err := restored.RestoreContext(context.Background(), a.Bytes()); err != nil {
-		t.Fatal(err)
-	}
+	restored := restoreMapped(t, a.Bytes())
 	if got, want := storeFingerprint(t, restored), storeFingerprint(t, mapped); got != want {
 		t.Fatalf("post-CoW snapshot restore state:\n%s\nwant:\n%s", got, want)
 	}
@@ -184,41 +197,25 @@ func TestMappedSnapshotAfterCoWRoundTrips(t *testing.T) {
 
 // TestSnapshotCompatMatrix: every format restores to the same
 // queryable state as a fresh build — the frozen v1 and v2 fixtures
-// through the heap, the v3 golden through both the heap and the
-// mapped path.
+// decoded onto the heap, the v3 golden attached and still mapped.
 func TestSnapshotCompatMatrix(t *testing.T) {
 	want := storeFingerprint(t, multiTenantStore(t))
-	v1 := readFixture(t, "multitenant_v1.json")
-	v2 := readFixture(t, "multitenant_v2.snap")
-	v3 := readFixture(t, "multitenant_v3.snap")
-
-	restores := map[string]func(*Store) error{
-		"v1-heap":   func(s *Store) error { return s.RestoreContext(context.Background(), v1) },
-		"v2-heap":   func(s *Store) error { return s.RestoreContext(context.Background(), v2) },
-		"v3-heap":   func(s *Store) error { return s.RestoreContext(context.Background(), v3) },
-		"v3-mapped": func(s *Store) error { return s.RestoreMappedContext(context.Background(), v3) },
-	}
-	for name, restore := range restores {
-		s := New()
-		if err := restore(s); err != nil {
+	for _, name := range []string{"multitenant_v1.json", "multitenant_v2.snap", "multitenant_v3.snap"} {
+		s := New(WithShardTarget(3))
+		if err := s.RestoreContext(context.Background(), readFixture(t, name)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got := storeFingerprint(t, s); got != want {
 			t.Fatalf("%s state:\n%s\nwant:\n%s", name, got, want)
 		}
-	}
-
-	// The mapped path accepts only v3.
-	if err := New().RestoreMappedContext(context.Background(), v2); err == nil {
-		t.Fatal("mapped restore accepted a v2 stream")
-	}
-	if err := New().RestoreMappedContext(context.Background(), v1); err == nil {
-		t.Fatal("mapped restore accepted a v1 document")
+		if name == "multitenant_v3.snap" {
+			requireMapped(t, s)
+		}
 	}
 }
 
-// TestMappedRestoreRejectsCorrupt: truncations and bit flips fail the
-// mapped restore at attach time — before anything can serve from the
+// TestMappedRestoreRejectsCorrupt: truncations and bit flips fail a
+// v3 restore at attach time — before anything can serve from the
 // damaged bytes — and leave the target store untouched.
 func TestMappedRestoreRejectsCorrupt(t *testing.T) {
 	src := multiTenantStore(t)
@@ -247,12 +244,12 @@ func TestMappedRestoreRejectsCorrupt(t *testing.T) {
 	for name, data := range cases {
 		target, _ := newInventory(t)
 		before := storeFingerprint(t, target)
-		if err := target.RestoreMappedContext(context.Background(), data); err == nil {
-			t.Errorf("%s: corrupt snapshot accepted by mapped restore", name)
+		if err := target.RestoreContext(context.Background(), data); err == nil {
+			t.Errorf("%s: corrupt snapshot accepted", name)
 			continue
 		}
 		if after := storeFingerprint(t, target); after != before {
-			t.Errorf("%s: failed mapped restore mutated target store", name)
+			t.Errorf("%s: failed restore mutated target store", name)
 		}
 	}
 }

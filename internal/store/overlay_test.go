@@ -40,9 +40,10 @@ func overlayRecord(rng *rand.Rand, sku string) Record {
 	}
 }
 
-// overlaySnapshot builds a 3-shard store holding one 120-row dataset
-// with ten tombstones, and returns its v3 snapshot.
-func overlaySnapshot(t *testing.T) []byte {
+// overlayStore builds a 3-shard store holding one 120-row dataset
+// with ten tombstones: the heap twin, and the source of the snapshot
+// the mapped twin attaches.
+func overlayStore(t *testing.T) *Store {
 	t.Helper()
 	ctx := context.Background()
 	src := New(WithShardTarget(3))
@@ -64,48 +65,32 @@ func overlaySnapshot(t *testing.T) []byte {
 	for i := 5; i < 120; i += 12 {
 		ds.Delete(fmt.Sprintf("S%03d", i))
 	}
-	var buf bytes.Buffer
-	if err := src.SnapshotContext(ctx, &buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return src
 }
 
-// overlayTwin restores data into a fresh 3-shard store, mapped or on
-// the heap, and returns its dataset.
-func overlayTwin(t *testing.T, data []byte, mapped bool) (*Store, *Dataset) {
+// overlayDataset returns the catalog dataset of an overlay twin.
+func overlayDataset(t *testing.T, s *Store) *Dataset {
 	t.Helper()
-	ctx := context.Background()
-	s := New(WithShardTarget(3))
-	var err error
-	if mapped {
-		err = s.RestoreMappedContext(ctx, data)
-	} else {
-		err = s.RestoreContext(ctx, data)
-	}
+	ds, err := s.DatasetContext(context.Background(), "shop", "dana", "catalog", PermWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := s.DatasetContext(ctx, "shop", "dana", "catalog", PermWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, ds
+	return ds
 }
 
 // TestOverlayMatchesHeapTwin is the differential test of the mapped
-// base plus heap overlay: a mapped-restored dataset and its
-// heap-restored twin take the same seeded random sequence of appends,
-// replacements and deletes of base rows, re-adds, batches, queries,
-// counts, facets, List, Stats and checkpoints, and must answer
-// identically at every step and checkpoint to identical bytes. No
-// write decodes a whole doc table or record section.
+// base plus heap overlay: a mapped-restored dataset and its heap-built
+// twin take the same seeded random sequence of appends, replacements
+// and deletes of base rows, re-adds, batches, queries, counts, facets,
+// List, Stats and checkpoints, and must answer identically at every
+// step and checkpoint to identical bytes. No write decodes a whole doc
+// table or record section.
 func TestOverlayMatchesHeapTwin(t *testing.T) {
 	ctx := context.Background()
-	data := overlaySnapshot(t)
+	data := snapshotBytes(t, overlayStore(t))
 	for seed := int64(1); seed <= 8; seed++ {
-		ms, mds := overlayTwin(t, data, true)
-		hs, hds := overlayTwin(t, data, false)
+		ms, hs := restoreMapped(t, data), overlayStore(t)
+		mds, hds := overlayDataset(t, ms), overlayDataset(t, hs)
 		rng := rand.New(rand.NewSource(seed))
 		sku := func() string {
 			if rng.Intn(5) == 0 {
@@ -188,34 +173,24 @@ func TestOverlayMatchesHeapTwin(t *testing.T) {
 					t.Fatalf("%s: mapped checkpoint (%d bytes) differs from heap twin's (%d)", label, a.Len(), b.Len())
 				}
 				if rng.Intn(2) == 0 {
-					// Reboot both from the checkpoint: the mapped twin's
+					// Reboot the mapped twin from the checkpoint: its
 					// next base is this step's written state.
-					ms, mds = overlayTwin(t, a.Bytes(), true)
-					hs, hds = overlayTwin(t, b.Bytes(), false)
+					ms = restoreMapped(t, a.Bytes())
+					mds = overlayDataset(t, ms)
 				}
 			}
 			if got, want := describe(mds, 0, "", 0, 0), describe(hds, 0, "", 0, 0); got != want {
 				t.Fatalf("%s listing:\nmapped %s\nheap   %s", label, got, want)
 			}
 		}
-		for _, st := range ms.Status() {
-			if st.MaterializedDocTables != 0 {
-				t.Fatalf("seed %d: %d doc tables materialized", seed, st.MaterializedDocTables)
-			}
-		}
-		mds.mu.RLock()
-		mapped := mds.mrecs != nil
-		mds.mu.RUnlock()
-		if !mapped {
-			t.Fatalf("seed %d: record section no longer mapped", seed)
-		}
+		requireMapped(t, ms)
 	}
 }
 
 // TestOverlayRecordFindAllocs: resolving an ID against a mapped record
 // section compares bytes in place, hit or miss.
 func TestOverlayRecordFindAllocs(t *testing.T) {
-	_, ds := overlayTwin(t, overlaySnapshot(t), true)
+	ds := overlayDataset(t, restoreMapped(t, snapshotBytes(t, overlayStore(t))))
 	mr := ds.mrecs
 	for _, tc := range []struct {
 		id   string

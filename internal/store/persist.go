@@ -23,12 +23,10 @@ import (
 // tenant, then one frame per dataset in deterministic (tenant,
 // dataset) order. A dataset frame carries its records as a binary
 // record section with offset directories (see mapped.go) followed by
-// the index's v3 mmap-ready stream. The same bytes serve two restore
-// paths: RestoreContext decodes them to the heap, while
-// RestoreMappedContext attaches datasets as lazy views over the
-// snapshot's (typically mmap'd) bytes — writes land in a heap overlay
-// over them, so boot cost and resident set scale with what the
-// workload touches, not corpus size.
+// the index's v3 mmap-ready stream. RestoreContext attaches v3
+// datasets as lazy views over the snapshot's (typically mmap'd) bytes
+// — writes land in a heap overlay over them, so boot cost and
+// resident set scale with what the workload touches, not corpus size.
 //
 // Format v2 (read-only) is the same framed envelope with JSON records
 // and an index v2 stream per dataset. Format v1 (read-only) is a
@@ -198,7 +196,7 @@ type v2DatasetFrame struct {
 // binary record section (mapped.go), then the dataset's serialized
 // sharded index (an index v3 stream) as raw bytes. Records and
 // postings both live in directory-indexed binary sections, so a
-// mapped restore serves them in place.
+// restore serves them in place.
 type v3DatasetMeta struct {
 	Tenant string `json:"tenant"`
 	Schema Schema `json:"schema"`
@@ -399,10 +397,16 @@ func (ref datasetRef) encodeFrame(cache *FrameCache) ([]byte, error) {
 }
 
 // RestoreContext replaces the store's contents from a snapshot of any
-// format held in data: framed streams (v2/v3, sniffed by magic) decode
-// dataset frames concurrently and reattach their serialized indexes;
-// v1 documents rebuild indexes from records. Everything is decoded
-// onto the heap, so the restored store keeps no reference to data.
+// format held in data. A v3 stream attaches every dataset in place:
+// its record section and index payloads become the immutable base
+// under a heap overlay (mapped.go), so data — typically an mmapio
+// mapping of the checkpoint file — must stay valid and unmodified for
+// the life of the store. Each dataset's index reshards to the store's
+// shard target when the snapshot was written under another count,
+// which moves that index onto the heap. v2 streams decode onto the
+// heap and v1 documents rebuild indexes from records; both copy what
+// they keep, so for those formats the caller may reuse the buffer.
+//
 // The replacement state is built and validated completely before it
 // is swapped in, so a failed restore — including a cancelled one —
 // leaves the store unchanged. Cancellation is checked between dataset
@@ -414,53 +418,23 @@ func (s *Store) RestoreContext(ctx context.Context, data []byte) error {
 	if !hasMagic(data, snapshotMagicV2) && !hasMagic(data, snapshotMagicV3) {
 		return s.restoreV1(data)
 	}
-	return s.restore(ctx, data, false)
-}
-
-// SnapshotIsMappable reports whether data begins a v3 snapshot — the
-// only format RestoreMappedContext accepts. Boot paths use it to
-// decide between mapping a snapshot and decoding it: v1/v2 files
-// restore through RestoreContext until the next checkpoint rewrites
-// them as v3.
-func SnapshotIsMappable(data []byte) bool {
-	return hasMagic(data, snapshotMagicV3)
+	return s.restore(ctx, data)
 }
 
 func hasMagic(data []byte, magic string) bool {
 	return len(data) >= len(magic) && string(data[:len(magic)]) == magic
 }
 
-// RestoreMappedContext replaces the store's contents from a v3
-// snapshot held in data — typically an mmapio mapping of the
-// checkpoint file — attaching every dataset as lazy views over those
-// bytes: record sections and posting payloads are NOT copied to the
-// heap, and each dataset's index adopts the snapshot's shard layout
-// (scores are layout-independent). data must stay valid (mapped) for
-// the life of the store; the mmapio package's never-unmap contract
-// provides exactly that.
-func (s *Store) RestoreMappedContext(ctx context.Context, data []byte) error {
-	if !SnapshotIsMappable(data) {
-		return fmt.Errorf("store: restore mapped: not a v3 snapshot")
-	}
-	return s.restore(ctx, data, true)
-}
-
-// restore is the one framed-snapshot walk behind RestoreContext and
-// RestoreMappedContext. Frame checksums are verified during the walk,
-// so a truncated or corrupt stream fails before any dataset decodes.
-// Dataset frames then decode on a worker pool — each job is
-// independent, so decode scales with the dataset count — and the
-// replacement tenant map is swapped in. Cancellation stops dispatch
-// between frames; already-dispatched decodes finish (they only build
-// private state) and the restore returns without touching the store.
-func (s *Store) restore(ctx context.Context, data []byte, mapped bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	op := "store: restore"
-	if mapped {
-		op = "store: restore mapped"
-	}
+// restore is RestoreContext's walk over a v2 or v3 stream. Frame
+// checksums are verified during the walk, so a truncated or corrupt
+// stream fails before any dataset decodes. Dataset frames then decode
+// on a worker pool — each job is independent, so decode scales with
+// the dataset count — and the replacement tenant map is swapped in.
+// Cancellation stops dispatch between frames; already-dispatched
+// decodes finish (they only build private state) and the restore
+// returns without touching the store.
+func (s *Store) restore(ctx context.Context, data []byte) error {
+	const op = "store: restore"
 	version := snapshotVersionV3
 	if hasMagic(data, snapshotMagicV2) {
 		version = snapshotVersionV2
@@ -495,7 +469,7 @@ func (s *Store) restore(ctx context.Context, data []byte, mapped bool) error {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				datasets[i], errs[i] = s.decodeFrame(frames[i], expects[i], version, mapped)
+				datasets[i], errs[i] = s.decodeFrame(frames[i], expects[i], version)
 			}
 		}()
 	}
@@ -582,17 +556,18 @@ func parseFramedHeader(hdrBytes []byte, wantVersion int) (map[string]*tenant, []
 	return tenants, expects, nil
 }
 
-// decodeFrame rebuilds one dataset from a v2 or v3 frame. The heap
-// path validates every record (v2 carries them as JSON, v3 as a
-// record section) and reattaches the index resharded to the store's
-// configured target, so checkpoint layout never caps query fan-out on
-// the restoring machine. The mapped path (v3 only) attaches both
-// sections as views over the frame's bytes: records and postings stay
-// the base under a heap overlay, the index keeps the snapshot's shard
-// layout, and records are not validated one by one — the frame
-// checksum already vouches for the bytes, and re-validating every
-// record would decode everything the mapping exists to avoid.
-func (s *Store) decodeFrame(payload []byte, want frameExpect, version int, mapped bool) (*Dataset, error) {
+// decodeFrame rebuilds one dataset from a v2 or v3 frame, its index
+// resharded to the store's configured target, so checkpoint layout
+// never caps query fan-out on the restoring machine. A v2 frame's
+// JSON records are validated one by one. A v3 frame's record section
+// and index attach as views over the frame's bytes: records and
+// postings stay the base under a heap overlay, and records are not
+// validated one by one — the frame checksum already vouches for the
+// bytes, the section and index directories are bounds-checked, and
+// the index's live count must equal the record count; re-validating
+// every record would decode everything the attachment exists to
+// avoid.
+func (s *Store) decodeFrame(payload []byte, want frameExpect, version int) (*Dataset, error) {
 	metaBytes, ixBytes, err := cutSection(payload, "metadata")
 	if err != nil {
 		return nil, err
@@ -625,32 +600,13 @@ func (s *Store) decodeFrame(payload []byte, want frameExpect, version int, mappe
 		if recSec, ixBytes, err = cutSection(ixBytes, "record section"); err != nil {
 			return nil, err
 		}
-		mr, err := attachRecordSection(recSec)
-		if err != nil {
+		if ds.mrecs, err = attachRecordSection(recSec); err != nil {
 			return nil, err
-		}
-		if mapped {
-			ds.mrecs = mr
-		} else {
-			for i := 0; i < mr.count; i++ {
-				id, rec, ok := mr.entryAt(i)
-				if !ok {
-					return nil, fmt.Errorf("corrupt record entry at position %d", i)
-				}
-				if err := ds.restoreRecord(i, id, rec); err != nil {
-					return nil, err
-				}
-			}
 		}
 	}
 	// newDataset already registered the schema's field options, so the
 	// restored index's boosts and analyzers line up.
-	if mapped {
-		err = ds.ix.RestoreMapped(ixBytes)
-	} else {
-		err = ds.ix.Restore(ixBytes)
-	}
-	if err != nil {
+	if err := ds.ix.Restore(ixBytes); err != nil {
 		return nil, err
 	}
 	if got, want := ds.ix.Len(), ds.lenLocked(); got != want {
@@ -660,9 +616,9 @@ func (s *Store) decodeFrame(payload []byte, want frameExpect, version int, mappe
 }
 
 // restoreRecord appends the record at snapshot position pos to a
-// dataset being rebuilt by a heap restore, rejecting anything a live
-// dataset could not hold. The record must be owned by the dataset
-// from here on.
+// dataset being rebuilt from a v1 or v2 snapshot, rejecting anything
+// a live dataset could not hold. The record must be owned by the
+// dataset from here on.
 func (d *Dataset) restoreRecord(pos int, id string, rec Record) error {
 	if id == "" {
 		return fmt.Errorf("empty record ID at position %d", pos)

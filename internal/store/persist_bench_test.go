@@ -50,55 +50,45 @@ func persistBenchStore(b *testing.B, tenants, datasetsPer, recordsPer int) *Stor
 	return s
 }
 
-// restoreModes names the two ways a v3 snapshot comes back: decoded
-// onto the heap, or attached as views over the snapshot bytes.
-var restoreModes = []struct {
-	name    string
-	restore func(*Store, []byte) error
-}{
-	{"v3-heap", func(s *Store, data []byte) error { return s.RestoreContext(context.Background(), data) }},
-	{"v3-mapped", func(s *Store, data []byte) error { return s.RestoreMappedContext(context.Background(), data) }},
-}
-
 // BenchmarkSnapshotRestore measures a full checkpoint cycle: snapshot
-// a heap store, then restore the bytes into a fresh store, heap or
-// mapped.
+// a heap-built store, then restore the bytes into a fresh store.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	s := persistBenchStore(b, 8, 2, 400)
-	for _, mode := range restoreModes {
-		b.Run(mode.name, func(b *testing.B) {
-			var size int
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var buf bytes.Buffer
-				if err := s.SnapshotContext(context.Background(), &buf); err != nil {
-					b.Fatal(err)
-				}
-				size = buf.Len()
-				if err := mode.restore(New(), buf.Bytes()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(size))
-		})
+	var size int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var buf bytes.Buffer
+		if err := s.SnapshotContext(context.Background(), &buf); err != nil {
+			b.Fatal(err)
+		}
+		size = buf.Len()
+		if err := New().RestoreContext(context.Background(), buf.Bytes()); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.SetBytes(int64(size))
 }
 
 // BenchmarkSnapshotOnly isolates the checkpoint write path — what a
-// running symphonyd pays in the background — from a store whose
-// datasets live on the heap (every frame encoded) and from one just
-// restored mapped (every frame copied verbatim from the mapping).
+// running symphonyd pays in the background — from a store built by
+// writes (every frame encoded) and from one just restored from its
+// snapshot (every frame copied verbatim from the attached bytes).
 func BenchmarkSnapshotOnly(b *testing.B) {
 	heap := persistBenchStore(b, 8, 2, 400)
 	var snap bytes.Buffer
 	if err := heap.SnapshotContext(context.Background(), &snap); err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range restoreModes {
-		s := New()
-		if err := mode.restore(s, snap.Bytes()); err != nil {
-			b.Fatal(err)
-		}
+	restored := New()
+	if err := restored.RestoreContext(context.Background(), snap.Bytes()); err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		s    *Store
+	}{{"heap", heap}, {"restored", restored}} {
+		s := mode.s
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -110,25 +100,21 @@ func BenchmarkSnapshotOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkRestoreOnly isolates boot-time restore: the heap path
-// decodes every record and reattaches serialized shards, the mapped
-// path only walks frame CRCs and directory offsets — records and
-// postings stay views into the snapshot bytes.
+// BenchmarkRestoreOnly isolates boot-time restore: it walks frame
+// CRCs and directory offsets only — records and postings stay views
+// into the snapshot bytes.
 func BenchmarkRestoreOnly(b *testing.B) {
 	s := persistBenchStore(b, 8, 2, 400)
 	var snap bytes.Buffer
 	if err := s.SnapshotContext(context.Background(), &snap); err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range restoreModes {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(snap.Len()))
-			for i := 0; i < b.N; i++ {
-				if err := mode.restore(New(), snap.Bytes()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.SetBytes(int64(snap.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := New().RestoreContext(context.Background(), snap.Bytes()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -84,9 +83,9 @@ func replayKeylessSchema(name string) Schema {
 	}}
 }
 
-// replayBase is the snapshot every log replays over: one tenant with
+// replayBase builds the state every log replays over: one tenant with
 // a keyed, a keyless and a droppable dataset, with tombstones.
-func replayBase(t *testing.T) []byte {
+func replayBase(t *testing.T) *Store {
 	t.Helper()
 	s := New(WithShardTarget(3))
 	if err := s.CreateTenant("acme", "ann"); err != nil {
@@ -111,11 +110,7 @@ func replayBase(t *testing.T) []byte {
 		ds.Delete("sku-03")
 		ds.Delete("7")
 	}
-	var buf bytes.Buffer
-	if err := s.SnapshotContext(context.Background(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return s
 }
 
 // replayLog synthesizes a random log: runs of puts interleaved across
@@ -268,22 +263,22 @@ func replayState(t *testing.T, s *Store, st wal.ReplayStats) string {
 	return b.String()
 }
 
-// TestReplayBatchedMatchesSequential replays random logs over heap and
-// mapped restores of one snapshot, record by record and batched, and
-// requires all four stores to agree exactly.
+// TestReplayBatchedMatchesSequential replays random logs over the
+// heap-built base and a mapped restore of its snapshot, record by
+// record and batched, and requires all four stores to agree exactly.
 func TestReplayBatchedMatchesSequential(t *testing.T) {
 	ctx := context.Background()
-	snap := replayBase(t)
+	snap := snapshotBytes(t, replayBase(t))
 	seeds := 200
 	if testing.Short() {
 		seeds = 40
 	}
 	restores := []struct {
 		name    string
-		restore func(*Store) error
+		restore func() *Store
 	}{
-		{"heap", func(s *Store) error { return s.RestoreContext(ctx, snap) }},
-		{"mapped", func(s *Store) error { return s.RestoreMappedContext(ctx, snap) }},
+		{"heap", func() *Store { return replayBase(t) }},
+		{"mapped", func() *Store { return restoreMapped(t, snap) }},
 	}
 	replays := []struct {
 		name   string
@@ -298,10 +293,7 @@ func TestReplayBatchedMatchesSequential(t *testing.T) {
 		var want, wantFrom string
 		for _, r := range restores {
 			for _, p := range replays {
-				s := New(WithShardTarget(3))
-				if err := r.restore(s); err != nil {
-					t.Fatal(err)
-				}
+				s := r.restore()
 				st, err := p.replay(s, dir)
 				if err != nil {
 					t.Fatalf("seed %d %s/%s: %v", seed, r.name, p.name, err)

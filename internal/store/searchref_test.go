@@ -281,16 +281,9 @@ func oracleVariants(t testing.TB, seed int64) map[string]*Dataset {
 		t.Fatal(err)
 	}
 	restore := func() *Dataset {
-		s := New(WithCache(index.NewCache(1 << 20)))
-		if err := s.RestoreMappedContext(context.Background(), snap.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		return oracleDataset(t, s)
+		return oracleDataset(t, restoreMapped(t, snap.Bytes(), WithCache(index.NewCache(1<<20))))
 	}
 	mapped, cow := restore(), restore()
-	if mapped.mrecs == nil {
-		t.Fatal("mapped restore materialized its records")
-	}
 	for _, rec := range []Record{
 		{"sku": "S9999", "title": "halo zelda", "description": "fresh halo quest after boot", "producer": "producer1", "price": "9", "rating": "4.5"},
 		{"sku": "S0001", "title": "rewritten", "description": "zelda zelda zelda", "producer": "producer2", "color": "red", "price": "30", "rating": "1.0"},

@@ -347,9 +347,12 @@ type DatasetStatus struct {
 	Resharding      bool    `json:"resharding,omitempty"`
 	PostingsScored  uint64  `json:"postingsScored"`
 	PostingsSkipped uint64  `json:"postingsSkipped"`
-	// Residency counters for mapped restores: bytes still served as
-	// views over the mapped snapshot vs. posting bytes copied to the
-	// heap by writes. Both zero for heap restores.
+	// Residency counters for restored datasets: index shards and bytes
+	// still served as views over the mapped snapshot vs. posting bytes
+	// copied to the heap by writes. All zero for a dataset built by
+	// writes, and the shard count drops to zero when a reshard moves
+	// the index onto the heap.
+	MappedShards      int   `json:"mappedShards,omitempty"`
 	MappedBytes       int64 `json:"mappedBytes,omitempty"`
 	MaterializedBytes int64 `json:"materializedBytes,omitempty"`
 	// MaterializedDocTables counts whole-shard conversions of mapped
@@ -396,6 +399,7 @@ func (s *Store) Status() []DatasetStatus {
 			PostingsScored:  scan.Scored,
 			PostingsSkipped: scan.Skipped,
 
+			MappedShards:          mm.MappedShards,
 			MappedBytes:           mapped,
 			MaterializedBytes:     mm.MaterializedBytes,
 			MaterializedDocTables: mm.MaterializedDocTabs,
