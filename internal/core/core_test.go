@@ -262,7 +262,7 @@ func TestTenantIsolationAcrossDesigners(t *testing.T) {
 // synthetic web or indexing any engine vertical. The first web query
 // then generates the corpus once and indexes only its own vertical.
 func TestProprietaryAppsNeverBuildTheWeb(t *testing.T) {
-	for _, st := range New(Config{Seed: 1}).Engine.Status() {
+	for _, st := range New(Config{Seed: 1}).Engine.Status().Verticals {
 		if st.Built {
 			t.Fatalf("New indexed vertical %s", st.Vertical)
 		}
@@ -313,7 +313,7 @@ func TestProprietaryAppsNeverBuildTheWeb(t *testing.T) {
 	if n := generated.Load(); n != 0 {
 		t.Fatalf("corpus generated %d times for proprietary-only traffic", n)
 	}
-	for _, st := range p.Engine.Status() {
+	for _, st := range p.Engine.Status().Verticals {
 		if st.Built || st.Docs != 0 {
 			t.Fatalf("vertical %s built for proprietary-only traffic: %+v", st.Vertical, st)
 		}
@@ -325,7 +325,7 @@ func TestProprietaryAppsNeverBuildTheWeb(t *testing.T) {
 	if n := generated.Load(); n != 1 {
 		t.Fatalf("corpus generated %d times after one web query, want 1", n)
 	}
-	for _, st := range p.Engine.Status() {
+	for _, st := range p.Engine.Status().Verticals {
 		if want := st.Vertical == webcorpus.VerticalNews; st.Built != want || (st.Docs > 0) != want {
 			t.Errorf("after a news query, vertical %s: %+v", st.Vertical, st)
 		}

@@ -299,3 +299,43 @@ func TestQueryCancelledContext(t *testing.T) {
 		t.Fatal("Query returned no hits")
 	}
 }
+
+// TestStatusReportsCorpusTime: corpusMs reads 0 until a request needs
+// the web — reading Status does not generate it — and then reports the
+// one generation, which a first query's time splits into beside the
+// vertical's buildMs.
+func TestStatusReportsCorpusTime(t *testing.T) {
+	calls := 0
+	e := New(func() *webcorpus.Corpus {
+		calls++
+		return webcorpus.Generate(webcorpus.Config{Seed: 3})
+	})
+	for i := 0; i < 2; i++ {
+		if st := e.Status(); st.CorpusMs != 0 || len(st.Verticals) != len(webcorpus.Verticals) {
+			t.Fatalf("fresh engine status: %+v", st)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("Status generated the corpus %d times", calls)
+	}
+	if _, err := e.Search(context.Background(), Request{Query: "review"}); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Status()
+	if st.CorpusMs <= 0 {
+		t.Fatalf("corpusMs after the first query = %v", st.CorpusMs)
+	}
+	web := st.Verticals[0]
+	if web.Vertical != webcorpus.VerticalWeb || !web.Built || web.BuildMs <= 0 {
+		t.Fatalf("web vertical after the first query: %+v", web)
+	}
+	for _, vs := range st.Verticals[1:] {
+		if vs.Built {
+			t.Errorf("%s built by a web query", vs.Vertical)
+		}
+	}
+	e.DocCount(webcorpus.VerticalNews)
+	if again := e.Status(); again.CorpusMs != st.CorpusMs || calls != 1 {
+		t.Fatalf("corpusMs %v -> %v after a second vertical, %d generations", st.CorpusMs, again.CorpusMs, calls)
+	}
+}

@@ -1,13 +1,16 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/webcorpus"
 )
 
@@ -85,11 +88,61 @@ func (p lazyProbe) run(e *Engine) lazyAnswer {
 	return a
 }
 
-// eagerAnswers builds every vertical before the first query, the way
-// the engine used to at construction, and answers the whole matrix.
-func eagerAnswers(t *testing.T, m map[webcorpus.Vertical][]lazyProbe) map[webcorpus.Vertical][]lazyAnswer {
+// referenceEngine is the oracle the engine's own build is held to: an
+// engine over c whose verticals the test fills before any request,
+// one Index.Add per page in corpus order, into the indexes New created
+// (so with the engine's field options).
+func referenceEngine(t *testing.T, c *webcorpus.Corpus) *Engine {
 	t.Helper()
-	e := newEngine(t)
+	e := New(func() *webcorpus.Corpus { return c })
+	for _, v := range webcorpus.Verticals {
+		vt := e.perVert[v]
+		vt.once.Do(func() {
+			for _, p := range c.Pages {
+				if p.Vertical != v {
+					continue
+				}
+				doc := index.Document{
+					ID:     p.URL,
+					Fields: map[string]string{"title": p.Title, "body": p.Body, "site": p.Site},
+					Stored: map[string]string{
+						"url": p.URL, "site": p.Site, "title": p.Title, "entity": p.Entity,
+						"day": strconv.Itoa(p.PublishedDay),
+					},
+				}
+				if err := vt.ix.Add(doc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			vt.built.Store(true)
+		})
+	}
+	return e
+}
+
+// requireSameIndexes fails unless every vertical of got, built by the
+// engine, snapshots to the same bytes as want's.
+func requireSameIndexes(t *testing.T, want, got *Engine) {
+	t.Helper()
+	for _, v := range webcorpus.Verticals {
+		var a, b bytes.Buffer
+		if err := want.perVert[v].ix.Snapshot(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.index(v).Snapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("vertical %s: snapshot of the engine's build (%d bytes) differs from the per-page Add reference (%d bytes)", v, b.Len(), a.Len())
+		}
+	}
+}
+
+// eagerAnswers answers the whole matrix on the reference engine, every
+// vertical built before the first query.
+func eagerAnswers(t *testing.T, m map[webcorpus.Vertical][]lazyProbe) (*Engine, map[webcorpus.Vertical][]lazyAnswer) {
+	t.Helper()
+	e := referenceEngine(t, testCorpus)
 	for _, v := range webcorpus.Verticals {
 		if e.DocCount(v) == 0 {
 			t.Fatalf("vertical %s empty", v)
@@ -110,22 +163,23 @@ func eagerAnswers(t *testing.T, m map[webcorpus.Vertical][]lazyProbe) map[webcor
 			t.Fatalf("vertical %s: only %d of %d probes have hits", v, hits, len(probes))
 		}
 	}
-	return out
+	return e, out
 }
 
 // TestLazyBuildMatchesEager: whichever order requests first touch the
 // verticals in, every answer — results, scores, order, totals, site
-// facets, spelling corrections, document counts — is identical to an
-// engine that built every vertical up front.
+// facets, spelling corrections, document counts — is identical to a
+// reference engine built up front with one Index.Add per page, and
+// every vertical's index snapshots to the reference's bytes.
 func TestLazyBuildMatchesEager(t *testing.T) {
 	m := lazyMatrix(testCorpus)
-	want := eagerAnswers(t, m)
+	ref, want := eagerAnswers(t, m)
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 4; round++ {
 		order := slices.Clone(webcorpus.Verticals)
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		e := newEngine(t)
-		for _, st := range e.Status() {
+		for _, st := range e.Status().Verticals {
 			if st.Built {
 				t.Fatalf("fresh engine has %s built", st.Vertical)
 			}
@@ -137,6 +191,7 @@ func TestLazyBuildMatchesEager(t *testing.T) {
 				}
 			}
 		}
+		requireSameIndexes(t, ref, e)
 	}
 }
 
@@ -145,7 +200,7 @@ func TestLazyBuildMatchesEager(t *testing.T) {
 // engine's answers. Run under -race.
 func TestLazyBuildConcurrentFirstUse(t *testing.T) {
 	m := lazyMatrix(testCorpus)
-	want := eagerAnswers(t, m)
+	ref, want := eagerAnswers(t, m)
 	var corpusCalls int
 	var mu sync.Mutex
 	e := New(func() *webcorpus.Corpus {
@@ -187,7 +242,7 @@ func TestLazyBuildConcurrentFirstUse(t *testing.T) {
 		t.Errorf("corpus source called %d times, want 1", corpusCalls)
 	}
 	total := 0
-	for _, st := range e.Status() {
+	for _, st := range e.Status().Verticals {
 		if !st.Built || st.Docs != e.DocCount(st.Vertical) {
 			t.Errorf("status after use: %+v", st)
 		}
@@ -196,4 +251,5 @@ func TestLazyBuildConcurrentFirstUse(t *testing.T) {
 	if total != len(testCorpus.Pages) {
 		t.Errorf("built %d docs, corpus has %d", total, len(testCorpus.Pages))
 	}
+	requireSameIndexes(t, ref, e)
 }

@@ -181,10 +181,10 @@ type postingList struct {
 	blocks []blockMeta
 }
 
-// appendPosting adds a posting for doc with the given term positions
-// (tf = len(positions)). Ordinals must arrive strictly increasing;
-// positions must be non-decreasing.
-func (l *postingList) appendPosting(doc int, positions []int) {
+// appendPosting adds a posting for doc to l with the given term
+// positions (tf = len(positions)). Ordinals must arrive strictly
+// increasing; positions must be non-decreasing.
+func appendPosting[P int | int32](l *postingList, doc int, positions []P) {
 	prev := l.lastDoc
 	if l.n%postingBlockSize == 0 {
 		l.blocks = append(l.blocks, blockMeta{firstDoc: doc, docOff: len(l.docTF), posOff: len(l.posBuf)})
@@ -192,7 +192,7 @@ func (l *postingList) appendPosting(doc int, positions []int) {
 	}
 	l.docTF = binary.AppendUvarint(l.docTF, uint64(doc-prev))
 	l.docTF = binary.AppendUvarint(l.docTF, uint64(len(positions)))
-	pp := 0
+	var pp P
 	for i, p := range positions {
 		if i == 0 {
 			l.posBuf = binary.AppendUvarint(l.posBuf, uint64(p))

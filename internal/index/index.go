@@ -397,21 +397,25 @@ func (ix *Index) scoringParams() (Ranker, float64, float64) {
 }
 
 // Add indexes doc, replacing any existing document with the same ID.
-// Text analysis — the expensive part of indexing — runs before the
-// shard write lock is taken, so concurrent readers are only blocked
-// for the map updates themselves. The write gate (held shared) orders
-// the routing decision against ring swaps: a write routed on the old
-// ring is journaled by the shard (see shard.add) and replayed into
-// the new ring before the swap, so no document is lost to a reshard.
+// Text analysis — the expensive part of indexing — and grouping the
+// tokens by term run before the shard write lock is taken, so
+// concurrent readers are only blocked for the map updates themselves.
+// Add analyzes with a plain Analyze, without AddBatchContext's memo,
+// which makes a loop of Adds the reference a batch is tested against.
+// The write gate (held shared) orders the routing decision against
+// ring swaps: a write routed on the old ring is journaled by the shard
+// (see shard.add) and replayed into the new ring before the swap, so
+// no document is lost to a reshard.
 func (ix *Index) Add(doc Document) error {
 	if doc.ID == "" {
 		return fmt.Errorf("index: document has empty ID")
 	}
-	analyzed := make(map[string][]textproc.Token, len(doc.Fields))
+	var w batchAnalyzer
+	analyzed := make(docTerms, 0, len(doc.Fields))
 	for field, text := range doc.Fields {
 		ix.ensureField(field)
 		opts, _ := ix.fieldOpts(field)
-		analyzed[field] = opts.Analyzer.Analyze(text)
+		analyzed = append(analyzed, w.groupTokens(field, opts.Analyzer.Analyze(text)))
 	}
 	ix.wgate.RLock()
 	ix.ring.Load().shardFor(doc.ID).add(doc, analyzed)
@@ -434,9 +438,11 @@ const analyzeChunk = 16
 // caller among them) that claim documents in chunks from a shared
 // cursor, documents are grouped by owning shard, and each shard group
 // is applied under ONE write-lock acquisition (in parallel across
-// shards) instead of one per document. The result is bit-identical to sequential Adds of
-// the same slice: within a shard, documents apply in slice order, so
-// duplicate IDs resolve last-write-wins exactly like the loop would.
+// shards) instead of one per document. Each worker analyzes each
+// distinct token once per batch (textproc.Memo). The result is
+// bit-identical to sequential Adds of the same slice: within a shard,
+// documents apply in slice order, so duplicate IDs resolve
+// last-write-wins exactly like the loop would.
 //
 // Cancellation is honored during validation and analysis, before
 // anything is applied; once application starts the whole batch lands
@@ -464,10 +470,12 @@ func (ix *Index) AddBatchContext(ctx context.Context, docs []Document) error {
 	// Analysis: workers claim chunks of document indexes from a shared
 	// cursor, and the calling goroutine is one of them. ctx is checked
 	// once per chunk; the check after the join makes a cancelled batch
-	// apply nothing.
-	analyzed := make([]map[string][]textproc.Token, len(docs))
+	// apply nothing. Each worker keeps its own analysis memo and slabs
+	// for the length of the batch.
+	analyzed := make([]docTerms, len(docs))
 	var cursor atomic.Int64
 	analyze := func() {
+		var w batchAnalyzer
 		for ctx.Err() == nil {
 			end := int(cursor.Add(analyzeChunk))
 			start := end - analyzeChunk
@@ -475,7 +483,7 @@ func (ix *Index) AddBatchContext(ctx context.Context, docs []Document) error {
 				return
 			}
 			for i := start; i < min(end, len(docs)); i++ {
-				analyzed[i] = ix.analyzeDoc(&docs[i])
+				analyzed[i] = w.analyzeDoc(ix, &docs[i])
 			}
 		}
 	}
@@ -517,16 +525,6 @@ func (ix *Index) AddBatchContext(ctx context.Context, docs []Document) error {
 	ix.wgate.RUnlock()
 	ix.bumpVer()
 	return nil
-}
-
-// analyzeDoc runs each field of doc through its analyzer.
-func (ix *Index) analyzeDoc(doc *Document) map[string][]textproc.Token {
-	analyzed := make(map[string][]textproc.Token, len(doc.Fields))
-	for field, text := range doc.Fields {
-		opts, _ := ix.fieldOpts(field)
-		analyzed[field] = opts.Analyzer.Analyze(text)
-	}
-	return analyzed
 }
 
 // Delete removes the document with the given ID. It reports whether a

@@ -95,7 +95,7 @@ func TestCheckPostingsRejectsBadAnchors(t *testing.T) {
 	valid := func() *postingList {
 		l := &postingList{}
 		for doc := 0; doc < 2*postingBlockSize; doc++ {
-			l.appendPosting(3*doc, []int{doc % 5, doc%5 + 2})
+			appendPosting(l, 3*doc, []int{doc % 5, doc%5 + 2})
 		}
 		l.blocks = append([]blockMeta(nil), l.blocks...)
 		return l
@@ -110,7 +110,7 @@ func TestCheckPostingsRejectsBadAnchors(t *testing.T) {
 		},
 		"firstDoc past ordinals": func(l *postingList) {
 			*l = postingList{}
-			l.appendPosting(nDocs+5, []int{1})
+			appendPosting(l, nDocs+5, []int{1})
 		},
 		"lastDoc below a posting":  func(l *postingList) { l.lastDoc = l.blocks[1].firstDoc },
 		"lastDoc past ordinals":    func(l *postingList) { l.lastDoc = nDocs },

@@ -437,7 +437,7 @@ func (ix *Index) decodeShard(payload []byte, optsFor func(string) (FieldOptions,
 					prevPos = pos
 					positions = append(positions, pos)
 				}
-				list.appendPosting(doc, positions)
+				appendPosting(list, doc, positions)
 			}
 			if declaredMaxTF >= 0 && list.maxTF != declaredMaxTF {
 				return fail(fmt.Errorf("field %q term %q max tf %d, postings say %d", name, term, declaredMaxTF, list.maxTF))

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"repro/internal/textproc"
 )
 
 // Online dynamic resharding: Reshard rebuilds the index toward a new
@@ -53,15 +51,15 @@ type migration struct {
 }
 
 // journalOp is one applied write: a replacement add (doc + its
-// analyzed tokens, so replay never re-runs an analyzer) or a delete.
+// analyzed terms, so replay never re-runs an analyzer) or a delete.
 type journalOp struct {
 	del      bool
 	id       string
 	doc      Document
-	analyzed map[string][]textproc.Token
+	analyzed docTerms
 }
 
-func (m *migration) journalAdd(doc Document, analyzed map[string][]textproc.Token) {
+func (m *migration) journalAdd(doc Document, analyzed docTerms) {
 	m.mu.Lock()
 	m.ops = append(m.ops, journalOp{doc: doc, analyzed: analyzed})
 	m.mu.Unlock()
@@ -169,8 +167,8 @@ func (ix *Index) ReshardContext(ctx context.Context, n int) error {
 }
 
 // migrateShard copies every live document of src into the staging
-// ring, reconstructing each document's per-field token stream from
-// the inverted postings (term + positions) instead of re-running
+// ring, reconstructing each document's per-field terms from the
+// inverted postings (term + positions) instead of re-running
 // analyzers. Document lengths are preserved exactly: a document's
 // token count per field equals the sum of its term frequencies, and
 // fields indexed with zero tokens are re-created by addLocked from
@@ -179,7 +177,7 @@ func migrateShard(src *shard, staging *ring) {
 	src.mu.RLock()
 	defer src.mu.RUnlock()
 	nDocs := src.numDocs()
-	toks := make([]map[string][]textproc.Token, nDocs)
+	toks := make([]docTerms, nDocs)
 	var positions []int
 	for field, fp := range src.fields {
 		// Walk the full dictionary — heap and still-mapped terms alike.
@@ -199,14 +197,14 @@ func migrateShard(src *shard, staging *ring) {
 					continue
 				}
 				positions = pi.read(it.tf, positions)
-				per := toks[it.doc]
-				if per == nil {
-					per = make(map[string][]textproc.Token)
-					toks[it.doc] = per
+				// The walk is field by field, so a document's entry
+				// for field, if it has one yet, is its last.
+				d := toks[it.doc]
+				if len(d) == 0 || d[len(d)-1].field != field {
+					d = append(d, fieldTerms{field: field})
 				}
-				for _, p := range positions {
-					per[field] = append(per[field], textproc.Token{Term: term, Position: p})
-				}
+				d[len(d)-1].appendTerm(term, positions)
+				toks[it.doc] = d
 			}
 		}
 	}

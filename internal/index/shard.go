@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/textproc"
 )
 
 type fieldPostings struct {
@@ -107,51 +105,6 @@ type shard struct {
 	// snapshots verbatim.
 	ms    *mappedShard
 	dirty bool
-
-	// groups is addLocked's per-field token grouping scratch, reused
-	// across documents under the write lock.
-	groups termGroups
-}
-
-// termGroups groups one field's tokens by term, in first-occurrence
-// order, without allocating per document: the term→slot map is
-// emptied with clear and the position slices keep their capacity.
-// Callers must hold the owning shard's write lock, and must not
-// retain terms or pos past the next group call — appendPosting
-// encodes positions, it does not keep the slice.
-type termGroups struct {
-	slot  map[string]int
-	terms []string
-	pos   [][]int
-}
-
-// maxGroupSlots bounds the scratch group keeps between documents: a
-// field with more distinct terms than this drops the map, terms and
-// position slices, so one huge field pins no memory after it is
-// indexed and leaves no later clear paying for its buckets.
-const maxGroupSlots = 4096
-
-func (g *termGroups) group(toks []textproc.Token) {
-	if g.slot == nil || len(g.terms) > maxGroupSlots {
-		g.slot = make(map[string]int)
-		g.terms, g.pos = nil, nil
-	} else {
-		clear(g.slot)
-	}
-	g.terms = g.terms[:0]
-	for _, t := range toks {
-		i, ok := g.slot[t.Term]
-		if !ok {
-			i = len(g.terms)
-			g.slot[t.Term] = i
-			g.terms = append(g.terms, t.Term)
-			if i == len(g.pos) {
-				g.pos = append(g.pos, nil)
-			}
-			g.pos[i] = g.pos[i][:0]
-		}
-		g.pos[i] = append(g.pos[i], t.Position)
-	}
 }
 
 func newShard(ix *Index) *shard {
@@ -190,7 +143,7 @@ func (s *shard) fieldForLocked(field string) *fieldPostings {
 // The migration pointer is loaded inside the lock: if this add ran
 // after the migration's copy pass visited the shard, the load is
 // guaranteed to observe the active migration and journal the op.
-func (s *shard) add(doc Document, analyzed map[string][]textproc.Token) {
+func (s *shard) add(doc Document, analyzed docTerms) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.addLocked(doc, analyzed)
@@ -206,7 +159,7 @@ func (s *shard) add(doc Document, analyzed map[string][]textproc.Token) {
 // pointer is loaded once inside the lock — the copy pass cannot
 // visit mid-batch (it needs this same lock), so journaling the whole
 // batch against one observation is sound.
-func (s *shard) addBatch(docs []Document, analyzed []map[string][]textproc.Token, idxs []int) {
+func (s *shard) addBatch(docs []Document, analyzed []docTerms, idxs []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.ix.mig.Load()
@@ -221,7 +174,7 @@ func (s *shard) addBatch(docs []Document, analyzed []map[string][]textproc.Token
 // addStaging is add without the journal hook, for migration staging
 // shards and journal replay — both feed the ring being built, which
 // must not journal into itself.
-func (s *shard) addStaging(doc Document, analyzed map[string][]textproc.Token) {
+func (s *shard) addStaging(doc Document, analyzed docTerms) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.addLocked(doc, analyzed)
@@ -230,7 +183,7 @@ func (s *shard) addStaging(doc Document, analyzed map[string][]textproc.Token) {
 // addLocked inserts doc under an already-held write lock. Ordinals
 // grow monotonically, so postings always append in increasing doc
 // order — the invariant the delta-encoded lists rely on.
-func (s *shard) addLocked(doc Document, analyzed map[string][]textproc.Token) {
+func (s *shard) addLocked(doc Document, analyzed docTerms) {
 	s.dirty = true
 	if ord, ok := s.findOrd(doc.ID); ok {
 		s.deleteOrdLocked(ord)
@@ -242,11 +195,12 @@ func (s *shard) addLocked(doc Document, analyzed map[string][]textproc.Token) {
 	s.live++
 	for field := range doc.Fields {
 		fp := s.fieldForLocked(field)
-		toks := analyzed[field]
-		fp.setDocLen(ord, len(toks))
-		fp.totalLen += len(toks)
-		s.groups.group(toks)
-		for i, term := range s.groups.terms {
+		ft := analyzed.lookup(field)
+		fp.setDocLen(ord, len(ft.pos))
+		fp.totalLen += len(ft.pos)
+		from := int32(0)
+		for i, id := range ft.ids {
+			term := ft.terms[id]
 			// promoteTermLocked copies a still-mapped term onto the
 			// heap first, so the append never touches the mapping.
 			list := fp.promoteTermLocked(term)
@@ -255,7 +209,8 @@ func (s *shard) addLocked(doc Document, analyzed map[string][]textproc.Token) {
 				fp.terms[term] = list
 				fp.dict.Store(nil)
 			}
-			list.appendPosting(ord, s.groups.pos[i])
+			appendPosting(list, ord, ft.pos[from:ft.ends[i]])
+			from = ft.ends[i]
 		}
 	}
 }
@@ -404,7 +359,7 @@ func (s *shard) compactLocked() {
 					continue
 				}
 				positions = pi.read(it.tf, positions)
-				kept.appendPosting(it.doc, positions)
+				appendPosting(kept, it.doc, positions)
 			}
 			fp.terms[term] = kept
 		}

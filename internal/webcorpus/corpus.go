@@ -9,8 +9,8 @@
 package webcorpus
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -144,14 +144,14 @@ func Entities(cfg Config, topic Topic) []string {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(len(topic))*7919))
 	out := make([]string, 0, n)
-	seen := make(map[string]bool)
+	seen := make(map[string]bool, n)
 	for len(out) < n {
 		var name string
 		switch topic {
 		case TopicGames:
 			name = gameWords[rng.Intn(len(gameWords))] + " " + gameWords[rng.Intn(len(gameWords))]
 			if rng.Intn(3) == 0 {
-				name += fmt.Sprintf(" %d", 2+rng.Intn(5))
+				name += " " + strconv.Itoa(2+rng.Intn(5))
 			}
 		case TopicWine:
 			name = wineWords[rng.Intn(len(wineWords))] + " " + wineWords[rng.Intn(len(wineWords))] + " " + wineVarietals[rng.Intn(len(wineVarietals))]
@@ -177,11 +177,27 @@ func Generate(cfg Config) *Corpus {
 		perSite = 40
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	c := &Corpus{bySite: make(map[string][]int), byURL: make(map[string]int)}
+	nSites := 0
+	for _, topic := range Topics {
+		nSites += len(topicSites[topic])
+	}
+	// Each site draws perSite/2 + [0, perSite) pages, perSite on
+	// average; the sizes below are that mean.
+	c := &Corpus{
+		Sites:  make([]Site, 0, nSites),
+		Pages:  make([]Page, 0, nSites*perSite),
+		bySite: make(map[string][]int, nSites),
+		byURL:  make(map[string]int, nSites*perSite),
+	}
 
-	entities := make(map[Topic][]string)
+	entities := make(map[Topic][]string, len(Topics))
+	// slugs caches each entity's URL slug; pages repeat entities.
+	slugs := make(map[string]string)
 	for _, topic := range Topics {
 		entities[topic] = Entities(cfg, topic)
+		for _, e := range entities[topic] {
+			slugs[e] = strings.ToLower(strings.ReplaceAll(e, " ", "-"))
+		}
 		for _, domain := range topicSites[topic] {
 			c.Sites = append(c.Sites, Site{
 				Domain:  domain,
@@ -191,8 +207,12 @@ func Generate(cfg Config) *Corpus {
 		}
 	}
 
+	// body is makePage's scratch: each page body is built in it and
+	// copied out at its exact size.
+	var body []byte
 	for _, site := range c.Sites {
 		n := perSite/2 + rng.Intn(perSite)
+		idxs := make([]int, 0, n)
 		for i := 0; i < n; i++ {
 			topic := site.Topic
 			// 15% of pages are off-topic noise.
@@ -202,11 +222,13 @@ func Generate(cfg Config) *Corpus {
 			ents := entities[topic]
 			entity := ents[rng.Intn(len(ents))]
 			vertical := pickVertical(rng)
-			page := makePage(rng, site, topic, entity, vertical, i)
-			c.bySite[site.Domain] = append(c.bySite[site.Domain], len(c.Pages))
+			var page Page
+			page, body = makePage(rng, site, topic, entity, slugs[entity], vertical, i, body)
+			idxs = append(idxs, len(c.Pages))
 			c.byURL[page.URL] = len(c.Pages)
 			c.Pages = append(c.Pages, page)
 		}
+		c.bySite[site.Domain] = idxs
 	}
 
 	// Wire intra-corpus links: each web page links to a handful of
@@ -217,16 +239,17 @@ func Generate(cfg Config) *Corpus {
 			continue
 		}
 		nLinks := 2 + rng.Intn(5)
+		p.Links = make([]string, 0, nLinks)
 		for j := 0; j < nLinks; j++ {
-			var target Page
+			var target int
 			if rng.Intn(100) < 70 {
 				sameSite := c.bySite[p.Site]
-				target = c.Pages[sameSite[rng.Intn(len(sameSite))]]
+				target = sameSite[rng.Intn(len(sameSite))]
 			} else {
-				target = c.Pages[rng.Intn(len(c.Pages))]
+				target = rng.Intn(len(c.Pages))
 			}
-			if target.URL != p.URL {
-				p.Links = append(p.Links, target.URL)
+			if target != i {
+				p.Links = append(p.Links, c.Pages[target].URL)
 			}
 		}
 	}
@@ -246,9 +269,10 @@ func pickVertical(rng *rand.Rand) Vertical {
 	}
 }
 
-func makePage(rng *rand.Rand, site Site, topic Topic, entity string, vertical Vertical, ord int) Page {
-	slug := strings.ToLower(strings.ReplaceAll(entity, " ", "-"))
-	url := fmt.Sprintf("http://%s/%s/%s-%d", site.Domain, vertical, slug, ord)
+// makePage draws one page. slug is entity's URL slug; body is scratch
+// for the page body, returned for the next call to reuse.
+func makePage(rng *rand.Rand, site Site, topic Topic, entity, slug string, vertical Vertical, ord int, body []byte) (Page, []byte) {
+	url := "http://" + site.Domain + "/" + string(vertical) + "/" + slug + "-" + strconv.Itoa(ord)
 
 	var title string
 	switch vertical {
@@ -262,34 +286,33 @@ func makePage(rng *rand.Rand, site Site, topic Topic, entity string, vertical Ve
 		title = entity + " review - " + fillerWords[rng.Intn(len(fillerWords))] + " " + fillerWords[rng.Intn(len(fillerWords))]
 	}
 
-	var b strings.Builder
-	b.WriteString(entity)
-	b.WriteString(" ")
+	b := append(body[:0], entity...)
+	b = append(b, ' ')
 	sentences := 3 + rng.Intn(6)
 	for s := 0; s < sentences; s++ {
 		words := 8 + rng.Intn(10)
 		for w := 0; w < words; w++ {
 			if rng.Intn(10) == 0 {
-				b.WriteString(entity)
+				b = append(b, entity...)
 			} else {
-				b.WriteString(fillerWords[rng.Intn(len(fillerWords))])
+				b = append(b, fillerWords[rng.Intn(len(fillerWords))]...)
 			}
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		b.WriteString(". ")
+		b = append(b, ". "...)
 	}
-	b.WriteString(string(topic))
+	b = append(b, topic...)
 
 	return Page{
 		URL:          url,
 		Site:         site.Domain,
 		Title:        title,
-		Body:         b.String(),
+		Body:         string(b),
 		Vertical:     vertical,
 		Topic:        topic,
 		Entity:       entity,
 		PublishedDay: rng.Intn(365),
-	}
+	}, b
 }
 
 // PagesBySite returns the pages of one site.
