@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"repro/internal/app"
+	"repro/internal/frameio"
 )
 
 // Platform backup: Symphony hosts everything designers create, so the
@@ -17,10 +18,9 @@ import (
 // and ad state are operational, not configuration, and are excluded.
 
 // backupDoc version 2 carries the store as an opaque byte blob
-// (base64 in JSON) holding a store snapshot: format v3 when written
-// by Backup, though any format the store restores is accepted.
-// Version 1 carried the store's legacy v1 JSON document inline;
-// RestoreBackup still reads it.
+// (base64 in JSON) holding a v3 store snapshot. Version 1, which
+// carried the store's v1 JSON document inline, is refused with
+// frameio.ErrUnsupportedFormat.
 type backupDoc struct {
 	Version int               `json:"version"`
 	Store   []byte            `json:"store"`
@@ -47,10 +47,8 @@ func (p *Platform) Backup(w io.Writer) error {
 	return json.NewEncoder(w).Encode(doc)
 }
 
-// RestoreBackup loads a backup into this platform, replacing the
-// store contents and re-publishing every application. Both backup
-// versions restore: v1 embedded the store as raw JSON, v2 embeds a
-// framed binary snapshot; the store's restore reads either format.
+// RestoreBackup loads a version-2 backup into this platform,
+// replacing the store contents and re-publishing every application.
 func (p *Platform) RestoreBackup(r io.Reader) error {
 	var raw struct {
 		Version int               `json:"version"`
@@ -60,22 +58,21 @@ func (p *Platform) RestoreBackup(r io.Reader) error {
 	if err := json.NewDecoder(r).Decode(&raw); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
-	doc := backupDoc{Version: raw.Version, Apps: raw.Apps}
 	switch raw.Version {
 	case 1:
-		// v1 stored the snapshot JSON document inline.
-		doc.Store = raw.Store
+		return fmt.Errorf("core: restore: backup version 1, the floor is 2: %w", frameio.ErrUnsupportedFormat)
 	case 2:
-		if err := json.Unmarshal(raw.Store, &doc.Store); err != nil {
-			return fmt.Errorf("core: restore: store blob: %w", err)
-		}
 	default:
 		return fmt.Errorf("core: restore: unsupported backup version %d", raw.Version)
 	}
-	if err := p.Store.RestoreContext(context.Background(), doc.Store); err != nil {
+	var snap []byte
+	if err := json.Unmarshal(raw.Store, &snap); err != nil {
+		return fmt.Errorf("core: restore: store blob: %w", err)
+	}
+	if err := p.Store.RestoreContext(context.Background(), snap); err != nil {
 		return err
 	}
-	for _, raw := range doc.Apps {
+	for _, raw := range raw.Apps {
 		a, err := app.Unmarshal(raw)
 		if err != nil {
 			return fmt.Errorf("core: restore: %w", err)

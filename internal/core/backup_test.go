@@ -3,14 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/frameio"
 	"repro/internal/runtime"
-	"repro/internal/store"
-	"repro/internal/webcorpus"
 )
 
 func TestBackupRestoreRoundTrip(t *testing.T) {
@@ -46,44 +46,26 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 }
 
 // TestRestoreBackupV1: a version-1 backup, which carried the store's
-// v1 JSON document inline, still restores. The fixture is the
-// buildGamerQueen platform, with the pricing endpoint pointed at a
-// closed local port, so that supplemental degrades.
+// v1 JSON document inline, is below the format floor. RestoreBackup
+// refuses it with frameio.ErrUnsupportedFormat and changes nothing:
+// the store keeps its datasets and no application is published.
 func TestRestoreBackupV1(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "backup_v1.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := New(Config{Seed: 1})
-	if err := p.RestoreBackup(bytes.NewReader(data)); err != nil {
+	if err := p.Store.CreateTenant("acme", "ann"); err != nil {
 		t.Fatal(err)
 	}
-	titles := webcorpus.Entities(webcorpus.Config{Seed: 1}, webcorpus.TopicGames)[:6]
-	ds, err := p.Store.DatasetContext(context.Background(), "gamerqueen", "ann", "inventory", store.PermRead)
-	if err != nil {
-		t.Fatal(err)
+	if err := p.RestoreBackup(bytes.NewReader(data)); !errors.Is(err, frameio.ErrUnsupportedFormat) {
+		t.Fatalf("RestoreBackup(v1) = %v, want ErrUnsupportedFormat", err)
 	}
-	if ds.Len() != len(titles) {
-		t.Fatalf("restored inventory has %d records, want %d", ds.Len(), len(titles))
+	if got := p.Store.Tenants(); len(got) != 1 || got[0] != "acme" {
+		t.Fatalf("refused backup changed the store: tenants %v", got)
 	}
-	for i, title := range titles {
-		hits, err := ds.SearchContext(context.Background(), store.SearchRequest{Query: title, Limit: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(hits) != 1 || hits[0].Record["title"] != title {
-			t.Fatalf("search %q = %v, want G%d first", title, hits, i)
-		}
-	}
-	resp, err := p.Query(context.Background(), "gamerqueen", runtime.Query{Text: titles[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Blocks) != 1 || len(resp.Blocks[0].Items) == 0 || resp.Blocks[0].Items[0]["title"] != titles[0] {
-		t.Fatalf("restored app answered %+v", resp.Blocks)
-	}
-	if len(resp.Blocks[0].SupplementalByItem[0]["reviews"]) == 0 {
-		t.Error("restored app lost review supplementals")
+	if got := p.Registry.List(); len(got) != 0 {
+		t.Fatalf("refused backup published %v", got)
 	}
 }
 

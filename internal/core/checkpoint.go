@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/frameio"
 	"repro/internal/mmapio"
 	"repro/internal/store"
 	"repro/internal/wal"
@@ -106,9 +107,10 @@ func (c *Checkpointer) WALDir() string {
 // RestoreLatestContext loads the latest usable snapshot into the
 // platform's store, reporting whether a restore happened. A missing
 // or corrupt primary snapshot falls back to the retained previous one
-// (see PrevPath); only when both fail does boot fail. Old v1 and v2
-// snapshots restore transparently; the next checkpoint rewrites them
-// as v3. Cancelling ctx aborts the load with the store unchanged.
+// (see PrevPath); only when both fail does boot fail. A primary in a
+// format older than v3 is not corrupt: boot fails at once with
+// frameio.ErrUnsupportedFormat, leaving both files in place.
+// Cancelling ctx aborts the load with the store unchanged.
 func (c *Checkpointer) RestoreLatestContext(ctx context.Context) (bool, error) {
 	ok, err := c.restoreLatest(ctx)
 	c.restored = ok && err == nil
@@ -126,7 +128,11 @@ func (c *Checkpointer) restoreLatest(ctx context.Context) (bool, error) {
 		// install rename leaves only the previous snapshot.
 		return c.restoreFrom(ctx, c.PrevPath())
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	// An old-format primary is intact data this binary cannot read, not
+	// damage: quarantining it and checkpointing over the fallback would
+	// discard it.
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, frameio.ErrUnsupportedFormat) {
 		return false, err
 	}
 	c.logf("restore %s failed: %v; falling back to previous checkpoint", c.Path(), err)

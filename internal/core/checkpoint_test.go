@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/frameio"
 	"repro/internal/store"
 )
 
@@ -135,6 +137,62 @@ func TestRestoreLatestRejectsCorrupt(t *testing.T) {
 	ds, err := p.Store.DatasetContext(context.Background(), "gamerqueen", "ann", "inventory", store.PermRead)
 	if err != nil || ds.Len() == 0 {
 		t.Fatalf("store mutated by failed restore: %v, %v", ds, err)
+	}
+}
+
+// TestRestoreLatestRefusesOldFormatPrimary: a primary snapshot in a
+// format below the floor is not corrupt. Boot fails with
+// frameio.ErrUnsupportedFormat instead of falling back to the good v3
+// previous snapshot, and neither file is renamed or rewritten — no
+// .corrupt quarantine that a later checkpoint would build on.
+func TestRestoreLatestRefusesOldFormatPrimary(t *testing.T) {
+	for name, old := range map[string]string{
+		"v1": `{"version":1,"tenants":[]}`,
+		"v2": "SYMSNP2\n\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00{}",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			p := New(Config{Seed: 1})
+			buildGamerQueen(t, p)
+			cp, err := p.NewCheckpointer(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := cp.CheckpointContext(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			good, err := os.ReadFile(cp.PrevPath())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(cp.Path(), []byte(old), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			p2 := New(Config{Seed: 1})
+			cp2, err := p2.NewCheckpointer(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := cp2.RestoreLatestContext(context.Background())
+			if restored || !errors.Is(err, frameio.ErrUnsupportedFormat) {
+				t.Fatalf("RestoreLatestContext = %v, %v; want ErrUnsupportedFormat", restored, err)
+			}
+			if got, err := os.ReadFile(cp2.Path()); err != nil || string(got) != old {
+				t.Fatalf("old-format primary moved or rewritten (%v)", err)
+			}
+			if got, err := os.ReadFile(cp2.PrevPath()); err != nil || string(got) != string(good) {
+				t.Fatalf("previous snapshot moved or rewritten (%v)", err)
+			}
+			if _, err := os.Stat(cp2.Path() + ".corrupt"); !os.IsNotExist(err) {
+				t.Fatalf("old-format primary quarantined: %v", err)
+			}
+			if got := p2.Store.Tenants(); len(got) != 0 {
+				t.Fatalf("refused boot restored tenants %v", got)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package frameio implements the length-prefixed framing shared by
 // the durability formats: the sharded index snapshot, the store's
-// framed snapshot formats and the write-ahead log. A stream is a fixed magic string followed by
+// framed snapshot and the write-ahead log. A stream is a fixed magic string followed by
 // frames, each an 8-byte big-endian payload length, a 4-byte CRC-32C
 // checksum of the payload, and the payload bytes. Length-prefixed
 // frames let writers produce payloads concurrently and still emit a
@@ -11,10 +11,19 @@ package frameio
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 )
+
+// ErrUnsupportedFormat reports a stream in an on-disk format older
+// than the one its reader accepts (the format floor): readable bytes
+// in a format the program no longer decodes, not damage. Readers wrap
+// it with the format found and the floor. Boot treats it as fatal
+// rather than as corruption to fall back from or truncate, so an old
+// file is never quarantined, truncated or checkpointed over.
+var ErrUnsupportedFormat = errors.New("unsupported on-disk format")
 
 // ErrTruncatedFrame reports a stream that ends in something other
 // than a frame boundary: a partial header, a payload shorter than its

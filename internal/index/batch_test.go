@@ -10,7 +10,9 @@ import (
 )
 
 // batchCorpus builds n docs with Zipf-ish vocabulary and a few
-// duplicate IDs so last-write-wins ordering is exercised.
+// duplicate IDs so last-write-wins ordering is exercised. Every 23rd
+// doc carries a "tags" field the others lack, so a batch meets a field
+// name its first document does not have.
 func batchCorpus(n int, seed int64) []Document {
 	rng := rand.New(rand.NewSource(seed))
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "lattice", "symphony", "quartz", "ember"}
@@ -25,26 +27,33 @@ func batchCorpus(n int, seed int64) []Document {
 		for w := 0; w < 5+rng.Intn(20); w++ {
 			body += words[rng.Intn(len(words))] + " "
 		}
-		docs = append(docs, Document{
+		doc := Document{
 			ID:     id,
 			Fields: map[string]string{"title": title, "body": body},
 			Stored: map[string]string{"title": title},
-		})
+		}
+		if i%23 == 22 {
+			doc.Fields["tags"] = words[rng.Intn(len(words))]
+		}
+		docs = append(docs, doc)
 	}
 	return docs
 }
 
-// searchAll runs a few representative queries and returns their full
-// results for equivalence comparison.
+// searchAll runs a few representative queries, on title and body and
+// on every registered field, and returns their full results for
+// equivalence comparison.
 func searchAll(t *testing.T, ix *Index) map[string][]Result {
 	t.Helper()
 	out := make(map[string][]Result)
 	for _, q := range []string{"alpha", "symphony quartz", "lattice ember beta"} {
-		res, err := ix.SearchContext(context.Background(), MatchQuery{Fields: []string{"title", "body"}, Text: q}, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
+		for key, fields := range map[string][]string{q: {"title", "body"}, "all fields: " + q: nil} {
+			res, err := ix.SearchContext(context.Background(), MatchQuery{Fields: fields, Text: q}, SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[key] = res
 		}
-		out[q] = res
 	}
 	return out
 }

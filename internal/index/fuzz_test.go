@@ -151,3 +151,52 @@ func FuzzV3Postings(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIndexRestore: Restore, the one index restore entry, either
+// rejects arbitrary bytes or yields an index on which Search and Count
+// over every dictionary term, and Snapshot, neither panic nor loop.
+// Mutations reach the header frame, the shard frames, the v3
+// field-section headers and the term directories. Seeds are fresh
+// snapshots of persistCorpus at 1 and 3 shards; the fuzzed index has
+// one shard, so a 3-shard input also runs the reshard that moves every
+// document onto the heap. The input is a cap-clamped copy, as in
+// attachFuzzShard.
+func FuzzIndexRestore(f *testing.F) {
+	for _, n := range []int{1, 3} {
+		var snap bytes.Buffer
+		if err := persistCorpus(f, WithShards(n)).Snapshot(&snap); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(snap.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<16 {
+			return
+		}
+		payload := bytes.Clone(data)
+		payload = payload[:len(payload):len(payload)]
+		ix := New(WithShards(1))
+		if ix.Restore(payload) != nil {
+			return
+		}
+		var terms []TermQuery
+		for _, s := range ix.ring.Load().shards {
+			s.mu.RLock()
+			for name, fp := range s.fields {
+				for _, term := range fp.sortedTermsAll() {
+					terms = append(terms, TermQuery{Field: name, Term: term})
+				}
+			}
+			s.mu.RUnlock()
+		}
+		for _, q := range terms {
+			ix.mustSearch(q, SearchOptions{})
+			ix.mustSearch(q, SearchOptions{Limit: 3})
+			ix.mustCount(q)
+		}
+		var out bytes.Buffer
+		if err := ix.Snapshot(&out); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -318,7 +318,7 @@ func (ix *Index) analysisMemoRef() *analysisMemo {
 }
 
 // invalidateAnalysis drops the analysis memo; callers are the registry
-// write sites (SetFieldOptions, ensureField on a new field, restore).
+// write sites (SetFieldOptions, ensureFields on a new field, restore).
 func (ix *Index) invalidateAnalysis() { ix.an.Store(nil) }
 
 // fieldsCached is Fields through the analysis memo: one registry scan
@@ -372,18 +372,30 @@ func (ix *Index) fieldOpts(field string) (FieldOptions, bool) {
 	return opts, ok
 }
 
-// ensureField registers a field name with default options if it has
-// not been seen before.
-func (ix *Index) ensureField(field string) {
+// ensureFields registers every field name of docs not seen before
+// with default options: one read-locked probe over the whole batch,
+// and one write-locked pass only when some name is new.
+func (ix *Index) ensureFields(docs []Document) {
 	ix.cfg.RLock()
-	_, ok := ix.cfg.fields[field]
+	known := true
+	for i := 0; i < len(docs) && known; i++ {
+		for field := range docs[i].Fields {
+			if _, known = ix.cfg.fields[field]; !known {
+				break
+			}
+		}
+	}
 	ix.cfg.RUnlock()
-	if ok {
+	if known {
 		return
 	}
 	ix.cfg.Lock()
-	if _, ok := ix.cfg.fields[field]; !ok {
-		ix.cfg.fields[field] = FieldOptions{}
+	for i := range docs {
+		for field := range docs[i].Fields {
+			if _, ok := ix.cfg.fields[field]; !ok {
+				ix.cfg.fields[field] = FieldOptions{}
+			}
+		}
 	}
 	ix.cfg.Unlock()
 	ix.invalidateAnalysis()
@@ -410,10 +422,10 @@ func (ix *Index) Add(doc Document) error {
 	if doc.ID == "" {
 		return fmt.Errorf("index: document has empty ID")
 	}
+	ix.ensureFields([]Document{doc})
 	var w batchAnalyzer
 	analyzed := make(docTerms, 0, len(doc.Fields))
 	for field, text := range doc.Fields {
-		ix.ensureField(field)
 		opts, _ := ix.fieldOpts(field)
 		analyzed = append(analyzed, w.groupTokens(field, opts.Analyzer.Analyze(text)))
 	}
@@ -460,13 +472,9 @@ func (ix *Index) AddBatchContext(ctx context.Context, docs []Document) error {
 			return fmt.Errorf("index: document %d has empty ID", i)
 		}
 	}
-	// Register fields serially first (cheap, contended map) so the
-	// analysis workers only take read locks.
-	for i := range docs {
-		for field := range docs[i].Fields {
-			ix.ensureField(field)
-		}
-	}
+	// Register fields before analysis so the workers only take read
+	// locks.
+	ix.ensureFields(docs)
 	// Analysis: workers claim chunks of document indexes from a shared
 	// cursor, and the calling goroutine is one of them. ctx is checked
 	// once per chunk; the check after the join makes a cancelled batch

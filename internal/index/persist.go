@@ -21,7 +21,7 @@ import (
 // configuration, then one frame per shard — so Snapshot can encode
 // shards concurrently and still write a deterministic byte stream,
 // and restore can hand whole shard payloads to a decoding pool.
-// Snapshot writes only v3; restore still reads v1 and v2.
+// Snapshot writes v3 and Restore reads only v3.
 //
 // The uvarint codec lives in encoding.go and is shared with the
 // in-memory posting lists: snapshot encode streams postings straight
@@ -40,15 +40,11 @@ import (
 // (SetFieldOptions) before restoring, exactly as before indexing.
 
 // indexSnapshotMagic/indexSnapshotVersion guard the framed format.
-// Version 2 added the per-term max term frequency (the block-max
-// early-exit bound's input) ahead of each posting run. Version 3 is
-// the mmap-friendly layout (mapped.go): offset directories plus the
-// raw block-compressed byte streams, so a shard can be attached as a
-// read-only view over the file instead of decoded. Versions 1 and 2
-// still restore (always onto the heap): decode rebuilds posting lists
-// through appendPosting, which recomputes every block's metadata —
-// including maxima — so v2's declared max tf is an integrity check
-// and simply absent from v1.
+// Version 3 is the mmap-friendly layout (mapped.go): offset
+// directories plus the raw block-compressed byte streams, so a shard
+// attaches as a read-only view over the file instead of being decoded.
+// It is the only version Restore reads; versions 1 and 2 are refused
+// with frameio.ErrUnsupportedFormat.
 const (
 	indexSnapshotMagic   = "SYMIDX1\n"
 	indexSnapshotVersion = 3
@@ -66,20 +62,9 @@ type indexHeader struct {
 
 // Shard payloads are binary, not JSON: postings dominate snapshot
 // size, and uvarint encoding keeps them a fraction of the equivalent
-// JSON while encoding several times faster. The v1/v2 layout, which
-// decodeShard still reads (all integers uvarint, strings
-// length-prefixed):
-//
-//	docCount, then per ordinal: ID ("" = tombstone); for live docs
-//	  the Fields and Stored maps (sorted keys, len + k/v pairs)
-//	live, dead
-//	fieldCount, then per field (sorted): name, totalLen,
-//	  docLen entries (count + ord/len pairs, sorted by ord),
-//	  terms (count + per sorted term: max tf [v2+], postings as
-//	  ord + positions)
-//
-// Map keys are sorted wherever maps are walked, so identical state
-// encodes to identical bytes.
+// JSON while encoding several times faster. Map keys are sorted
+// wherever maps are walked, so identical state encodes to identical
+// bytes.
 
 // snapshotV3 serializes this shard in the mmap-friendly v3 layout
 // (see mapped.go for the full map). A shard that is still an
@@ -294,174 +279,6 @@ func (fp *fieldPostings) encodePlan() []termEntry {
 	return plan
 }
 
-// decodeShard builds a fresh heap shard from a v1 or v2 shard
-// payload, validating internal consistency so a corrupt frame cannot
-// produce an index that panics at query time. optsFor resolves field
-// options (restore passes the merged registry before it is
-// installed). version selects the payload layout; appendPosting
-// rebuilds block metadata either way, so pre-block-max (v1) payloads
-// restore with maxima recomputed and v2's declared max tf is checked
-// against the recomputed value. Every string and posting is copied
-// out of payload.
-func (ix *Index) decodeShard(payload []byte, optsFor func(string) (FieldOptions, bool), version int) (*shard, error) {
-	br := &binReader{buf: payload}
-	fail := func(err error) (*shard, error) {
-		return nil, fmt.Errorf("index: decoding shard: %w", err)
-	}
-	nDocs, err := br.count()
-	if err != nil {
-		return fail(err)
-	}
-	s := newShard(ix)
-	s.docs = make([]Document, nDocs)
-	for ord := 0; ord < nDocs; ord++ {
-		id, err := br.str()
-		if err != nil {
-			return fail(err)
-		}
-		if id == "" {
-			continue
-		}
-		doc := Document{ID: id}
-		if doc.Fields, err = br.strmap(); err != nil {
-			return fail(err)
-		}
-		if doc.Stored, err = br.strmap(); err != nil {
-			return fail(err)
-		}
-		if prev, dup := s.byID[id]; dup {
-			return fail(fmt.Errorf("ID %q at ordinals %d and %d", id, prev, ord))
-		}
-		s.docs[ord] = doc
-		s.byID[id] = ord
-		s.live++
-	}
-	live, err := br.uvarint()
-	if err != nil {
-		return fail(err)
-	}
-	if s.dead, err = br.uvarint(); err != nil {
-		return fail(err)
-	}
-	if s.live != live {
-		return fail(fmt.Errorf("live count %d, doc table has %d", live, s.live))
-	}
-	nFields, err := br.count()
-	if err != nil {
-		return fail(err)
-	}
-	var positions []int
-	for i := 0; i < nFields; i++ {
-		name, err := br.str()
-		if err != nil {
-			return fail(err)
-		}
-		fp := &fieldPostings{
-			terms:  make(map[string]*postingList),
-			docLen: make([]int, nDocs),
-		}
-		if fp.totalLen, err = br.uvarint(); err != nil {
-			return fail(err)
-		}
-		nLens, err := br.count()
-		if err != nil {
-			return fail(err)
-		}
-		for j := 0; j < nLens; j++ {
-			ord, err := br.uvarint()
-			if err != nil {
-				return fail(err)
-			}
-			if ord >= nDocs {
-				return fail(fmt.Errorf("field %q doc length for ordinal %d of %d", name, ord, nDocs))
-			}
-			if fp.docLen[ord], err = br.uvarint(); err != nil {
-				return fail(err)
-			}
-			if n := fp.docLen[ord]; n > 0 && (fp.minLen == 0 || n < fp.minLen) {
-				fp.minLen = n
-			}
-		}
-		fp.docCount = nLens
-		nTerms, err := br.count()
-		if err != nil {
-			return fail(err)
-		}
-		dict := make([]string, 0, nTerms)
-		for j := 0; j < nTerms; j++ {
-			term, err := br.str()
-			if err != nil {
-				return fail(err)
-			}
-			dict = append(dict, term)
-			declaredMaxTF := -1
-			if version >= 2 {
-				if declaredMaxTF, err = br.uvarint(); err != nil {
-					return fail(err)
-				}
-			}
-			nPostings, err := br.count()
-			if err != nil {
-				return fail(err)
-			}
-			list := &postingList{}
-			prevDoc := -1
-			for k := 0; k < nPostings; k++ {
-				doc, err := br.uvarint()
-				if err != nil {
-					return fail(err)
-				}
-				if doc >= nDocs {
-					return fail(fmt.Errorf("field %q term %q posting ordinal %d of %d", name, term, doc, nDocs))
-				}
-				// Delta encoding requires the ordinal invariant the
-				// writer guarantees; a violation is corruption.
-				if doc <= prevDoc {
-					return fail(fmt.Errorf("field %q term %q postings out of order at ordinal %d", name, term, doc))
-				}
-				prevDoc = doc
-				nPos, err := br.count()
-				if err != nil {
-					return fail(err)
-				}
-				positions = positions[:0]
-				prevPos := -1
-				for m := 0; m < nPos; m++ {
-					pos, err := br.uvarint()
-					if err != nil {
-						return fail(err)
-					}
-					if pos < prevPos {
-						return fail(fmt.Errorf("field %q term %q positions out of order in ordinal %d", name, term, doc))
-					}
-					prevPos = pos
-					positions = append(positions, pos)
-				}
-				appendPosting(list, doc, positions)
-			}
-			if declaredMaxTF >= 0 && list.maxTF != declaredMaxTF {
-				return fail(fmt.Errorf("field %q term %q max tf %d, postings say %d", name, term, declaredMaxTF, list.maxTF))
-			}
-			fp.terms[term] = list
-		}
-		// The snapshot writes terms sorted, so the dictionary cache
-		// comes for free on restore.
-		sortedDict := dict
-		if !sort.StringsAreSorted(sortedDict) {
-			return fail(fmt.Errorf("field %q term dictionary out of order", name))
-		}
-		fp.dict.Store(&sortedDict)
-		if opts, ok := optsFor(name); ok {
-			fp.opts = opts
-		}
-		s.fields[name] = fp
-	}
-	if br.off != len(br.buf) {
-		return fail(fmt.Errorf("%d trailing bytes", len(br.buf)-br.off))
-	}
-	return s, nil
-}
-
 // Snapshot serializes the whole index in format v3: a header frame
 // with the scoring configuration and field boosts, then one frame per
 // shard. Shard frames are encoded concurrently (each under its own
@@ -509,13 +326,12 @@ func (ix *Index) Snapshot(w io.Writer) error {
 	return nil
 }
 
-// Restore replaces the index contents from a Snapshot stream of any
-// version. A v3 stream attaches in place: each shard becomes an
-// immutable base over its frame's bytes under a heap overlay
-// (mapped.go), so data — typically an mmap'd snapshot file — must
-// stay valid and unmodified for the life of the index. The v1 and v2
-// readers copy what they keep; for those formats the caller may reuse
-// data.
+// Restore replaces the index contents from a v3 Snapshot stream,
+// attached in place: each shard becomes an immutable base over its
+// frame's bytes under a heap overlay (mapped.go), so data — typically
+// an mmap'd snapshot file — must stay valid and unmodified for the
+// life of the index. A version 1 or 2 stream fails with
+// frameio.ErrUnsupportedFormat.
 //
 // Shards restore in the layout they were written with (document
 // routing hashes by ID mod shard count), and the index then reshards
@@ -524,8 +340,8 @@ func (ix *Index) Snapshot(w io.Writer) error {
 // on a 4-core box therefore restores to full fan-out on a 64-core one,
 // with rankings bit-identical to a fresh build at the configured count.
 //
-// Frame checksums are verified and every shard is attached or decoded
-// before anything is installed, so a truncated or corrupt snapshot
+// Frame checksums are verified and every shard is attached before
+// anything is installed, so a truncated or corrupt snapshot
 // fails here and leaves the index unchanged. Restore must not run
 // concurrently with other operations on the same index: callers
 // restore into a fresh or quiesced index.
@@ -543,8 +359,12 @@ func (ix *Index) Restore(data []byte) error {
 	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
 		return fmt.Errorf("%s header: %w", op, err)
 	}
-	if hdr.Version < 1 || hdr.Version > indexSnapshotVersion {
-		return fmt.Errorf("%s: unsupported snapshot version %d", op, hdr.Version)
+	if hdr.Version == 1 || hdr.Version == 2 {
+		return fmt.Errorf("%s: snapshot version %d, the floor is %d: %w",
+			op, hdr.Version, indexSnapshotVersion, frameio.ErrUnsupportedFormat)
+	}
+	if hdr.Version != indexSnapshotVersion {
+		return fmt.Errorf("%s: unknown snapshot version %d", op, hdr.Version)
 	}
 	// Bound the shard count before it sizes allocations and goroutine
 	// fan-out: no sane snapshot exceeds this, and a corrupt-but-CRC-
@@ -563,10 +383,10 @@ func (ix *Index) Restore(data []byte) error {
 		return fmt.Errorf("%s: %d trailing bytes after %d shard frames", op, len(data)-off, hdr.Shards)
 	}
 
-	// Merge field options before decoding, without installing them:
+	// Merge field options before attaching, without installing them:
 	// analyzers registered on the receiver survive, snapshot boosts
-	// win. Decoded shards bind options from this merged view, and
-	// nothing mutates the index until every shard decoded cleanly.
+	// win. Attached shards bind options from this merged view, and
+	// nothing mutates the index until every shard attached cleanly.
 	merged := make(map[string]FieldOptions, len(hdr.Boosts))
 	ix.cfg.RLock()
 	for f, boost := range hdr.Boosts {
@@ -580,15 +400,9 @@ func (ix *Index) Restore(data []byte) error {
 		return opts, ok
 	}
 
-	// v1/v2 payloads go through the walking decoder; v3 payloads
-	// attach as views over the frame.
 	shards := make([]*shard, hdr.Shards)
 	errs := make([]error, hdr.Shards)
 	fanOut(hdr.Shards, func(i int) {
-		if hdr.Version < indexSnapshotVersion {
-			shards[i], errs[i] = ix.decodeShard(frames[i], optsFor, hdr.Version)
-			return
-		}
 		shards[i], errs[i] = ix.attachShardV3(frames[i], optsFor)
 	})
 	for i, err := range errs {

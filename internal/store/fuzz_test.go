@@ -24,7 +24,7 @@ func fixtureSections(tb testing.TB) (names []string, recSecs [][]byte, shards []
 	if err != nil {
 		tb.Fatal(err)
 	}
-	_, expects, err := parseFramedHeader(hdr, snapshotVersionV3)
+	_, expects, err := parseFramedHeader(hdr)
 	if err != nil {
 		tb.Fatal(err)
 	}

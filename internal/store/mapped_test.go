@@ -3,9 +3,12 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/frameio"
 )
 
 // restoreMapped restores a v3 snapshot written by a 3-shard store —
@@ -195,28 +198,37 @@ func TestMappedSnapshotAfterCoWRoundTrips(t *testing.T) {
 	}
 }
 
-// TestSnapshotCompatMatrix: every format restores to the same
-// queryable state as a fresh build — the frozen v1 and v2 fixtures
-// decoded onto the heap, the v3 golden attached and still mapped.
+// TestSnapshotCompatMatrix covers exactly the formats the store
+// claims: the v3 golden restores to the state of a fresh build and
+// stays mapped; the frozen v1 and v2 fixtures are refused with
+// frameio.ErrUnsupportedFormat and leave the target store unchanged.
 func TestSnapshotCompatMatrix(t *testing.T) {
 	want := storeFingerprint(t, multiTenantStore(t))
-	for _, name := range []string{"multitenant_v1.json", "multitenant_v2.snap", "multitenant_v3.snap"} {
-		s := New(WithShardTarget(3))
-		if err := s.RestoreContext(context.Background(), readFixture(t, name)); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	s := New(WithShardTarget(3))
+	if err := s.RestoreContext(context.Background(), readFixture(t, "multitenant_v3.snap")); err != nil {
+		t.Fatalf("multitenant_v3.snap: %v", err)
+	}
+	if got := storeFingerprint(t, s); got != want {
+		t.Fatalf("multitenant_v3.snap state:\n%s\nwant:\n%s", got, want)
+	}
+	requireMapped(t, s)
+	for _, name := range []string{"multitenant_v1.json", "multitenant_v2.snap"} {
+		err := s.RestoreContext(context.Background(), readFixture(t, name))
+		if !errors.Is(err, frameio.ErrUnsupportedFormat) {
+			t.Fatalf("%s: restore = %v, want ErrUnsupportedFormat", name, err)
 		}
 		if got := storeFingerprint(t, s); got != want {
-			t.Fatalf("%s state:\n%s\nwant:\n%s", name, got, want)
+			t.Fatalf("%s: refused restore changed the store", name)
 		}
-		if name == "multitenant_v3.snap" {
-			requireMapped(t, s)
-		}
+		requireMapped(t, s)
 	}
 }
 
-// TestMappedRestoreRejectsCorrupt: truncations and bit flips fail a
-// v3 restore at attach time — before anything can serve from the
-// damaged bytes — and leave the target store untouched.
+// TestMappedRestoreRejectsCorrupt: every corruption mode — truncation
+// at any layer, bit flips, trailing junk, frame/header mismatches —
+// fails a restore at attach time, before anything can serve from the
+// damaged bytes, AND leaves the target store exactly as it was
+// (restore builds aside, then swaps).
 func TestMappedRestoreRejectsCorrupt(t *testing.T) {
 	src := multiTenantStore(t)
 	var good bytes.Buffer
@@ -230,16 +242,17 @@ func TestMappedRestoreRejectsCorrupt(t *testing.T) {
 		return out
 	}
 	cases := map[string][]byte{
-		"empty":         {},
-		"garbage":       []byte("this is not a snapshot"),
-		"magic-only":    gb[:8],
-		"truncated-10%": gb[:len(gb)/10],
-		"truncated-50%": gb[:len(gb)/2],
-		"truncated-99%": gb[:len(gb)-len(gb)/100],
-		"flip-early":    flip(40),
-		"flip-middle":   flip(len(gb) / 2),
-		"flip-late":     flip(len(gb) - 10),
-		"trailing-junk": append(append([]byte(nil), gb...), "extra bytes"...),
+		"empty":            {},
+		"garbage":          []byte("this is not a snapshot"),
+		"magic-only":       gb[:8],
+		"truncated-header": gb[:12],
+		"truncated-10%":    gb[:len(gb)/10],
+		"truncated-50%":    gb[:len(gb)/2],
+		"truncated-99%":    gb[:len(gb)-len(gb)/100],
+		"flip-early":       flip(40),
+		"flip-middle":      flip(len(gb) / 2),
+		"flip-late":        flip(len(gb) - 10),
+		"trailing-junk":    append(append([]byte(nil), gb...), "extra bytes"...),
 	}
 	for name, data := range cases {
 		target, _ := newInventory(t)

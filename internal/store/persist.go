@@ -16,8 +16,9 @@ import (
 
 // Persistence: Symphony hosts the designers' proprietary data, so
 // durability is part of the platform contract. SnapshotContext writes
-// format v3; RestoreContext still reads the two legacy formats, so an
-// old data directory boots and the next checkpoint rewrites it as v3.
+// format v3 and RestoreContext reads only v3: the two formats before
+// it (v1, a single JSON document, and v2, the framed envelope with
+// JSON records) are refused with frameio.ErrUnsupportedFormat.
 //
 // Format v3 is framed: the magic string, a header frame naming every
 // tenant, then one frame per dataset in deterministic (tenant,
@@ -28,31 +29,20 @@ import (
 // — writes land in a heap overlay over them, so boot cost and
 // resident set scale with what the workload touches, not corpus size.
 //
-// Format v2 (read-only) is the same framed envelope with JSON records
-// and an index v2 stream per dataset. Format v1 (read-only) is a
-// single JSON document; restoring it rebuilds the indexes record by
-// record.
-//
 // Frames are encoded by a GOMAXPROCS-wide worker pool, each under its
 // own dataset's read lock — a checkpoint never holds the store-wide
 // lock while encoding, so writers on other datasets are not blocked.
 // The price is per-dataset (not global) point-in-time consistency,
 // the usual contract for online checkpoints.
 //
-// Restore for every format builds the replacement tenant map
+// Restore builds the replacement tenant map
 // completely — validating schemas, records and index attachment —
 // before swapping it in, so a corrupt or truncated snapshot leaves
 // the target store unchanged.
 
 const (
-	snapshotVersionV1 = 1
-	snapshotVersionV2 = 2
 	snapshotVersionV3 = 3
-	// Magic strings start every framed stream (both are the same
-	// length). v1 streams start with '{', so RestoreContext can sniff
-	// the format from the first bytes.
-	snapshotMagicV2 = "SYMSNP2\n"
-	snapshotMagicV3 = "SYMSNP3\n"
+	snapshotMagicV3   = "SYMSNP3\n"
 )
 
 // PersistOption configures SnapshotContext.
@@ -143,27 +133,7 @@ func applyPersistOptions(opts []PersistOption) persistOptions {
 	return o
 }
 
-// v1 layout: one JSON document (read-only).
-type snapshot struct {
-	Version int              `json:"version"`
-	Tenants []tenantSnapshot `json:"tenants"`
-}
-
-type tenantSnapshot struct {
-	ID       string                `json:"id"`
-	Owner    string                `json:"owner"`
-	Grants   map[string]Permission `json:"grants,omitempty"`
-	Datasets []datasetSnapshot     `json:"datasets"`
-}
-
-type datasetSnapshot struct {
-	Schema  Schema   `json:"schema"`
-	Order   []string `json:"order"`
-	Records []Record `json:"records"`
-	NextID  int      `json:"nextId"`
-}
-
-// framedHeader is the header frame of v2 and v3 streams.
+// framedHeader is the header frame of a v3 stream.
 type framedHeader struct {
 	Version int            `json:"version"`
 	Tenants []framedTenant `json:"tenants"`
@@ -175,19 +145,6 @@ type framedTenant struct {
 	Grants   map[string]Permission `json:"grants,omitempty"`
 	Quota    int                   `json:"quota,omitempty"`
 	Datasets []string              `json:"datasets,omitempty"`
-}
-
-// v2DatasetFrame is the JSON metadata part of a v2 dataset frame.
-// The frame payload is the 8-byte big-endian metadata length, the
-// metadata JSON, then the dataset's serialized sharded index (an
-// index v2 stream) as raw bytes — concatenated rather than embedded
-// so multi-megabyte postings avoid a base64 round trip.
-type v2DatasetFrame struct {
-	Tenant  string   `json:"tenant"`
-	Schema  Schema   `json:"schema"`
-	Order   []string `json:"order"`
-	Records []Record `json:"records"`
-	NextID  int      `json:"nextId"`
 }
 
 // v3DatasetMeta is the JSON metadata part of a v3 dataset frame. The
@@ -205,8 +162,8 @@ type v3DatasetMeta struct {
 
 // cutSection splits an 8-byte big-endian length prefix and the
 // section it announces off the front of b. Dataset frames are a chain
-// of such sections: metadata JSON, then (v3 only) the record section,
-// then the index stream as the remainder.
+// of such sections: metadata JSON, then the record section, then the
+// index stream as the remainder.
 func cutSection(b []byte, what string) (sec, rest []byte, err error) {
 	if len(b) < 8 {
 		return nil, nil, fmt.Errorf("dataset frame missing %s", what)
@@ -396,54 +353,37 @@ func (ref datasetRef) encodeFrame(cache *FrameCache) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreContext replaces the store's contents from a snapshot of any
-// format held in data. A v3 stream attaches every dataset in place:
-// its record section and index payloads become the immutable base
-// under a heap overlay (mapped.go), so data — typically an mmapio
-// mapping of the checkpoint file — must stay valid and unmodified for
-// the life of the store. Each dataset's index reshards to the store's
-// shard target when the snapshot was written under another count,
-// which moves that index onto the heap. v2 streams decode onto the
-// heap and v1 documents rebuild indexes from records; both copy what
-// they keep, so for those formats the caller may reuse the buffer.
+// RestoreContext replaces the store's contents from the v3 snapshot
+// held in data, attaching every dataset in place: its record section
+// and index payloads become the immutable base under a heap overlay
+// (mapped.go), so data — typically an mmapio mapping of the checkpoint
+// file — must stay valid and unmodified for the life of the store.
+// Each dataset's index reshards to the store's shard target when the
+// snapshot was written under another count, which moves that index
+// onto the heap. A v1 or v2 snapshot fails with
+// frameio.ErrUnsupportedFormat.
 //
-// The replacement state is built and validated completely before it
-// is swapped in, so a failed restore — including a cancelled one —
-// leaves the store unchanged. Cancellation is checked between dataset
-// frames.
+// Frame checksums are verified during the walk, so a truncated or
+// corrupt stream fails before any dataset attaches. Dataset frames
+// then attach on a worker pool — each job is independent, so restore
+// scales with the dataset count — and the replacement tenant map is
+// swapped in only once it is built and validated completely, so a
+// failed restore — including a cancelled one — leaves the store
+// unchanged. Cancellation is checked between dataset frames;
+// already-dispatched frames finish (they only build private state).
 func (s *Store) RestoreContext(ctx context.Context, data []byte) error {
+	const op = "store: restore"
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if !hasMagic(data, snapshotMagicV2) && !hasMagic(data, snapshotMagicV3) {
-		return s.restoreV1(data)
-	}
-	return s.restore(ctx, data)
-}
-
-func hasMagic(data []byte, magic string) bool {
-	return len(data) >= len(magic) && string(data[:len(magic)]) == magic
-}
-
-// restore is RestoreContext's walk over a v2 or v3 stream. Frame
-// checksums are verified during the walk, so a truncated or corrupt
-// stream fails before any dataset decodes. Dataset frames then decode
-// on a worker pool — each job is independent, so decode scales with
-// the dataset count — and the replacement tenant map is swapped in.
-// Cancellation stops dispatch between frames; already-dispatched
-// decodes finish (they only build private state) and the restore
-// returns without touching the store.
-func (s *Store) restore(ctx context.Context, data []byte) error {
-	const op = "store: restore"
-	version := snapshotVersionV3
-	if hasMagic(data, snapshotMagicV2) {
-		version = snapshotVersionV2
+	if err := checkMagic(data); err != nil {
+		return fmt.Errorf("%s: %w", op, err)
 	}
 	hdrBytes, off, err := frameio.NextFrameInBuf(data, len(snapshotMagicV3), true)
 	if err != nil {
 		return fmt.Errorf("%s header: %w", op, err)
 	}
-	tenants, expects, err := parseFramedHeader(hdrBytes, version)
+	tenants, expects, err := parseFramedHeader(hdrBytes)
 	if err != nil {
 		return err
 	}
@@ -469,7 +409,7 @@ func (s *Store) restore(ctx context.Context, data []byte) error {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				datasets[i], errs[i] = s.decodeFrame(frames[i], expects[i], version)
+				datasets[i], errs[i] = s.decodeFrame(frames[i], expects[i])
 			}
 		}()
 	}
@@ -515,19 +455,35 @@ func (s *Store) restore(ctx context.Context, data []byte) error {
 	return nil
 }
 
+// checkMagic accepts a stream that starts with the v3 magic. The
+// signatures of the formats before it — v2's magic and v1's leading
+// '{' (a JSON document) — are refused as an unsupported format,
+// anything else as not a snapshot.
+func checkMagic(data []byte) error {
+	head := string(data[:min(len(data), len(snapshotMagicV3))])
+	switch {
+	case head == snapshotMagicV3:
+		return nil
+	case head == "SYMSNP2\n":
+		return fmt.Errorf("snapshot format v2, the floor is v3: %w", frameio.ErrUnsupportedFormat)
+	case len(head) > 0 && head[0] == '{':
+		return fmt.Errorf("snapshot format v1 (JSON document), the floor is v3: %w", frameio.ErrUnsupportedFormat)
+	}
+	return fmt.Errorf("bad magic %q", head)
+}
+
 // frameExpect names the dataset one frame must carry, derived from
 // the header; the stream is rejected if they disagree.
 type frameExpect struct{ tenant, name string }
 
-// parseFramedHeader validates the header frame shared by the framed
-// formats and returns the replacement tenant map plus the expected
-// dataset frame sequence.
-func parseFramedHeader(hdrBytes []byte, wantVersion int) (map[string]*tenant, []frameExpect, error) {
+// parseFramedHeader validates the header frame and returns the
+// replacement tenant map plus the expected dataset frame sequence.
+func parseFramedHeader(hdrBytes []byte) (map[string]*tenant, []frameExpect, error) {
 	var hdr framedHeader
 	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
 		return nil, nil, fmt.Errorf("store: restore header: %w", err)
 	}
-	if hdr.Version != wantVersion {
+	if hdr.Version != snapshotVersionV3 {
 		return nil, nil, fmt.Errorf("store: restore: unsupported snapshot version %d", hdr.Version)
 	}
 	var expects []frameExpect
@@ -556,53 +512,40 @@ func parseFramedHeader(hdrBytes []byte, wantVersion int) (map[string]*tenant, []
 	return tenants, expects, nil
 }
 
-// decodeFrame rebuilds one dataset from a v2 or v3 frame, its index
+// decodeFrame rebuilds one dataset from a v3 frame, its index
 // resharded to the store's configured target, so checkpoint layout
-// never caps query fan-out on the restoring machine. A v2 frame's
-// JSON records are validated one by one. A v3 frame's record section
-// and index attach as views over the frame's bytes: records and
-// postings stay the base under a heap overlay, and records are not
-// validated one by one — the frame checksum already vouches for the
-// bytes, the section and index directories are bounds-checked, and
-// the index's live count must equal the record count; re-validating
-// every record would decode everything the attachment exists to
-// avoid.
-func (s *Store) decodeFrame(payload []byte, want frameExpect, version int) (*Dataset, error) {
-	metaBytes, ixBytes, err := cutSection(payload, "metadata")
+// never caps query fan-out on the restoring machine. The frame's
+// record section and index attach as views over the frame's bytes:
+// records and postings stay the base under a heap overlay, and
+// records are not validated one by one — the frame checksum already
+// vouches for the bytes, the section and index directories are
+// bounds-checked, and the index's live count must equal the record
+// count; re-validating every record would decode everything the
+// attachment exists to avoid.
+func (s *Store) decodeFrame(payload []byte, want frameExpect) (*Dataset, error) {
+	metaBytes, rest, err := cutSection(payload, "metadata")
 	if err != nil {
 		return nil, err
 	}
-	// A v3 frame's metadata is the Tenant/Schema/NextID subset of v2's.
-	var frame v2DatasetFrame
-	if err := json.Unmarshal(metaBytes, &frame); err != nil {
+	var meta v3DatasetMeta
+	if err := json.Unmarshal(metaBytes, &meta); err != nil {
 		return nil, err
 	}
-	if frame.Tenant != want.tenant || frame.Schema.Name != want.name {
+	if meta.Tenant != want.tenant || meta.Schema.Name != want.name {
 		return nil, fmt.Errorf("frame is %s/%s, header expects %s/%s",
-			frame.Tenant, frame.Schema.Name, want.tenant, want.name)
+			meta.Tenant, meta.Schema.Name, want.tenant, want.name)
 	}
-	if err := frame.Schema.Validate(); err != nil {
+	if err := meta.Schema.Validate(); err != nil {
 		return nil, err
 	}
-	ds := newDataset(frame.Schema, s.shardTarget, s.cache)
-	ds.nextID = frame.NextID
-	if version == snapshotVersionV2 {
-		if len(frame.Order) != len(frame.Records) {
-			return nil, fmt.Errorf("order/record mismatch")
-		}
-		for i, rec := range frame.Records {
-			if err := ds.restoreRecord(i, frame.Order[i], rec); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var recSec []byte
-		if recSec, ixBytes, err = cutSection(ixBytes, "record section"); err != nil {
-			return nil, err
-		}
-		if ds.mrecs, err = attachRecordSection(recSec); err != nil {
-			return nil, err
-		}
+	ds := newDataset(meta.Schema, s.shardTarget, s.cache)
+	ds.nextID = meta.NextID
+	recSec, ixBytes, err := cutSection(rest, "record section")
+	if err != nil {
+		return nil, err
+	}
+	if ds.mrecs, err = attachRecordSection(recSec); err != nil {
+		return nil, err
 	}
 	// newDataset already registered the schema's field options, so the
 	// restored index's boosts and analyzers line up.
@@ -613,74 +556,4 @@ func (s *Store) decodeFrame(payload []byte, want frameExpect, version int) (*Dat
 		return nil, fmt.Errorf("restored index has %d live docs, dataset has %d records", got, want)
 	}
 	return ds, nil
-}
-
-// restoreRecord appends the record at snapshot position pos to a
-// dataset being rebuilt from a v1 or v2 snapshot, rejecting anything
-// a live dataset could not hold. The record must be owned by the
-// dataset from here on.
-func (d *Dataset) restoreRecord(pos int, id string, rec Record) error {
-	if id == "" {
-		return fmt.Errorf("empty record ID at position %d", pos)
-	}
-	if _, dup := d.records[id]; dup {
-		return fmt.Errorf("duplicate record ID %q", id)
-	}
-	if err := checkRecord(d.schema, rec); err != nil {
-		return fmt.Errorf("record %s: %w", id, err)
-	}
-	d.records[id] = rec
-	d.order = append(d.order, id)
-	return nil
-}
-
-// restoreV1 reads the legacy single-document JSON format, rebuilding
-// full-text indexes from the records.
-func (s *Store) restoreV1(data []byte) error {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("store: restore: %w", err)
-	}
-	if snap.Version != snapshotVersionV1 {
-		return fmt.Errorf("store: restore: unsupported snapshot version %d", snap.Version)
-	}
-	tenants := make(map[string]*tenant, len(snap.Tenants))
-	for _, ts := range snap.Tenants {
-		if ts.ID == "" || ts.Owner == "" {
-			return fmt.Errorf("store: restore: tenant with empty id/owner")
-		}
-		t := &tenant{
-			owner:    ts.Owner,
-			datasets: make(map[string]*Dataset, len(ts.Datasets)),
-			grants:   ts.Grants,
-		}
-		if t.grants == nil {
-			t.grants = make(map[string]Permission)
-		}
-		for _, dsnap := range ts.Datasets {
-			if err := dsnap.Schema.Validate(); err != nil {
-				return fmt.Errorf("store: restore tenant %s: %w", ts.ID, err)
-			}
-			if len(dsnap.Order) != len(dsnap.Records) {
-				return fmt.Errorf("store: restore tenant %s dataset %s: order/record mismatch", ts.ID, dsnap.Schema.Name)
-			}
-			ds := newDataset(dsnap.Schema, s.shardTarget, s.cache)
-			ds.nextID = dsnap.NextID
-			for i, rec := range dsnap.Records {
-				id := dsnap.Order[i]
-				if err := ds.restoreRecord(i, id, rec); err != nil {
-					return fmt.Errorf("store: restore tenant %s dataset %s: %w", ts.ID, dsnap.Schema.Name, err)
-				}
-				if err := ds.reindexLocked(id, rec); err != nil {
-					return err
-				}
-			}
-			t.datasets[dsnap.Schema.Name] = ds
-		}
-		tenants[ts.ID] = t
-	}
-	s.mu.Lock()
-	s.tenants = tenants
-	s.mu.Unlock()
-	return nil
 }

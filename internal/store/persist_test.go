@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/frameio"
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
@@ -244,30 +247,19 @@ func readFixture(t *testing.T, name string) []byte {
 }
 
 // TestV1V2CompatRoundTrip: v1 and v2 snapshots written by the retired
-// writers restore into a store whose v3 snapshot then round-trips to
-// identical queryable state — the upgrade path from old data
-// directories.
+// writers do not round-trip any more: each is below the format floor
+// and refused with frameio.ErrUnsupportedFormat, leaving the target
+// store's state unchanged.
 func TestV1V2CompatRoundTrip(t *testing.T) {
-	want := storeFingerprint(t, multiTenantStore(t))
 	for _, name := range []string{"multitenant_v1.json", "multitenant_v2.snap"} {
-		legacy := New()
-		if err := legacy.RestoreContext(context.Background(), readFixture(t, name)); err != nil {
-			t.Fatalf("%s restore: %v", name, err)
+		target, _ := newInventory(t)
+		before := storeFingerprint(t, target)
+		err := target.RestoreContext(context.Background(), readFixture(t, name))
+		if !errors.Is(err, frameio.ErrUnsupportedFormat) {
+			t.Fatalf("%s restore = %v, want ErrUnsupportedFormat", name, err)
 		}
-		if got := storeFingerprint(t, legacy); got != want {
-			t.Fatalf("%s restore state:\n%s\nwant:\n%s", name, got, want)
-		}
-
-		var v3 bytes.Buffer
-		if err := legacy.SnapshotContext(context.Background(), &v3); err != nil {
-			t.Fatal(err)
-		}
-		upgraded := New()
-		if err := upgraded.RestoreContext(context.Background(), v3.Bytes()); err != nil {
-			t.Fatalf("%s->v3 restore: %v", name, err)
-		}
-		if got := storeFingerprint(t, upgraded); got != want {
-			t.Fatalf("%s->v3 round trip state:\n%s\nwant:\n%s", name, got, want)
+		if after := storeFingerprint(t, target); after != before {
+			t.Fatalf("%s: refused restore mutated the target store", name)
 		}
 	}
 }
@@ -285,37 +277,9 @@ func TestSnapshotMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestRestoreDoesNotAliasInput: the v1 and v2 readers copy everything
-// they keep, so the caller may reuse the snapshot buffer — zeroing it
-// afterwards must not change the restored state. (A v3 restore
-// attaches in place and needs the bytes for the life of the store.)
-func TestRestoreDoesNotAliasInput(t *testing.T) {
-	want := storeFingerprint(t, multiTenantStore(t))
-	for _, name := range []string{"multitenant_v1.json", "multitenant_v2.snap"} {
-		data := readFixture(t, name)
-		// The snapshot's own shard target, so no reshard rebuilds the
-		// indexes and hides an index that still points into data.
-		restored := New(WithShardTarget(3))
-		if err := restored.RestoreContext(context.Background(), data); err != nil {
-			t.Fatal(err)
-		}
-		clear(data)
-		if got := storeFingerprint(t, restored); got != want {
-			t.Fatalf("%s state after zeroing the input:\n%s\nwant:\n%s", name, got, want)
-		}
-		ds, err := restored.DatasetContext(context.Background(), "tenant1", "owner1", "data0", PermRead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec, ok := ds.Get("r4"); !ok || rec["body"] != "searchable common text plus unique4" {
-			t.Fatalf("%s Get(r4) after zeroing the input = %v, %v", name, rec, ok)
-		}
-	}
-}
-
-// TestV2RestoreMatchesFreshScores: search scores through a restored
-// v2 store (reattached indexes) equal the freshly built store's.
-func TestV2RestoreMatchesFreshScores(t *testing.T) {
+// TestRestoreMatchesFreshScores: search scores through a restored
+// store (reattached indexes) equal the freshly built store's.
+func TestRestoreMatchesFreshScores(t *testing.T) {
 	orig := multiTenantStore(t)
 	var buf bytes.Buffer
 	if err := orig.SnapshotContext(context.Background(), &buf); err != nil {
@@ -330,9 +294,9 @@ func TestV2RestoreMatchesFreshScores(t *testing.T) {
 	}
 }
 
-// TestV2QuotaSurvivesRestore: format v2 carries tenant quotas (v1
-// never did) and rewires enforcement on restore.
-func TestV2QuotaSurvivesRestore(t *testing.T) {
+// TestQuotaSurvivesRestore: the snapshot carries tenant quotas and
+// restore rewires enforcement.
+func TestQuotaSurvivesRestore(t *testing.T) {
 	s := New()
 	s.CreateTenant("t", "o")
 	ds, err := s.CreateDataset("t", "o", Schema{Name: "d", Fields: []Field{{Name: "x", Searchable: true}}})
@@ -365,49 +329,7 @@ func TestV2QuotaSurvivesRestore(t *testing.T) {
 	}
 }
 
-// TestRestoreCorruptV2LeavesStoreUntouched: every corruption mode —
-// truncation at any layer, bit flips, trailing junk, frame/header
-// mismatches — must fail the restore AND leave the target store
-// exactly as it was (restore builds aside, then swaps).
-func TestRestoreCorruptV2LeavesStoreUntouched(t *testing.T) {
-	src := multiTenantStore(t)
-	var good bytes.Buffer
-	if err := src.SnapshotContext(context.Background(), &good); err != nil {
-		t.Fatal(err)
-	}
-	gb := good.Bytes()
-	flip := func(pos int) []byte {
-		out := append([]byte(nil), gb...)
-		out[pos] ^= 0xFF
-		return out
-	}
-	cases := map[string][]byte{
-		"empty":            {},
-		"garbage":          []byte("this is not a snapshot"),
-		"magic-only":       gb[:8],
-		"truncated-header": gb[:12],
-		"truncated-10%":    gb[:len(gb)/10],
-		"truncated-50%":    gb[:len(gb)/2],
-		"truncated-99%":    gb[:len(gb)-len(gb)/100],
-		"flip-early":       flip(40),
-		"flip-middle":      flip(len(gb) / 2),
-		"flip-late":        flip(len(gb) - 10),
-		"trailing-junk":    append(append([]byte(nil), gb...), "extra bytes"...),
-	}
-	for name, data := range cases {
-		target, _ := newInventory(t)
-		before := storeFingerprint(t, target)
-		if err := target.RestoreContext(context.Background(), data); err == nil {
-			t.Errorf("%s: corrupt snapshot accepted", name)
-			continue
-		}
-		if after := storeFingerprint(t, target); after != before {
-			t.Errorf("%s: failed restore mutated target store", name)
-		}
-	}
-}
-
-// TestSnapshotConcurrentWithWrites: format v2 locks one dataset at a
+// TestSnapshotConcurrentWithWrites: a snapshot locks one dataset at a
 // time, so a snapshot racing concurrent writers must neither block
 // them out nor produce a stream that fails to restore.
 func TestSnapshotConcurrentWithWrites(t *testing.T) {

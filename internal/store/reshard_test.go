@@ -188,7 +188,7 @@ func TestSnapshotFrameCache(t *testing.T) {
 		t.Fatalf("dirty snapshot re-encoded %d frames, want 1", misses2-misses1)
 	}
 
-	// The incremental stream restores like any other v2 snapshot.
+	// The incremental stream restores like any other snapshot.
 	restored := New()
 	if err := restored.RestoreContext(context.Background(), third.Bytes()); err != nil {
 		t.Fatal(err)

@@ -69,9 +69,7 @@ func BenchmarkSearchFiltered(b *testing.B) {
 	}
 }
 
-// Snapshot/restore benchmarks live in persist_bench_test.go: the
-// BenchmarkSnapshotRestore family compares serial v1 against the
-// parallel framed v2 format at several worker counts.
+// Snapshot/restore benchmarks live in persist_bench_test.go.
 
 func BenchmarkStats(b *testing.B) {
 	ds := benchDataset(b, 5000)

@@ -3,12 +3,15 @@ package wal
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/frameio"
 )
 
 // codecRecords holds one record per op, shaped like what the store
@@ -143,79 +146,81 @@ func TestFuzzCorpusCoversEveryOp(t *testing.T) {
 	}
 }
 
-// TestReplayJSONSegmentFixture pins the reader for segments written
-// before the binary format: the fixture is a SYMWAL1 segment of JSON
-// records, and it must replay to exactly these records.
+// TestReplayJSONSegmentFixture: a SYMWAL1 segment of JSON records,
+// the format before SYMWAL2, is below the format floor. Replay refuses
+// it with frameio.ErrUnsupportedFormat before applying anything, and
+// does not report it as torn, so boot never truncates it.
 func TestReplayJSONSegmentFixture(t *testing.T) {
-	schema := `{"name":"inv","key":"sku","fields":[` +
-		`{"name":"sku","type":"","searchable":false,"required":true},` +
-		`{"name":"title","type":"","searchable":true,"required":false},` +
-		`{"name":"price","type":"number","searchable":false,"required":false}]}`
-	want := []*Record{
-		{Seq: 1, Op: OpCreateTenant, Tenant: "acme", Actor: "ann"},
-		{Seq: 2, Op: OpCreateDataset, Tenant: "acme", Actor: "ann", Dataset: "inv", Schema: []byte(schema)},
-		{Seq: 3, Op: OpPut, Tenant: "acme", Dataset: "inv", ID: "sku-01",
-			Rec: map[string]string{"sku": "sku-01", "title": "red widget", "price": "12"}},
-		{Seq: 4, Op: OpPut, Tenant: "acme", Dataset: "inv", ID: "sku-02",
-			Rec: map[string]string{"sku": "sku-02", "title": "\"blue\" gadget été <b>&</b>", "price": "7"}},
-		{Seq: 5, Op: OpGrant, Tenant: "acme", Actor: "ann", ID: "bob", Perm: "read"},
-		{Seq: 6, Op: OpSetQuota, Tenant: "acme", Actor: "ann", N: 500},
-		{Seq: 7, Op: OpDelete, Tenant: "acme", Dataset: "inv", ID: "sku-01"},
-		{Seq: 8, Op: OpPut, Tenant: "acme", Dataset: "inv", ID: "sku-03",
-			Rec: map[string]string{"sku": "sku-03", "title": "green\tline\nbreak", "price": "0"}},
-	}
-	var got []*Record
-	st, err := Replay(filepath.Join("testdata", "v1"), func(r *Record) error {
-		got = append(got, r)
+	applied := 0
+	st, err := Replay(filepath.Join("testdata", "v1"), func(*Record) error {
+		applied++
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, frameio.ErrUnsupportedFormat) {
+		t.Fatalf("replay of a SYMWAL1 segment = %v, want ErrUnsupportedFormat", err)
 	}
-	if st.Torn || st.Segments != 1 || st.Records != len(want) || st.Applied != len(want) {
-		t.Fatalf("fixture replay stats %+v", st)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("record %d:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
+	if applied != 0 || st.Torn || st.Records != 0 {
+		t.Fatalf("refused replay applied %d records, stats %+v", applied, st)
 	}
 }
 
-// TestReplayMixedFormats: a log directory upgraded in place holds an
-// old JSON segment followed by binary ones; replay reads both in
-// order, and new segments are written in the binary format.
+// TestReplayMixedFormats: a log directory holding a SYMWAL1 segment
+// beside SYMWAL2 ones, as the older or as the newest segment, fails
+// Replay with frameio.ErrUnsupportedFormat. The SYMWAL1 segment is not
+// reported as torn, so SealTornTail leaves it alone, and its bytes are
+// unchanged.
 func TestReplayMixedFormats(t *testing.T) {
-	dir := t.TempDir()
 	old, err := os.ReadFile(filepath.Join("testdata", "v1", segmentName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := Open(dir, Options{Policy: PolicyAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, 0, 3)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	head, err := os.ReadFile(filepath.Join(dir, segmentName(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(head, []byte(segmentMagic)) {
-		t.Fatalf("new segment starts %q, want magic %q", head[:8], segmentMagic)
-	}
-	ids, st := replayIDs(t, dir)
-	want := []string{"sku-01", "sku-02", "sku-03", "doc-0000", "doc-0001", "doc-0002"}
-	if !reflect.DeepEqual(ids, want) || st.Segments != 2 || st.Torn {
-		t.Fatalf("mixed replay: ids %v, stats %+v; want ids %v", ids, st, want)
+	for _, tc := range []struct {
+		name       string
+		oldSeg     int // the SYMWAL1 segment's number
+		wantBefore int // puts replayed before the refusal
+	}{
+		{"older", 1, 0},
+		{"newest", 2, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			oldPath := filepath.Join(dir, segmentName(tc.oldSeg))
+			if tc.oldSeg == 1 {
+				if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l, err := Open(dir, Options{Policy: PolicyAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendN(t, l, 0, 3)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.oldSeg != 1 {
+				if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			puts := 0
+			st, err := Replay(dir, func(r *Record) error {
+				puts++
+				return nil
+			})
+			if !errors.Is(err, frameio.ErrUnsupportedFormat) {
+				t.Fatalf("mixed replay = %v, want ErrUnsupportedFormat", err)
+			}
+			if puts != tc.wantBefore || st.Torn {
+				t.Fatalf("mixed replay applied %d records, stats %+v; want %d applied, not torn", puts, st, tc.wantBefore)
+			}
+			if err := SealTornTail(st); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(oldPath); err != nil || !bytes.Equal(got, old) {
+				t.Fatalf("SYMWAL1 segment changed by a refused replay (%v)", err)
+			}
+		})
 	}
 }
 

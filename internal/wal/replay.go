@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -51,8 +50,10 @@ type ReplayStats struct {
 
 // Replay reads every WAL segment in dir in order and hands each
 // record to apply; a put-batch record is one call, applied or skipped
-// as a whole. Each segment's magic selects its decoder: binary
-// records, or JSON in segments written before the binary format.
+// as a whole. A SYMWAL1 segment (JSON records, the format before
+// SYMWAL2) fails the replay with frameio.ErrUnsupportedFormat and is
+// left untouched; records of the segments before it have been applied
+// by then.
 //
 // A torn or corrupt tail of the NEWEST segment ends the replay
 // cleanly at the last verified frame (recovery's contract: lose at
@@ -133,16 +134,12 @@ func replaySegment(name string, apply func(*Record) error, st *ReplayStats) (tor
 	}
 	br := bufio.NewReaderSize(f, 64<<10)
 	var magic [len(segmentMagic)]byte
-	var decode func([]byte) (*Record, error)
-	if _, err := io.ReadFull(br, magic[:]); err == nil {
-		switch string(magic[:]) {
-		case segmentMagic:
-			decode = decodeRecord
-		case segmentMagicJSON:
-			decode = decodeJSONRecord
-		}
+	_, err = io.ReadFull(br, magic[:])
+	if err == nil && string(magic[:]) == segmentMagicV1 {
+		return false, fmt.Errorf("wal: replay %s: segment format SYMWAL1, the floor is SYMWAL2: %w",
+			name, frameio.ErrUnsupportedFormat)
 	}
-	if decode == nil {
+	if err != nil || string(magic[:]) != segmentMagic {
 		// A crash can leave a segment with a partial (or absent)
 		// magic: created, never fsynced. Nothing in it was ever
 		// acknowledged under any policy; treat it as a torn tail at
@@ -166,7 +163,7 @@ func replaySegment(name string, apply func(*Record) error, st *ReplayStats) (tor
 		if err != nil {
 			return false, fmt.Errorf("wal: replay %s: %w", name, err)
 		}
-		rec, derr := decode(payload)
+		rec, derr := decodeRecord(payload)
 		if derr != nil {
 			// The frame passed its CRC but does not decode: not tail
 			// damage, structural corruption. Stop before it like a tear
@@ -186,13 +183,4 @@ func replaySegment(name string, apply func(*Record) error, st *ReplayStats) (tor
 				name, rec.Seq, rec.Op, rec.Tenant, rec.Dataset, aerr)
 		}
 	}
-}
-
-// decodeJSONRecord parses one record of a SYMWAL1 segment.
-func decodeJSONRecord(p []byte) (*Record, error) {
-	rec := new(Record)
-	if err := json.Unmarshal(p, rec); err != nil {
-		return nil, err
-	}
-	return rec, nil
 }

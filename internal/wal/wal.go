@@ -129,17 +129,17 @@ const (
 // increasing within one process lifetime; replay order is file order,
 // not Seq.
 type Record struct {
-	Seq     uint64            `json:"seq"`
-	Op      string            `json:"op"`
-	Tenant  string            `json:"tenant,omitempty"`
-	Actor   string            `json:"actor,omitempty"`
-	Dataset string            `json:"dataset,omitempty"`
-	ID      string            `json:"id,omitempty"`
-	Rec     map[string]string `json:"rec,omitempty"`
-	Schema  json.RawMessage   `json:"schema,omitempty"`
-	Perm    string            `json:"perm,omitempty"`
-	N       int               `json:"n,omitempty"`
-	Puts    []Put             `json:"puts,omitempty"`
+	Seq     uint64
+	Op      string
+	Tenant  string
+	Actor   string
+	Dataset string
+	ID      string
+	Rec     map[string]string
+	Schema  json.RawMessage
+	Perm    string
+	N       int
+	Puts    []Put
 }
 
 // Put is one row of a put-batch record.
@@ -173,11 +173,13 @@ func (e *WriteError) Error() string {
 func (e *WriteError) Unwrap() error { return e.Cause }
 
 // segmentMagic starts every segment this package writes: its frames
-// hold binary records (codec.go). segmentMagicJSON marks the older
-// format, whose frames hold JSON records; replay still reads it.
+// hold binary records (codec.go). segmentMagicV1 marks the format
+// before it, whose frames held JSON records; replay refuses it with
+// frameio.ErrUnsupportedFormat instead of reading the segment as torn
+// at offset zero, which SealTornTail would truncate to nothing.
 const (
-	segmentMagic     = "SYMWAL2\n"
-	segmentMagicJSON = "SYMWAL1\n"
+	segmentMagic   = "SYMWAL2\n"
+	segmentMagicV1 = "SYMWAL1\n"
 )
 
 // segmentName formats the file name of segment n.
