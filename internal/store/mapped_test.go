@@ -224,38 +224,15 @@ func TestSnapshotCompatMatrix(t *testing.T) {
 	}
 }
 
-// TestMappedRestoreRejectsCorrupt: every corruption mode — truncation
-// at any layer, bit flips, trailing junk, frame/header mismatches —
-// fails a restore at attach time, before anything can serve from the
-// damaged bytes, AND leaves the target store exactly as it was
-// (restore builds aside, then swaps).
+// TestMappedRestoreRejectsCorrupt: a corrupt snapshot restored over a
+// store that already serves from an attached snapshot fails at attach
+// time, before anything can serve from the damaged bytes, and leaves
+// the target serving its old attachment: same contents, every shard
+// and record section still mapped.
 func TestMappedRestoreRejectsCorrupt(t *testing.T) {
-	src := multiTenantStore(t)
-	var good bytes.Buffer
-	if err := src.SnapshotContext(context.Background(), &good); err != nil {
-		t.Fatal(err)
-	}
-	gb := good.Bytes()
-	flip := func(pos int) []byte {
-		out := append([]byte(nil), gb...)
-		out[pos] ^= 0xFF
-		return out
-	}
-	cases := map[string][]byte{
-		"empty":            {},
-		"garbage":          []byte("this is not a snapshot"),
-		"magic-only":       gb[:8],
-		"truncated-header": gb[:12],
-		"truncated-10%":    gb[:len(gb)/10],
-		"truncated-50%":    gb[:len(gb)/2],
-		"truncated-99%":    gb[:len(gb)-len(gb)/100],
-		"flip-early":       flip(40),
-		"flip-middle":      flip(len(gb) / 2),
-		"flip-late":        flip(len(gb) - 10),
-		"trailing-junk":    append(append([]byte(nil), gb...), "extra bytes"...),
-	}
+	good, cases := corruptSnapshots(t)
 	for name, data := range cases {
-		target, _ := newInventory(t)
+		target := restoreMapped(t, append([]byte(nil), good...))
 		before := storeFingerprint(t, target)
 		if err := target.RestoreContext(context.Background(), data); err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", name)
@@ -264,6 +241,7 @@ func TestMappedRestoreRejectsCorrupt(t *testing.T) {
 		if after := storeFingerprint(t, target); after != before {
 			t.Errorf("%s: failed restore mutated target store", name)
 		}
+		requireMapped(t, target)
 	}
 }
 
