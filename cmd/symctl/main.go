@@ -17,7 +17,7 @@
 //	symctl load -i data.csv -dataset d -key sku   batched upload into a dataset
 //	symctl snapshot -o store.snap     write a durable store snapshot
 //	symctl restore -i store.snap      restore a snapshot and summarize
-//	symctl reshard <tenant> <dataset> <n>  reshard a dataset index online
+//	symctl reshard <tenant> <dataset> <n>  rebuild a dataset index at n shards
 //	symctl status                     per-dataset shard layout
 package main
 
@@ -248,9 +248,10 @@ func main() {
 			fmt.Printf("wrote v3 snapshot to %s\n", *out)
 		}
 	case "reshard":
-		// symctl reshard <tenant> <dataset> <n>: drive an online shard
-		// migration by hand. symctl acts as Ann, so the usual write
-		// grant rules apply.
+		// symctl reshard <tenant> <dataset> <n>: rebuild a dataset
+		// index of symctl's own in-process platform at n shards by
+		// hand. symctl acts as Ann, so the usual write grant rules
+		// apply.
 		args := fs.Args()
 		if len(args) != 3 {
 			fmt.Fprintln(os.Stderr, "usage: symctl reshard <tenant> <dataset> <n>")

@@ -36,13 +36,14 @@
 // --pprof-addr serves net/http/pprof on its own listener (off by
 // default, never the tenant port) for heap and CPU profiles.
 //
-// --shards controls dataset index parallelism: "auto" (default, one
-// shard per CPU) or a fixed count. Snapshots written under another
-// layout reshard to the target on restore, so a checkpoint from a
-// small box serves at full fan-out here; the reshard moves those
-// datasets' indexes onto the heap. /statusz reports each
-// dataset's shard count, ring generation and tombstone ratio as
-// JSON, so operators can watch reshard progress.
+// --shards controls dataset index parallelism: "auto" (default) or a
+// fixed count N. Under auto a new dataset gets one shard per CPU and
+// a restored one keeps the count its snapshot was written with, so a
+// checkpoint boots mapped on any host. Under N every dataset gets N
+// shards: a snapshot written under another count reshards to N on
+// restore, before serving, which moves that dataset's index onto the
+// heap. /statusz reports each dataset's shard count, ring generation
+// and tombstone ratio as JSON.
 //
 // --cache-mb sizes the shared cross-request result cache (default
 // 64 MB, 0 disables). Repeated queries against unchanged data — the
@@ -153,7 +154,7 @@ func run() error {
 	seed := flag.Int64("seed", 1, "synthetic web seed")
 	dataDir := flag.String("data-dir", "", "directory for store snapshots (empty = not durable)")
 	checkpointEvery := flag.Duration("checkpoint-interval", 30*time.Second, "background checkpoint period with --data-dir")
-	shards := flag.String("shards", "auto", "dataset index shard count: \"auto\" (one per CPU) or N")
+	shards := flag.String("shards", "auto", "dataset index shard count: \"auto\" (one per CPU for a new dataset; a restored one keeps its snapshot's count) or N (restore reshards to N)")
 	cacheMB := flag.Int("cache-mb", 64, "shared cross-request result cache size in MB (0 = disabled)")
 	queryTimeout := flag.Duration("query-timeout", 2*time.Second, "per-query execution deadline (0 = unbounded)")
 	tenantSlots := flag.Int("tenant-slots", 4, "concurrent queries allowed per tenant")

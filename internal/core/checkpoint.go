@@ -204,10 +204,10 @@ func (c *Checkpointer) restoreFrom(ctx context.Context, path string) (bool, erro
 		kind = "mmap-backed"
 	}
 	c.logf("restored store from %s (%s, %d bytes)", path, kind, m.Len())
-	// A dataset whose snapshot layout differs from the store's
-	// configured target was resharded to it (snapshot layout is
-	// decoupled from runtime parallelism); log the resulting layout so
-	// the transition is visible in the boot log.
+	// A dataset keeps the shard count its snapshot was written with,
+	// unless the store fixes one (Config.ShardTarget) and the two
+	// differ, which reshards it onto the heap; log each layout so the
+	// boot log shows which happened.
 	for _, st := range c.p.Store.Status() {
 		c.logf("restored %s/%s: %d records in %d shards (ring gen %d, %d shards and %d bytes mapped)",
 			st.Tenant, st.Dataset, st.Records, st.Shards, st.RingGen, st.MappedShards, st.MappedBytes)

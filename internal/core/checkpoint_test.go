@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -307,5 +309,86 @@ func TestCheckpointRestoreAppliesShardTarget(t *testing.T) {
 	hits, err := ds.SearchContext(context.Background(), store.SearchRequest{Query: "exciting", Limit: 3})
 	if err != nil || len(hits) == 0 {
 		t.Fatalf("post-reshard search = %v, %v", hits, err)
+	}
+}
+
+// TestCheckpointRestoreKeepsAutoShards pins that the shard count
+// belongs to the data: a store with no fixed shard count, written and
+// checkpointed at GOMAXPROCS=2, boots at GOMAXPROCS 1, 2, 4 and 8 with
+// every dataset still at 2 shards, every shard mapped, no doc table
+// materialized, and answers byte-identical to the writer's.
+func TestCheckpointRestoreKeepsAutoShards(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	ctx := context.Background()
+	queries := []string{"exciting", "game", "studio1", "an exciting game", "nosuchword"}
+	answers := func(p *Platform) map[string]string {
+		out := make(map[string]string)
+		for _, st := range p.Store.Status() {
+			ds, err := p.Store.DatasetContext(ctx, st.Tenant, "ann", st.Dataset, store.PermRead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range queries {
+				hits, err := ds.SearchContext(ctx, store.SearchRequest{Query: q, Limit: 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(hits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[st.Tenant+"/"+st.Dataset+" "+q] = string(b)
+			}
+		}
+		return out
+	}
+
+	dir := t.TempDir()
+	writer := New(Config{Seed: 1})
+	buildGamerQueen(t, writer)
+	for _, st := range writer.Store.Status() {
+		if st.Shards != 2 {
+			t.Fatalf("writer %s/%s has %d shards at GOMAXPROCS=2", st.Tenant, st.Dataset, st.Shards)
+		}
+	}
+	want := answers(writer)
+	cp, err := writer.NewCheckpointer(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.CheckpointContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		p := New(Config{Seed: 1})
+		cp, err := p.NewCheckpointer(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored, err := cp.RestoreLatestContext(ctx); err != nil || !restored {
+			t.Fatalf("GOMAXPROCS=%d: RestoreLatestContext = %v, %v", procs, restored, err)
+		}
+		got := answers(p)
+		status := p.Store.Status()
+		if len(status) == 0 {
+			t.Fatalf("GOMAXPROCS=%d: no datasets restored", procs)
+		}
+		for _, st := range status {
+			if st.Shards != 2 || st.MappedShards != st.Shards || st.MaterializedDocTables != 0 {
+				t.Fatalf("GOMAXPROCS=%d %s/%s: %d shards, %d mapped, %d doc tables materialized; want 2, 2, 0",
+					procs, st.Tenant, st.Dataset, st.Shards, st.MappedShards, st.MaterializedDocTables)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS=%d: %d answers, want %d", procs, len(got), len(want))
+		}
+		for k, w := range want {
+			if got[k] != w {
+				t.Fatalf("GOMAXPROCS=%d %s:\n got %s\nwant %s", procs, k, got[k], w)
+			}
+		}
 	}
 }

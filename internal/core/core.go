@@ -43,10 +43,11 @@ type Config struct {
 	// SupplementalParallelism is forwarded to the executor.
 	SupplementalParallelism int
 	// ShardTarget fixes the full-text index shard count for every
-	// store dataset (0 = auto: one shard per CPU). The target is
-	// re-applied when a checkpoint is restored — snapshots written
-	// under another layout reshard to it on load — so durability
-	// layout never caps query fan-out on the serving machine.
+	// store dataset. 0 (auto) gives a new dataset one shard per CPU
+	// and keeps the count a restored dataset was written with, so a
+	// checkpoint boots fully mapped on any host. A fixed target is
+	// re-applied when a checkpoint is restored: a snapshot written
+	// under another count reshards to it, onto the heap.
 	ShardTarget int
 	// CacheMB sizes the shared cross-request result cache attached to
 	// every engine vertical and store dataset, in megabytes. Zero

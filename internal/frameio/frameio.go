@@ -10,6 +10,7 @@
 package frameio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -90,8 +91,8 @@ func (fr *Reader) Next() ([]byte, error) {
 	if length > MaxFrame {
 		return nil, &ErrTruncatedFrame{Offset: fr.off, Cause: fmt.Errorf("frame length %d exceeds limit %d", length, MaxFrame)}
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
+	payload, err := readPayload(fr.r, length)
+	if err != nil {
 		return nil, &ErrTruncatedFrame{Offset: fr.off, Cause: err}
 	}
 	want := binary.BigEndian.Uint32(hdr[8:])
@@ -101,6 +102,27 @@ func (fr *Reader) Next() ([]byte, error) {
 	fr.off += int64(n) + int64(length)
 	return payload, nil
 }
+
+// readPayload reads a payload of length bytes. Up to payloadChunk
+// bytes it allocates the payload at once; a longer one grows as its
+// bytes arrive, so a corrupt length prefix on a short torn tail costs
+// no more memory than the tail.
+func readPayload(r io.Reader, length uint64) ([]byte, error) {
+	if length <= payloadChunk {
+		payload := make([]byte, length)
+		_, err := io.ReadFull(r, payload)
+		return payload, err
+	}
+	var buf bytes.Buffer
+	n, err := buf.ReadFrom(io.LimitReader(r, int64(length)))
+	if err == nil && uint64(n) < length {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf.Bytes(), err
+}
+
+// payloadChunk is the largest payload Reader allocates before reading.
+const payloadChunk = 1 << 20
 
 // castagnoli is the CRC-32C table (the polynomial used by storage
 // formats generally, chosen here for its error-detection properties).

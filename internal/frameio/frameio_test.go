@@ -3,6 +3,7 @@ package frameio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 )
@@ -66,7 +67,7 @@ func TestOversizeFrameRejected(t *testing.T) {
 
 // writeFrames returns a stream of n frames plus the cumulative byte
 // offset at the end of each frame.
-func writeFrames(t *testing.T, payloads ...[]byte) ([]byte, []int64) {
+func writeFrames(t testing.TB, payloads ...[]byte) ([]byte, []int64) {
 	t.Helper()
 	var buf bytes.Buffer
 	offsets := make([]int64, len(payloads))
@@ -182,4 +183,83 @@ func TestReaderSkipOffsets(t *testing.T) {
 	if want := int64(buf.Len()); fr.Offset() != want {
 		t.Fatalf("offset = %d, want %d", fr.Offset(), want)
 	}
+}
+
+// FuzzFrames walks arbitrary bytes as a frame stream with both read
+// sides, Reader.Next and NextFrameInBuf with verification: neither may
+// panic, both must return the same payloads in the same order, stop at
+// the same offset for the same reason (a clean end or damage), and
+// never return a payload larger than MaxFrame.
+func FuzzFrames(f *testing.F) {
+	seeds := [][][]byte{
+		nil,
+		{{}},
+		{[]byte("one"), []byte("two"), []byte("three")},
+		{bytes.Repeat([]byte("x"), 300), {}, []byte("tail")},
+	}
+	for _, payloads := range seeds {
+		stream, offsets := writeFrames(f, payloads...)
+		f.Add(stream)
+		if len(offsets) > 0 {
+			// A torn tail and a flipped payload byte.
+			f.Add(stream[:len(stream)-1])
+			flipped := append([]byte(nil), stream...)
+			flipped[len(flipped)-1] ^= 0xff
+			f.Add(flipped)
+		}
+	}
+	var huge [12]byte
+	binary.BigEndian.PutUint64(huge[:8], MaxFrame)
+	f.Add(huge[:])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr := NewReader(bytes.NewReader(data))
+		var fromReader [][]byte
+		var readerErr error
+		for {
+			p, err := fr.Next()
+			if err != nil {
+				readerErr = err
+				break
+			}
+			if len(p) > MaxFrame {
+				t.Fatalf("Reader returned a %d-byte payload", len(p))
+			}
+			fromReader = append(fromReader, p)
+		}
+
+		off, n := 0, 0
+		var bufErr error
+		for {
+			p, next, err := NextFrameInBuf(data, off, true)
+			if err != nil {
+				if next != off {
+					t.Fatalf("NextFrameInBuf failed at %d but moved to %d", off, next)
+				}
+				bufErr = err
+				break
+			}
+			if len(p) > MaxFrame {
+				t.Fatalf("NextFrameInBuf returned a %d-byte payload", len(p))
+			}
+			if n >= len(fromReader) || !bytes.Equal(p, fromReader[n]) {
+				t.Fatalf("frame %d differs between NextFrameInBuf and Reader", n)
+			}
+			off, n = next, n+1
+		}
+
+		if n != len(fromReader) {
+			t.Fatalf("NextFrameInBuf read %d frames, Reader %d", n, len(fromReader))
+		}
+		if int64(off) != fr.Offset() {
+			t.Fatalf("NextFrameInBuf stopped at %d, Reader at %d", off, fr.Offset())
+		}
+		if (bufErr == io.EOF) != (readerErr == io.EOF) {
+			t.Fatalf("end of stream: NextFrameInBuf %v, Reader %v", bufErr, readerErr)
+		}
+		var torn *ErrTruncatedFrame
+		if readerErr != io.EOF && (!errors.As(readerErr, &torn) || torn.Offset != int64(off)) {
+			t.Fatalf("Reader stopped with %v; want *ErrTruncatedFrame at offset %d", readerErr, off)
+		}
+	})
 }

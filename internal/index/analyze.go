@@ -34,18 +34,6 @@ func (d docTerms) lookup(field string) fieldTerms {
 	return fieldTerms{}
 }
 
-// appendTerm appends term, with its positions, as the field's next
-// distinct term: the migration path, which reads terms off postings
-// one at a time.
-func (ft *fieldTerms) appendTerm(term string, positions []int) {
-	ft.ids = append(ft.ids, int32(len(ft.terms)))
-	ft.terms = append(ft.terms, term)
-	for _, p := range positions {
-		ft.pos = append(ft.pos, int32(p))
-	}
-	ft.ends = append(ft.ends, int32(len(ft.pos)))
-}
-
 // batchAnalyzer is the analysis state of one AddBatchContext worker
 // for one batch. Its memo runs each distinct token's stopword check
 // and stem once per batch and numbers the terms; every occurrence

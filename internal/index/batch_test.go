@@ -121,8 +121,8 @@ func TestAddBatchCancelledBeforeApply(t *testing.T) {
 	}
 }
 
-// TestAddBatchDuringReshard races batched writers against an online
-// migration; the journal must capture batch-applied docs exactly
+// TestAddBatchDuringReshard races batched writers against reshards;
+// a batch that waits out a rebuild must land on the new ring exactly
 // like single Adds.
 func TestAddBatchDuringReshard(t *testing.T) {
 	ix := New(WithShards(2))
@@ -168,7 +168,7 @@ func TestAddBatchDuringReshard(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	// Every live- doc written before the final reshard completed must
-	// be present (journal replay), and the index must be internally
+	// be present (the rebuild read it), and the index must be internally
 	// consistent: Len equals the count of distinct IDs ever added.
 	res, err := ix.CountContext(context.Background(), MatchQuery{Fields: []string{"body"}, Text: "symphony"})
 	if err != nil {

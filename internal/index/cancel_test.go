@@ -10,15 +10,19 @@ import (
 )
 
 // midwayCtx reports done from the start but only admits being
-// cancelled from the second Err() call on. SearchContext's entry
-// check (the first Err call) therefore passes, evaluation begins, and
-// the eval loops observe the closed Done channel — a deterministic
-// stand-in for "the context was cancelled after evaluation started",
-// with no timing dependence.
+// cancelled once admit Err() calls have reported nil (zero admits
+// one). SearchContext's entry check (the first Err call) therefore
+// passes, evaluation begins, and the eval loops observe the closed
+// Done channel — a deterministic stand-in for "the context was
+// cancelled after evaluation started", with no timing dependence.
+// onCancel, when set, runs at the first Err call that reports the
+// cancellation.
 type midwayCtx struct {
 	context.Context
-	mu   sync.Mutex
-	errs int
+	admit    int
+	onCancel func()
+	mu       sync.Mutex
+	errs     int
 }
 
 var closedCh = func() chan struct{} {
@@ -33,8 +37,12 @@ func (c *midwayCtx) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.errs++
-	if c.errs == 1 {
+	admit := max(c.admit, 1)
+	if c.errs <= admit {
 		return nil
+	}
+	if c.errs == admit+1 && c.onCancel != nil {
+		c.onCancel()
 	}
 	return context.Canceled
 }
@@ -194,9 +202,6 @@ func TestReshardContextCancelled(t *testing.T) {
 	if got := ix.NumShards(); got != before {
 		t.Fatalf("aborted reshard changed shard count: %d -> %d", before, got)
 	}
-	if ix.Resharding() {
-		t.Fatal("migration still published after aborted reshard")
-	}
 	if err := ix.Add(Document{ID: "after", Fields: map[string]string{"body": "foo"}}); err != nil {
 		t.Fatalf("Add after aborted reshard: %v", err)
 	}
@@ -212,5 +217,84 @@ func TestReshardContextCancelled(t *testing.T) {
 	}
 	if n != 501 {
 		t.Fatalf("Count after reshard = %d; want 501", n)
+	}
+}
+
+// TestReshardCancelledMidRebuild cancels a rebuild at each of the
+// points where it checks ctx in turn — between source shards and
+// inside each source shard's analysis — and checks that every abort
+// leaves the shard count, the fixed count, the ring generation and the
+// answers exactly as before. A writer that arrives while a rebuild
+// holds the write gate completes once the cancelled rebuild returns,
+// and a retry then succeeds.
+func TestReshardCancelledMidRebuild(t *testing.T) {
+	ix := equivCorpus(t, 2)
+	queries := equivQueries()
+	want := make(map[string][]Result, len(queries))
+	for name, q := range queries {
+		want[name] = ix.mustSearch(q, SearchOptions{})
+	}
+	gen, target := ix.RingGen(), ix.target
+
+	// A rebuild that is never cancelled, on an equal index, counts the
+	// Err calls a full rebuild makes; admitting fewer cancels it at
+	// every point, the first source shard's end among them.
+	counter := &midwayCtx{Context: context.Background(), admit: 1 << 30}
+	if err := equivCorpus(t, 2).ReshardContext(counter, 4); err != nil {
+		t.Fatal(err)
+	}
+	calls := counter.errs
+	if calls < 6 {
+		t.Fatalf("a full rebuild made %d ctx checks; want the entry, one per source shard and analysis", calls)
+	}
+	for admit := 1; admit < calls; admit++ {
+		ctx := &midwayCtx{Context: context.Background(), admit: admit}
+		if err := ix.ReshardContext(ctx, 4); !errors.Is(err, context.Canceled) {
+			t.Fatalf("admit %d: ReshardContext = %v; want context.Canceled", admit, err)
+		}
+		if ix.NumShards() != 2 || ix.RingGen() != gen || ix.target != target {
+			t.Fatalf("admit %d: aborted rebuild left shards=%d gen=%d target=%d; want 2, %d, %d",
+				admit, ix.NumShards(), ix.RingGen(), ix.target, gen, target)
+		}
+		for name, q := range queries {
+			mustEqualResults(t, fmt.Sprintf("admit %d %s", admit, name), ix.mustSearch(q, SearchOptions{}), want[name])
+		}
+	}
+
+	// The cancelling Err call runs under the exclusive write gate, so
+	// the writer it starts waits for the aborted rebuild to return.
+	wrote := make(chan error, 1)
+	ctx := &midwayCtx{Context: context.Background(), admit: calls / 2, onCancel: func() {
+		go func() {
+			wrote <- ix.Add(Document{ID: "late", Fields: map[string]string{"body": "zelda latecomer"}})
+		}()
+	}}
+	if err := ix.ReshardContext(ctx, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ReshardContext = %v; want context.Canceled", err)
+	}
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a writer blocked on the write gate never completed after the aborted rebuild")
+	}
+	if got := ix.mustCount(TermQuery{Field: "body", Term: "latecomer"}); got != 1 {
+		t.Fatalf("the late write matched %d documents; want 1", got)
+	}
+
+	if err := ix.ReshardContext(context.Background(), 4); err != nil {
+		t.Fatalf("ReshardContext retry: %v", err)
+	}
+	if ix.NumShards() != 4 || ix.RingGen() != gen+1 || ix.target != 4 {
+		t.Fatalf("retry left shards=%d gen=%d target=%d; want 4, %d, 4", ix.NumShards(), ix.RingGen(), ix.target, gen+1)
+	}
+	fresh := equivCorpus(t, 4)
+	if err := fresh.Add(Document{ID: "late", Fields: map[string]string{"body": "zelda latecomer"}}); err != nil {
+		t.Fatal(err)
+	}
+	for name, q := range queries {
+		mustEqualResults(t, "retry "+name, ix.mustSearch(q, SearchOptions{}), fresh.mustSearch(q, SearchOptions{}))
 	}
 }

@@ -76,7 +76,7 @@ func TestExecutorNoGoroutineLeak(t *testing.T) {
 	settleGoroutines(t, base, 2, "after cancel storm")
 
 	// Reshard during execution: queries keep running against the old
-	// ring while the migration installs the new one.
+	// ring while the rebuild fills the new one.
 	done := make(chan struct{})
 	var qwg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -15,13 +15,13 @@
 // matching the paper's read-heavy hosted execution model where the
 // platform index is the shared hot path for every published app.
 //
-// The shard set itself is a live property: every operation routes
-// through an immutable ring descriptor held behind an atomic pointer,
-// and Reshard (reshard.go) rebuilds the ring toward a new shard count
-// copy-on-write while readers keep using the old one. Restore decodes
-// a snapshot into the layout it was written with and then reshards to
-// the configured count, so durability layout no longer pins runtime
-// parallelism.
+// The shard count belongs to the data: New gives an index WithShards
+// shards, or GOMAXPROCS when none is set, and Restore keeps the count
+// the snapshot was written with unless WithShards fixed another.
+// Every operation routes through an immutable ring descriptor held
+// behind an atomic pointer, so ReshardContext (reshard.go) can rebuild
+// the documents into a new ring through the batch write path and swap
+// it in while readers keep using the old one.
 //
 // BM25 stays globally correct: corpus statistics (live doc count,
 // per-field total lengths, document frequencies) are aggregated across
@@ -77,9 +77,10 @@ type indexConfig struct {
 	autoCompact float64
 }
 
-// WithShards sets the number of shards. Values below 1 are ignored.
-// WithShards(1) reproduces the pre-sharding single-lock behaviour,
-// including exact result ordering and scores.
+// WithShards fixes the number of shards: New builds that many, and
+// Restore reshards a snapshot written with any other count. Values
+// below 1 are ignored. WithShards(1) reproduces the pre-sharding
+// single-lock behaviour, including exact result ordering and scores.
 func WithShards(n int) Option {
 	return func(c *indexConfig) {
 		if n > 0 {
@@ -106,12 +107,13 @@ func WithAutoCompact(ratio float64) Option {
 // (shardFor), fan-out and statistics aggregation for a single
 // operation read one ring, loaded once from the index's atomic
 // pointer, so an operation can never see half of an old layout and
-// half of a new one. Reshard builds a fresh ring and swaps the
+// half of a new one. ReshardContext builds a fresh ring and swaps the
 // pointer; rings are never mutated after publication (shard *contents*
 // keep their own locks — the ring only fixes which shards exist).
 type ring struct {
-	// gen increments on every layout change (Reshard, Restore). It is
-	// the natural invalidation stamp for caches keyed to a layout.
+	// gen increments on every layout change (ReshardContext,
+	// Restore). It is the natural invalidation stamp for caches keyed
+	// to a layout.
 	gen    uint64
 	shards []*shard
 }
@@ -137,28 +139,23 @@ type Index struct {
 	// ring is the current shard layout. Readers load it once per
 	// operation and never block on layout changes.
 	ring atomic.Pointer[ring]
-	// target is the configured shard count (WithShards, defaulting to
-	// GOMAXPROCS). Restore honors it by resharding after decoding a
-	// snapshot written under a different layout; Reshard updates it.
-	// Written only under reshardMu.
+	// target is the fixed shard count: WithShards(n) or the n of the
+	// last completed ReshardContext, 0 when none was set. Restore
+	// reshards a snapshot to it when it is set and keeps the
+	// snapshot's count when it is not. Written only under wgate's
+	// write lock.
 	target int
 	// autoCompact is the per-shard tombstone ratio that triggers
 	// compaction after a delete; 0 disables. Immutable after New.
 	autoCompact float64
 
-	// wgate orders writers against ring swaps: Add, Delete and
-	// SetFieldOptions hold it shared for the whole route-and-apply,
-	// and Reshard's commit holds it exclusively while it replays the
-	// write journal and swaps the ring. Readers never touch it, so
-	// queries stay non-blocking through a migration. The shared
-	// acquisition is a deliberate tax on writers: it is a handful of
-	// atomic ops against the text analysis and shard-map work every
-	// write already does, and it keeps the lost-write argument a
-	// two-line invariant (no writer is mid-apply at swap time) rather
-	// than a route-revalidation retry loop.
+	// wgate orders writers against ring swaps: Add, AddBatchContext,
+	// Delete and SetFieldOptions hold it shared for the whole
+	// route-and-apply, and ReshardContext holds it exclusively for the
+	// whole rebuild, so no write lands on the old ring after its
+	// documents were read, and reshards serialize. Readers never touch
+	// it, so queries keep answering from the old ring until the swap.
 	wgate sync.RWMutex
-	// reshardMu serializes Reshard calls (one migration at a time).
-	reshardMu sync.Mutex
 
 	// earlyExitOff disables the single-cursor block-max loop
 	// (wand.go), so single-list top-k queries (a TermQuery, or a
@@ -172,10 +169,6 @@ type Index struct {
 	// searches — operator-visible proof that early exit is live.
 	scanScored  atomic.Uint64
 	scanSkipped atomic.Uint64
-	// mig, when non-nil, is the active migration. Writers load it
-	// under their shard's write lock and journal every applied op so
-	// the commit replay cannot lose a write. See reshard.go.
-	mig atomic.Pointer[migration]
 
 	// ver counts completed mutations (adds, deletes, compactions,
 	// configuration changes). Together with the ring generation it
@@ -212,20 +205,22 @@ type Index struct {
 }
 
 // New returns an empty index with standard BM25 parameters
-// (k1=1.2, b=0.75) and one shard per available CPU.
+// (k1=1.2, b=0.75) and the WithShards count of shards, or one per
+// available CPU when none is set.
 func New(opts ...Option) *Index {
-	c := indexConfig{shards: runtime.GOMAXPROCS(0)}
+	var c indexConfig
 	for _, opt := range opts {
 		opt(&c)
 	}
-	if c.shards < 1 {
-		c.shards = 1
+	n := c.shards
+	if n == 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
 	ix := &Index{target: c.shards, autoCompact: c.autoCompact}
 	ix.cfg.k1 = 1.2
 	ix.cfg.b = 0.75
 	ix.cfg.fields = make(map[string]FieldOptions)
-	shards := make([]*shard, c.shards)
+	shards := make([]*shard, n)
 	for i := range shards {
 		shards[i] = newShard(ix)
 	}
@@ -234,14 +229,14 @@ func New(opts ...Option) *Index {
 }
 
 // NumShards reports how many shards the index currently has. Unlike
-// the original construction-time property, this is live: Reshard and
-// Restore change it.
+// the original construction-time property, this is live:
+// ReshardContext and Restore change it.
 func (ix *Index) NumShards() int { return len(ix.ring.Load().shards) }
 
 // RingGen reports the current ring generation. It increments on every
-// layout change (Reshard, Restore), so it serves as an invalidation
-// stamp for layout-scoped caches and as operator-visible evidence
-// that a reshard completed.
+// layout change (ReshardContext, Restore), so it serves as an
+// invalidation stamp for layout-scoped caches and as operator-visible
+// evidence that a reshard completed.
 func (ix *Index) RingGen() uint64 { return ix.ring.Load().gen }
 
 // BlockScanStats reports cumulative posting-block activity of the
@@ -271,9 +266,8 @@ func (ix *Index) SetRanker(r Ranker) {
 // be called before documents containing the field are added; changing
 // analyzers after indexing would desynchronize query analysis.
 //
-// It holds the write gate shared so a concurrent Reshard cannot swap
-// the ring mid-update: the registry write below is re-applied to the
-// staging shards at commit, so options land on whichever ring wins.
+// It holds the write gate shared, so it waits out a reshard in
+// progress and its options land on the ring that is current.
 func (ix *Index) SetFieldOptions(field string, opts FieldOptions) {
 	ix.wgate.RLock()
 	defer ix.wgate.RUnlock()
@@ -415,9 +409,8 @@ func (ix *Index) scoringParams() (Ranker, float64, float64) {
 // Add analyzes with a plain Analyze, without AddBatchContext's memo,
 // which makes a loop of Adds the reference a batch is tested against.
 // The write gate (held shared) orders the routing decision against
-// ring swaps: a write routed on the old ring is journaled by the shard
-// (see shard.add) and replayed into the new ring before the swap, so
-// no document is lost to a reshard.
+// ring swaps: an Add waits out a reshard in progress, so no document
+// is lost to one.
 func (ix *Index) Add(doc Document) error {
 	if doc.ID == "" {
 		return fmt.Errorf("index: document has empty ID")
@@ -472,14 +465,29 @@ func (ix *Index) AddBatchContext(ctx context.Context, docs []Document) error {
 			return fmt.Errorf("index: document %d has empty ID", i)
 		}
 	}
+	analyzed, err := ix.analyzeBatch(ctx, docs)
+	if err != nil {
+		return err
+	}
+	// The write gate (held shared, like Add) keeps the ring from
+	// swapping mid-batch.
+	ix.wgate.RLock()
+	ix.applyBatch(ix.ring.Load(), docs, analyzed)
+	ix.wgate.RUnlock()
+	ix.bumpVer()
+	return nil
+}
+
+// analyzeBatch registers the fields of docs and analyzes them: workers
+// claim chunks of document indexes from a shared cursor, and the
+// calling goroutine is one of them. ctx is checked once per chunk, and
+// once more after the join, so a cancelled batch returns ctx.Err() and
+// no analysis. Each worker keeps its own analysis memo and slabs for
+// the length of the batch.
+func (ix *Index) analyzeBatch(ctx context.Context, docs []Document) ([]docTerms, error) {
 	// Register fields before analysis so the workers only take read
 	// locks.
 	ix.ensureFields(docs)
-	// Analysis: workers claim chunks of document indexes from a shared
-	// cursor, and the calling goroutine is one of them. ctx is checked
-	// once per chunk; the check after the join makes a cancelled batch
-	// apply nothing. Each worker keeps its own analysis memo and slabs
-	// for the length of the batch.
 	analyzed := make([]docTerms, len(docs))
 	var cursor atomic.Int64
 	analyze := func() {
@@ -506,19 +514,22 @@ func (ix *Index) AddBatchContext(ctx context.Context, docs []Document) error {
 	analyze()
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
+	return analyzed, nil
+}
 
-	// Apply: group by shard under the write gate (held shared, like
-	// Add) so the routing ring cannot swap mid-batch; each group is
-	// one lock acquisition on its shard, groups run in parallel.
-	ix.wgate.RLock()
-	r := ix.ring.Load()
+// applyBatch adds the analyzed docs to the shards of r: grouped by
+// owning shard, each group under one lock acquisition on its shard,
+// groups in parallel. Within a shard documents apply in slice order.
+// The caller holds the write gate.
+func (ix *Index) applyBatch(r *ring, docs []Document, analyzed []docTerms) {
 	groups := make([][]int, len(r.shards))
 	for i := range docs {
 		si := r.shardIndexFor(docs[i].ID)
 		groups[si] = append(groups[si], i)
 	}
+	var wg sync.WaitGroup
 	for si, idxs := range groups {
 		if len(idxs) == 0 {
 			continue
@@ -530,14 +541,11 @@ func (ix *Index) AddBatchContext(ctx context.Context, docs []Document) error {
 		}(r.shards[si], idxs)
 	}
 	wg.Wait()
-	ix.wgate.RUnlock()
-	ix.bumpVer()
-	return nil
 }
 
 // Delete removes the document with the given ID. It reports whether a
-// document was removed. Like Add, it holds the write gate shared so
-// the delete is journaled and replayed across an in-flight reshard.
+// document was removed. Like Add, it holds the write gate shared, so
+// it waits out a reshard in progress.
 func (ix *Index) Delete(id string) bool {
 	ix.wgate.RLock()
 	deleted := ix.ring.Load().shardFor(id).delete(id)

@@ -35,8 +35,8 @@ import (
 //     written tenant keeps almost all of its index off-heap.
 //
 // Only compaction folds the base into the heap (materializeAllLocked);
-// a reshard migration reads through the accessors into new heap
-// shards. The v3 encoder writes a clean shard's payload verbatim and
+// a reshard reads each live document through the accessors and
+// rebuilds it into new heap shards. The v3 encoder writes a clean shard's payload verbatim and
 // a written one by copying the surviving base doc entries and
 // still-mapped term entries verbatim around the overlay — the same
 // bytes a decode of everything followed by a fresh encode produces.

@@ -340,8 +340,10 @@ func eachShard(r *ring, fn func(i int, s *shard)) {
 	fanOut(len(r.shards), func(i int) { fn(i, r.shards[i]) })
 }
 
-// fanOut runs fn for 0..n-1, in parallel goroutines when n > 1. It is
-// the common fan-out for query evaluation and snapshot encode/decode.
+// fanOut runs fn for 0..n-1, in parallel goroutines when n > 1: the
+// fan-out of per-shard maintenance (eachShard) and of restore's shard
+// attach. Query evaluation runs on the shared executor (runShards in
+// executor.go) instead.
 func fanOut(n int, fn func(i int)) {
 	if n == 1 {
 		fn(0)

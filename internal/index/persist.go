@@ -334,11 +334,12 @@ func (ix *Index) Snapshot(w io.Writer) error {
 // frameio.ErrUnsupportedFormat.
 //
 // Shards restore in the layout they were written with (document
-// routing hashes by ID mod shard count), and the index then reshards
-// to its configured count (WithShards, default GOMAXPROCS) when the
-// two differ, moving every document onto the heap. A checkpoint taken
-// on a 4-core box therefore restores to full fan-out on a 64-core one,
-// with rankings bit-identical to a fresh build at the configured count.
+// routing hashes by ID mod shard count): the shard count belongs to
+// the data, so a checkpoint boots fully mapped on any host. Only an
+// index whose count was fixed (WithShards, or a completed
+// ReshardContext) reshards a snapshot written with another count,
+// which moves every document onto the heap, with rankings
+// bit-identical to a fresh build at the fixed count.
 //
 // Frame checksums are verified and every shard is attached before
 // anything is installed, so a truncated or corrupt snapshot
@@ -420,10 +421,7 @@ func (ix *Index) Restore(data []byte) error {
 	ix.invalidateAnalysis()
 	old := ix.ring.Load()
 	ix.ring.Store(&ring{gen: old.gen + 1, shards: shards})
-	// Durability layout is decoupled from runtime parallelism. The
-	// index is quiesced here (Restore's contract), so the reshard's
-	// journal stays empty and this is a pure rehash.
-	if hdr.Shards != ix.target {
+	if ix.target > 0 && hdr.Shards != ix.target {
 		return ix.ReshardContext(context.Background(), ix.target)
 	}
 	return nil

@@ -87,7 +87,7 @@ type SearchOptions struct {
 // its own goroutine and the ranked partials are k-way merged. Ties
 // break on ascending ID, so ordering is deterministic for any shard
 // count. The ring is loaded once, so statistics and evaluation see
-// one consistent shard layout even while a Reshard is migrating.
+// one consistent shard layout even while a reshard rebuilds.
 //
 // Cancelling ctx stops evaluation within one posting block per shard
 // and returns ctx.Err(); partial results are discarded, never

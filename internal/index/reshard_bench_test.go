@@ -7,13 +7,14 @@ import (
 	"time"
 )
 
-// BenchmarkReshard measures the two costs of an online shard
-// migration over the 12k-doc Zipf corpus shared with BenchmarkQuery:
-// migration throughput (docs moved per second, the operator-facing
-// cost model) and query latency while a reshard is in flight (the
-// reader-side guarantee: non-blocking, so p50 should stay close to
-// the steady-state BenchmarkQuery numbers). CI uploads each run as
-// the bench-reshard artifact, next to the BenchmarkQuery family.
+// BenchmarkReshard measures the two costs of a reshard, a rebuild of
+// every live document through the batch write path, over the 12k-doc
+// Zipf corpus shared with BenchmarkQuery: rebuild throughput (docs
+// moved per second, the operator-facing cost model; writers wait for
+// the whole rebuild) and query latency while a rebuild runs (the
+// reader-side guarantee: readers never wait, so p50 should stay close
+// to the steady-state numbers). CI uploads each run as the
+// bench-reshard artifact, next to the BenchmarkQuery family.
 func BenchmarkReshard(b *testing.B) {
 	b.Run("migrate-2to4", func(b *testing.B) {
 		ix := New(WithShards(2))
@@ -33,7 +34,7 @@ func BenchmarkReshard(b *testing.B) {
 		b.ReportMetric(float64(queryBenchDocs)*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
 	})
 
-	// query-during-reshard: search latency while a migration loop runs
+	// query-during-reshard: search latency while a reshard loop runs
 	// in the background. ns/op is the mean; the p50-ns metric is the
 	// median of per-op wall times, the number an operator would watch
 	// on a latency dashboard during a reshard.
@@ -80,7 +81,7 @@ func BenchmarkReshard(b *testing.B) {
 		b.ReportMetric(float64(cycles), "reshards")
 	})
 
-	// query-steady: the same query with no migration running, built at
+	// query-steady: the same query with no reshard running, built at
 	// the same shard count, as the in-flight comparison baseline.
 	b.Run("query-steady", func(b *testing.B) {
 		ix := New(WithShards(2))

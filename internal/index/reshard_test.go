@@ -253,7 +253,7 @@ func TestReshardTorture(t *testing.T) {
 	wg.Wait()
 
 	// Quiesced: rebuild from the survivors and require float-equal
-	// rankings — the journal replay must have converged exactly.
+	// rankings — no write may be lost or doubled by a ring swap.
 	fresh := New(WithShards(ix.NumShards()))
 	fresh.SetFieldOptions("title", FieldOptions{Boost: 2})
 	n := 0
@@ -295,7 +295,7 @@ func mustAdd(t *testing.T, ix *Index, i, rev int) {
 	}
 }
 
-// TestReshardPreservesTombstoneFreeState: migration copies only live
+// TestReshardPreservesTombstoneFreeState: a rebuild copies only live
 // documents, so a reshard implicitly compacts.
 func TestReshardPreservesTombstoneFreeState(t *testing.T) {
 	ix := New(WithShards(2))

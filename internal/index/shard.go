@@ -136,48 +136,23 @@ func (s *shard) fieldForLocked(field string) *fieldPostings {
 }
 
 // add inserts doc using per-field tokens analyzed by the caller
-// outside the write lock. While a migration is active, the applied op
-// is journaled under this shard's write lock, so journal order agrees
-// with apply order for any single document ID (same ID, same shard,
-// same lock) and the commit replay converges on the same final state.
-// The migration pointer is loaded inside the lock: if this add ran
-// after the migration's copy pass visited the shard, the load is
-// guaranteed to observe the active migration and journal the op.
+// outside the write lock.
 func (s *shard) add(doc Document, analyzed docTerms) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.addLocked(doc, analyzed)
-	if m := s.ix.mig.Load(); m != nil {
-		m.journalAdd(doc, analyzed)
-	}
 }
 
 // addBatch applies the shard's slice of a batched Add under a single
 // write-lock acquisition: idxs selects this shard's documents from
 // docs, in slice order, so the result is identical to one add() per
-// document without paying one lock round trip each. The migration
-// pointer is loaded once inside the lock — the copy pass cannot
-// visit mid-batch (it needs this same lock), so journaling the whole
-// batch against one observation is sound.
+// document without paying one lock round trip each.
 func (s *shard) addBatch(docs []Document, analyzed []docTerms, idxs []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.ix.mig.Load()
 	for _, i := range idxs {
 		s.addLocked(docs[i], analyzed[i])
-		if m != nil {
-			m.journalAdd(docs[i], analyzed[i])
-		}
 	}
-}
-
-// addStaging is add without the journal hook, for migration staging
-// shards and journal replay — both feed the ring being built, which
-// must not journal into itself.
-func (s *shard) addStaging(doc Document, analyzed docTerms) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.addLocked(doc, analyzed)
 }
 
 // addLocked inserts doc under an already-held write lock. Ordinals
@@ -218,23 +193,7 @@ func (s *shard) addLocked(doc Document, analyzed docTerms) {
 func (s *shard) delete(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.deleteByIDLocked(id) {
-		return false
-	}
-	// A delete of a document this shard never held is a no-op on both
-	// rings, so only applied deletes are journaled.
-	if m := s.ix.mig.Load(); m != nil {
-		m.journalDelete(id)
-	}
-	return true
-}
-
-// deleteStaging is delete without the journal hook, for replay into
-// migration staging shards.
-func (s *shard) deleteStaging(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.deleteByIDLocked(id)
+	return s.deleteByIDLocked(id)
 }
 
 func (s *shard) deleteByIDLocked(id string) bool {

@@ -57,8 +57,9 @@ func (d *Dataset) setQuotaCheck(usage func() int, quota int) {
 }
 
 // newDataset builds a dataset whose index has shardTarget shards
-// (0 = the index default, one per CPU) and, when cache is non-nil,
-// participates in the shared cross-request cache.
+// fixed, or the index default when shardTarget is 0 (one per CPU for
+// a new index; a restored snapshot keeps its own count), and, when
+// cache is non-nil, participates in the shared cross-request cache.
 func newDataset(schema Schema, shardTarget int, cache *index.Cache) *Dataset {
 	var ix *index.Index
 	if shardTarget > 0 {
@@ -340,22 +341,24 @@ func (d *Dataset) Version() uint64 {
 	return d.ver
 }
 
-// Reshard rebuilds the dataset's full-text index to n shards online,
-// taking only this dataset's locks: reads proceed throughout, writes
-// proceed except on the index shard currently being copied and
-// during the final journal-replay window (see index.Reshard), and
-// every other dataset is untouched. The version is bumped on both sides
-// of the ring swap so a checkpoint frame encoded concurrently with
-// the migration can never be cached as current. No-op and invalid
-// reshards skip the bumps: they change nothing, so they must not
-// dirty the dataset for incremental checkpoints.
+// ReshardContext rebuilds the dataset's full-text index to n shards,
+// taking only this dataset's locks: index reads proceed throughout,
+// index writes wait for the whole rebuild (see index.ReshardContext),
+// and every other dataset is untouched. Put and the batched upload
+// path hold d.mu while they call the index, so store reads of a
+// dataset that is written during a reshard stall behind that writer
+// too; no served path reshards a live dataset. The version is bumped
+// on both sides of the ring swap so a checkpoint frame encoded
+// concurrently with the rebuild can never be cached as current. No-op
+// and invalid reshards skip the bumps: they change nothing, so they
+// must not dirty the dataset for incremental checkpoints.
 func (d *Dataset) ReshardContext(ctx context.Context, n int) error {
 	if n < 1 || n == d.ix.NumShards() {
 		return d.ix.ReshardContext(ctx, n) // validates / no-ops without dirtying
 	}
 	d.bumpVersion()
 	if err := d.ix.ReshardContext(ctx, n); err != nil {
-		// Both aborted and failed migrations leave the live ring
+		// Both aborted and failed rebuilds leave the live ring
 		// unchanged, but the version already moved; the extra bump
 		// just re-encodes one frame on the next checkpoint.
 		return err
@@ -384,10 +387,6 @@ func (d *Dataset) ScanStats() index.BlockScanStats { return d.ix.ScanStats() }
 // TombstoneRatio reports the dataset index's uncompacted tombstone
 // fraction.
 func (d *Dataset) TombstoneRatio() float64 { return d.ix.TombstoneRatio() }
-
-// Resharding reports whether a shard migration is in flight on the
-// dataset's index.
-func (d *Dataset) Resharding() bool { return d.ix.Resharding() }
 
 // Len returns the record count.
 func (d *Dataset) Len() int {

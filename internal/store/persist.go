@@ -358,9 +358,10 @@ func (ref datasetRef) encodeFrame(cache *FrameCache) ([]byte, error) {
 // and index payloads become the immutable base under a heap overlay
 // (mapped.go), so data — typically an mmapio mapping of the checkpoint
 // file — must stay valid and unmodified for the life of the store.
-// Each dataset's index reshards to the store's shard target when the
-// snapshot was written under another count, which moves that index
-// onto the heap. A v1 or v2 snapshot fails with
+// Each dataset keeps the shard count its snapshot was written with,
+// unless the store fixes one (WithShardTarget) and the two differ:
+// then the index reshards to it, which moves that index onto the
+// heap. A v1 or v2 snapshot fails with
 // frameio.ErrUnsupportedFormat.
 //
 // Frame checksums are verified during the walk, so a truncated or
@@ -512,9 +513,9 @@ func parseFramedHeader(hdrBytes []byte) (map[string]*tenant, []frameExpect, erro
 	return tenants, expects, nil
 }
 
-// decodeFrame rebuilds one dataset from a v3 frame, its index
-// resharded to the store's configured target, so checkpoint layout
-// never caps query fan-out on the restoring machine. The frame's
+// decodeFrame rebuilds one dataset from a v3 frame, its index at the
+// shard count the frame was written with, or resharded to the store's
+// fixed target when it has one and the counts differ. The frame's
 // record section and index attach as views over the frame's bytes:
 // records and postings stay the base under a heap overlay, and
 // records are not validated one by one — the frame checksum already

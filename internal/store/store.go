@@ -47,9 +47,10 @@ type tenant struct {
 type Store struct {
 	mu      sync.RWMutex
 	tenants map[string]*tenant
-	// shardTarget is the index shard count for datasets (0 = one per
-	// CPU). Restores honor it too: a snapshot written under another
-	// layout reshards to this target on load.
+	// shardTarget, when non-zero, fixes the index shard count for
+	// datasets: new ones get it, and restore and log replay reshard a
+	// snapshot written under another count to it. 0 (auto) gives a new
+	// dataset one shard per CPU and keeps a restored one's count.
 	shardTarget int
 	// cache, when non-nil, is attached to every dataset index the
 	// store creates or restores; each gets its own key namespace.
@@ -62,9 +63,11 @@ type Store struct {
 // Option configures a Store at construction time.
 type Option func(*Store)
 
-// WithShardTarget sets the full-text index shard count for every
-// dataset the store creates or restores (0 = auto, one per CPU).
-// Individual datasets can still be resharded online afterwards.
+// WithShardTarget fixes the full-text index shard count for every
+// dataset the store creates or restores. 0 (auto, the default) gives a
+// new dataset one shard per CPU and keeps the count a restored dataset
+// was written with. Individual datasets can still be resharded with
+// ReshardContext afterwards.
 func WithShardTarget(n int) Option {
 	return func(s *Store) {
 		if n >= 0 {
@@ -306,10 +309,11 @@ func (s *Store) Tenants() []string {
 }
 
 // ReshardContext rebuilds one dataset's full-text index to n shards
-// online. Access is checked at write level; the migration itself
-// takes only that dataset's locks, so every other tenant and dataset
-// is untouched while it runs. Cancelling ctx aborts the migration
-// between shard copies, leaving the live index unchanged.
+// (see index.ReshardContext) and fixes n as its count. Access is
+// checked at write level; the rebuild takes only that dataset's
+// locks, so every other tenant and dataset is untouched while it
+// runs. Cancelling ctx aborts the rebuild, leaving the live index
+// unchanged.
 func (s *Store) ReshardContext(ctx context.Context, tenantID, actor, name string, n int) error {
 	ds, err := s.DatasetContext(ctx, tenantID, actor, name, PermWrite)
 	if err != nil {
@@ -333,10 +337,10 @@ func (s *Store) AddBatchContext(ctx context.Context, tenantID, actor, name strin
 
 // DatasetStatus is the operator-facing view of one dataset's index
 // layout: shard count, ring generation (increments per completed
-// reshard), tombstone ratio, whether a migration is in flight, and
-// the block-max evaluator's cumulative posting counters (decoded vs
-// jumped without decoding — operator-visible proof early exit is
-// engaging on this dataset's traffic).
+// reshard), tombstone ratio, and the block-max evaluator's cumulative
+// posting counters (decoded vs jumped without decoding —
+// operator-visible proof early exit is engaging on this dataset's
+// traffic).
 type DatasetStatus struct {
 	Tenant          string  `json:"tenant"`
 	Dataset         string  `json:"dataset"`
@@ -344,7 +348,6 @@ type DatasetStatus struct {
 	Shards          int     `json:"shards"`
 	RingGen         uint64  `json:"ringGen"`
 	TombstoneRatio  float64 `json:"tombstoneRatio"`
-	Resharding      bool    `json:"resharding,omitempty"`
 	PostingsScored  uint64  `json:"postingsScored"`
 	PostingsSkipped uint64  `json:"postingsSkipped"`
 	// Residency counters for restored datasets: index shards and bytes
@@ -395,7 +398,6 @@ func (s *Store) Status() []DatasetStatus {
 			Shards:          r.ds.NumShards(),
 			RingGen:         r.ds.RingGen(),
 			TombstoneRatio:  r.ds.TombstoneRatio(),
-			Resharding:      r.ds.Resharding(),
 			PostingsScored:  scan.Scored,
 			PostingsSkipped: scan.Skipped,
 
