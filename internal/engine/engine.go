@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -167,12 +168,16 @@ func (e *Engine) index(v webcorpus.Vertical) *index.Index {
 					"body":  p.Body,
 					"site":  p.Site,
 				},
+				// The index keeps no field text, so snippets are cut
+				// from Stored's body: the page's own string, shared,
+				// not copied.
 				Stored: map[string]string{
 					"url":    p.URL,
 					"site":   p.Site,
 					"title":  p.Title,
 					"entity": p.Entity,
 					"day":    strconv.Itoa(p.PublishedDay),
+					"body":   p.Body,
 				},
 			})
 		}
@@ -326,8 +331,14 @@ func (e *Engine) Query(ctx context.Context, req Request) (Response, error) {
 	}
 	// Over-fetch so quality/preference reordering has candidates. The
 	// candidate pool depends only on limit+offset so that paginated
-	// requests reorder a consistent set.
-	raw, err := ix.SearchContext(ctx, q, index.SearchOptions{Limit: (limit + req.Offset) * 3, SnippetField: "body"})
+	// requests reorder a consistent set. The arithmetic saturates at
+	// math.MaxInt: an offset near it must not wrap to a non-positive
+	// limit, which means no limit at all.
+	fetch := math.MaxInt
+	if n := limit + req.Offset; req.Offset <= math.MaxInt-limit && n <= math.MaxInt/3 {
+		fetch = n * 3
+	}
+	raw, err := ix.SearchContext(ctx, q, index.SearchOptions{Limit: fetch, SnippetField: "body"})
 	if err != nil {
 		return Response{}, err
 	}

@@ -107,7 +107,7 @@ func referenceEngine(t *testing.T, c *webcorpus.Corpus) *Engine {
 					Fields: map[string]string{"title": p.Title, "body": p.Body, "site": p.Site},
 					Stored: map[string]string{
 						"url": p.URL, "site": p.Site, "title": p.Title, "entity": p.Entity,
-						"day": strconv.Itoa(p.PublishedDay),
+						"day": strconv.Itoa(p.PublishedDay), "body": p.Body,
 					},
 				}
 				if err := vt.ix.Add(doc); err != nil {

@@ -222,3 +222,21 @@ func TestConcurrentQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryOffsetAtMaxInt: the largest offset the host accepts reaches
+// past every hit. The limit it adds to saturates instead of wrapping
+// to a non-positive one (which would mean no limit), so the answer is
+// a 200 with an empty page.
+func TestQueryOffsetAtMaxInt(t *testing.T) {
+	_, srv := newServer(t)
+	const emptyBlock = `<div class="sym-source" data-source="web"></div>`
+	for offset, wantEmpty := range map[string]bool{"0": false, "9223372036854775807": true} {
+		code, body := get(t, srv.Client(), srv.URL+"/query?app=websearch&q=review&offset="+offset)
+		if code != http.StatusOK {
+			t.Fatalf("offset %s: status = %d %.200s", offset, code, body)
+		}
+		if got := strings.Contains(body, emptyBlock); got != wantEmpty {
+			t.Fatalf("offset %s: empty page %v, want %v: %.300s", offset, got, wantEmpty, body)
+		}
+	}
+}

@@ -20,18 +20,19 @@ type fieldTerms struct {
 	ids, ends, pos []int32
 }
 
-// docTerms is one analyzed document: an entry per field. A field of
-// the document with no entry has no tokens.
+// docTerms is one analyzed document: an entry per field it carries,
+// an empty one for a field with no tokens. It is all a shard reads of
+// a document's fields: the text itself is dropped once analyzed.
 type docTerms []fieldTerms
 
-// lookup returns field's entry; a field with none reads as empty.
-func (d docTerms) lookup(field string) fieldTerms {
-	for _, ft := range d {
-		if ft.field == field {
-			return ft
+// entry returns field's entry, nil when the document has none.
+func (d docTerms) entry(field string) *fieldTerms {
+	for i := range d {
+		if d[i].field == field {
+			return &d[i]
 		}
 	}
-	return fieldTerms{}
+	return nil
 }
 
 // batchAnalyzer is the analysis state of one AddBatchContext worker

@@ -16,6 +16,17 @@ type binWriter struct{ buf []byte }
 
 func (w *binWriter) uvarint(x int) { w.buf = binary.AppendUvarint(w.buf, uint64(x)) }
 func (w *binWriter) str(s string)  { w.uvarint(len(s)); w.buf = append(w.buf, s...) }
+
+// fieldNames writes sorted names in strmap's layout with every value
+// empty: a doc entry's Fields.
+func (w *binWriter) fieldNames(names []string) {
+	w.uvarint(len(names))
+	for _, k := range names {
+		w.str(k)
+		w.uvarint(0)
+	}
+}
+
 func (w *binWriter) strmap(m map[string]string) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -102,9 +113,11 @@ func (r *binReader) bytes() ([]byte, error) {
 	return b, nil
 }
 
+// strmap decodes a map; an empty one decodes to nil, allocating
+// nothing.
 func (r *binReader) strmap() (map[string]string, error) {
 	n, err := r.count()
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
 	}
 	m := make(map[string]string, n)

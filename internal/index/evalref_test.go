@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -27,11 +28,11 @@ func refSearch(ix *Index, q Query, opts SearchOptions) []Result {
 	if opts.Limit > 0 {
 		want = opts.Offset + opts.Limit
 	}
-	parts := make([][]shardHit, len(r.shards))
+	parts := make([][]Result, len(r.shards))
 	eachShard(r, func(i int, s *shard) {
 		parts[i] = refSearchShard(s, q, st, want)
 	})
-	merged := mergeHits(r.shards, parts, want)
+	merged := mergeHits(parts, want)
 	if opts.Offset > 0 {
 		if opts.Offset >= len(merged) {
 			return nil
@@ -41,11 +42,7 @@ func refSearch(ix *Index, q Query, opts SearchOptions) []Result {
 	if opts.Limit > 0 && len(merged) > opts.Limit {
 		merged = merged[:opts.Limit]
 	}
-	hits := make([]Result, len(merged))
-	for i, m := range merged {
-		hits[i] = m.res
-	}
-	return hits
+	return slices.Clone(merged)
 }
 
 func refCount(ix *Index, q Query) int {
@@ -94,23 +91,23 @@ func refFacets(ix *Index, q Query, field string) []FacetCount {
 
 // refSearchShard is the old shard.search: score everything, sort
 // everything, truncate.
-func refSearchShard(s *shard, q Query, st *searchStats, cap int) []shardHit {
+func refSearchShard(s *shard, q Query, st *searchStats, cap int) []Result {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	scores := refEval(q, s, st)
-	hits := make([]shardHit, 0, len(scores))
+	hits := make([]Result, 0, len(scores))
 	for ord, score := range scores {
 		doc := s.docAt(ord)
 		if doc.ID == "" {
 			continue
 		}
-		hits = append(hits, shardHit{ord: ord, res: Result{ID: doc.ID, Score: score, Stored: doc.Stored}})
+		hits = append(hits, Result{ID: doc.ID, Score: score, Stored: doc.Stored})
 	}
 	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].res.Score != hits[j].res.Score {
-			return hits[i].res.Score > hits[j].res.Score
+		if hits[i].Score != hits[j].Score {
+			return hits[i].Score > hits[j].Score
 		}
-		return hits[i].res.ID < hits[j].res.ID
+		return hits[i].ID < hits[j].ID
 	})
 	if cap > 0 && len(hits) > cap {
 		hits = hits[:cap]

@@ -41,9 +41,12 @@ import (
 	"repro/internal/textproc"
 )
 
-// Document is the unit of indexing. Fields holds the analyzed,
-// searchable text per field; Stored holds values returned verbatim
-// with results (display fields, URLs, prices).
+// Document is the unit of indexing. Fields holds the searchable text
+// per field: the index analyzes it, then drops it, keeping only the
+// postings and the names of the fields the document carried. Stored
+// holds what hits and snippets return verbatim (display fields, URLs,
+// prices, and the text of a field snippets are cut from); the index
+// keeps the map, shared, not copied. Neither map is written to.
 type Document struct {
 	ID     string
 	Fields map[string]string
@@ -603,7 +606,8 @@ func (ix *Index) Len() int {
 	return n
 }
 
-// Get returns the stored document for id.
+// Get returns the document stored under id: its ID and Stored map.
+// Its Fields is nil, because the index keeps no field text.
 func (ix *Index) Get(id string) (Document, bool) {
 	return ix.ring.Load().shardFor(id).get(id)
 }

@@ -21,6 +21,10 @@ func sampleIndex(t testing.TB) *Index {
 		{ID: "g3", Fields: map[string]string{"title": "Gears of War", "desc": "A shooter game with cover mechanics"}, Stored: map[string]string{"title": "Gears of War", "producer": "Epic"}},
 		{ID: "g4", Fields: map[string]string{"title": "Zelda Spirit Tracks", "desc": "A handheld adventure game in the Zelda series"}, Stored: map[string]string{"title": "Zelda Spirit Tracks", "producer": "Nintendo"}},
 	}
+	// Snippets are cut from Stored: the index keeps no field text.
+	for i := range docs {
+		docs[i].Stored["desc"] = docs[i].Fields["desc"]
+	}
 	if err := ix.AddBatch(docs); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +292,8 @@ func TestSnippetHighlights(t *testing.T) {
 
 func TestSnippetStemmedHighlight(t *testing.T) {
 	ix := New()
-	ix.Add(Document{ID: "d", Fields: map[string]string{"body": "Latest reviews from critics"}})
+	body := "Latest reviews from critics"
+	ix.Add(Document{ID: "d", Fields: map[string]string{"body": body}, Stored: map[string]string{"body": body}})
 	rs := ix.mustSearch(MatchQuery{Text: "review"}, SearchOptions{SnippetField: "body"})
 	if len(rs) != 1 || !strings.Contains(rs[0].Snippet, "<b>reviews</b>") {
 		t.Fatalf("stemmed highlight missing: %#v", rs)

@@ -35,10 +35,10 @@ import (
 //     written tenant keeps almost all of its index off-heap.
 //
 // Only compaction folds the base into the heap (materializeAllLocked);
-// a reshard reads each live document through the accessors and
-// rebuilds it into new heap shards. The v3 encoder writes a clean shard's payload verbatim and
-// a written one by copying the surviving base doc entries and
-// still-mapped term entries verbatim around the overlay — the same
+// a reshard regroups each source shard's postings, mapped or not, into
+// new heap shards. The v3 encoder writes a clean shard's payload
+// verbatim and a written one by copying the surviving base doc entries
+// and still-mapped term entries verbatim around the overlay — the same
 // bytes a decode of everything followed by a fresh encode produces.
 //
 // View slices are cap-clamped (buf[a:b:b]), so an append through a
@@ -56,7 +56,11 @@ import (
 //	header: 8 x u64 LE
 //	  [0] nDocs  [1] live  [2] dead  [3] nFields
 //	  [4] docDirOff  [5] idSortedOff  [6] fieldDirOff  [7] reserved
-//	doc entries: per live doc: str ID, strmap Fields, strmap Stored
+//	doc entries: per live doc: str ID, strmap Fields, strmap Stored;
+//	  Fields names the fields the document carried, every value
+//	  written empty: the index keeps no field text. (Values are
+//	  skipped, never read, so an entry with text in them still
+//	  attaches, and a verbatim copy of it keeps the text.)
 //	docDir   at docDirOff:   nDocs x u64 entry offset (^0 = tombstone)
 //	idSorted at idSortedOff: live x u32 ordinals sorted by doc ID
 //	fieldDir at fieldDirOff: nFields x u64 field section offset
@@ -573,34 +577,64 @@ func (ms *mappedShard) idBytesAt(ix *Index, ord int) []byte {
 	return id
 }
 
-// docEntryAt decodes the doc entry at base ordinal ord; ok=false for
-// tombstones and corrupt entries. The returned Document's maps are
-// freshly decoded — a per-call allocation, so callers on hot paths
-// should only reach it for actual hits.
-func (ms *mappedShard) docEntryAt(ix *Index, ord int) (Document, bool) {
+// docEntryAt decodes the doc entry at base ordinal ord into a row;
+// ok=false for tombstones and corrupt entries.
+func (ms *mappedShard) docEntryAt(ix *Index, ord int) (docRow, bool) {
+	return ms.rowAt(ix, ord, nil)
+}
+
+// rowAt is docEntryAt for a walk over many entries: the row shares
+// prev as its field names when the entry names the same fields, so a
+// run of documents carrying one set of fields decodes them once. The
+// ID and Stored map are freshly decoded, a per-call allocation.
+func (ms *mappedShard) rowAt(ix *Index, ord int, prev []string) (docRow, bool) {
 	br, ok := ms.entryAt(ix, ord)
 	if !ok {
-		return Document{}, false
+		return docRow{}, false
 	}
-	doc := Document{}
+	fail := func() (docRow, bool) {
+		ix.lazyErr()
+		return docRow{}, false
+	}
+	var row docRow
 	var err error
-	if doc.ID, err = br.str(); err != nil || doc.ID == "" {
-		ix.lazyErr()
-		return Document{}, false
+	if row.ID, err = br.str(); err != nil || row.ID == "" {
+		return fail()
 	}
-	if doc.Fields, err = br.strmap(); err != nil {
-		ix.lazyErr()
-		return Document{}, false
+	n, err := br.count()
+	if err != nil {
+		return fail()
 	}
-	if doc.Stored, err = br.strmap(); err != nil {
-		ix.lazyErr()
-		return Document{}, false
+	same := n == len(prev)
+	for i := range n {
+		k, err := br.bytes()
+		if err == nil {
+			_, err = br.bytes()
+		}
+		if err != nil {
+			return fail()
+		}
+		if same && string(k) == prev[i] {
+			continue
+		}
+		if same {
+			same = false
+			row.Fields = append(make([]string, 0, n), prev[:i]...)
+		}
+		row.Fields = append(row.Fields, string(k))
 	}
-	return doc, true
+	if same {
+		row.Fields = prev[:n:n]
+	}
+	if row.Stored, err = br.strmap(); err != nil {
+		return fail()
+	}
+	return row, true
 }
 
 // hitAt decodes what a search result needs from base ordinal ord's
 // entry — the ID and the Stored map — stepping over Fields in place.
+// An empty Stored map decodes to nil without allocating.
 func (ms *mappedShard) hitAt(ix *Index, ord int) (string, map[string]string) {
 	br, ok := ms.entryAt(ix, ord)
 	if !ok {
@@ -729,24 +763,24 @@ func (s *shard) idAfter(ord int, id string) bool {
 	return string(s.ms.idBytesAt(s.ix, ord)) > id
 }
 
-// docAt returns the document at ord (zero Document for tombstones).
-func (s *shard) docAt(ord int) Document {
+// docAt returns the row at ord (the zero row for tombstones).
+func (s *shard) docAt(ord int) docRow {
 	if ord >= s.base {
 		return s.docs[ord-s.base]
 	}
 	if !s.ms.liveAt(ord) {
-		return Document{}
+		return docRow{}
 	}
-	doc, _ := s.ms.docEntryAt(s.ix, ord)
-	return doc
+	row, _ := s.ms.docEntryAt(s.ix, ord)
+	return row
 }
 
 // hitAt returns the ID and Stored map of the document at ord ("" and
 // nil for tombstones), without decoding a base entry's Fields.
 func (s *shard) hitAt(ord int) (string, map[string]string) {
 	if ord >= s.base {
-		doc := &s.docs[ord-s.base]
-		return doc.ID, doc.Stored
+		row := &s.docs[ord-s.base]
+		return row.ID, row.Stored
 	}
 	if !s.ms.liveAt(ord) {
 		return "", nil
@@ -807,17 +841,19 @@ func (s *shard) materializeAllLocked() {
 // becomes empty. Corrupt entries — unreachable after the frame CRC —
 // are counted and land as tombstones.
 func (s *shard) materializeDocsLocked() {
-	docs := make([]Document, s.base, s.base+len(s.docs))
+	docs := make([]docRow, s.base, s.base+len(s.docs))
 	if len(s.byID) == 0 {
 		s.byID = make(map[string]int, s.live)
 	}
+	var prev []string
 	for ord := range s.base {
 		if !s.ms.liveAt(ord) {
 			continue
 		}
-		if doc, ok := s.ms.docEntryAt(s.ix, ord); ok {
-			docs[ord] = doc
-			s.byID[doc.ID] = ord
+		if row, ok := s.ms.rowAt(s.ix, ord, prev); ok {
+			docs[ord] = row
+			s.byID[row.ID] = ord
+			prev = row.Fields
 		}
 	}
 	s.docs = append(docs, s.docs...)

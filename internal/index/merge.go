@@ -360,21 +360,13 @@ func fanOut(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// mergedHit pairs a result with the shard and ordinal it came from so
-// snippet generation can find the source text after the merge.
-type mergedHit struct {
-	s   *shard
-	ord int
-	res Result
-}
-
 // mergeHits k-way merges per-shard hit lists (each already sorted by
 // score desc, ID asc) into one globally ordered list. When cap > 0 the
 // merge stops after cap hits. Shard counts are small, so a linear scan
 // for the best head beats heap bookkeeping.
 // The returned slice comes from a pool; callers release it with
 // mergedPool.put when the request's results have been copied out.
-func mergeHits(shards []*shard, parts [][]shardHit, cap int) []mergedHit {
+func mergeHits(parts [][]Result, cap int) []Result {
 	total := 0
 	for _, p := range parts {
 		total += len(p)
@@ -396,8 +388,8 @@ func mergeHits(shards []*shard, parts [][]shardHit, cap int) []mergedHit {
 				best = i
 				continue
 			}
-			b := parts[best][heads[best]].res
-			c := p[h].res
+			b := &parts[best][heads[best]]
+			c := &p[h]
 			if c.Score > b.Score || (c.Score == b.Score && c.ID < b.ID) {
 				best = i
 			}
@@ -405,9 +397,8 @@ func mergeHits(shards []*shard, parts [][]shardHit, cap int) []mergedHit {
 		if best < 0 {
 			break
 		}
-		hit := parts[best][heads[best]]
+		out = append(out, parts[best][heads[best]])
 		heads[best]++
-		out = append(out, mergedHit{s: shards[best], ord: hit.ord, res: hit.res})
 	}
 	return out
 }

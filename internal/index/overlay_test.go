@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -18,7 +19,7 @@ func snapshotV3Ref(s *shard) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	nDocs := s.numDocs()
-	docs := make([]Document, nDocs)
+	docs := make([]docRow, nDocs)
 	for ord := range docs {
 		docs[ord] = s.docAt(ord)
 	}
@@ -37,7 +38,11 @@ func snapshotV3Ref(s *shard) []byte {
 		}
 		docOff[ord] = uint64(len(bw.buf))
 		bw.str(doc.ID)
-		bw.strmap(doc.Fields)
+		fields := make(map[string]string, len(doc.Fields))
+		for _, name := range doc.Fields {
+			fields[name] = ""
+		}
+		bw.strmap(fields)
 		bw.strmap(doc.Stored)
 		byID = append(byID, idOrd{doc.ID, ord})
 	}
@@ -65,7 +70,7 @@ func snapshotV3Ref(s *shard) []byte {
 		bw.uvarint(fp.minLen)
 		var ords []int
 		for ord, doc := range docs {
-			if _, ok := doc.Fields[name]; ok && doc.ID != "" {
+			if slices.Contains(doc.Fields, name) && doc.ID != "" {
 				ords = append(ords, ord)
 			}
 		}
@@ -295,6 +300,26 @@ func TestOverlayFindOrdAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { s.findOrd(tc.id) }); n != 0 {
 			t.Errorf("findOrd(%q) made %v allocations, want 0", tc.id, n)
 		}
+	}
+}
+
+// TestMappedHitEmptyStoredAllocs: a store's documents carry no Stored
+// map, and a hit on a mapped shard decodes only its ID for them: the
+// empty Stored map decodes to nil.
+func TestMappedHitEmptyStoredAllocs(t *testing.T) {
+	ix := New(WithShards(1))
+	for i := range 20 {
+		if err := ix.Add(Document{ID: fmt.Sprintf("doc%03d", i), Fields: map[string]string{"body": "plain text"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := mappedCopy(t, ix).ring.Load().shards[0]
+	id, stored := s.hitAt(7)
+	if id != "doc007" || stored != nil {
+		t.Fatalf("hitAt(7) = %q %v, want doc007 and a nil Stored", id, stored)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.hitAt(7) }); n != 1 {
+		t.Errorf("hitAt made %v allocations, want 1 (the ID)", n)
 	}
 }
 

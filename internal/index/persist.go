@@ -105,16 +105,16 @@ func (s *shard) snapshotV3(w io.Writer) error {
 	}
 	overlay := make([]idOrd, 0, len(s.byID))
 	for i := range s.docs {
-		doc, ord := &s.docs[i], s.base+i
-		if doc.ID == "" {
+		row, ord := &s.docs[i], s.base+i
+		if row.ID == "" {
 			docOff[ord] = v3Tombstone
 			continue
 		}
 		docOff[ord] = uint64(len(bw.buf))
-		bw.str(doc.ID)
-		bw.strmap(doc.Fields)
-		bw.strmap(doc.Stored)
-		overlay = append(overlay, idOrd{doc.ID, ord})
+		bw.str(row.ID)
+		bw.fieldNames(row.Fields)
+		bw.strmap(row.Stored)
+		overlay = append(overlay, idOrd{row.ID, ord})
 	}
 	docDirOff := len(bw.buf)
 	for _, off := range docOff {
@@ -155,7 +155,7 @@ func (s *shard) snapshotV3(w io.Writer) error {
 		bw.uvarint(fp.docCount)
 		bw.uvarint(fp.minLen)
 		// The ordinals carrying the field: the base's from its mapped
-		// length list, the overlay's from their Fields.
+		// length list, the overlay's from their rows' field names.
 		ords := make([]int, 0, fp.docCount)
 		if mf := fp.mapped; mf != nil {
 			// attachShardV3 validated the list: ordinals below nDocs.
@@ -169,10 +169,8 @@ func (s *shard) snapshotV3(w io.Writer) error {
 			}
 		}
 		for i := range s.docs {
-			if doc := &s.docs[i]; doc.ID != "" {
-				if _, ok := doc.Fields[name]; ok {
-					ords = append(ords, s.base+i)
-				}
+			if row := &s.docs[i]; row.ID != "" && slices.Contains(row.Fields, name) {
+				ords = append(ords, s.base+i)
 			}
 		}
 		bw.uvarint(len(ords))

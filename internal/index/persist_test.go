@@ -24,13 +24,18 @@ func persistCorpus(t testing.TB, opts ...Option) *Index {
 	// Replace a few documents so ordinal reuse and stale postings are
 	// in the snapshot too.
 	for i := 1; i < 10; i += 4 {
-		ix.Add(Document{
-			ID:     fmt.Sprintf("doc%02d", i),
-			Fields: map[string]string{"title": fmt.Sprintf("Replaced %d", i), "body": "replacement zelda content"},
-			Stored: map[string]string{"producer": "Replaced"},
-		})
+		ix.Add(replacedDoc(i))
 	}
 	return ix
+}
+
+// replacedDoc is the document persistCorpus replaces doc i with.
+func replacedDoc(i int) Document {
+	return Document{
+		ID:     fmt.Sprintf("doc%02d", i),
+		Fields: map[string]string{"title": fmt.Sprintf("Replaced %d", i), "body": "replacement zelda content"},
+		Stored: map[string]string{"producer": "Replaced"},
+	}
 }
 
 // TestSnapshotRestoreEquivalence pins the core durability guarantee:
@@ -107,10 +112,15 @@ func TestSnapshotEquivalentToRebuild(t *testing.T) {
 
 	rebuilt := New(WithShards(4))
 	rebuilt.SetFieldOptions("title", FieldOptions{Boost: 2})
+	// The index keeps no field text, so the rebuild takes each live
+	// document from persistCorpus's own recipe.
 	for i := 0; i < 60; i++ {
-		doc, ok := withTombstones.Get(fmt.Sprintf("doc%02d", i))
-		if !ok {
+		if _, ok := withTombstones.Get(fmt.Sprintf("doc%02d", i)); !ok {
 			continue
+		}
+		doc := shardDoc(i)
+		if i < 10 && i%4 == 1 {
+			doc = replacedDoc(i)
 		}
 		if err := rebuilt.Add(doc); err != nil {
 			t.Fatal(err)

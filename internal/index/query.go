@@ -2,6 +2,8 @@ package index
 
 import (
 	"context"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -105,7 +107,7 @@ func (ix *Index) searchWith(ctx context.Context, r *ring, st *searchStats, q Que
 	defer putSearchStats(st)
 	want := 0
 	if opts.Limit > 0 {
-		want = opts.Offset + opts.Limit
+		want = satAdd(opts.Offset, opts.Limit)
 	}
 	parts := partsPool.get(len(r.shards))
 	defer func() {
@@ -128,7 +130,7 @@ func (ix *Index) searchWith(ctx context.Context, r *ring, st *searchStats, q Que
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	merged := mergeHits(r.shards, parts, want)
+	merged := mergeHits(parts, want)
 	defer mergedPool.put(merged)
 	page := merged
 	if opts.Offset > 0 {
@@ -140,18 +142,27 @@ func (ix *Index) searchWith(ctx context.Context, r *ring, st *searchStats, q Que
 	if opts.Limit > 0 && len(page) > opts.Limit {
 		page = page[:opts.Limit]
 	}
-	hits := make([]Result, len(page))
-	for i, m := range page {
-		hits[i] = m.res
-	}
+	hits := slices.Clone(page)
 	if opts.SnippetField != "" {
+		// The index keeps no field text: a snippet is cut from the
+		// hit's own Stored value of the field.
 		terms := ix.queryTerms(q, opts.SnippetField)
-		for i, m := range page {
-			text := m.s.snippetText(m.ord, m.res.ID, opts.SnippetField)
-			hits[i].Snippet = makeSnippet(text, terms, 160)
+		for i := range hits {
+			hits[i].Snippet = makeSnippet(hits[i].Stored[opts.SnippetField], terms, 160)
 		}
 	}
 	return hits, nil
+}
+
+// satAdd is a + b for non-negative operands, saturating at
+// math.MaxInt: a page reaching past every possible hit asks for all of
+// them, never for a wrapped, non-positive count that would mean "no
+// limit".
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 // CountContext returns how many live documents match q, honoring ctx

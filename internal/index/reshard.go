@@ -5,13 +5,15 @@ import (
 	"fmt"
 )
 
-// ReshardContext rebuilds the index to n shards through the batch
-// write path: it holds the write gate exclusively for the whole
-// rebuild, takes each source shard's live documents in turn under that
-// shard's read lock, analyzes them and applies them to a staging ring,
-// then records n as the index's fixed shard count and swaps the ring
-// in. Only one source shard's documents and analysis are held at a
-// time.
+// ReshardContext rebuilds the index to n shards from the postings it
+// already holds: it holds the write gate exclusively for the whole
+// rebuild, takes each source shard in turn under that shard's read
+// lock, inverts its posting lists back into each live document's
+// analyzed form (regroup) and applies those to a staging ring through
+// the batch write path, then records n as the index's fixed shard
+// count and swaps the ring in. Nothing is re-analyzed — the index
+// keeps no field text — and only one source shard's regrouped
+// documents are held at a time.
 //
 // Readers are never blocked: queries answer from the old ring until
 // the swap and from the new one after it, with bit-identical scores
@@ -23,9 +25,10 @@ import (
 // have. Concurrent reshards serialize on the gate; resharding to the
 // current count is a no-op. A reshard drops tombstones, like Compact.
 //
-// Cancelling ctx aborts the rebuild between source shards or during
-// analysis: the staging ring is dropped, the live ring and the fixed
-// shard count are left exactly as before, and ctx.Err() is returned.
+// Cancelling ctx aborts the rebuild between source shards or between
+// the fields of one: the staging ring is dropped, the live ring and
+// the fixed shard count are left exactly as before, and ctx.Err() is
+// returned.
 func (ix *Index) ReshardContext(ctx context.Context, n int) error {
 	if n < 1 {
 		return fmt.Errorf("index: reshard to %d shards", n)
@@ -48,8 +51,7 @@ func (ix *Index) ReshardContext(ctx context.Context, n int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		docs := src.liveDocs()
-		analyzed, err := ix.analyzeBatch(ctx, docs)
+		docs, analyzed, err := src.regroup(ctx)
 		if err != nil {
 			return err
 		}
@@ -60,15 +62,118 @@ func (ix *Index) ReshardContext(ctx context.Context, n int) error {
 	return nil
 }
 
-// liveDocs returns the shard's live documents in ordinal order.
-func (s *shard) liveDocs() []Document {
+// regroup returns the shard's live documents in ordinal order, each
+// with its ID and Stored map, and the analyzed form an Add of the
+// original text would have produced: per field the document carried,
+// each term's positions come from the term's posting list and the
+// field's length is the number of positions; a field it carried with
+// no tokens gets an empty entry. A term table is the field's sorted
+// dictionary, shared by every document. Per field, a first pass over
+// the (doc, tf) streams sizes one slab, and a second fills it with
+// positions. ctx is checked before each field.
+func (s *shard) regroup(ctx context.Context) ([]Document, []docTerms, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	nDocs := s.numDocs()
+	// slot maps an ordinal to its document's index, -1 when dead.
+	slot := make([]int32, nDocs)
 	docs := make([]Document, 0, s.live)
-	for ord := range s.numDocs() {
-		if doc := s.docAt(ord); doc.ID != "" {
-			docs = append(docs, doc)
+	analyzed := make([]docTerms, 0, s.live)
+	var entries slab[fieldTerms]
+	var prev []string
+	for ord := range nDocs {
+		var row docRow
+		switch {
+		case ord >= s.base:
+			row = s.docs[ord-s.base]
+		case s.ms.liveAt(ord):
+			row, _ = s.ms.rowAt(s.ix, ord, prev)
+		}
+		if row.ID == "" {
+			slot[ord] = -1
+			continue
+		}
+		prev = row.Fields
+		slot[ord] = int32(len(docs))
+		docs = append(docs, Document{ID: row.ID, Stored: row.Stored})
+		dt := docTerms(entries.alloc(len(row.Fields)))
+		for i, name := range row.Fields {
+			dt[i].field = name
+		}
+		analyzed = append(analyzed, dt)
+	}
+	// Per document, for the field at hand: its entry, and its distinct
+	// terms and positions (counted, then filled).
+	cur := make([]*fieldTerms, len(docs))
+	nTerms := make([]int32, len(docs))
+	nPos := make([]int32, len(docs))
+	var lists []*postingList
+	var pos []int
+	for name, fp := range s.fields {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		dict := fp.sortedTermsAll()
+		lists = lists[:0]
+		clear(nTerms)
+		clear(nPos)
+		for _, term := range dict {
+			l := fp.lookup(term)
+			lists = append(lists, l)
+			if l == nil {
+				continue
+			}
+			for it := l.iter(); it.next(); {
+				if k := slot[it.doc]; k >= 0 {
+					nTerms[k]++
+					nPos[k] += int32(it.tf)
+				}
+			}
+		}
+		total := 0
+		for k := range docs {
+			total += int(2*nTerms[k] + nPos[k])
+		}
+		buf := make([]int32, total)
+		for k := range docs {
+			cur[k] = nil
+			if nTerms[k] == 0 {
+				continue
+			}
+			ft := analyzed[k].entry(name)
+			if ft == nil {
+				// Postings under a field the row does not name: only a
+				// corrupt payload has them.
+				continue
+			}
+			n, p := int(nTerms[k]), int(nPos[k])
+			ft.terms = dict
+			ft.ids, ft.ends, ft.pos = buf[:0:n], buf[n:n:2*n], buf[2*n:2*n:2*n+p]
+			buf = buf[2*n+p:]
+			cur[k] = ft
+		}
+		for ti, l := range lists {
+			if l == nil {
+				continue
+			}
+			it, pi := l.iter(), l.positions()
+			for it.next() {
+				var ft *fieldTerms
+				if k := slot[it.doc]; k >= 0 {
+					ft = cur[k]
+				}
+				if ft == nil {
+					pi.skip(it.tf)
+					continue
+				}
+				pos = pi.read(it.tf, pos)
+				ft.ids = append(ft.ids, int32(ti))
+				for _, p := range pos {
+					ft.pos = append(ft.pos, int32(p))
+				}
+				ft.ends = append(ft.ends, int32(len(ft.pos)))
+			}
 		}
 	}
-	return docs
+	return docs, analyzed, nil
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"context"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -38,6 +39,13 @@ func BenchmarkReshard(b *testing.B) {
 	// in the background. ns/op is the mean; the p50-ns metric is the
 	// median of per-op wall times, the number an operator would watch
 	// on a latency dashboard during a reshard.
+	//
+	// B/op and allocs/op are the query's own. -benchmem counts every
+	// goroutine's allocations, and nearly all of this sub-benchmark's
+	// are the reshard loop's, so both columns are overridden: a query
+	// allocates according to the ring it reads, not to whether a
+	// rebuild runs beside it, so they are measured after the loop
+	// stops, averaged over the two rings the loop alternates between.
 	b.Run("query-during-reshard", func(b *testing.B) {
 		ix := New(WithShards(2))
 		ix.SetFieldOptions("title", FieldOptions{Boost: 2})
@@ -79,6 +87,23 @@ func BenchmarkReshard(b *testing.B) {
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 		b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds()), "p50-ns")
 		b.ReportMetric(float64(cycles), "reshards")
+		const runs = 200
+		var before, after runtime.MemStats
+		var allocs, bytes uint64
+		for _, n := range [2]int{4, 2} {
+			if err := ix.ReshardContext(context.Background(), n); err != nil {
+				b.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			for range runs {
+				ix.mustSearch(q, SearchOptions{Limit: 10})
+			}
+			runtime.ReadMemStats(&after)
+			allocs += after.Mallocs - before.Mallocs
+			bytes += after.TotalAlloc - before.TotalAlloc
+		}
+		b.ReportMetric(float64(allocs)/(2*runs), "allocs/op")
+		b.ReportMetric(float64(bytes)/(2*runs), "B/op")
 	})
 
 	// query-steady: the same query with no reshard running, built at

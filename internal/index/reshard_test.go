@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -253,13 +254,19 @@ func TestReshardTorture(t *testing.T) {
 	wg.Wait()
 
 	// Quiesced: rebuild from the survivors and require float-equal
-	// rankings — no write may be lost or doubled by a ring swap.
+	// rankings — no write may be lost or doubled by a ring swap. The
+	// index keeps no field text, so each survivor is rebuilt from the
+	// revision its Stored map names.
 	fresh := New(WithShards(ix.NumShards()))
 	fresh.SetFieldOptions("title", FieldOptions{Boost: 2})
 	n := 0
 	for i := 0; i < 300; i++ {
 		if doc, ok := ix.Get(tortureID(i)); ok {
-			if err := fresh.Add(doc); err != nil {
+			rev, err := strconv.Atoi(doc.Stored["rev"])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Add(tortureDoc(i, rev)); err != nil {
 				t.Fatal(err)
 			}
 			n++
@@ -282,16 +289,20 @@ func tortureID(i int) string { return fmt.Sprintf("t%04d", i) }
 
 func mustAdd(t *testing.T, ix *Index, i, rev int) {
 	t.Helper()
-	err := ix.Add(Document{
+	if err := ix.Add(tortureDoc(i, rev)); err != nil {
+		t.Error(err)
+	}
+}
+
+// tortureDoc is revision rev of document i.
+func tortureDoc(i, rev int) Document {
+	return Document{
 		ID: tortureID(i),
 		Fields: map[string]string{
 			"title": fmt.Sprintf("Torture %d rev%d", i%7, rev),
 			"body":  fmt.Sprintf("torture common text item%d rev%d", i, rev),
 		},
-		Stored: map[string]string{"n": fmt.Sprint(i)},
-	})
-	if err != nil {
-		t.Error(err)
+		Stored: map[string]string{"n": fmt.Sprint(i), "rev": fmt.Sprint(rev)},
 	}
 }
 

@@ -92,12 +92,12 @@ func (sp *slicePool[T]) put(v []T) {
 }
 
 var (
-	partsPool      slicePool[[]shardHit]
+	partsPool      slicePool[[]Result]
 	countsPool     slicePool[int]
 	facetPartsPool slicePool[map[string]int]
 	headsPool      slicePool[int]
-	mergedPool     slicePool[mergedHit]
-	shardHitsPool  slicePool[shardHit]
+	mergedPool     slicePool[Result]
+	shardHitsPool  slicePool[Result]
 )
 
 // getShardHits returns an empty hit buffer for a shard's partial
@@ -105,6 +105,6 @@ var (
 // Ownership transfers with the buffer: the shard hands it to
 // searchWith inside parts, and searchWith releases all of them after
 // the merge.
-func getShardHits() []shardHit { return shardHitsPool.get(0) }
+func getShardHits() []Result { return shardHitsPool.get(0) }
 
-func putShardHits(h []shardHit) { shardHitsPool.put(h) }
+func putShardHits(h []Result) { shardHitsPool.put(h) }

@@ -86,10 +86,13 @@ type shard struct {
 	ix *Index
 
 	fields map[string]*fieldPostings
-	// docs is the overlay: docs[i] is ordinal base+i; deleted entries
+	// docs is the overlay: docs[i] is ordinal base+i; deleted rows
 	// have ID "". byID maps the overlay's live IDs to their ordinals.
-	docs []Document
+	docs []docRow
 	byID map[string]int
+	// lastFields is the field-name slice of the last row added, which
+	// the next row shares when it names the same fields (rowFields).
+	lastFields []string
 	// base is the number of ordinals the mapped payload holds (0 for
 	// a heap shard): ordinals below it read from ms.
 	base int
@@ -105,6 +108,18 @@ type shard struct {
 	// snapshots verbatim.
 	ms    *mappedShard
 	dirty bool
+}
+
+// docRow is what a shard keeps of a document once it has analyzed
+// it: the ID, the sorted names of the fields it carried — a delete
+// takes their lengths out of the field statistics, and the encoder
+// lists the ordinals carrying each field — and the Stored map hits
+// and snippets return. The fields' text is not kept. A deleted row
+// has ID "".
+type docRow struct {
+	ID     string
+	Fields []string
+	Stored map[string]string
 }
 
 func newShard(ix *Index) *shard {
@@ -165,12 +180,11 @@ func (s *shard) addLocked(doc Document, analyzed docTerms) {
 		defer s.maybeCompactLocked()
 	}
 	ord := s.numDocs()
-	s.docs = append(s.docs, doc)
+	s.docs = append(s.docs, docRow{ID: doc.ID, Fields: s.rowFields(analyzed), Stored: doc.Stored})
 	s.byID[doc.ID] = ord
 	s.live++
-	for field := range doc.Fields {
-		fp := s.fieldForLocked(field)
-		ft := analyzed.lookup(field)
+	for _, ft := range analyzed {
+		fp := s.fieldForLocked(ft.field)
 		fp.setDocLen(ord, len(ft.pos))
 		fp.totalLen += len(ft.pos)
 		from := int32(0)
@@ -188,6 +202,28 @@ func (s *shard) addLocked(doc Document, analyzed docTerms) {
 			from = ft.ends[i]
 		}
 	}
+}
+
+// rowFields returns the sorted names of analyzed's fields. Rows never
+// write to their slice, so a row naming the same fields as the last
+// one added shares its slice: a shard whose documents carry one set
+// of fields keeps a single copy of the names.
+func (s *shard) rowFields(analyzed docTerms) []string {
+	prev := s.lastFields
+	same := len(prev) == len(analyzed)
+	for i := 0; same && i < len(analyzed); i++ {
+		same = slices.Contains(prev, analyzed[i].field)
+	}
+	if same {
+		return prev
+	}
+	names := make([]string, len(analyzed))
+	for i, ft := range analyzed {
+		names[i] = ft.field
+	}
+	slices.Sort(names)
+	s.lastFields = names
+	return names
 }
 
 func (s *shard) delete(id string) bool {
@@ -221,12 +257,12 @@ func (s *shard) deleteOrdLocked(ord int) {
 		}
 		s.ms.kill(ord)
 	} else {
-		doc := &s.docs[ord-s.base]
-		delete(s.byID, doc.ID)
-		for field := range doc.Fields {
+		row := &s.docs[ord-s.base]
+		delete(s.byID, row.ID)
+		for _, field := range row.Fields {
 			s.fields[field].dropLen(ord)
 		}
-		*doc = Document{}
+		*row = docRow{}
 	}
 	s.live--
 	s.dead++
@@ -342,7 +378,9 @@ func (s *shard) get(id string) (Document, bool) {
 	if !ok {
 		return Document{}, false
 	}
-	return s.docAt(ord), true
+	// A corrupt mapped entry reads as absent.
+	hid, stored := s.hitAt(ord)
+	return Document{ID: hid, Stored: stored}, hid != ""
 }
 
 // docFreq counts live documents containing the analyzed term.
@@ -377,13 +415,6 @@ func (s *shard) liveDFLocked(field, term string) int {
 	return n
 }
 
-// shardHit is one scored live document inside a shard, before the
-// cross-shard merge.
-type shardHit struct {
-	ord int
-	res Result
-}
-
 // search evaluates q against this shard only, using the globally
 // aggregated stats, and returns hits sorted by (score desc, ID asc).
 // When k > 0 a bounded min-heap selects the shard-local top k during
@@ -393,7 +424,7 @@ type shardHit struct {
 // A cancelled ctx skips the shard entirely; cancellation mid-eval is
 // caught by the stride polls inside the eval loops, and the caller
 // (searchWith) discards every partial once any poll has fired.
-func (s *shard) search(ctx context.Context, q Query, st *searchStats, k int) []shardHit {
+func (s *shard) search(ctx context.Context, q Query, st *searchStats, k int) []Result {
 	if ctx.Err() != nil {
 		return nil
 	}
@@ -426,7 +457,7 @@ func (s *shard) search(ctx context.Context, q Query, st *searchStats, k int) []s
 		if id == "" {
 			continue
 		}
-		hits = append(hits, shardHit{ord: ord, res: Result{ID: id, Score: acc.scores[ord], Stored: stored}})
+		hits = append(hits, Result{ID: id, Score: acc.scores[ord], Stored: stored})
 	}
 	slices.SortFunc(hits, cmpShardHits)
 	return hits
@@ -434,17 +465,17 @@ func (s *shard) search(ctx context.Context, q Query, st *searchStats, k int) []s
 
 // cmpShardHits orders hits by (score desc, ID asc) — a total order,
 // since IDs are unique within a shard.
-func cmpShardHits(a, b shardHit) int {
-	if a.res.Score != b.res.Score {
-		if a.res.Score > b.res.Score {
+func cmpShardHits(a, b Result) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
 			return -1
 		}
 		return 1
 	}
-	if a.res.ID < b.res.ID {
+	if a.ID < b.ID {
 		return -1
 	}
-	if a.res.ID > b.res.ID {
+	if a.ID > b.ID {
 		return 1
 	}
 	return 0
@@ -456,7 +487,7 @@ func cmpShardHits(a, b shardHit) int {
 // even built. (score, ID) is a total order — IDs are unique — so the
 // selected set and final sort are identical to sorting every match
 // and truncating.
-func (s *shard) topKLocked(acc *accum, k int) []shardHit {
+func (s *shard) topKLocked(acc *accum, k int) []Result {
 	h := &topkHeap{k: k, h: getShardHits()}
 	for ord, seen := range acc.seen {
 		if !seen {
@@ -475,7 +506,7 @@ func (s *shard) topKLocked(acc *accum, k int) []shardHit {
 // block-max evaluator skips against. Candidates must be offered in
 // ascending ordinal order so both paths build identical heaps.
 type topkHeap struct {
-	h []shardHit
+	h []Result
 	k int
 }
 
@@ -483,22 +514,22 @@ func (t *topkHeap) full() bool { return len(t.h) == t.k }
 
 // threshold is the worst retained score; callers must check full()
 // first — with fewer than k hits every candidate must be evaluated.
-func (t *topkHeap) threshold() float64 { return t.h[0].res.Score }
+func (t *topkHeap) threshold() float64 { return t.h[0].Score }
 
 // offer considers the live document at ord with score sc. The score
 // decides first and the ID only breaks a tie, compared in place, so a
 // mapped candidate the heap rejects decodes nothing; an admitted one
-// decodes its ID and Stored map, never its Fields.
+// decodes its ID and Stored map.
 func (t *topkHeap) offer(s *shard, ord int, sc float64) {
 	// (sc, id) ordering after the heap root is worse: reject.
 	if t.full() {
-		root := &t.h[0].res
+		root := &t.h[0]
 		if sc < root.Score || (sc == root.Score && s.idAfter(ord, root.ID)) {
 			return
 		}
 	}
 	id, stored := s.hitAt(ord)
-	hit := shardHit{ord: ord, res: Result{ID: id, Score: sc, Stored: stored}}
+	hit := Result{ID: id, Score: sc, Stored: stored}
 	if len(t.h) < t.k {
 		t.h = append(t.h, hit)
 		siftUp(t.h, len(t.h)-1)
@@ -508,20 +539,20 @@ func (t *topkHeap) offer(s *shard, ord int, sc float64) {
 	siftDown(t.h, 0)
 }
 
-func (t *topkHeap) sorted() []shardHit {
+func (t *topkHeap) sorted() []Result {
 	slices.SortFunc(t.h, cmpShardHits)
 	return t.h
 }
 
 // heapLess orders the worst hit first (min-heap on the search order).
-func heapLess(a, b shardHit) bool {
-	if a.res.Score != b.res.Score {
-		return a.res.Score < b.res.Score
+func heapLess(a, b Result) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
 	}
-	return a.res.ID > b.res.ID
+	return a.ID > b.ID
 }
 
-func siftUp(h []shardHit, i int) {
+func siftUp(h []Result, i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !heapLess(h[i], h[parent]) {
@@ -532,7 +563,7 @@ func siftUp(h []shardHit, i int) {
 	}
 }
 
-func siftDown(h []shardHit, i int) {
+func siftDown(h []Result, i int) {
 	for {
 		least := i
 		if l := 2*i + 1; l < len(h) && heapLess(h[l], h[least]) {
@@ -592,17 +623,6 @@ func (s *shard) facets(ctx context.Context, q Query, st *searchStats, field stri
 		}
 	}
 	return counts
-}
-
-// snippetText returns the indexed text of field for the hit at ord,
-// re-checking that the ordinal still holds the same document.
-func (s *shard) snippetText(ord int, id, field string) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if ord >= s.numDocs() || s.idAt(ord) != id {
-		return ""
-	}
-	return s.docAt(ord).Fields[field]
 }
 
 // termScorer holds the per-(field, term) constants of the scoring

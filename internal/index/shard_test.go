@@ -14,22 +14,27 @@ func shardCorpus(t testing.TB, opts ...Option) *Index {
 	t.Helper()
 	ix := New(opts...)
 	ix.SetFieldOptions("title", FieldOptions{Boost: 2})
-	producers := []string{"Nintendo", "Ensemble", "Epic"}
 	for i := 0; i < 60; i++ {
-		body := fmt.Sprintf("shared corpus document number%d", i)
-		if i%3 == 0 {
-			body += " zelda adventure exploration"
-		}
-		if i%4 == 0 {
-			body += " halo strategy"
-		}
-		ix.Add(Document{
-			ID:     fmt.Sprintf("doc%02d", i),
-			Fields: map[string]string{"title": fmt.Sprintf("Title %d", i), "body": body},
-			Stored: map[string]string{"producer": producers[i%len(producers)]},
-		})
+		ix.Add(shardDoc(i))
 	}
 	return ix
+}
+
+// shardDoc is shardCorpus's document i.
+func shardDoc(i int) Document {
+	producers := []string{"Nintendo", "Ensemble", "Epic"}
+	body := fmt.Sprintf("shared corpus document number%d", i)
+	if i%3 == 0 {
+		body += " zelda adventure exploration"
+	}
+	if i%4 == 0 {
+		body += " halo strategy"
+	}
+	return Document{
+		ID:     fmt.Sprintf("doc%02d", i),
+		Fields: map[string]string{"title": fmt.Sprintf("Title %d", i), "body": body},
+		Stored: map[string]string{"producer": producers[i%len(producers)]},
+	}
 }
 
 func shardQueries() map[string]Query {

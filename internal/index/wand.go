@@ -319,7 +319,7 @@ func (s *shard) soleMember(q Query, st *searchStats) (first topkMember, n int, o
 // exactly one posting list; a query that resolves to none matches
 // nothing here. ok=false sends every other query to the accumulator
 // path. Must be called with the shard read lock held and k > 0.
-func (s *shard) searchTopK(q Query, st *searchStats, k int) ([]shardHit, bool) {
+func (s *shard) searchTopK(q Query, st *searchStats, k int) ([]Result, bool) {
 	mem, n, ok := s.soleMember(q, st)
 	if !ok || n > 1 {
 		return nil, false

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -43,5 +44,25 @@ func TestBlockMaxRouting(t *testing.T) {
 			}
 			mustEqualResults(t, fmt.Sprintf("%s top10", tc.name), got, refSearch(ix, tc.q, opts))
 		})
+	}
+}
+
+// TestSearchOffsetAtMaxInt: Offset + Limit saturates at math.MaxInt
+// instead of wrapping to a non-positive count, which would mean "no
+// limit" and score and decode every match. An offset past every hit
+// returns none, through the top-k path: on a single-list query that is
+// the block-max loop, which counts the postings it scores.
+func TestSearchOffsetAtMaxInt(t *testing.T) {
+	ix := New(WithShards(2))
+	fillSequential(t, ix, 300)
+	q := TermQuery{Field: "body", Term: "common"}
+	for _, offset := range []int{math.MaxInt, math.MaxInt - 5} {
+		before := ix.ScanStats().Scored
+		if got := ix.mustSearch(q, SearchOptions{Limit: 10, Offset: offset}); len(got) != 0 {
+			t.Fatalf("offset %d: %d hits, want none", offset, len(got))
+		}
+		if ix.ScanStats().Scored == before {
+			t.Fatalf("offset %d: the block-max loop scored nothing; want the top-k path", offset)
+		}
 	}
 }

@@ -14,6 +14,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -211,7 +212,14 @@ func (x *Executor) executePrimary(ctx context.Context, a *app.Application, sc *a
 	if limit <= 0 {
 		limit = DefaultPrimaryLimit
 	}
-	req := source.Request{Query: x.alteredQuery(sc, q), Limit: limit + q.Offset}
+	// The page reaches limit past the offset, saturating at
+	// math.MaxInt: a wrapped, non-positive limit would ask the source
+	// for every match with no limit at all.
+	reach := math.MaxInt
+	if q.Offset <= math.MaxInt-limit {
+		reach = limit + q.Offset
+	}
+	req := source.Request{Query: x.alteredQuery(sc, q), Limit: reach}
 	stageStart := time.Now()
 	items, err := src.Search(ctx, req)
 	if err != nil {

@@ -157,19 +157,18 @@ func (d *Dataset) reindexLocked(id string, rec Record) error {
 	return d.ix.Add(docFor(d.schema, id, rec))
 }
 
-// docFor projects a record into its index document: every schema
-// field stored verbatim, searchable non-empty fields analyzed.
+// docFor projects a record into its index document: its searchable
+// non-empty fields, to be analyzed. It stores nothing: hits, filters,
+// facets and order-by read the dataset's own records, so the index
+// keeps no second copy of them.
 func docFor(s Schema, id string, rec Record) index.Document {
 	fields := make(map[string]string)
-	stored := make(map[string]string, len(rec))
 	for _, f := range s.Fields {
-		v := rec[f.Name]
-		stored[f.Name] = v
-		if f.Searchable && v != "" {
+		if v := rec[f.Name]; f.Searchable && v != "" {
 			fields[f.Name] = v
 		}
 	}
-	return index.Document{ID: id, Fields: fields, Stored: stored}
+	return index.Document{ID: id, Fields: fields}
 }
 
 // AddBatchContext inserts or replaces recs as one batch, returning

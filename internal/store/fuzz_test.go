@@ -5,18 +5,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
 	"repro/internal/frameio"
 )
 
-// fixtureSections walks testdata/multitenant_v3.snap and returns, per
+// fixtureSections walks the v3 snapshot testdata/file and returns, per
 // dataset frame ("tenant-dataset"), its record section and its index
 // snapshot's shard payloads.
-func fixtureSections(tb testing.TB) (names []string, recSecs [][]byte, shards [][][]byte) {
+func fixtureSections(tb testing.TB, file string) (names []string, recSecs [][]byte, shards [][][]byte) {
 	tb.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "multitenant_v3.snap"))
+	data, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -69,20 +70,28 @@ var fuzzSeedFrames = []string{"tenant0-data0", "tenant3-data1"}
 // FuzzRecordSection (here), FuzzV3DocEntry and FuzzV3Postings
 // (internal/index) cut from multitenant_v3.snap: one file per record
 // section and per index shard payload of the frames in
-// fuzzSeedFrames. Run with UPDATE_FUZZ_CORPUS=1 to rewrite them after
-// a deliberate format change.
+// fuzzSeedFrames. The index corpora also hold the shard payloads of
+// multitenant_v3_fieldtext.snap, whose doc entries still carry field
+// text, under a "-fieldtext" suffix. Run with UPDATE_FUZZ_CORPUS=1 to
+// rewrite them after a deliberate format change.
 func TestFuzzCorporaMatchFixture(t *testing.T) {
-	names, recSecs, shards := fixtureSections(t)
 	want := map[string][]byte{}
-	for i, name := range names {
-		for _, seed := range fuzzSeedFrames {
-			if name != seed {
+	for _, fx := range []struct{ file, suffix string }{
+		{"multitenant_v3.snap", ""},
+		{"multitenant_v3_fieldtext.snap", "-fieldtext"},
+	} {
+		names, recSecs, shards := fixtureSections(t, fx.file)
+		for i, name := range names {
+			if !slices.Contains(fuzzSeedFrames, name) {
 				continue
 			}
-			want[filepath.Join("testdata", "fuzz", "FuzzRecordSection", name)] = recSecs[i]
+			if fx.suffix == "" {
+				// The record section is the same in both fixtures.
+				want[filepath.Join("testdata", "fuzz", "FuzzRecordSection", name)] = recSecs[i]
+			}
 			for j, p := range shards[i] {
 				for _, target := range []string{"FuzzV3DocEntry", "FuzzV3Postings"} {
-					want[filepath.Join("..", "index", "testdata", "fuzz", target, fmt.Sprintf("%s-shard%d", name, j))] = p
+					want[filepath.Join("..", "index", "testdata", "fuzz", target, fmt.Sprintf("%s%s-shard%d", name, fx.suffix, j))] = p
 				}
 			}
 		}
@@ -118,7 +127,7 @@ func TestFuzzCorporaMatchFixture(t *testing.T) {
 // panicking. The section is cap-clamped, so a read past its end panics
 // instead of silently reading the neighbouring bytes of a mapping.
 func FuzzRecordSection(f *testing.F) {
-	_, recSecs, _ := fixtureSections(f)
+	_, recSecs, _ := fixtureSections(f, "multitenant_v3.snap")
 	for _, sec := range recSecs {
 		f.Add(sec)
 	}

@@ -199,19 +199,23 @@ func TestMappedSnapshotAfterCoWRoundTrips(t *testing.T) {
 }
 
 // TestSnapshotCompatMatrix covers exactly the formats the store
-// claims: the v3 golden restores to the state of a fresh build and
-// stays mapped; the frozen v1 and v2 fixtures are refused with
+// claims: the v3 golden, and the v3 snapshot written before the index
+// stopped keeping field text (its doc entries carry the text, which
+// is never read), restore to the state of a fresh build and stay
+// mapped; the frozen v1 and v2 fixtures are refused with
 // frameio.ErrUnsupportedFormat and leave the target store unchanged.
 func TestSnapshotCompatMatrix(t *testing.T) {
 	want := storeFingerprint(t, multiTenantStore(t))
 	s := New(WithShardTarget(3))
-	if err := s.RestoreContext(context.Background(), readFixture(t, "multitenant_v3.snap")); err != nil {
-		t.Fatalf("multitenant_v3.snap: %v", err)
+	for _, name := range []string{"multitenant_v3_fieldtext.snap", "multitenant_v3.snap"} {
+		if err := s.RestoreContext(context.Background(), readFixture(t, name)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := storeFingerprint(t, s); got != want {
+			t.Fatalf("%s state:\n%s\nwant:\n%s", name, got, want)
+		}
+		requireMapped(t, s)
 	}
-	if got := storeFingerprint(t, s); got != want {
-		t.Fatalf("multitenant_v3.snap state:\n%s\nwant:\n%s", got, want)
-	}
-	requireMapped(t, s)
 	for _, name := range []string{"multitenant_v1.json", "multitenant_v2.snap"} {
 		err := s.RestoreContext(context.Background(), readFixture(t, name))
 		if !errors.Is(err, frameio.ErrUnsupportedFormat) {
