@@ -243,9 +243,9 @@ func main() {
 			log.Fatal(err)
 		}
 		if info, err := os.Stat(*out); err == nil {
-			fmt.Printf("wrote v3 snapshot to %s (%d bytes)\n", *out, info.Size())
+			fmt.Printf("wrote v4 snapshot to %s (%d bytes)\n", *out, info.Size())
 		} else {
-			fmt.Printf("wrote v3 snapshot to %s\n", *out)
+			fmt.Printf("wrote v4 snapshot to %s\n", *out)
 		}
 	case "reshard":
 		// symctl reshard <tenant> <dataset> <n>: rebuild a dataset

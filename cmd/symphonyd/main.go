@@ -224,10 +224,11 @@ func run() error {
 	})
 
 	// /statusz: operator view of every dataset's index layout (shard
-	// count, ring generation, tombstone ratio, in-flight reshards),
-	// the admission counters and which engine verticals the traffic
-	// has built so far, refreshed per request so reshard progress and
-	// load shedding are visible live.
+	// count, ring generation, tombstone ratio), mapped-vs-heap
+	// residency, the admission counters, the checkpointer's frame
+	// cache (entries, held bytes, hits and misses) and which engine
+	// verticals the traffic has built so far, refreshed per request so
+	// load shedding and checkpoint residency are visible live.
 	mux := http.NewServeMux()
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -241,9 +242,12 @@ func run() error {
 		if p.Cache != nil {
 			cacheStats = p.Cache.Stats()
 		}
-		var walStats any
-		if cp != nil && cp.WAL() != nil {
-			walStats = cp.WAL().Stats()
+		var walStats, checkpointStats any
+		if cp != nil {
+			checkpointStats = cp.CacheStats()
+			if cp.WAL() != nil {
+				walStats = cp.WAL().Stats()
+			}
 		}
 		// Aggregate mapped-vs-heap residency across datasets so the
 		// zero-copy boot is observable: mappedBytes drains toward
@@ -268,6 +272,7 @@ func run() error {
 			"queryTimeout": queryTimeout.String(),
 			"cache":        cacheStats,
 			"wal":          walStats,
+			"checkpoint":   checkpointStats,
 			"engine":       p.Engine.Status(),
 		}); err != nil {
 			log.Printf("symphonyd: statusz: %v", err)

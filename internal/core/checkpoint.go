@@ -22,7 +22,7 @@ import (
 // over the previous snapshot, so a crash mid-checkpoint leaves the
 // last good snapshot in place.
 //
-// The snapshot uses store format v3, whose per-dataset locking means
+// The snapshot uses store format v4, whose per-dataset locking means
 // a running checkpoint does not block writers on other datasets.
 //
 // Boot maps the snapshot (internal/mmapio, which falls back to a heap
@@ -39,7 +39,9 @@ import (
 // the datasets mutated since the previous one (dirty tracking by
 // dataset version) and reuses the prior frames for clean ones. The
 // on-disk format is unchanged — every snapshot file is still a
-// complete, self-contained v3 stream.
+// complete, self-contained stream. The cache holds one encoded frame
+// per dataset on the heap for the checkpointer's lifetime
+// (CacheStats).
 type Checkpointer struct {
 	p        *Platform
 	dir      string
@@ -108,7 +110,7 @@ func (c *Checkpointer) WALDir() string {
 // platform's store, reporting whether a restore happened. A missing
 // or corrupt primary snapshot falls back to the retained previous one
 // (see PrevPath); only when both fail does boot fail. A primary in a
-// format older than v3 is not corrupt: boot fails at once with
+// format older than v4 is not corrupt: boot fails at once with
 // frameio.ErrUnsupportedFormat, leaving both files in place.
 // Cancelling ctx aborts the load with the store unchanged.
 func (c *Checkpointer) RestoreLatestContext(ctx context.Context) (bool, error) {
@@ -279,6 +281,13 @@ func (c *Checkpointer) WAL() *wal.Log {
 	return c.wlog
 }
 
+// CacheStats reports the checkpointer's frame cache: the encoded
+// dataset frames it keeps on the heap between checkpoints, and how
+// often they were reused.
+func (c *Checkpointer) CacheStats() store.FrameCacheStats {
+	return c.cache.Stats()
+}
+
 // CheckpointContext writes one snapshot now: temp file, fsync, atomic
 // rename. Concurrent calls serialize. Only datasets mutated since
 // the previous checkpoint are re-encoded; clean ones reuse their
@@ -313,11 +322,11 @@ func (c *Checkpointer) CheckpointContext(ctx context.Context) error {
 		os.Remove(tmp)
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	hits0, misses0 := c.cache.Stats()
+	before := c.cache.Stats()
 	if err := c.p.Store.SnapshotContext(ctx, f, store.WithFrameCache(c.cache)); err != nil {
 		return fail(err)
 	}
-	hits1, misses1 := c.cache.Stats()
+	after := c.cache.Stats()
 	if err := f.Sync(); err != nil {
 		return fail(err)
 	}
@@ -342,7 +351,7 @@ func (c *Checkpointer) CheckpointContext(ctx context.Context) error {
 		return fmt.Errorf("core: checkpoint: sync dir: %w", err)
 	}
 	c.logf("checkpoint written to %s (%d frames re-encoded, %d reused)",
-		c.Path(), misses1-misses0, hits1-hits0)
+		c.Path(), after.Misses-before.Misses, after.Hits-before.Hits)
 	// Truncate WAL history one checkpoint behind: the snapshot just
 	// written needs segments >= boundary; the retained previous one
 	// needs segments >= lastBoundary. Everything older is garbage.

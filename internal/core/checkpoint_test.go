@@ -144,13 +144,14 @@ func TestRestoreLatestRejectsCorrupt(t *testing.T) {
 
 // TestRestoreLatestRefusesOldFormatPrimary: a primary snapshot in a
 // format below the floor is not corrupt. Boot fails with
-// frameio.ErrUnsupportedFormat instead of falling back to the good v3
+// frameio.ErrUnsupportedFormat instead of falling back to the good v4
 // previous snapshot, and neither file is renamed or rewritten — no
 // .corrupt quarantine that a later checkpoint would build on.
 func TestRestoreLatestRefusesOldFormatPrimary(t *testing.T) {
 	for name, old := range map[string]string{
 		"v1": `{"version":1,"tenants":[]}`,
 		"v2": "SYMSNP2\n\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00{}",
+		"v3": "SYMSNP3\n\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00{}",
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -227,6 +228,17 @@ func TestCheckpointIncremental(t *testing.T) {
 	}
 	if !strings.Contains(last(), "(0 frames re-encoded") {
 		t.Fatalf("clean checkpoint log = %q, want all frames reused", last())
+	}
+	// The cache holds one frame per dataset, the bytes of the file's
+	// dataset frames.
+	st := cp.CacheStats()
+	snap, err := os.ReadFile(cp.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Entries == 0 || st.Misses != uint64(st.Entries) || st.Hits != uint64(st.Entries) ||
+		st.Bytes <= 0 || st.Bytes >= int64(len(snap)) || st.CapBytes < st.Bytes {
+		t.Fatalf("cache status after two checkpoints of a %d-byte snapshot: %+v", len(snap), st)
 	}
 
 	ds, err := p.Store.DatasetContext(context.Background(), "gamerqueen", "ann", "inventory", store.PermWrite)

@@ -94,7 +94,7 @@ func TestWALCorruptSnapshotFallsBack(t *testing.T) {
 	want := ds.Len()
 
 	// Corrupt the primary snapshot in place; keep the previous one.
-	if err := os.WriteFile(cp.Path(), []byte("SYMSNP3\ngarbage"), 0o644); err != nil {
+	if err := os.WriteFile(cp.Path(), []byte("SYMSNP4\ngarbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -134,7 +134,7 @@ func TestWALCorruptPrimaryQuarantinedOnFallback(t *testing.T) {
 	// the bad file, and leave the good previous snapshot untouched
 	// through the first checkpoint after it (a restored boot writes
 	// none itself, so the test takes it).
-	bad := []byte("SYMSNP3\ngarbage")
+	bad := []byte("SYMSNP4\ngarbage")
 	if err := os.WriteFile(cp.Path(), bad, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -240,3 +240,41 @@ func TestQueryOffsetAtMaxInt(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryOffsetPastStoreRecords: a store-backed app paged at or past
+// its last record answers 200 with an empty page, and the first page
+// still lists records.
+func TestQueryOffsetPastStoreRecords(t *testing.T) {
+	s, srv := newServer(t)
+	ds, err := s.Executor.Store.CreateDataset("t", "ann", store.Schema{Name: "inventory", Key: "sku", Fields: []store.Field{
+		{Name: "sku", Required: true}, {Name: "title", Searchable: true},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 5 {
+		if _, err := ds.Put(store.Record{"sku": fmt.Sprint("S", i), "title": fmt.Sprint("review item ", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := app.NewDesigner("shop", "Shop", "ann", "t")
+	d.DropPrimary(app.SourceConfig{ID: "inventory", Kind: app.KindProprietary, Dataset: "inventory", MaxResults: 3})
+	d.UseTemplate("inventory", "headline-snippet", map[string]string{"title": "title", "url": "sku", "snippet": "title"})
+	a, err := d.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Registry.Publish(a); err != nil {
+		t.Fatal(err)
+	}
+	const emptyBlock = `<div class="sym-source" data-source="inventory"></div>`
+	for offset, wantEmpty := range map[string]bool{"0": false, "5": true, "9223372036854775807": true} {
+		code, body := get(t, srv.Client(), srv.URL+"/query?app=shop&q=review&offset="+offset)
+		if code != http.StatusOK {
+			t.Fatalf("offset %s: status = %d %.200s", offset, code, body)
+		}
+		if got := strings.Contains(body, emptyBlock); got != wantEmpty {
+			t.Fatalf("offset %s: empty page %v, want %v: %.300s", offset, got, wantEmpty, body)
+		}
+	}
+}

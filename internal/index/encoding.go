@@ -17,16 +17,6 @@ type binWriter struct{ buf []byte }
 func (w *binWriter) uvarint(x int) { w.buf = binary.AppendUvarint(w.buf, uint64(x)) }
 func (w *binWriter) str(s string)  { w.uvarint(len(s)); w.buf = append(w.buf, s...) }
 
-// fieldNames writes sorted names in strmap's layout with every value
-// empty: a doc entry's Fields.
-func (w *binWriter) fieldNames(names []string) {
-	w.uvarint(len(names))
-	for _, k := range names {
-		w.str(k)
-		w.uvarint(0)
-	}
-}
-
 func (w *binWriter) strmap(m map[string]string) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -40,12 +30,9 @@ func (w *binWriter) strmap(m map[string]string) {
 	}
 }
 
-// Fixed-width little-endian integers for the v3 offset directories:
+// Fixed-width little-endian integers for the offset directories:
 // directories are random-accessed straight out of mapped bytes, so
 // their entries cannot be varints.
-func (w *binWriter) u64(x uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, x)
-}
 func (w *binWriter) u32(x uint32) {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, x)
 }
@@ -59,8 +46,9 @@ func (w *binWriter) reserve(n int) int {
 	return off
 }
 
-func (w *binWriter) patchU64(off int, x uint64) {
-	binary.LittleEndian.PutUint64(w.buf[off:], x)
+// patchU32 writes x, an offset or count below 2^32, at off.
+func (w *binWriter) patchU32(off int, x int) {
+	binary.LittleEndian.PutUint32(w.buf[off:], uint32(x))
 }
 
 // binReader decodes a uvarint binary payload with bounds checking.
@@ -184,9 +172,12 @@ type postingList struct {
 	n       int // posting (document) count
 	lastDoc int // last appended ordinal, for delta appends
 	maxTF   int // maximum term frequency across the whole list
-	// docTF holds (docDelta, tf) uvarint pairs; a block's first entry
-	// encodes delta 0 relative to its skip entry's firstDoc, so blocks
-	// decode independently.
+	// docTF holds one entry per posting: the uvarint delta<<1|1 when
+	// tf is 1, else delta<<1 followed by the uvarint tf (the fold
+	// Lucene's postings format uses; most postings have tf 1, so most
+	// entries are one byte). A block's first entry encodes delta 0
+	// relative to its skip entry's firstDoc, so blocks decode
+	// independently.
 	docTF []byte
 	// posBuf holds each posting's tf positions: first absolute, then
 	// deltas. Consumed only by phrase evaluation and persistence.
@@ -203,8 +194,12 @@ func appendPosting[P int | int32](l *postingList, doc int, positions []P) {
 		l.blocks = append(l.blocks, blockMeta{firstDoc: doc, docOff: len(l.docTF), posOff: len(l.posBuf)})
 		prev = doc
 	}
-	l.docTF = binary.AppendUvarint(l.docTF, uint64(doc-prev))
-	l.docTF = binary.AppendUvarint(l.docTF, uint64(len(positions)))
+	if gap := uint64(doc - prev); len(positions) == 1 {
+		l.docTF = binary.AppendUvarint(l.docTF, gap<<1|1)
+	} else {
+		l.docTF = binary.AppendUvarint(l.docTF, gap<<1)
+		l.docTF = binary.AppendUvarint(l.docTF, uint64(len(positions)))
+	}
 	var pp P
 	for i, p := range positions {
 		if i == 0 {
@@ -275,14 +270,35 @@ func (it *postingIter) next() bool {
 	if it.i%postingBlockSize == 0 {
 		it.doc = it.l.blocks[it.i/postingBlockSize].firstDoc
 	}
-	delta, n := binary.Uvarint(it.l.docTF[it.off:])
-	it.off += n
-	it.doc += int(delta)
-	tf, n := binary.Uvarint(it.l.docTF[it.off:])
-	it.off += n
-	it.tf = int(tf)
+	// An entry of one-byte varints, most postings, decodes in place
+	// without branching on its tf: e is 1 when a tf byte follows the
+	// code, and when it does not, t rereads the code.
+	b := it.l.docTF
+	c := b[it.off]
+	e := int(^c & 1)
+	if t := b[it.off+e]; (c | t) < 0x80 {
+		it.doc += int(c >> 1)
+		it.tf = 1 + e*(int(t)-1)
+		it.off += 1 + e
+	} else {
+		var gap int
+		gap, it.tf, it.off = nextPosting(b, it.off)
+		it.doc += gap
+	}
 	it.i++
 	return true
+}
+
+// nextPosting decodes the docTF entry at off: the posting's ordinal
+// gap, its tf and the offset of the next entry.
+func nextPosting(docTF []byte, off int) (gap, tf, next int) {
+	code, n := binary.Uvarint(docTF[off:])
+	off += n
+	if code&1 != 0 {
+		return int(code >> 1), 1, off
+	}
+	f, n := binary.Uvarint(docTF[off:])
+	return int(code >> 1), int(f), off + n
 }
 
 // positionIter streams position runs out of posBuf. It must advance
@@ -337,13 +353,11 @@ func (l *postingList) tfAt(doc int) (tf int, ok bool) {
 		end = l.n
 	}
 	for i := b * postingBlockSize; i < end; i++ {
-		delta, n := binary.Uvarint(l.docTF[off:])
-		off += n
-		cur += int(delta)
-		f, n := binary.Uvarint(l.docTF[off:])
-		off += n
+		gap, f, next := nextPosting(l.docTF, off)
+		off = next
+		cur += gap
 		if cur == doc {
-			return int(f), true
+			return f, true
 		}
 		if cur > doc {
 			return 0, false
@@ -360,8 +374,9 @@ func (l *postingList) tfAt(doc int) (tf int, ok bool) {
 // writes: each block's anchors match the walk, ordinals ascend
 // strictly (a block's first entry is delta 0), lastDoc is the last
 // ordinal (so an empty list is rejected: the writer never emits one),
-// the block and list maxima are the true maxima, and the streams end
-// exactly where the last posting does.
+// a tf of 1 is folded into its delta (never written out), the block
+// and list maxima are the true maxima, and the streams end exactly
+// where the last posting does.
 func (l *postingList) checkPostings(nDocs int) error {
 	docTF, posBuf := l.docTF, l.posBuf
 	docOff, posOff, doc, listMax := 0, 0, -1, 0
@@ -372,16 +387,21 @@ func (l *postingList) checkPostings(nDocs int) error {
 		doc = bm.firstDoc
 		blockMax := 0
 		for i := b * postingBlockSize; i < l.blockEnd(b); i++ {
-			delta, n := binary.Uvarint(docTF[docOff:])
+			code, n := binary.Uvarint(docTF[docOff:])
 			if n <= 0 {
 				return errShardPayload
 			}
 			docOff += n
-			tf, n := binary.Uvarint(docTF[docOff:])
-			if n <= 0 || (i%postingBlockSize == 0) != (delta == 0) || delta >= uint64(nDocs-doc) {
+			delta, tf := code>>1, uint64(1)
+			if code&1 == 0 {
+				if tf, n = binary.Uvarint(docTF[docOff:]); n <= 0 || tf == 1 {
+					return errShardPayload
+				}
+				docOff += n
+			}
+			if (i%postingBlockSize == 0) != (delta == 0) || delta >= uint64(nDocs-doc) {
 				return errShardPayload
 			}
-			docOff += n
 			doc += int(delta)
 			blockMax = max(blockMax, int(tf))
 			for range tf {

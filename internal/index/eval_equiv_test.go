@@ -134,7 +134,7 @@ func TestEvalEquivalence(t *testing.T) {
 	}
 }
 
-// mappedCopy snapshots ix in v3 and attaches the bytes to a fresh
+// mappedCopy snapshots ix and attaches the bytes to a fresh
 // index of the same shard count, so no reshard moves them onto the
 // heap and queries decode postings lazily from the snapshot layout.
 func mappedCopy(t testing.TB, ix *Index) *Index {
@@ -153,7 +153,7 @@ func mappedCopy(t testing.TB, ix *Index) *Index {
 	return mx
 }
 
-// TestEvalEquivalenceMapped: an index served from mapped v3 snapshot
+// TestEvalEquivalenceMapped: an index served from mapped snapshot
 // views must rank bit-identically to the heap index it was written
 // from — for every query type, both rankers, across shard counts, and
 // after copy-on-write materialization from post-boot writes.

@@ -3,21 +3,30 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/frameio"
 )
 
-// FuzzV3DocEntry: attaching arbitrary bytes as a v3 shard payload
-// either fails or yields a shard whose doc-table decoders — the full
-// entry decode, the hit decode, the in-place ID and field-key walks,
-// the verbatim entry walk, the ID probe — return an error or a zero
-// value without panicking, and whose overlay writes and re-encode do
-// not panic either. The payload is cap-clamped, so a read past its end
-// panics instead of silently reading the neighbouring bytes of a
-// mapping. The committed corpus (testdata/fuzz/FuzzV3DocEntry) holds
-// shard payloads cut from internal/store's v3 fixture; a fresh
-// snapshot adds one more.
+// FuzzV3DocEntry: attaching arbitrary bytes as a shard payload either
+// fails or yields a shard whose doc-table decoders — the full entry
+// decode, the hit decode, the in-place ID walk, the verbatim entry
+// walk, the ID probe — return an error or a zero value without
+// panicking, whose field names derived from the field sections agree
+// whether or not a previous row's names are shared, and whose overlay
+// writes and re-encode do not panic either. The payload is
+// cap-clamped, so a read past its end panics instead of silently
+// reading the neighbouring bytes of a mapping. The committed corpus
+// (testdata/fuzz/FuzzV3DocEntry) holds shard payloads cut from
+// internal/store's fixtures: v4 ones, and v3 ones (the "-fieldtext"
+// files) that attach must refuse; a fresh snapshot adds more. (The
+// target keeps the name it had when v3 was the format, so its seed
+// results stay comparable.)
 func FuzzV3DocEntry(f *testing.F) {
 	addShardSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -26,7 +35,7 @@ func FuzzV3DocEntry(f *testing.F) {
 			return
 		}
 		ms := s.ms
-		var ids []string
+		var ids, prev []string
 		for ord := 0; ord < ms.nDocs; ord++ {
 			doc, ok := ms.docEntryAt(ix, ord)
 			id, stored := ms.hitAt(ix, ord)
@@ -35,13 +44,10 @@ func FuzzV3DocEntry(f *testing.F) {
 			if ok && (id != doc.ID || string(idb) != doc.ID || len(entry) == 0 || len(stored) != len(doc.Stored)) {
 				t.Fatalf("ord %d: decoders disagree: %q %q %q", ord, doc.ID, id, idb)
 			}
-			n := 0
-			for range ms.fieldKeys(ix, ord) {
-				n++
+			if row, _ := ms.rowAt(ix, ord, prev); !slices.Equal(row.Fields, doc.Fields) {
+				t.Fatalf("ord %d: fields %q after %q, %q alone", ord, row.Fields, prev, doc.Fields)
 			}
-			if ok && n != len(doc.Fields) {
-				t.Fatalf("ord %d: field-key walk saw %d keys, entry has %d", ord, n, len(doc.Fields))
-			}
+			prev = doc.Fields
 			s.liveAt(ord)
 			s.idAt(ord)
 			if ok {
@@ -60,29 +66,92 @@ func FuzzV3DocEntry(f *testing.F) {
 		s.addLocked(Document{ID: fmt.Sprint("fuzz", len(ids)), Fields: map[string]string{}}, nil)
 		s.mu.Unlock()
 		var out bytes.Buffer
-		if err := s.snapshotV3(&out); err != nil {
+		if err := s.snapshotShard(&out); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
 // addShardSeeds adds the shard payloads of a fresh 2-shard snapshot to
-// a v3 shard fuzzer's seed corpus.
+// a shard fuzzer's seed corpus.
 func addShardSeeds(f *testing.F) {
+	for _, p := range freshShardPayloads(f) {
+		f.Add(p)
+	}
+}
+
+// freshShardPayloads returns the shard payloads of a 2-shard snapshot
+// of equivCorpus.
+func freshShardPayloads(tb testing.TB) [][]byte {
 	var snap bytes.Buffer
-	if err := equivCorpus(f, 2).Snapshot(&snap); err != nil {
-		f.Fatal(err)
+	if err := equivCorpus(tb, 2).Snapshot(&snap); err != nil {
+		tb.Fatal(err)
 	}
 	data := snap.Bytes()
+	var payloads [][]byte
 	_, off, err := frameio.NextFrameInBuf(data, len(indexSnapshotMagic), true)
 	for err == nil && off < len(data) {
 		var p []byte
 		if p, off, err = frameio.NextFrameInBuf(data, off, true); err == nil {
-			f.Add(p)
+			payloads = append(payloads, p)
 		}
 	}
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
+	}
+	return payloads
+}
+
+// TestPostingSeedsReachBothTFCodes: FuzzV3Postings' seeds hold
+// postings of both docTF encodings — tf 1 folded into the delta, and
+// a tf above 1 written after it — so its mutations start from both.
+// Every committed v4 seed must attach; the "-fieldtext" seeds are v3
+// payloads, which attach must refuse.
+func TestPostingSeedsReachBothTFCodes(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzV3Postings")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := freshShardPayloads(t)
+	for _, e := range entries {
+		body, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(string(body), "go test fuzz v1\n[]byte(")
+		lit, ok2 := strings.CutSuffix(lit, ")\n")
+		p, err := strconv.Unquote(lit)
+		if !ok || !ok2 || err != nil {
+			t.Fatalf("%s: not a []byte corpus entry (%v)", e.Name(), err)
+		}
+		_, s := attachFuzzShard([]byte(p))
+		if v3 := strings.Contains(e.Name(), "-fieldtext"); (s == nil) != v3 {
+			t.Fatalf("%s: attached %v", e.Name(), s != nil)
+		}
+		seeds = append(seeds, []byte(p))
+	}
+	var ones, more int
+	for _, p := range seeds {
+		_, s := attachFuzzShard(p)
+		if s == nil {
+			continue
+		}
+		for _, fp := range s.fields {
+			for _, term := range fp.sortedTermsAll() {
+				l := fp.lookup(term)
+				for it := l.iter(); l != nil && it.next(); {
+					if it.tf == 1 {
+						ones++
+					} else {
+						more++
+					}
+				}
+			}
+		}
+	}
+	if ones == 0 || more == 0 {
+		t.Fatalf("seeds hold %d tf-1 postings and %d with tf above 1, want both", ones, more)
 	}
 }
 
@@ -99,20 +168,22 @@ func attachFuzzShard(data []byte) (*Index, *shard) {
 	payload := bytes.Clone(data)
 	payload = payload[:len(payload):len(payload)]
 	ix := New(WithShards(1))
-	s, err := ix.attachShardV3(payload, func(string) (FieldOptions, bool) { return FieldOptions{}, false })
+	s, err := ix.attachShard(payload, func(string) (FieldOptions, bool) { return FieldOptions{}, false })
 	if err != nil {
 		return nil, nil
 	}
 	return ix, s
 }
 
-// FuzzV3Postings: every term of an attached v3 shard payload either
+// FuzzV3Postings: every term of an attached shard payload either
 // reads as absent (its slot rejected, counted as a lazy decode error)
 // or serves a posting list that the iterators, the position walk,
 // tfAt, the block-max top-k path and the accumulator count all walk
 // without panicking. The committed corpus
-// (testdata/fuzz/FuzzV3Postings) holds shard payloads cut from
-// internal/store's v3 fixture; a fresh snapshot adds more.
+// (testdata/fuzz/FuzzV3Postings) holds the same shard payloads as
+// FuzzV3DocEntry's; TestPostingSeedsReachBothTFCodes checks that its
+// seeds hold postings of both docTF encodings, tf 1 folded into the
+// delta and tf above 1 written out.
 func FuzzV3Postings(f *testing.F) {
 	addShardSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -155,7 +226,7 @@ func FuzzV3Postings(f *testing.F) {
 // FuzzIndexRestore: Restore, the one index restore entry, either
 // rejects arbitrary bytes or yields an index on which Search and Count
 // over every dictionary term, and Snapshot, neither panic nor loop.
-// Mutations reach the header frame, the shard frames, the v3
+// Mutations reach the header frame, the shard frames, the
 // field-section headers and the term directories. Seeds are fresh
 // snapshots of persistCorpus at 1 and 3 shards; the fuzzed index has
 // one shard, so a 3-shard input also runs the reshard that moves every

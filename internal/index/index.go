@@ -121,6 +121,15 @@ type ring struct {
 	shards []*shard
 }
 
+// live counts the ring's live documents, one shard lock at a time.
+func (r *ring) live() int {
+	n := 0
+	for _, s := range r.shards {
+		n += s.lenLive()
+	}
+	return n
+}
+
 // shardFor routes a document ID to its owning shard in this ring.
 func (r *ring) shardFor(id string) *shard {
 	return r.shards[r.shardIndexFor(id)]
@@ -599,11 +608,7 @@ func (ix *Index) ShardTombstoneRatios() []float64 {
 
 // Len returns the number of live documents.
 func (ix *Index) Len() int {
-	n := 0
-	for _, s := range ix.ring.Load().shards {
-		n += s.lenLive()
-	}
-	return n
+	return ix.ring.Load().live()
 }
 
 // Get returns the document stored under id: its ID and Stored map.

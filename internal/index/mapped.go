@@ -3,13 +3,12 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
-	"iter"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Mapped shards: snapshot format v3 lays a shard out so it can be
+// Mapped shards: snapshot format v4 lays a shard out so it can be
 // served directly from the snapshot file's bytes (mmap'd by the
 // caller) instead of being decoded onto the heap. The payload carries
 // fixed-width offset directories — doc table, ID order, per-field
@@ -26,19 +25,19 @@ import (
 //     are never rewritten; docs/byID hold only ordinals from base up,
 //     the documents written since attach. Deleting or replacing a
 //     base document sets its bit in a lazily allocated dead bitset
-//     and decodes that one entry's field keys to adjust the field
-//     lengths. A heap-built shard is the empty-base case, so there is
-//     one representation and a write costs O(documents written),
-//     never a decode of the whole table;
+//     and takes its lengths out of the fields that carried it, which
+//     attach recorded from the field sections. A heap-built shard is
+//     the empty-base case, so there is one representation and a write
+//     costs O(documents written), never a decode of the whole table;
 //   - posting lists copy per term: a write that touches one term
 //     decodes only that term's bytes onto the heap, so a lightly
 //     written tenant keeps almost all of its index off-heap.
 //
 // Only compaction folds the base into the heap (materializeAllLocked);
 // a reshard regroups each source shard's postings, mapped or not, into
-// new heap shards. The v3 encoder writes a clean shard's payload
-// verbatim and a written one by copying the surviving base doc entries
-// and still-mapped term entries verbatim around the overlay — the same
+// new heap shards. The encoder writes a clean shard's payload verbatim
+// and a written one by copying the surviving base doc entries and
+// still-mapped term entries verbatim around the overlay — the same
 // bytes a decode of everything followed by a fresh encode produces.
 //
 // View slices are cap-clamped (buf[a:b:b]), so an append through a
@@ -51,41 +50,51 @@ import (
 // first decoded (checkPostings), so the query path's unchecked
 // decoders only ever see lists whose anchors and ordinals are sound.
 
-// v3 shard payload layout (all offsets absolute within the payload):
+// v4 shard payload layout. It holds nothing a reader can rebuild from
+// the rest: offsets are absolute within the payload and 32-bit (a
+// payload is one frame, at most frameio.MaxFrame bytes).
 //
-//	header: 8 x u64 LE
+//	header: 7 x u32 LE
 //	  [0] nDocs  [1] live  [2] dead  [3] nFields
-//	  [4] docDirOff  [5] idSortedOff  [6] fieldDirOff  [7] reserved
-//	doc entries: per live doc: str ID, strmap Fields, strmap Stored;
-//	  Fields names the fields the document carried, every value
-//	  written empty: the index keeps no field text. (Values are
-//	  skipped, never read, so an entry with text in them still
-//	  attaches, and a verbatim copy of it keeps the text.)
-//	docDir   at docDirOff:   nDocs x u64 entry offset (^0 = tombstone)
+//	  [4] docDirOff  [5] idSortedOff  [6] fieldDirOff
+//	doc entries: per live doc: str ID, strmap Stored. Which fields a
+//	  document carried is not repeated here: the field sections'
+//	  (ordinal, length) lists say it.
+//	docDir   at docDirOff:   nDocs x u32 entry offset (^0 = tombstone)
 //	idSorted at idSortedOff: live x u32 ordinals sorted by doc ID
-//	fieldDir at fieldDirOff: nFields x u64 field section offset
-//	field section (fields sorted by name):
+//	fieldDir at fieldDirOff: nFields x u32 field section offset
+//	field section (fields in strictly ascending name order):
 //	  str name, uvarint totalLen, docCount, minLen,
-//	  uvarint nLens, nLens x (uvarint ord, uvarint len),
-//	  uvarint nTerms, termDir: nTerms x u64 entry offset
+//	  uvarint nLens, nLens x (uvarint ord, uvarint len) — one entry
+//	    per live document that carried the field, empty ones included,
+//	    ascending by ordinal,
+//	  uvarint nTerms, termDir: nTerms x u32 entry offset
 //	  (entries sorted by term), then the term entries
 //	term entry:
 //	  str term, uvarint n, lastDoc, maxTF, nBlocks,
 //	  nBlocks x (uvarint firstDoc, docOff, posOff, maxTF),
-//	  uvarint len + raw docTF, uvarint len + raw posBuf
+//	  uvarint len + raw docTF (tf 1 folded into the delta, see
+//	  postingList), uvarint len + raw posBuf
 
 const (
-	v3HeaderLen = 64
-	// v3Tombstone marks a dead ordinal in the doc directory.
-	v3Tombstone = ^uint64(0)
+	shardHeaderLen = 7 * 4
+	// dirTombstone marks a dead ordinal in the doc directory.
+	dirTombstone = ^uint32(0)
 )
 
-// mappedShard is the view side of a shard attached from a v3 payload.
+// u32At reads the little-endian u32 at byte offset off of b.
+func u32At(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
+
+// mappedShard is the view side of a shard attached from a v4 payload.
 type mappedShard struct {
 	payload  []byte
 	nDocs    int
-	docDir   []byte // nDocs * 8
+	docDir   []byte // nDocs * 4
 	idSorted []byte // live * 4
+	// fields are the base's field dictionaries in ascending name
+	// order, one slab for the shard; each records which base
+	// documents carried it.
+	fields []mappedField
 	// gone marks base ordinals deleted or replaced since attach. nil
 	// until the first such write; guarded by the shard lock.
 	gone []uint64
@@ -93,8 +102,9 @@ type mappedShard struct {
 
 // mappedField is the view side of one field's term dictionary.
 type mappedField struct {
+	name    string
 	payload []byte
-	termDir []byte // nTerms * 8
+	termDir []byte // nTerms * 4
 	nTerms  int
 	// lens is the field's (ordinal, length) list for the base: one
 	// entry per base document that carried the field at snapshot
@@ -102,6 +112,10 @@ type mappedField struct {
 	// liveness.
 	lens  []byte
 	nLens int
+	// has marks the base ordinals whose documents carried the field
+	// when the snapshot was written, an empty value included: the doc
+	// entries do not name their fields.
+	has []uint64
 	// lazy caches decoded view posting lists by term. Pointer
 	// identity matters: the cross-request cache keys decoded postings
 	// by *postingList, so repeated lookups must return the same list.
@@ -151,34 +165,34 @@ func (ix *Index) MMapStats() MMapStats {
 
 func (ix *Index) lazyErr() { ix.mmLazyErrs.Add(1) }
 
-// attachShardV3 builds a shard whose reads serve from payload. The
-// eager part — field registry, doc lengths, counts — is O(docs) tiny
-// integers; postings and the doc table stay views. Structural bounds
-// are validated here so query-time decodes start from sane offsets.
-func (ix *Index) attachShardV3(payload []byte, optsFor func(string) (FieldOptions, bool)) (*shard, error) {
+// attachShard builds a shard whose reads serve from a v4 payload.
+// The eager part — field registry, doc lengths, which base documents
+// carry each field, counts — is O(docs) tiny integers; postings and
+// the doc table stay views. Structural bounds are validated here so
+// query-time decodes start from sane offsets.
+func (ix *Index) attachShard(payload []byte, optsFor func(string) (FieldOptions, bool)) (*shard, error) {
 	fail := func(err error) (*shard, error) {
-		return nil, fmt.Errorf("index: attaching v3 shard: %w", err)
+		return nil, fmt.Errorf("index: attaching shard: %w", err)
 	}
-	if len(payload) < v3HeaderLen {
-		return fail(fmt.Errorf("payload %d bytes, header needs %d", len(payload), v3HeaderLen))
+	if len(payload) < shardHeaderLen {
+		return fail(fmt.Errorf("payload %d bytes, header needs %d", len(payload), shardHeaderLen))
 	}
-	u64At := func(i int) uint64 { return binary.LittleEndian.Uint64(payload[i*8:]) }
-	nDocs, live, dead, nFields := int(u64At(0)), int(u64At(1)), int(u64At(2)), int(u64At(3))
-	docDirOff, idSortedOff, fieldDirOff := u64At(4), u64At(5), u64At(6)
+	hdr := func(i int) int { return int(u32At(payload, i*4)) }
+	nDocs, live, dead, nFields := hdr(0), hdr(1), hdr(2), hdr(3)
+	docDirOff, idSortedOff, fieldDirOff := hdr(4), hdr(5), hdr(6)
 	// Counts are bounded by the payload itself: every doc costs at
 	// least one directory entry, every field at least one.
-	if nDocs < 0 || nDocs > len(payload) || live < 0 || dead < 0 || live+dead != nDocs ||
-		nFields < 0 || nFields > len(payload) {
+	if nDocs > len(payload) || live+dead != nDocs || nFields > len(payload) {
 		return fail(fmt.Errorf("implausible header counts docs=%d live=%d dead=%d fields=%d", nDocs, live, dead, nFields))
 	}
-	section := func(off uint64, n int) ([]byte, error) {
-		end := off + uint64(n)
-		if off > uint64(len(payload)) || end > uint64(len(payload)) {
-			return nil, fmt.Errorf("directory [%d,%d) outside payload of %d bytes", off, end, len(payload))
+	// A directory lies past the header and inside the payload.
+	section := func(off, n int) ([]byte, error) {
+		if off < shardHeaderLen || off > len(payload) || n > len(payload)-off {
+			return nil, fmt.Errorf("directory [%d,+%d) outside payload of %d bytes", off, n, len(payload))
 		}
-		return payload[off:end:end], nil
+		return payload[off : off+n : off+n], nil
 	}
-	docDir, err := section(docDirOff, nDocs*8)
+	docDir, err := section(docDirOff, nDocs*4)
 	if err != nil {
 		return fail(err)
 	}
@@ -186,23 +200,34 @@ func (ix *Index) attachShardV3(payload []byte, optsFor func(string) (FieldOption
 	if err != nil {
 		return fail(err)
 	}
-	fieldDir, err := section(fieldDirOff, nFields*8)
+	fieldDir, err := section(fieldDirOff, nFields*4)
 	if err != nil {
 		return fail(err)
 	}
 	s := newShard(ix)
 	s.live, s.dead = live, dead
-	s.ms = &mappedShard{payload: payload, nDocs: nDocs, docDir: docDir, idSorted: idSorted}
+	ms := &mappedShard{payload: payload, nDocs: nDocs, docDir: docDir, idSorted: idSorted,
+		fields: make([]mappedField, nFields)}
+	s.ms = ms
 	s.base = nDocs
-	for i := 0; i < nFields; i++ {
-		off := binary.LittleEndian.Uint64(fieldDir[i*8:])
-		if off > uint64(len(payload)) {
+	// Every field's presence bits share one slab, sized up front for
+	// a few fields: a header claiming many cannot make attach allocate
+	// more than the payload's size before its sections are read.
+	words := (nDocs + 63) / 64
+	bits := make([]uint64, 0, words*min(nFields, 8))
+	for i := range ms.fields {
+		mf := &ms.fields[i]
+		off := int(u32At(fieldDir, i*4))
+		if off > len(payload) {
 			return fail(fmt.Errorf("field %d section offset %d outside payload", i, off))
 		}
-		br := &binReader{buf: payload, off: int(off)}
+		br := &binReader{buf: payload, off: off}
 		name, err := br.str()
 		if err != nil {
 			return fail(err)
+		}
+		if i > 0 && name <= ms.fields[i-1].name {
+			return fail(fmt.Errorf("field %q out of order after %q", name, ms.fields[i-1].name))
 		}
 		fp := &fieldPostings{terms: make(map[string]*postingList), docLen: make([]int, nDocs)}
 		if fp.totalLen, err = br.uvarint(); err != nil {
@@ -218,6 +243,8 @@ func (ix *Index) attachShardV3(payload []byte, optsFor func(string) (FieldOption
 		if err != nil {
 			return fail(err)
 		}
+		bits = append(bits, make([]uint64, words)...)
+		has := bits[i*words:]
 		lensOff := br.off
 		for j := 0; j < nLens; j++ {
 			ord, err := br.uvarint()
@@ -230,22 +257,27 @@ func (ix *Index) attachShardV3(payload []byte, optsFor func(string) (FieldOption
 			if fp.docLen[ord], err = br.uvarint(); err != nil {
 				return fail(err)
 			}
+			has[ord>>6] |= 1 << (ord & 63)
 		}
 		lens := payload[lensOff:br.off:br.off]
 		nTerms, err := br.count()
 		if err != nil {
 			return fail(err)
 		}
-		termDir, err := section(uint64(br.off), nTerms*8)
+		termDir, err := section(br.off, nTerms*4)
 		if err != nil {
 			return fail(fmt.Errorf("field %q: %w", name, err))
 		}
-		fp.mapped = &mappedField{payload: payload, termDir: termDir, nTerms: nTerms, ix: ix,
-			lens: lens, nLens: nLens, nDocs: nDocs}
+		mf.name, mf.payload, mf.termDir, mf.nTerms, mf.ix = name, payload, termDir, nTerms, ix
+		mf.lens, mf.nLens, mf.nDocs = lens, nLens, nDocs
+		fp.mapped = mf
 		if opts, ok := optsFor(name); ok {
 			fp.opts = opts
 		}
 		s.fields[name] = fp
+	}
+	for i := range ms.fields {
+		ms.fields[i].has = bits[i*words : (i+1)*words : (i+1)*words]
 	}
 	return s, nil
 }
@@ -253,11 +285,11 @@ func (ix *Index) attachShardV3(payload []byte, optsFor func(string) (FieldOption
 // termAt returns the term bytes of dictionary slot i as a view into
 // the payload.
 func (mf *mappedField) termAt(i int) ([]byte, error) {
-	off := binary.LittleEndian.Uint64(mf.termDir[i*8:])
-	if off > uint64(len(mf.payload)) {
+	off := int(u32At(mf.termDir, i*4))
+	if off > len(mf.payload) {
 		return nil, errShardPayload
 	}
-	br := binReader{buf: mf.payload, off: int(off)}
+	br := binReader{buf: mf.payload, off: off}
 	return br.bytes()
 }
 
@@ -297,11 +329,11 @@ func (mf *mappedField) find(term string) (slot int, ok bool) {
 // it carries the posting streams over as they are, and decodeSlot
 // judges them when the term is read.
 func (mf *mappedField) slotBytes(i int) (term, entry []byte, err error) {
-	off := binary.LittleEndian.Uint64(mf.termDir[i*8:])
-	if off > uint64(len(mf.payload)) {
+	off := int(u32At(mf.termDir, i*4))
+	if off > len(mf.payload) {
 		return nil, nil, errShardPayload
 	}
-	br := &binReader{buf: mf.payload, off: int(off)}
+	br := &binReader{buf: mf.payload, off: off}
 	if term, err = br.bytes(); err != nil {
 		return nil, nil, err
 	}
@@ -339,11 +371,11 @@ func (mf *mappedField) slotBytes(i int) (term, entry []byte, err error) {
 // streams as cap-clamped views into the payload. A list whose streams
 // fail checkPostings is rejected.
 func (mf *mappedField) decodeSlot(i int) (*postingList, error) {
-	off := binary.LittleEndian.Uint64(mf.termDir[i*8:])
-	if off > uint64(len(mf.payload)) {
+	off := int(u32At(mf.termDir, i*4))
+	if off > len(mf.payload) {
 		return nil, errShardPayload
 	}
-	br := &binReader{buf: mf.payload, off: int(off)}
+	br := &binReader{buf: mf.payload, off: off}
 	if _, err := br.bytes(); err != nil { // term, already known to callers
 		return nil, err
 	}
@@ -536,7 +568,7 @@ func (ms *mappedShard) liveAt(ord int) bool {
 	if ms.gone != nil && ms.gone[ord>>6]&(1<<(ord&63)) != 0 {
 		return false
 	}
-	return binary.LittleEndian.Uint64(ms.docDir[ord*8:]) != v3Tombstone
+	return u32At(ms.docDir, ord*4) != dirTombstone
 }
 
 // kill marks base ordinal ord deleted or replaced.
@@ -551,11 +583,11 @@ func (ms *mappedShard) kill(ord int) {
 // whatever its liveness; ok=false for a snapshot tombstone or a
 // corrupt offset (counted).
 func (ms *mappedShard) entryAt(ix *Index, ord int) (binReader, bool) {
-	off := binary.LittleEndian.Uint64(ms.docDir[ord*8:])
-	if off == v3Tombstone {
+	off := u32At(ms.docDir, ord*4)
+	if off == dirTombstone {
 		return binReader{}, false
 	}
-	if off > uint64(len(ms.payload)) {
+	if int(off) > len(ms.payload) {
 		ix.lazyErr()
 		return binReader{}, false
 	}
@@ -577,64 +609,57 @@ func (ms *mappedShard) idBytesAt(ix *Index, ord int) []byte {
 	return id
 }
 
+// carries reports whether base ordinal ord's document carried the
+// field when the snapshot was written.
+func (mf *mappedField) carries(ord int) bool {
+	return mf.has[ord>>6]&(1<<(ord&63)) != 0
+}
+
 // docEntryAt decodes the doc entry at base ordinal ord into a row;
 // ok=false for tombstones and corrupt entries.
 func (ms *mappedShard) docEntryAt(ix *Index, ord int) (docRow, bool) {
 	return ms.rowAt(ix, ord, nil)
 }
 
-// rowAt is docEntryAt for a walk over many entries: the row shares
-// prev as its field names when the entry names the same fields, so a
-// run of documents carrying one set of fields decodes them once. The
-// ID and Stored map are freshly decoded, a per-call allocation.
+// rowAt is docEntryAt for a walk over many entries. The row's field
+// names come from the per-field presence attach recorded, and they
+// share prev when they are the same names, so a run of documents
+// carrying one set of fields allocates them once. The ID and Stored
+// map are freshly decoded, a per-call allocation.
 func (ms *mappedShard) rowAt(ix *Index, ord int, prev []string) (docRow, bool) {
-	br, ok := ms.entryAt(ix, ord)
-	if !ok {
+	id, stored := ms.hitAt(ix, ord)
+	if id == "" {
 		return docRow{}, false
 	}
-	fail := func() (docRow, bool) {
-		ix.lazyErr()
-		return docRow{}, false
-	}
-	var row docRow
-	var err error
-	if row.ID, err = br.str(); err != nil || row.ID == "" {
-		return fail()
-	}
-	n, err := br.count()
-	if err != nil {
-		return fail()
-	}
-	same := n == len(prev)
-	for i := range n {
-		k, err := br.bytes()
-		if err == nil {
-			_, err = br.bytes()
+	row := docRow{ID: id, Stored: stored}
+	n, same := 0, true
+	for i := range ms.fields {
+		mf := &ms.fields[i]
+		if !mf.carries(ord) {
+			continue
 		}
-		if err != nil {
-			return fail()
-		}
-		if same && string(k) == prev[i] {
+		name := mf.name
+		if same && n < len(prev) && prev[n] == name {
+			n++
 			continue
 		}
 		if same {
 			same = false
-			row.Fields = append(make([]string, 0, n), prev[:i]...)
+			row.Fields = append(make([]string, 0, len(ms.fields)), prev[:n]...)
 		}
-		row.Fields = append(row.Fields, string(k))
+		row.Fields = append(row.Fields, name)
 	}
 	if same {
+		// Rows never write to their names, so a prefix of prev is
+		// shared too.
 		row.Fields = prev[:n:n]
-	}
-	if row.Stored, err = br.strmap(); err != nil {
-		return fail()
 	}
 	return row, true
 }
 
 // hitAt decodes what a search result needs from base ordinal ord's
-// entry — the ID and the Stored map — stepping over Fields in place.
-// An empty Stored map decodes to nil without allocating.
+// entry: the ID and the Stored map. An empty Stored map decodes to
+// nil without allocating.
 func (ms *mappedShard) hitAt(ix *Index, ord int) (string, map[string]string) {
 	br, ok := ms.entryAt(ix, ord)
 	if !ok {
@@ -642,54 +667,18 @@ func (ms *mappedShard) hitAt(ix *Index, ord int) (string, map[string]string) {
 	}
 	id, err := br.str()
 	if err == nil && id != "" {
-		if err = br.skipStrmap(); err == nil {
-			var stored map[string]string
-			if stored, err = br.strmap(); err == nil {
-				return id, stored
-			}
+		var stored map[string]string
+		if stored, err = br.strmap(); err == nil {
+			return id, stored
 		}
 	}
 	ix.lazyErr()
 	return "", nil
 }
 
-// fieldKeys yields the Fields keys of base ordinal ord's entry as
-// views into the payload, in entry order, decoding nothing else. A
-// corrupt entry yields what precedes the damage and is counted.
-func (ms *mappedShard) fieldKeys(ix *Index, ord int) iter.Seq[[]byte] {
-	return func(yield func([]byte) bool) {
-		br, ok := ms.entryAt(ix, ord)
-		if !ok {
-			return
-		}
-		if _, err := br.bytes(); err != nil {
-			ix.lazyErr()
-			return
-		}
-		n, err := br.count()
-		if err != nil {
-			ix.lazyErr()
-			return
-		}
-		for i := 0; i < n; i++ {
-			k, err := br.bytes()
-			if err == nil {
-				_, err = br.bytes()
-			}
-			if err != nil {
-				ix.lazyErr()
-				return
-			}
-			if !yield(k) {
-				return
-			}
-		}
-	}
-}
-
-// entryBytes returns the whole encoded entry of base ordinal ord —
-// ID, Fields, Stored — as a view into the payload, for verbatim
-// re-encoding; nil for tombstones and corrupt entries.
+// entryBytes returns the whole encoded entry of base ordinal ord — ID
+// and Stored — as a view into the payload, for verbatim re-encoding;
+// nil for tombstones and corrupt entries.
 func (ms *mappedShard) entryBytes(ix *Index, ord int) []byte {
 	br, ok := ms.entryAt(ix, ord)
 	if !ok {
@@ -699,9 +688,7 @@ func (ms *mappedShard) entryBytes(ix *Index, ord int) []byte {
 	id, err := br.bytes()
 	if err == nil && len(id) > 0 {
 		if err = br.skipStrmap(); err == nil {
-			if err = br.skipStrmap(); err == nil {
-				return br.buf[start:br.off:br.off]
-			}
+			return br.buf[start:br.off:br.off]
 		}
 	}
 	ix.lazyErr()
@@ -715,7 +702,7 @@ func (ms *mappedShard) entryBytes(ix *Index, ord int) []byte {
 func (ms *mappedShard) find(ix *Index, id string) (int, bool) {
 	n := len(ms.idSorted) / 4
 	ordAt := func(i int) (int, bool) {
-		ord := int(binary.LittleEndian.Uint32(ms.idSorted[i*4:]))
+		ord := int(u32At(ms.idSorted, i*4))
 		if ord >= ms.nDocs {
 			ix.lazyErr()
 			return 0, false

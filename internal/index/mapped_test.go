@@ -92,10 +92,16 @@ func TestCountMappedAllocs(t *testing.T) {
 // index past a stream or past the shard's ordinals at query time.
 func TestCheckPostingsRejectsBadAnchors(t *testing.T) {
 	const nDocs = 800 // the valid list's last ordinal is 765
+	// Every posting has tf 2 except the first of each block, whose tf
+	// 1 is folded into its delta.
 	valid := func() *postingList {
 		l := &postingList{}
 		for doc := 0; doc < 2*postingBlockSize; doc++ {
-			appendPosting(l, 3*doc, []int{doc % 5, doc%5 + 2})
+			pos := []int{doc % 5, doc%5 + 2}
+			if doc%postingBlockSize == 0 {
+				pos = pos[:1]
+			}
+			appendPosting(l, 3*doc, pos)
 		}
 		l.blocks = append([]blockMeta(nil), l.blocks...)
 		return l
@@ -128,8 +134,17 @@ func TestCheckPostingsRejectsBadAnchors(t *testing.T) {
 			l.lastDoc -= 3
 		},
 		"delta past ordinals": func(l *postingList) {
-			l.docTF[len(l.docTF)-2] = 0x7f // the last posting's delta, 3 → 127
-			l.lastDoc += 0x7f - 3
+			l.docTF[len(l.docTF)-2] = 0x7e // the last posting's delta, 3 → 63
+			l.lastDoc += 63 - 3
+		},
+		"tf 1 written out": func(l *postingList) {
+			l.docTF[len(l.docTF)-1] = 1 // the last posting's tf, 2 → 1
+			l.posBuf = l.posBuf[:len(l.posBuf)-1]
+			l.blocks[1].maxTF, l.maxTF = 2, 2
+		},
+		"first delta not zero": func(l *postingList) {
+			l.docTF[l.blocks[1].docOff] = 3 // block 1's first posting: delta 0 → 1, tf 1
+			l.blocks[1].firstDoc--
 		},
 	} {
 		l := valid()

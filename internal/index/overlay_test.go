@@ -11,11 +11,11 @@ import (
 	"testing"
 )
 
-// snapshotV3Ref is the reference v3 shard encoder: decode every
+// snapshotShardRef is the reference v4 shard encoder: decode every
 // document onto the heap, then walk the decoded table and the merged
 // term dictionary generically. The overlay encoder must write the same
 // bytes without decoding the base.
-func snapshotV3Ref(s *shard) []byte {
+func snapshotShardRef(s *shard) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	nDocs := s.numDocs()
@@ -24,8 +24,8 @@ func snapshotV3Ref(s *shard) []byte {
 		docs[ord] = s.docAt(ord)
 	}
 	bw := &binWriter{}
-	bw.reserve(v3HeaderLen)
-	docOff := make([]uint64, nDocs)
+	bw.reserve(shardHeaderLen)
+	docOff := make([]uint32, nDocs)
 	type idOrd struct {
 		id  string
 		ord int
@@ -33,22 +33,17 @@ func snapshotV3Ref(s *shard) []byte {
 	var byID []idOrd
 	for ord, doc := range docs {
 		if doc.ID == "" {
-			docOff[ord] = v3Tombstone
+			docOff[ord] = dirTombstone
 			continue
 		}
-		docOff[ord] = uint64(len(bw.buf))
+		docOff[ord] = uint32(len(bw.buf))
 		bw.str(doc.ID)
-		fields := make(map[string]string, len(doc.Fields))
-		for _, name := range doc.Fields {
-			fields[name] = ""
-		}
-		bw.strmap(fields)
 		bw.strmap(doc.Stored)
 		byID = append(byID, idOrd{doc.ID, ord})
 	}
 	docDirOff := len(bw.buf)
 	for _, off := range docOff {
-		bw.u64(off)
+		bw.u32(off)
 	}
 	sort.Slice(byID, func(i, j int) bool { return byID[i].id < byID[j].id })
 	idSortedOff := len(bw.buf)
@@ -60,10 +55,10 @@ func snapshotV3Ref(s *shard) []byte {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fieldOffs := make([]uint64, len(names))
+	fieldOffs := make([]uint32, len(names))
 	for fi, name := range names {
 		fp := s.fields[name]
-		fieldOffs[fi] = uint64(len(bw.buf))
+		fieldOffs[fi] = uint32(len(bw.buf))
 		bw.str(name)
 		bw.uvarint(fp.totalLen)
 		bw.uvarint(fp.docCount)
@@ -88,9 +83,9 @@ func snapshotV3Ref(s *shard) []byte {
 			}
 		}
 		bw.uvarint(len(terms))
-		termDirOff := bw.reserve(len(terms) * 8)
+		termDirOff := bw.reserve(len(terms) * 4)
 		for ti, term := range terms {
-			bw.patchU64(termDirOff+ti*8, uint64(len(bw.buf)))
+			bw.patchU32(termDirOff+ti*4, len(bw.buf))
 			list := lists[ti]
 			bw.str(term)
 			bw.uvarint(list.n)
@@ -111,12 +106,11 @@ func snapshotV3Ref(s *shard) []byte {
 	}
 	fieldDirOff := len(bw.buf)
 	for _, off := range fieldOffs {
-		bw.u64(off)
+		bw.u32(off)
 	}
-	hdr := []uint64{uint64(nDocs), uint64(s.live), uint64(s.dead), uint64(len(names)),
-		uint64(docDirOff), uint64(idSortedOff), uint64(fieldDirOff), 0}
+	hdr := []int{nDocs, s.live, s.dead, len(names), docDirOff, idSortedOff, fieldDirOff}
 	for i, x := range hdr {
-		bw.patchU64(i*8, x)
+		bw.patchU32(i*4, x)
 	}
 	return bw.buf
 }
@@ -172,16 +166,16 @@ func checkOverlayTwins(t *testing.T, label string, mx, hx *Index) {
 	}
 	for i, s := range mx.ring.Load().shards {
 		var got bytes.Buffer
-		if err := s.snapshotV3(&got); err != nil {
+		if err := s.snapshotShard(&got); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), snapshotV3Ref(s)) {
+		if !bytes.Equal(got.Bytes(), snapshotShardRef(s)) {
 			t.Fatalf("%s: shard %d overlay encoding differs from decode-then-encode", label, i)
 		}
 	}
 }
 
-// heapCopy restores a v3 snapshot and folds every shard onto the
+// heapCopy restores a snapshot and folds every shard onto the
 // heap: the heap twin an attached copy is compared against.
 func heapCopy(t testing.TB, data []byte, shards int) *Index {
 	t.Helper()
@@ -397,8 +391,94 @@ func BenchmarkSnapshotWrittenMapped(b *testing.B) {
 			var out bytes.Buffer
 			b.StartTimer()
 			for _, s := range mx.ring.Load().shards {
-				out.Write(snapshotV3Ref(s))
+				out.Write(snapshotShardRef(s))
 			}
 		}
 	})
+}
+
+// emptyFieldDoc builds document i of TestBaseDeletesOfEmptyFields:
+// its tag field is absent when i%3 == 0, present but empty when
+// i%3 == 1, and carries a word when i%3 == 2; rev varies the body.
+func emptyFieldDoc(i, rev int) Document {
+	fields := map[string]string{"body": fmt.Sprintf("common body rev%d word%d", rev, i%7)}
+	switch i % 3 {
+	case 1:
+		fields["tag"] = ""
+	case 2:
+		fields["tag"] = fmt.Sprintf("tagged tag%d", i%4)
+	}
+	return Document{ID: fmt.Sprintf("e%03d", i), Fields: fields}
+}
+
+// TestBaseDeletesOfEmptyFields: deleting and replacing base documents
+// of a mapped index whose tag field was absent or empty keeps every
+// field's document count and total length — the BM25 average length —
+// exact. The mapped index, attached from a snapshot, must answer and
+// encode exactly like a heap twin that took the same writes without
+// ever being snapshotted; a delete that skipped an empty field (its
+// length is 0, so only the field's presence records it) would leave
+// the tag field's document count one too high.
+func TestBaseDeletesOfEmptyFields(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		hx := New(WithShards(shards))
+		for i := range 90 {
+			if err := hx.Add(emptyFieldDoc(i, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mx := mappedCopy(t, hx)
+		for i := 0; i < 90; i += 4 {
+			id := fmt.Sprintf("e%03d", i)
+			if got, want := mx.Delete(id), hx.Delete(id); !got || !want {
+				t.Fatalf("delete %s: mapped %v, heap %v", id, got, want)
+			}
+		}
+		// Replacements move documents between absent, empty and
+		// carrying a word.
+		for i := 1; i < 90; i += 4 {
+			doc := emptyFieldDoc(i+1, 1)
+			doc.ID = fmt.Sprintf("e%03d", i)
+			for _, ix := range []*Index{mx, hx} {
+				if err := ix.Add(doc); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		stats := func(ix *Index) map[string][2]int {
+			out := map[string][2]int{}
+			for _, s := range ix.ring.Load().shards {
+				s.mu.RLock()
+				for name, fp := range s.fields {
+					st := out[name]
+					out[name] = [2]int{st[0] + fp.docCount, st[1] + fp.totalLen}
+				}
+				s.mu.RUnlock()
+			}
+			return out
+		}
+		if got, want := stats(mx), stats(hx); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: field (docCount, totalLen) mapped %v, heap %v", shards, got, want)
+		}
+		for _, q := range []Query{
+			TermQuery{Field: "tag", Term: "tagged"},
+			MatchQuery{Text: "tagged tag1 word3"},
+			MatchQuery{Fields: []string{"tag"}, Text: "tag2 tag3"},
+			AllQuery{},
+		} {
+			for _, o := range []SearchOptions{{}, {Limit: 5}} {
+				mustEqualResults(t, fmt.Sprintf("shards=%d %#v %+v", shards, q, o), mx.mustSearch(q, o), hx.mustSearch(q, o))
+			}
+		}
+		var a, b bytes.Buffer
+		if err := mx.Snapshot(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := hx.Snapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("shards=%d: mapped snapshot differs from the heap twin's", shards)
+		}
+	}
 }

@@ -3,7 +3,6 @@ package index
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,7 +20,7 @@ import (
 // configuration, then one frame per shard — so Snapshot can encode
 // shards concurrently and still write a deterministic byte stream,
 // and restore can hand whole shard payloads to a decoding pool.
-// Snapshot writes v3 and Restore reads only v3.
+// Snapshot writes v4 and Restore reads only v4.
 //
 // The uvarint codec lives in encoding.go and is shared with the
 // in-memory posting lists: snapshot encode streams postings straight
@@ -40,14 +39,14 @@ import (
 // (SetFieldOptions) before restoring, exactly as before indexing.
 
 // indexSnapshotMagic/indexSnapshotVersion guard the framed format.
-// Version 3 is the mmap-friendly layout (mapped.go): offset
+// Version 4 is the mmap-friendly layout (mapped.go): 32-bit offset
 // directories plus the raw block-compressed byte streams, so a shard
-// attaches as a read-only view over the file instead of being decoded.
-// It is the only version Restore reads; versions 1 and 2 are refused
-// with frameio.ErrUnsupportedFormat.
+// attaches as a read-only view over the file instead of being decoded,
+// and no per-document field names. It is the only version Restore
+// reads; versions 1 to 3 are refused with frameio.ErrUnsupportedFormat.
 const (
 	indexSnapshotMagic   = "SYMIDX1\n"
-	indexSnapshotVersion = 3
+	indexSnapshotVersion = 4
 )
 
 // indexHeader is the header frame: everything shard-independent.
@@ -66,7 +65,7 @@ type indexHeader struct {
 // wherever maps are walked, so identical state encodes to identical
 // bytes.
 
-// snapshotV3 serializes this shard in the mmap-friendly v3 layout
+// snapshotShard serializes this shard in the mmap-friendly v4 layout
 // (see mapped.go for the full map). A shard that is still an
 // untouched mapped view writes its payload bytes verbatim — the
 // incremental-checkpoint fast path that makes re-checkpointing a
@@ -74,7 +73,7 @@ type indexHeader struct {
 // copies its surviving base doc entries and still-mapped term entries
 // verbatim and encodes only the overlay; the bytes are the ones a
 // decode of the whole shard followed by a fresh encode would write.
-func (s *shard) snapshotV3(w io.Writer) error {
+func (s *shard) snapshotShard(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.ms != nil && !s.dirty {
@@ -83,20 +82,20 @@ func (s *shard) snapshotV3(w io.Writer) error {
 	}
 	bw := &binWriter{}
 	nDocs := s.numDocs()
-	bw.reserve(v3HeaderLen)
+	bw.reserve(shardHeaderLen)
 	// Doc entries first, recording each live doc's offset; the
 	// directory and ID permutation follow.
-	docOff := make([]uint64, nDocs)
+	docOff := make([]uint32, nDocs)
 	for ord := 0; ord < s.base; ord++ {
 		var e []byte
 		if s.ms.liveAt(ord) {
 			e = s.ms.entryBytes(s.ix, ord)
 		}
 		if e == nil {
-			docOff[ord] = v3Tombstone
+			docOff[ord] = dirTombstone
 			continue
 		}
-		docOff[ord] = uint64(len(bw.buf))
+		docOff[ord] = uint32(len(bw.buf))
 		bw.buf = append(bw.buf, e...)
 	}
 	type idOrd struct {
@@ -107,18 +106,17 @@ func (s *shard) snapshotV3(w io.Writer) error {
 	for i := range s.docs {
 		row, ord := &s.docs[i], s.base+i
 		if row.ID == "" {
-			docOff[ord] = v3Tombstone
+			docOff[ord] = dirTombstone
 			continue
 		}
-		docOff[ord] = uint64(len(bw.buf))
+		docOff[ord] = uint32(len(bw.buf))
 		bw.str(row.ID)
-		bw.fieldNames(row.Fields)
 		bw.strmap(row.Stored)
 		overlay = append(overlay, idOrd{row.ID, ord})
 	}
 	docDirOff := len(bw.buf)
 	for _, off := range docOff {
-		bw.u64(off)
+		bw.u32(off)
 	}
 	// The ID permutation merges the base's (already ID-sorted, minus
 	// the dead) with the sorted overlay; the two share no live ID.
@@ -127,8 +125,8 @@ func (s *shard) snapshotV3(w io.Writer) error {
 	j := 0
 	if s.ms != nil {
 		for i := 0; i < len(s.ms.idSorted)/4; i++ {
-			ord := int(binary.LittleEndian.Uint32(s.ms.idSorted[i*4:]))
-			if ord >= s.base || docOff[ord] == v3Tombstone {
+			ord := int(u32At(s.ms.idSorted, i*4))
+			if ord >= s.base || docOff[ord] == dirTombstone {
 				continue
 			}
 			id := s.ms.idBytesAt(s.ix, ord)
@@ -146,10 +144,10 @@ func (s *shard) snapshotV3(w io.Writer) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fieldOffs := make([]uint64, len(names))
+	fieldOffs := make([]uint32, len(names))
 	for fi, name := range names {
 		fp := s.fields[name]
-		fieldOffs[fi] = uint64(len(bw.buf))
+		fieldOffs[fi] = uint32(len(bw.buf))
 		bw.str(name)
 		bw.uvarint(fp.totalLen)
 		bw.uvarint(fp.docCount)
@@ -158,12 +156,12 @@ func (s *shard) snapshotV3(w io.Writer) error {
 		// length list, the overlay's from their rows' field names.
 		ords := make([]int, 0, fp.docCount)
 		if mf := fp.mapped; mf != nil {
-			// attachShardV3 validated the list: ordinals below nDocs.
+			// attachShard validated the list: ordinals below nDocs.
 			br := binReader{buf: mf.lens}
 			for range mf.nLens {
 				ord, _ := br.uvarint()
 				br.uvarint()
-				if docOff[ord] != v3Tombstone {
+				if docOff[ord] != dirTombstone {
 					ords = append(ords, ord)
 				}
 			}
@@ -181,18 +179,18 @@ func (s *shard) snapshotV3(w io.Writer) error {
 		if fp.mapped == nil {
 			terms := fp.sortedTerms()
 			bw.uvarint(len(terms))
-			termDirOff := bw.reserve(len(terms) * 8)
+			termDirOff := bw.reserve(len(terms) * 4)
 			for ti, term := range terms {
-				bw.patchU64(termDirOff+ti*8, uint64(len(bw.buf)))
+				bw.patchU32(termDirOff+ti*4, len(bw.buf))
 				bw.termEntry(term, fp.terms[term])
 			}
 			continue
 		}
 		plan := fp.encodePlan()
 		bw.uvarint(len(plan))
-		termDirOff := bw.reserve(len(plan) * 8)
+		termDirOff := bw.reserve(len(plan) * 4)
 		for ti, te := range plan {
-			bw.patchU64(termDirOff+ti*8, uint64(len(bw.buf)))
+			bw.patchU32(termDirOff+ti*4, len(bw.buf))
 			if te.list == nil {
 				bw.buf = append(bw.buf, te.raw...)
 			} else {
@@ -202,18 +200,22 @@ func (s *shard) snapshotV3(w io.Writer) error {
 	}
 	fieldDirOff := len(bw.buf)
 	for _, off := range fieldOffs {
-		bw.u64(off)
+		bw.u32(off)
 	}
-	hdr := []uint64{uint64(nDocs), uint64(s.live), uint64(s.dead), uint64(len(names)),
-		uint64(docDirOff), uint64(idSortedOff), uint64(fieldDirOff), 0}
+	// A payload is one frame: past the frame limit the u32 offsets
+	// above have wrapped, and no reader would take the frame anyway.
+	if len(bw.buf) > frameio.MaxFrame {
+		return fmt.Errorf("index: shard payload of %d bytes exceeds the %d-byte frame limit", len(bw.buf), frameio.MaxFrame)
+	}
+	hdr := []int{nDocs, s.live, s.dead, len(names), docDirOff, idSortedOff, fieldDirOff}
 	for i, x := range hdr {
-		bw.patchU64(i*8, x)
+		bw.patchU32(i*4, x)
 	}
 	_, err := w.Write(bw.buf)
 	return err
 }
 
-// termEntry encodes one v3 term entry from a posting list.
+// termEntry encodes one term entry from a posting list.
 func (bw *binWriter) termEntry(term string, list *postingList) {
 	bw.str(term)
 	bw.uvarint(list.n)
@@ -277,7 +279,7 @@ func (fp *fieldPostings) encodePlan() []termEntry {
 	return plan
 }
 
-// Snapshot serializes the whole index in format v3: a header frame
+// Snapshot serializes the whole index in format v4: a header frame
 // with the scoring configuration and field boosts, then one frame per
 // shard. Shard frames are encoded concurrently (each under its own
 // read lock) and written in shard order, so the output is
@@ -311,7 +313,7 @@ func (ix *Index) Snapshot(w io.Writer) error {
 	bufs := make([]bytes.Buffer, len(r.shards))
 	errs := make([]error, len(r.shards))
 	eachShard(r, func(i int, s *shard) {
-		errs[i] = s.snapshotV3(&bufs[i])
+		errs[i] = s.snapshotShard(&bufs[i])
 	})
 	for i := range r.shards {
 		if errs[i] != nil {
@@ -324,11 +326,11 @@ func (ix *Index) Snapshot(w io.Writer) error {
 	return nil
 }
 
-// Restore replaces the index contents from a v3 Snapshot stream,
+// Restore replaces the index contents from a v4 Snapshot stream,
 // attached in place: each shard becomes an immutable base over its
 // frame's bytes under a heap overlay (mapped.go), so data — typically
 // an mmap'd snapshot file — must stay valid and unmodified for the
-// life of the index. A version 1 or 2 stream fails with
+// life of the index. A version 1, 2 or 3 stream fails with
 // frameio.ErrUnsupportedFormat.
 //
 // Shards restore in the layout they were written with (document
@@ -358,7 +360,7 @@ func (ix *Index) Restore(data []byte) error {
 	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
 		return fmt.Errorf("%s header: %w", op, err)
 	}
-	if hdr.Version == 1 || hdr.Version == 2 {
+	if hdr.Version >= 1 && hdr.Version < indexSnapshotVersion {
 		return fmt.Errorf("%s: snapshot version %d, the floor is %d: %w",
 			op, hdr.Version, indexSnapshotVersion, frameio.ErrUnsupportedFormat)
 	}
@@ -402,7 +404,7 @@ func (ix *Index) Restore(data []byte) error {
 	shards := make([]*shard, hdr.Shards)
 	errs := make([]error, hdr.Shards)
 	fanOut(hdr.Shards, func(i int) {
-		shards[i], errs[i] = ix.attachShardV3(frames[i], optsFor)
+		shards[i], errs[i] = ix.attachShard(frames[i], optsFor)
 	})
 	for i, err := range errs {
 		if err != nil {

@@ -155,17 +155,17 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 	}
 }
 
-// TestShardSnapshotRoundTrip: every shard's v3 payload decodes onto
+// TestShardSnapshotRoundTrip: every shard's v4 payload decodes onto
 // the heap and re-encodes to the same bytes, with the same live and
 // dead counts — the shard codec is its own inverse.
 func TestShardSnapshotRoundTrip(t *testing.T) {
 	ix := persistCorpus(t, WithShards(3))
 	for i, s := range ix.ring.Load().shards {
 		var payload bytes.Buffer
-		if err := s.snapshotV3(&payload); err != nil {
+		if err := s.snapshotShard(&payload); err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := ix.attachShardV3(payload.Bytes(), ix.fieldOpts)
+		decoded, err := ix.attachShard(payload.Bytes(), ix.fieldOpts)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
@@ -174,7 +174,7 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("shard %d: live/dead = %d/%d, want %d/%d", i, decoded.live, decoded.dead, s.live, s.dead)
 		}
 		var again bytes.Buffer
-		if err := decoded.snapshotV3(&again); err != nil {
+		if err := decoded.snapshotShard(&again); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(again.Bytes(), payload.Bytes()) {

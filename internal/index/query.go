@@ -105,6 +105,13 @@ func (ix *Index) SearchContext(ctx context.Context, q Query, opts SearchOptions)
 
 func (ix *Index) searchWith(ctx context.Context, r *ring, st *searchStats, q Query, opts SearchOptions) ([]Result, error) {
 	defer putSearchStats(st)
+	// A page that starts at or past the last live document is empty
+	// whatever matches: answer it without evaluating. Past this point
+	// a huge offset would make the top-k heap too deep to ever fill,
+	// so every shard would rank and decode every match.
+	if opts.Offset > 0 && opts.Offset >= r.live() {
+		return nil, nil
+	}
 	want := 0
 	if opts.Limit > 0 {
 		want = satAdd(opts.Offset, opts.Limit)

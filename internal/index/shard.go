@@ -28,7 +28,7 @@ type fieldPostings struct {
 	minLen int
 	opts   FieldOptions
 	// mapped, when non-nil, backs terms absent from the heap map with
-	// the shard's v3 payload (see mapped.go). Read lookups go through
+	// the shard's v4 payload (see mapped.go). Read lookups go through
 	// lookup(), writes through promoteTermLocked().
 	mapped *mappedField
 	// dict caches the sorted term dictionary for prefix scans and
@@ -102,7 +102,7 @@ type shard struct {
 	// dead/(dead+live) drives per-shard auto-compaction.
 	dead int
 
-	// ms, when non-nil, is the mapped v3 payload this shard was
+	// ms, when non-nil, is the mapped v4 payload this shard was
 	// attached from (mapped.go): the immutable base under the overlay.
 	// dirty records any mutation since attach: a clean mapped shard
 	// snapshots verbatim.
@@ -246,14 +246,17 @@ func (s *shard) deleteByIDLocked(id string) bool {
 // deleteOrdLocked tombstones a document ordinal. Postings are lazily
 // skipped at query time (posting lists may still reference the
 // ordinal) and fully dropped at Compact. A base ordinal gets its dead
-// bit, and only its entry's field keys are decoded.
+// bit and leaves the fields attach recorded it carrying; nothing of
+// its entry is decoded.
 func (s *shard) deleteOrdLocked(ord int) {
 	if !s.liveAt(ord) {
 		return
 	}
 	if ord < s.base {
-		for field := range s.ms.fieldKeys(s.ix, ord) {
-			s.fields[string(field)].dropLen(ord)
+		for i := range s.ms.fields {
+			if mf := &s.ms.fields[i]; mf.carries(ord) {
+				s.fields[mf.name].dropLen(ord)
+			}
 		}
 		s.ms.kill(ord)
 	} else {

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"encoding/binary"
 	"math"
 	"sort"
 	"strings"
@@ -131,12 +130,21 @@ func (m *memberCursor) next() bool {
 		m.tfBefore += m.tf
 	}
 	m.cnt.scored++
-	delta, n := binary.Uvarint(m.list.docTF[m.off:])
-	m.off += n
-	m.doc += int(delta)
-	tf, n := binary.Uvarint(m.list.docTF[m.off:])
-	m.off += n
-	m.tf = int(tf)
+	// An entry of one-byte varints, most postings, decodes in place
+	// without branching on its tf: e is 1 when a tf byte follows the
+	// code, and when it does not, t rereads the code.
+	b := m.list.docTF
+	c := b[m.off]
+	e := int(^c & 1)
+	if t := b[m.off+e]; (c | t) < 0x80 {
+		m.doc += int(c >> 1)
+		m.tf = 1 + e*(int(t)-1)
+		m.off += 1 + e
+	} else {
+		var gap int
+		gap, m.tf, m.off = nextPosting(b, m.off)
+		m.doc += gap
+	}
 	m.i++
 	return true
 }

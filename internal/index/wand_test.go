@@ -47,22 +47,32 @@ func TestBlockMaxRouting(t *testing.T) {
 	}
 }
 
-// TestSearchOffsetAtMaxInt: Offset + Limit saturates at math.MaxInt
-// instead of wrapping to a non-positive count, which would mean "no
-// limit" and score and decode every match. An offset past every hit
-// returns none, through the top-k path: on a single-list query that is
-// the block-max loop, which counts the postings it scores.
+// TestSearchOffsetAtMaxInt: an offset at or past the live document
+// count answers an empty page before any shard evaluates (the
+// executor runs no shard task and the block-max loop scores nothing).
+// Below it, Offset + Limit saturates at math.MaxInt instead of
+// wrapping to a non-positive count, which would mean "no limit": the
+// page comes through the top-k path, which on a single-list query is
+// the block-max loop, counting the postings it scores.
 func TestSearchOffsetAtMaxInt(t *testing.T) {
 	ix := New(WithShards(2))
 	fillSequential(t, ix, 300)
 	q := TermQuery{Field: "body", Term: "common"}
-	for _, offset := range []int{math.MaxInt, math.MaxInt - 5} {
-		before := ix.ScanStats().Scored
+	for _, offset := range []int{math.MaxInt, math.MaxInt - 5, 300} {
+		tasks, scored := GetExecutorStats().Tasks, ix.ScanStats().Scored
 		if got := ix.mustSearch(q, SearchOptions{Limit: 10, Offset: offset}); len(got) != 0 {
 			t.Fatalf("offset %d: %d hits, want none", offset, len(got))
 		}
-		if ix.ScanStats().Scored == before {
-			t.Fatalf("offset %d: the block-max loop scored nothing; want the top-k path", offset)
+		if GetExecutorStats().Tasks != tasks || ix.ScanStats().Scored != scored {
+			t.Fatalf("offset %d: shards evaluated a page past the last document", offset)
 		}
+	}
+	scored := ix.ScanStats().Scored
+	got := ix.mustSearch(q, SearchOptions{Limit: math.MaxInt - 5, Offset: 295})
+	if len(got) != 5 {
+		t.Fatalf("offset 295: %d hits, want 5", len(got))
+	}
+	if ix.ScanStats().Scored == scored {
+		t.Fatal("offset 295: the block-max loop scored nothing; want the top-k path")
 	}
 }

@@ -466,6 +466,9 @@ type Hit struct {
 //   - Anything else: the full match set, filtered and sorted over
 //     read-only record views; only the page is copied.
 //
+// An offset at or past the live record count answers an empty page
+// under either plan without evaluating anything.
+//
 // Filter ops and the order field are validated before anything is
 // evaluated. Cancelling ctx stops the index evaluation within one
 // posting block and returns ctx.Err().
@@ -477,6 +480,11 @@ func (d *Dataset) SearchContext(ctx context.Context, req SearchRequest) ([]Hit, 
 	offset := max(req.Offset, 0)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	if offset > 0 && offset >= d.lenLocked() {
+		// No page starts past the last record: answer without asking
+		// the index for every match.
+		return nil, nil
+	}
 	if len(req.Filters) == 0 && req.OrderBy == "" {
 		raw, err := d.ix.SearchContext(ctx, q, index.SearchOptions{Limit: req.Limit, Offset: offset})
 		if err != nil || raw == nil {

@@ -2,9 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"testing"
@@ -12,22 +15,29 @@ import (
 	"repro/internal/frameio"
 )
 
-// fixtureSections walks the v3 snapshot testdata/file and returns, per
+// fixtureSections walks the snapshot testdata/file and returns, per
 // dataset frame ("tenant-dataset"), its record section and its index
-// snapshot's shard payloads.
+// snapshot's shard payloads. v3 and v4 share this framing, so it
+// walks the refused v3 fixtures too.
 func fixtureSections(tb testing.TB, file string) (names []string, recSecs [][]byte, shards [][][]byte) {
 	tb.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	hdr, off, err := frameio.NextFrameInBuf(data, len(snapshotMagicV3), true)
+	hdrBytes, off, err := frameio.NextFrameInBuf(data, len(snapshotMagic), true)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	_, expects, err := parseFramedHeader(hdr)
-	if err != nil {
+	var hdr framedHeader
+	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
 		tb.Fatal(err)
+	}
+	var expects []frameExpect
+	for _, vt := range hdr.Tenants {
+		for _, name := range vt.Datasets {
+			expects = append(expects, frameExpect{tenant: vt.ID, name: name})
+		}
 	}
 	for _, e := range expects {
 		var frame []byte
@@ -68,16 +78,16 @@ var fuzzSeedFrames = []string{"tenant0-data0", "tenant3-data1"}
 
 // TestFuzzCorporaMatchFixture keeps the committed seed corpora of
 // FuzzRecordSection (here), FuzzV3DocEntry and FuzzV3Postings
-// (internal/index) cut from multitenant_v3.snap: one file per record
+// (internal/index) cut from multitenant_v4.snap: one file per record
 // section and per index shard payload of the frames in
 // fuzzSeedFrames. The index corpora also hold the shard payloads of
-// multitenant_v3_fieldtext.snap, whose doc entries still carry field
-// text, under a "-fieldtext" suffix. Run with UPDATE_FUZZ_CORPUS=1 to
-// rewrite them after a deliberate format change.
+// multitenant_v3_fieldtext.snap, a format attach must refuse, under a
+// "-fieldtext" suffix. Run with UPDATE_FUZZ_CORPUS=1 to rewrite them
+// after a deliberate format change.
 func TestFuzzCorporaMatchFixture(t *testing.T) {
 	want := map[string][]byte{}
 	for _, fx := range []struct{ file, suffix string }{
-		{"multitenant_v3.snap", ""},
+		{"multitenant_v4.snap", ""},
 		{"multitenant_v3_fieldtext.snap", "-fieldtext"},
 	} {
 		names, recSecs, shards := fixtureSections(t, fx.file)
@@ -86,7 +96,6 @@ func TestFuzzCorporaMatchFixture(t *testing.T) {
 				continue
 			}
 			if fx.suffix == "" {
-				// The record section is the same in both fixtures.
 				want[filepath.Join("testdata", "fuzz", "FuzzRecordSection", name)] = recSecs[i]
 			}
 			for j, p := range shards[i] {
@@ -121,24 +130,27 @@ func TestFuzzCorporaMatchFixture(t *testing.T) {
 }
 
 // FuzzRecordSection: attaching arbitrary bytes as a record section
-// either fails or yields a section whose every accessor — entry
-// decode, ID probe, verbatim entry walk, ordered walk, dead-bit
-// bookkeeping and re-encode — returns an error or a zero value without
-// panicking. The section is cap-clamped, so a read past its end panics
-// instead of silently reading the neighbouring bytes of a mapping.
+// of multiTenantSchema either fails or yields a section whose every
+// accessor — entry decode, ID probe, verbatim entry walk, ordered
+// walk, dead-bit bookkeeping and re-encode — returns an error or a
+// zero value without panicking, and whose re-encode attaches and
+// decodes to the same records. The section is cap-clamped, so a read
+// past its end panics instead of silently reading the neighbouring
+// bytes of a mapping.
 func FuzzRecordSection(f *testing.F) {
-	_, recSecs, _ := fixtureSections(f, "multitenant_v3.snap")
+	_, recSecs, _ := fixtureSections(f, "multitenant_v4.snap")
 	for _, sec := range recSecs {
 		f.Add(sec)
 	}
+	schema := multiTenantSchema("data0")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		raw := bytes.Clone(data)
 		raw = raw[:len(raw):len(raw)]
-		mr, err := attachRecordSection(raw)
+		mr, err := attachRecordSection(raw, schema)
 		if err != nil {
 			return
 		}
-		d := &Dataset{records: make(map[string]Record), mrecs: mr}
+		d := &Dataset{schema: schema, records: make(map[string]Record), mrecs: mr}
 		for i := 0; i < mr.count; i++ {
 			id, rec, ok := mr.entryAt(i)
 			idb, entry, eok := mr.entryBytes(i)
@@ -157,11 +169,23 @@ func FuzzRecordSection(f *testing.F) {
 			}
 		}
 		mr.find("")
-		d.setRecordLocked("fuzz-new", Record{"k": "v"})
-		for range d.recordsLocked(1) {
+		d.setRecordLocked("fuzz-new", Record{"title": "v", "body": ""})
+		walk := func(d *Dataset) (out []Record) {
+			for id, rec := range d.recordsLocked(0) {
+				rec = maps.Clone(rec)
+				rec["_id"] = id
+				out = append(out, rec)
+			}
+			return out
 		}
-		if _, err := attachRecordSection(d.encodeRecordsLocked()); err != nil {
+		before := walk(d)
+		again, err := attachRecordSection(d.encodeRecordsLocked(), schema)
+		if err != nil {
 			t.Fatalf("re-encoded section does not attach: %v", err)
+		}
+		after := walk(&Dataset{schema: schema, mrecs: again})
+		if !reflect.DeepEqual(before, after) {
+			t.Fatalf("re-encoded section reads %v, want %v", after, before)
 		}
 	})
 }

@@ -12,27 +12,35 @@ import (
 
 // Mapped record sections: the store half of zero-copy boot.
 //
-// A v3 dataset frame carries its records in a binary record section
-// instead of a JSON array, laid out so a restore can serve reads
-// straight out of the snapshot file's mapped bytes:
+// A v4 dataset frame carries its records in a binary record section
+// laid out so a restore can serve reads straight out of the snapshot
+// file's mapped bytes:
 //
-//	u64  count                       (little-endian)
-//	recDir   count x u64             entry offsets, insertion order
+//	u32  count                       (little-endian)
+//	recDir   count x u32             entry offsets, insertion order
 //	idSorted count x u32             entry indices sorted by record ID
-//	entries  count x {uvarint-len id, uvarint nFields,
-//	                  nFields x {uvarint-len key, uvarint-len value}}
+//	entries  count x {uvarint-len id, present, values}
+//
+// A record can only carry its dataset's schema fields (checkRecord),
+// so an entry names none: present is a bitmap of ceil(fields/8) bytes,
+// bit i (least significant first) set when the record carries schema
+// field i, and values holds each present field's uvarint-len value in
+// schema order. A field present with the empty value and a missing
+// field stay distinct. Offsets are 32-bit: a section is part of one
+// frame, at most frameio.MaxFrame bytes.
 //
 // The fixed-width directories are random-accessed in place — Get
 // binary-searches idSorted, List walks recDir — and individual
-// entries decode on demand. A dataset restored mapped keeps the
-// section as an immutable base under a heap overlay: records holds
-// what was written since attach, a replaced base record is shadowed
-// there and keeps its position, a deleted one gets a bit in the
-// base's dead set, and a new or re-added one joins order after the
-// base. A write therefore costs O(rows written), never a decode of
-// the section. Entry keys are written sorted, so the encoder can copy
-// surviving base entries verbatim and still produce the bytes a fresh
-// encode of the same content would.
+// entries decode on demand, keyed by the schema's own name strings. A
+// dataset restored mapped keeps the section as an immutable base under
+// a heap overlay: records holds what was written since attach, a
+// replaced base record is shadowed there and keeps its position, a
+// deleted one gets a bit in the base's dead set, and a new or re-added
+// one joins order after the base. A write therefore costs O(rows
+// written), never a decode of the section. An entry is a pure function
+// of the record and the schema, so the encoder can copy surviving base
+// entries verbatim and still produce the bytes a fresh encode of the
+// same content would.
 
 // recWriter accumulates a record section. It mirrors the index
 // package's unexported codec; the duplication is the price of keeping
@@ -41,7 +49,6 @@ type recWriter struct{ buf []byte }
 
 func (w *recWriter) uvarint(x int) { w.buf = binary.AppendUvarint(w.buf, uint64(x)) }
 func (w *recWriter) str(s string)  { w.uvarint(len(s)); w.buf = append(w.buf, s...) }
-func (w *recWriter) u64(x uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, x) }
 func (w *recWriter) u32(x uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf, x) }
 
 func (w *recWriter) reserve(n int) int {
@@ -50,8 +57,8 @@ func (w *recWriter) reserve(n int) int {
 	return off
 }
 
-func (w *recWriter) patchU64(off int, x uint64) {
-	binary.LittleEndian.PutUint64(w.buf[off:], x)
+func (w *recWriter) patchU32(off int, x int) {
+	binary.LittleEndian.PutUint32(w.buf[off:], uint32(x))
 }
 
 var errRecordSection = fmt.Errorf("store: corrupt record section")
@@ -62,40 +69,43 @@ var errRecordSection = fmt.Errorf("store: corrupt record section")
 type mappedRecords struct {
 	raw      []byte
 	count    int
-	recDir   []byte // count x u64
+	recDir   []byte // count x u32
 	idSorted []byte // count x u32
+	// fields is the schema's field list: the entries' presence bits
+	// and values follow its order, and a decoded record's keys are its
+	// name strings.
+	fields []Field
 	// gone marks positions deleted since attach (nil until the first
 	// delete) and nGone counts them. Guarded by the dataset lock.
 	gone  []uint64
 	nGone int
 }
 
-// attachRecordSection validates the section's directory structure —
-// entry content is trusted to the frame checksum and decoded lazily.
-func attachRecordSection(raw []byte) (*mappedRecords, error) {
-	if len(raw) < 8 {
+// presentLen is the byte length of an entry's presence bitmap.
+func (mr *mappedRecords) presentLen() int { return (len(mr.fields) + 7) / 8 }
+
+// attachRecordSection validates the section's directory structure
+// against schema — entry content is trusted to the frame checksum and
+// decoded lazily.
+func attachRecordSection(raw []byte, schema Schema) (*mappedRecords, error) {
+	if len(raw) < 4 || len(schema.Fields) == 0 {
 		return nil, errRecordSection
 	}
-	count := binary.LittleEndian.Uint64(raw)
-	// Every entry needs a dir slot (8), an idSorted slot (4) and at
-	// least 2 payload bytes, so an impossible count fails fast.
-	if count > uint64(len(raw))/12 {
+	mr := &mappedRecords{raw: raw, fields: schema.Fields}
+	// Every entry needs a dir slot (4), an idSorted slot (4), an ID
+	// length and its presence bitmap, so an impossible count fails
+	// fast.
+	count := int(binary.LittleEndian.Uint32(raw))
+	if count > (len(raw)-4)/(9+mr.presentLen()) {
 		return nil, errRecordSection
 	}
-	n := int(count)
-	dirEnd := 8 + n*8
-	idEnd := dirEnd + n*4
-	if idEnd > len(raw) {
-		return nil, errRecordSection
-	}
-	mr := &mappedRecords{
-		raw:      raw,
-		count:    n,
-		recDir:   raw[8:dirEnd:dirEnd],
-		idSorted: raw[dirEnd:idEnd:idEnd],
-	}
-	for i := 0; i < n; i++ {
-		if off := binary.LittleEndian.Uint64(mr.recDir[i*8:]); off < uint64(idEnd) || off >= uint64(len(raw)) {
+	dirEnd := 4 + count*4
+	idEnd := dirEnd + count*4
+	mr.count = count
+	mr.recDir = raw[4:dirEnd:dirEnd]
+	mr.idSorted = raw[dirEnd:idEnd:idEnd]
+	for i := 0; i < count; i++ {
+		if off := mr.entryOff(i); off < idEnd || off >= len(raw) {
 			return nil, errRecordSection
 		}
 	}
@@ -103,7 +113,7 @@ func attachRecordSection(raw []byte) (*mappedRecords, error) {
 }
 
 func (mr *mappedRecords) entryOff(i int) int {
-	return int(binary.LittleEndian.Uint64(mr.recDir[i*8:]))
+	return int(binary.LittleEndian.Uint32(mr.recDir[i*4:]))
 }
 
 // readBytes decodes one length-prefixed string at off as a view into
@@ -117,59 +127,71 @@ func (mr *mappedRecords) readBytes(off int) (b []byte, next int, ok bool) {
 	return mr.raw[off : off+int(n) : off+int(n)], off + int(n), true
 }
 
-// readStr is readBytes returning a copy.
-func (mr *mappedRecords) readStr(off int) (s string, next int, ok bool) {
-	b, next, ok := mr.readBytes(off)
-	return string(b), next, ok
-}
-
 // idBytesAt returns the record ID of entry i as a view into raw.
 func (mr *mappedRecords) idBytesAt(i int) ([]byte, bool) {
 	id, _, ok := mr.readBytes(mr.entryOff(i))
 	return id, ok
 }
 
+// presentAt reads the presence bitmap at off, returning it as a view
+// and the offset of the first value; ok=false when it runs past the
+// section or sets a bit past the last schema field.
+func (mr *mappedRecords) presentAt(off int) (present []byte, next int, ok bool) {
+	next = off + mr.presentLen()
+	if next > len(mr.raw) {
+		return nil, 0, false
+	}
+	present = mr.raw[off:next:next]
+	if extra := len(mr.fields) % 8; extra != 0 && present[len(present)-1]>>extra != 0 {
+		return nil, 0, false
+	}
+	return present, next, true
+}
+
+// hasField reports whether bitmap present marks schema field f.
+func hasField(present []byte, f int) bool { return present[f>>3]&(1<<(f&7)) != 0 }
+
 // entryAt decodes entry i completely. The returned record is freshly
-// allocated and owned by the caller.
+// allocated and owned by the caller; its keys are the schema's names.
 func (mr *mappedRecords) entryAt(i int) (string, Record, bool) {
-	off := mr.entryOff(i)
-	id, off, ok := mr.readStr(off)
+	idb, off, ok := mr.readBytes(mr.entryOff(i))
 	if !ok {
 		return "", nil, false
 	}
-	nf, w := binary.Uvarint(mr.raw[off:])
-	if w <= 0 || nf > uint64(len(mr.raw)-off) {
+	present, off, ok := mr.presentAt(off)
+	if !ok {
 		return "", nil, false
 	}
-	off += w
-	rec := make(Record, nf)
-	for f := uint64(0); f < nf; f++ {
-		var k, v string
-		if k, off, ok = mr.readStr(off); !ok {
+	rec := make(Record, len(mr.fields))
+	for f, field := range mr.fields {
+		if !hasField(present, f) {
+			continue
+		}
+		var v []byte
+		if v, off, ok = mr.readBytes(off); !ok {
 			return "", nil, false
 		}
-		if v, off, ok = mr.readStr(off); !ok {
-			return "", nil, false
-		}
-		rec[k] = v
+		rec[field.Name] = string(v)
 	}
-	return id, rec, true
+	return string(idb), rec, true
 }
 
-// entryBytes returns entry i whole — ID and fields — as a view into
-// raw, for verbatim re-encoding, along with its ID.
+// entryBytes returns entry i whole — ID, presence and values — as a
+// view into raw, for verbatim re-encoding, along with its ID.
 func (mr *mappedRecords) entryBytes(i int) (id, entry []byte, ok bool) {
 	start := mr.entryOff(i)
 	id, off, ok := mr.readBytes(start)
 	if !ok {
 		return nil, nil, false
 	}
-	nf, w := binary.Uvarint(mr.raw[off:])
-	if w <= 0 || nf > uint64(len(mr.raw)-off) {
+	present, off, ok := mr.presentAt(off)
+	if !ok {
 		return nil, nil, false
 	}
-	off += w
-	for f := uint64(0); f < 2*nf; f++ {
+	for f := range mr.fields {
+		if !hasField(present, f) {
+			continue
+		}
 		if _, off, ok = mr.readBytes(off); !ok {
 			return nil, nil, false
 		}
@@ -342,44 +364,57 @@ func (d *Dataset) recordsLocked(skip int) iter.Seq2[string, Record] {
 }
 
 // encodeRecordsLocked serializes the live records in insertion order
-// as a record section. Keys are sorted per entry, so the encoding is
+// as a record section. An entry follows the schema, so the encoding is
 // a pure function of dataset content; an unshadowed base entry is
 // already in that form and is copied verbatim.
 func (d *Dataset) encodeRecordsLocked() []byte {
 	// basePos maps each surviving base position to its output
 	// position (-1: deleted, or corrupt past the frame checksum).
 	var basePos []int
-	pos := 0
+	pos, size := 0, 0
 	mr := d.mrecs
 	if mr != nil {
 		basePos = make([]int, mr.count)
 		for i := range basePos {
 			basePos[i] = -1
-			if _, _, ok := mr.entryBytes(i); ok && !mr.isGone(i) {
+			if _, entry, ok := mr.entryBytes(i); ok && !mr.isGone(i) {
 				basePos[i] = pos
 				pos++
+				size += len(entry)
 			}
 		}
 	}
 	overlayAt := pos
 	n := overlayAt + len(d.order)
-	var w recWriter
-	w.u64(uint64(n))
-	dirOff := w.reserve(n * 8)
-	permOff := w.reserve(n * 4)
-	keys := make([]string, 0, 16)
-	put := func(pos int, id string, rec Record) {
-		w.patchU64(dirOff+pos*8, uint64(len(w.buf)))
-		w.str(id)
-		keys = keys[:0]
-		for k := range rec {
-			keys = append(keys, k)
+	fields := d.schema.Fields
+	// Size the section up front, so it is written into one allocation:
+	// the base entries exactly, the overlay's (shadowing ones counted
+	// twice) at a byte per length prefix.
+	for id, rec := range d.records {
+		size += 1 + len(id) + (len(fields)+7)/8
+		for _, v := range rec {
+			size += 1 + len(v)
 		}
-		sort.Strings(keys)
-		w.uvarint(len(keys))
-		for _, k := range keys {
-			w.str(k)
-			w.str(rec[k])
+	}
+	w := recWriter{buf: make([]byte, 0, 4+n*8+size)}
+	w.u32(uint32(n))
+	dirOff := w.reserve(n * 4)
+	permOff := w.reserve(n * 4)
+	// put writes the entry of a record written since attach. Keys
+	// outside the schema are not written: checkRecord admits none.
+	put := func(pos int, id string, rec Record) {
+		w.patchU32(dirOff+pos*4, len(w.buf))
+		w.str(id)
+		present := w.reserve((len(fields) + 7) / 8)
+		for f, field := range fields {
+			if _, ok := rec[field.Name]; ok {
+				w.buf[present+(f>>3)] |= 1 << (f & 7)
+			}
+		}
+		for _, field := range fields {
+			if v, ok := rec[field.Name]; ok {
+				w.str(v)
+			}
 		}
 	}
 	for i, p := range basePos {
@@ -391,7 +426,7 @@ func (d *Dataset) encodeRecordsLocked() []byte {
 			put(p, string(idb), rec)
 			continue
 		}
-		w.patchU64(dirOff+p*8, uint64(len(w.buf)))
+		w.patchU32(dirOff+p*4, len(w.buf))
 		w.buf = append(w.buf, entry...)
 	}
 	for j, id := range d.order {
@@ -407,7 +442,7 @@ func (d *Dataset) encodeRecordsLocked() []byte {
 	at, j := permOff, 0
 	emit := func(p int) {
 		if at < permOff+n*4 { // a corrupt base permutation may repeat entries
-			binary.LittleEndian.PutUint32(w.buf[at:], uint32(p))
+			w.patchU32(at, p)
 			at += 4
 		}
 	}

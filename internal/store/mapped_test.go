@@ -11,7 +11,7 @@ import (
 	"repro/internal/frameio"
 )
 
-// restoreMapped restores a v3 snapshot written by a 3-shard store —
+// restoreMapped restores a snapshot written by a 3-shard store —
 // every snapshot these tests attach is — into a fresh 3-shard store
 // with opts, so no reshard moves an index onto the heap, and fails
 // unless every dataset is still served from the snapshot bytes.
@@ -46,7 +46,7 @@ func requireMapped(t testing.TB, s *Store) {
 	}
 }
 
-// snapshotBytes returns s's v3 snapshot.
+// snapshotBytes returns s's snapshot.
 func snapshotBytes(t testing.TB, s *Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -56,7 +56,7 @@ func snapshotBytes(t testing.TB, s *Store) []byte {
 	return buf.Bytes()
 }
 
-// TestMappedRestoreMatchesHeap: a v3 snapshot restored at its own
+// TestMappedRestoreMatchesHeap: a snapshot restored at its own
 // shard count serves from the snapshot bytes and answers exactly like
 // the heap-built store it was written from — counts, listing order,
 // records, and search hits with scores.
@@ -199,24 +199,23 @@ func TestMappedSnapshotAfterCoWRoundTrips(t *testing.T) {
 }
 
 // TestSnapshotCompatMatrix covers exactly the formats the store
-// claims: the v3 golden, and the v3 snapshot written before the index
-// stopped keeping field text (its doc entries carry the text, which
-// is never read), restore to the state of a fresh build and stay
-// mapped; the frozen v1 and v2 fixtures are refused with
-// frameio.ErrUnsupportedFormat and leave the target store unchanged.
+// claims: the v4 golden restores to the state of a fresh build and
+// stays mapped; the frozen v1, v2 and v3 fixtures (v3 both as last
+// written and from before the index stopped keeping field text) are
+// refused with frameio.ErrUnsupportedFormat and leave the target
+// store unchanged.
 func TestSnapshotCompatMatrix(t *testing.T) {
 	want := storeFingerprint(t, multiTenantStore(t))
 	s := New(WithShardTarget(3))
-	for _, name := range []string{"multitenant_v3_fieldtext.snap", "multitenant_v3.snap"} {
-		if err := s.RestoreContext(context.Background(), readFixture(t, name)); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := storeFingerprint(t, s); got != want {
-			t.Fatalf("%s state:\n%s\nwant:\n%s", name, got, want)
-		}
-		requireMapped(t, s)
+	if err := s.RestoreContext(context.Background(), readFixture(t, "multitenant_v4.snap")); err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range []string{"multitenant_v1.json", "multitenant_v2.snap"} {
+	if got := storeFingerprint(t, s); got != want {
+		t.Fatalf("v4 state:\n%s\nwant:\n%s", got, want)
+	}
+	requireMapped(t, s)
+	for _, name := range []string{"multitenant_v1.json", "multitenant_v2.snap",
+		"multitenant_v3.snap", "multitenant_v3_fieldtext.snap"} {
 		err := s.RestoreContext(context.Background(), readFixture(t, name))
 		if !errors.Is(err, frameio.ErrUnsupportedFormat) {
 			t.Fatalf("%s: restore = %v, want ErrUnsupportedFormat", name, err)

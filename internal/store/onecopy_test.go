@@ -103,3 +103,82 @@ func TestSnapshotHoldsEachRecordOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotHoldsNoPerRecordNames: a snapshot names a field once
+// per place that describes the dataset — the schema, the index header,
+// each index shard's field section — never once per record: record
+// entries mark their fields in a schema-ordered bitmap, and index doc
+// entries name none. A field present with the empty value and a
+// missing one round-trip apart through a mapped restore, and a
+// restored dataset written to again encodes the bytes the original
+// does after the same write.
+func TestSnapshotHoldsNoPerRecordNames(t *testing.T) {
+	const shards, n = 3, 200
+	s := New(WithShardTarget(shards))
+	if err := s.CreateTenant("acme", "ann"); err != nil {
+		t.Fatal(err)
+	}
+	schema := Schema{Name: "catalog", Key: "sku", Fields: []Field{
+		{Name: "sku", Required: true},
+		{Name: "title", Searchable: true},
+		{Name: "zzdescription", Searchable: true},
+		{Name: "note"},
+	}}
+	ds, err := s.CreateDataset("acme", "ann", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	for i := range n {
+		rec := Record{"sku": fmt.Sprintf("S%03d", i), "title": fmt.Sprintf("item %d", i)}
+		switch i % 4 {
+		case 1:
+			rec["zzdescription"] = ""
+		case 2, 3:
+			rec["zzdescription"] = fmt.Sprintf("plain words %d", i)
+		}
+		if i%5 == 0 {
+			rec["note"] = ""
+		} else if i%5 == 1 {
+			rec["note"] = "kept"
+		}
+		recs = append(recs, rec)
+	}
+	if _, err := ds.AddBatchContext(context.Background(), recs); err != nil {
+		t.Fatal(err)
+	}
+	snap := snapshotBytes(t, s)
+	if got := bytes.Count(snap, []byte("zzdescription")); got > 2+shards {
+		t.Fatalf("the field name occurs %d times in a snapshot of %d records, want at most %d", got, n, 2+shards)
+	}
+
+	restored := restoreMapped(t, snap)
+	rds, err := restored.DatasetContext(context.Background(), "acme", "ann", "catalog", PermWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		got, ok := rds.Get(rec["sku"])
+		if !ok {
+			t.Fatalf("Get(%s) missing", rec["sku"])
+		}
+		delete(got, "_id")
+		if !reflect.DeepEqual(got, rec) {
+			t.Fatalf("Get(%s) = %#v, want %#v", rec["sku"], got, rec)
+		}
+	}
+	if got, want := rds.List(0, 0), ds.List(0, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored List differs:\n%v\nwant\n%v", got, want)
+	}
+	for _, d := range []*Dataset{ds, rds} {
+		if _, err := d.Put(Record{"sku": "S007", "title": "item 7 rewritten", "zzdescription": ""}); err != nil {
+			t.Fatal(err)
+		}
+		if !d.Delete("S100") {
+			t.Fatal("delete S100")
+		}
+	}
+	if !bytes.Equal(snapshotBytes(t, restored), snapshotBytes(t, s)) {
+		t.Fatal("restored-then-written snapshot differs from the original's after the same writes")
+	}
+}

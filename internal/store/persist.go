@@ -16,15 +16,20 @@ import (
 
 // Persistence: Symphony hosts the designers' proprietary data, so
 // durability is part of the platform contract. SnapshotContext writes
-// format v3 and RestoreContext reads only v3: the two formats before
-// it (v1, a single JSON document, and v2, the framed envelope with
-// JSON records) are refused with frameio.ErrUnsupportedFormat.
+// format v4 and RestoreContext reads only v4: the formats before it
+// (v1, a single JSON document; v2, the framed envelope with JSON
+// records; v3, whose entries repeated their field names and whose
+// directories were 64-bit) are refused with
+// frameio.ErrUnsupportedFormat. No reader of an older format is
+// kept: a data dir written in one does not boot, and neither does a
+// backup taken by the binary that wrote it (a backup embeds that
+// binary's snapshot), so its datasets are uploaded again.
 //
-// Format v3 is framed: the magic string, a header frame naming every
+// Format v4 is framed: the magic string, a header frame naming every
 // tenant, then one frame per dataset in deterministic (tenant,
 // dataset) order. A dataset frame carries its records as a binary
 // record section with offset directories (see mapped.go) followed by
-// the index's v3 mmap-ready stream. RestoreContext attaches v3
+// the index's v4 mmap-ready stream. RestoreContext attaches
 // datasets as lazy views over the snapshot's (typically mmap'd) bytes
 // — writes land in a heap overlay over them, so boot cost and
 // resident set scale with what the workload touches, not corpus size.
@@ -41,8 +46,8 @@ import (
 // the target store unchanged.
 
 const (
-	snapshotVersionV3 = 3
-	snapshotMagicV3   = "SYMSNP3\n"
+	snapshotVersion = 4
+	snapshotMagic   = "SYMSNP4\n"
 )
 
 // PersistOption configures SnapshotContext.
@@ -117,12 +122,30 @@ func (c *FrameCache) retain(live map[*Dataset]bool) {
 	c.mu.Unlock()
 }
 
-// Stats reports cumulative cache hits (frames reused) and misses
-// (frames encoded) across all snapshots using this cache.
-func (c *FrameCache) Stats() (hits, misses uint64) {
+// FrameCacheStats is what a frame cache holds and how it has served.
+type FrameCacheStats struct {
+	Entries int `json:"entries"`
+	// Bytes is the held frames' length; CapBytes the capacity of the
+	// buffers holding them, the heap the cache keeps alive.
+	Bytes    int64 `json:"bytes"`
+	CapBytes int64 `json:"capBytes"`
+	// Hits (frames reused) and Misses (frames encoded) are cumulative
+	// across all snapshots using this cache.
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+}
+
+// Stats reports the cache's entries, the bytes they hold and the
+// cumulative hits and misses.
+func (c *FrameCache) Stats() FrameCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
+	st := FrameCacheStats{Entries: len(c.frames), Hits: c.hits, Misses: c.misses}
+	for _, cf := range c.frames {
+		st.Bytes += int64(len(cf.payload))
+		st.CapBytes += int64(cap(cf.payload))
+	}
+	return st
 }
 
 func applyPersistOptions(opts []PersistOption) persistOptions {
@@ -133,7 +156,7 @@ func applyPersistOptions(opts []PersistOption) persistOptions {
 	return o
 }
 
-// framedHeader is the header frame of a v3 stream.
+// framedHeader is the header frame of a v4 stream.
 type framedHeader struct {
 	Version int            `json:"version"`
 	Tenants []framedTenant `json:"tenants"`
@@ -147,14 +170,15 @@ type framedTenant struct {
 	Datasets []string              `json:"datasets,omitempty"`
 }
 
-// v3DatasetMeta is the JSON metadata part of a v3 dataset frame. The
+// datasetMeta is the JSON metadata part of a dataset frame. The
 // frame payload is the 8-byte big-endian metadata length, the
 // metadata JSON, an 8-byte big-endian record-section length, the
 // binary record section (mapped.go), then the dataset's serialized
-// sharded index (an index v3 stream) as raw bytes. Records and
+// sharded index (an index v4 stream) as raw bytes. The record
+// section's entries follow Schema's field order. Records and
 // postings both live in directory-indexed binary sections, so a
 // restore serves them in place.
-type v3DatasetMeta struct {
+type datasetMeta struct {
 	Tenant string `json:"tenant"`
 	Schema Schema `json:"schema"`
 	NextID int    `json:"nextId"`
@@ -217,7 +241,7 @@ func (s *Store) collect() ([]framedTenant, []datasetRef) {
 	return meta, refs
 }
 
-// SnapshotContext serializes the whole store in format v3. Dataset
+// SnapshotContext serializes the whole store in format v4. Dataset
 // frames are encoded concurrently by a worker pool and written in
 // deterministic (tenant, dataset) order; only the frame being encoded
 // holds its dataset's read lock, so concurrent writers on other
@@ -234,10 +258,10 @@ func (s *Store) SnapshotContext(ctx context.Context, w io.Writer, opts ...Persis
 	o := applyPersistOptions(opts)
 	meta, refs := s.collect()
 
-	if err := frameio.WriteMagic(w, snapshotMagicV3); err != nil {
+	if err := frameio.WriteMagic(w, snapshotMagic); err != nil {
 		return err
 	}
-	hdr, err := json.Marshal(framedHeader{Version: snapshotVersionV3, Tenants: meta})
+	hdr, err := json.Marshal(framedHeader{Version: snapshotVersion, Tenants: meta})
 	if err != nil {
 		return err
 	}
@@ -320,7 +344,7 @@ func (ref datasetRef) encodeFrame(cache *FrameCache) ([]byte, error) {
 			return payload, nil
 		}
 	}
-	meta, err := json.Marshal(v3DatasetMeta{Tenant: ref.tenant, Schema: ds.schema, NextID: ds.nextID})
+	meta, err := json.Marshal(datasetMeta{Tenant: ref.tenant, Schema: ds.schema, NextID: ds.nextID})
 	if err != nil {
 		return nil, err
 	}
@@ -347,13 +371,18 @@ func (ref datasetRef) encodeFrame(cache *FrameCache) ([]byte, error) {
 	if err := ds.ix.Snapshot(buf); err != nil {
 		return nil, err
 	}
+	// Restore refuses a frame past the limit, and the record section's
+	// u32 offsets hold only within it: fail the checkpoint instead.
+	if buf.Len() > frameio.MaxFrame {
+		return nil, fmt.Errorf("dataset frame of %d bytes exceeds the %d-byte frame limit", buf.Len(), frameio.MaxFrame)
+	}
 	if cache != nil {
 		cache.put(ds, ds.ver, buf.Bytes())
 	}
 	return buf.Bytes(), nil
 }
 
-// RestoreContext replaces the store's contents from the v3 snapshot
+// RestoreContext replaces the store's contents from the v4 snapshot
 // held in data, attaching every dataset in place: its record section
 // and index payloads become the immutable base under a heap overlay
 // (mapped.go), so data — typically an mmapio mapping of the checkpoint
@@ -361,7 +390,7 @@ func (ref datasetRef) encodeFrame(cache *FrameCache) ([]byte, error) {
 // Each dataset keeps the shard count its snapshot was written with,
 // unless the store fixes one (WithShardTarget) and the two differ:
 // then the index reshards to it, which moves that index onto the
-// heap. A v1 or v2 snapshot fails with
+// heap. A v1, v2 or v3 snapshot fails with
 // frameio.ErrUnsupportedFormat.
 //
 // Frame checksums are verified during the walk, so a truncated or
@@ -380,7 +409,7 @@ func (s *Store) RestoreContext(ctx context.Context, data []byte) error {
 	if err := checkMagic(data); err != nil {
 		return fmt.Errorf("%s: %w", op, err)
 	}
-	hdrBytes, off, err := frameio.NextFrameInBuf(data, len(snapshotMagicV3), true)
+	hdrBytes, off, err := frameio.NextFrameInBuf(data, len(snapshotMagic), true)
 	if err != nil {
 		return fmt.Errorf("%s header: %w", op, err)
 	}
@@ -456,19 +485,19 @@ func (s *Store) RestoreContext(ctx context.Context, data []byte) error {
 	return nil
 }
 
-// checkMagic accepts a stream that starts with the v3 magic. The
-// signatures of the formats before it — v2's magic and v1's leading
-// '{' (a JSON document) — are refused as an unsupported format,
-// anything else as not a snapshot.
+// checkMagic accepts a stream that starts with the v4 magic. The
+// signatures of the formats before it — v3's and v2's magic and v1's
+// leading '{' (a JSON document) — are refused as an unsupported
+// format, anything else as not a snapshot.
 func checkMagic(data []byte) error {
-	head := string(data[:min(len(data), len(snapshotMagicV3))])
+	head := string(data[:min(len(data), len(snapshotMagic))])
 	switch {
-	case head == snapshotMagicV3:
+	case head == snapshotMagic:
 		return nil
-	case head == "SYMSNP2\n":
-		return fmt.Errorf("snapshot format v2, the floor is v3: %w", frameio.ErrUnsupportedFormat)
+	case head == "SYMSNP3\n", head == "SYMSNP2\n":
+		return fmt.Errorf("snapshot format v%c, the floor is v%d: %w", head[6], snapshotVersion, frameio.ErrUnsupportedFormat)
 	case len(head) > 0 && head[0] == '{':
-		return fmt.Errorf("snapshot format v1 (JSON document), the floor is v3: %w", frameio.ErrUnsupportedFormat)
+		return fmt.Errorf("snapshot format v1 (JSON document), the floor is v%d: %w", snapshotVersion, frameio.ErrUnsupportedFormat)
 	}
 	return fmt.Errorf("bad magic %q", head)
 }
@@ -484,7 +513,7 @@ func parseFramedHeader(hdrBytes []byte) (map[string]*tenant, []frameExpect, erro
 	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
 		return nil, nil, fmt.Errorf("store: restore header: %w", err)
 	}
-	if hdr.Version != snapshotVersionV3 {
+	if hdr.Version != snapshotVersion {
 		return nil, nil, fmt.Errorf("store: restore: unsupported snapshot version %d", hdr.Version)
 	}
 	var expects []frameExpect
@@ -513,7 +542,7 @@ func parseFramedHeader(hdrBytes []byte) (map[string]*tenant, []frameExpect, erro
 	return tenants, expects, nil
 }
 
-// decodeFrame rebuilds one dataset from a v3 frame, its index at the
+// decodeFrame rebuilds one dataset from a v4 frame, its index at the
 // shard count the frame was written with, or resharded to the store's
 // fixed target when it has one and the counts differ. The frame's
 // record section and index attach as views over the frame's bytes:
@@ -528,7 +557,7 @@ func (s *Store) decodeFrame(payload []byte, want frameExpect) (*Dataset, error) 
 	if err != nil {
 		return nil, err
 	}
-	var meta v3DatasetMeta
+	var meta datasetMeta
 	if err := json.Unmarshal(metaBytes, &meta); err != nil {
 		return nil, err
 	}
@@ -545,7 +574,7 @@ func (s *Store) decodeFrame(payload []byte, want frameExpect) (*Dataset, error) 
 	if err != nil {
 		return nil, err
 	}
-	if ds.mrecs, err = attachRecordSection(recSec); err != nil {
+	if ds.mrecs, err = attachRecordSection(recSec, meta.Schema); err != nil {
 		return nil, err
 	}
 	// newDataset already registered the schema's field options, so the

@@ -146,6 +146,19 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
+// multiTenantSchema is the schema of every multiTenantStore dataset.
+func multiTenantSchema(name string) Schema {
+	return Schema{
+		Name: name, Key: "id",
+		Fields: []Field{
+			{Name: "id", Required: true},
+			{Name: "title", Searchable: true},
+			{Name: "body", Searchable: true},
+			{Name: "price", Type: TypeNumber},
+		},
+	}
+}
+
 // multiTenantStore builds a store with several tenants and datasets,
 // quotas and grants, for cross-format and parallelism tests. The shard
 // target is fixed so its snapshot bytes do not depend on the host: the
@@ -164,15 +177,7 @@ func multiTenantStore(t testing.TB) *Store {
 		}
 		for di := 0; di < 2; di++ {
 			name := fmt.Sprintf("data%d", di)
-			ds, err := s.CreateDataset(tenant, owner, Schema{
-				Name: name, Key: "id",
-				Fields: []Field{
-					{Name: "id", Required: true},
-					{Name: "title", Searchable: true},
-					{Name: "body", Searchable: true},
-					{Name: "price", Type: TypeNumber},
-				},
-			})
+			ds, err := s.CreateDataset(tenant, owner, multiTenantSchema(name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,15 +270,15 @@ func TestV1V2CompatRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotMatchesGolden pins the one remaining writer: today's
-// SnapshotContext must reproduce the checked-in v3 snapshot of
+// SnapshotContext must reproduce the checked-in v4 snapshot of
 // multiTenantStore byte for byte.
 func TestSnapshotMatchesGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := multiTenantStore(t).SnapshotContext(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), readFixture(t, "multitenant_v3.snap")) {
-		t.Fatal("v3 snapshot differs from testdata/multitenant_v3.snap")
+	if !bytes.Equal(buf.Bytes(), readFixture(t, "multitenant_v4.snap")) {
+		t.Fatal("snapshot differs from testdata/multitenant_v4.snap")
 	}
 }
 
@@ -362,7 +367,7 @@ func corruptSnapshots(t testing.TB) ([]byte, map[string][]byte) {
 // TestRestoreCorruptV2LeavesStoreUntouched: every corruption mode must
 // fail the restore AND leave a store built by writes exactly as it was
 // (restore builds aside, then swaps). The name dates from format v2;
-// the snapshots are v3, the only format written. The same table run
+// the snapshots are v4, the only format written. The same table run
 // over a store that serves from an attached snapshot is
 // TestMappedRestoreRejectsCorrupt.
 func TestRestoreCorruptV2LeavesStoreUntouched(t *testing.T) {

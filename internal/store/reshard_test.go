@@ -149,7 +149,7 @@ func TestSnapshotFrameCache(t *testing.T) {
 	if err := s.SnapshotContext(context.Background(), &first, WithFrameCache(cache)); err != nil {
 		t.Fatal(err)
 	}
-	_, misses0 := cache.Stats()
+	misses0 := cache.Stats().Misses
 	if misses0 == 0 {
 		t.Fatal("first snapshot encoded nothing")
 	}
@@ -160,7 +160,7 @@ func TestSnapshotFrameCache(t *testing.T) {
 	if err := s.SnapshotContext(context.Background(), &second, WithFrameCache(cache)); err != nil {
 		t.Fatal(err)
 	}
-	hits1, misses1 := cache.Stats()
+	hits1, misses1 := cache.Stats().Hits, cache.Stats().Misses
 	if misses1 != misses0 {
 		t.Fatalf("clean snapshot re-encoded %d frames", misses1-misses0)
 	}
@@ -183,7 +183,7 @@ func TestSnapshotFrameCache(t *testing.T) {
 	if err := s.SnapshotContext(context.Background(), &third, WithFrameCache(cache)); err != nil {
 		t.Fatal(err)
 	}
-	_, misses2 := cache.Stats()
+	misses2 := cache.Stats().Misses
 	if misses2 != misses1+1 {
 		t.Fatalf("dirty snapshot re-encoded %d frames, want 1", misses2-misses1)
 	}
@@ -213,7 +213,7 @@ func TestSnapshotFrameCache(t *testing.T) {
 	if err := s.SnapshotContext(context.Background(), &fourth, WithFrameCache(cache)); err != nil {
 		t.Fatal(err)
 	}
-	_, misses3 := cache.Stats()
+	misses3 := cache.Stats().Misses
 	if misses3 != misses2+1 {
 		t.Fatalf("post-reshard snapshot re-encoded %d frames, want 1", misses3-misses2)
 	}

@@ -271,7 +271,7 @@ func oracleDataset(t testing.TB, s *Store) *Dataset {
 }
 
 // oracleVariants returns the catalog three ways: on the heap, restored
-// mapped from its v3 snapshot, and mapped again with a copy-on-write
+// mapped from its snapshot, and mapped again with a copy-on-write
 // put, replacement and delete applied on top.
 func oracleVariants(t testing.TB, seed int64) map[string]*Dataset {
 	t.Helper()

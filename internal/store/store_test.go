@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/index"
 )
 
 func gameSchema() Schema {
@@ -453,5 +456,34 @@ func TestPropertyPutSearchAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSearchOffsetPastRecords: an offset at or past the live record
+// count answers an empty page under both plans — the index's top-k
+// and the full match set that filters and OrderBy need — and no index
+// shard evaluates it; one record less still pages.
+func TestSearchOffsetPastRecords(t *testing.T) {
+	_, ds := newInventory(t)
+	for _, req := range []SearchRequest{
+		{Query: "game", Limit: 10},
+		{Query: "game", OrderBy: "-price"},
+		{Query: "game", Filters: []Filter{{Field: "instock", Op: "=", Value: "true"}}, Limit: 2},
+	} {
+		for _, offset := range []int{math.MaxInt, ds.Len()} {
+			req.Offset = offset
+			tasks := index.GetExecutorStats().Tasks
+			hits, err := ds.SearchContext(context.Background(), req)
+			if err != nil || hits != nil {
+				t.Fatalf("%+v: %v, %v; want an empty page", req, hits, err)
+			}
+			if index.GetExecutorStats().Tasks != tasks {
+				t.Fatalf("%+v: the index evaluated a page past the last record", req)
+			}
+		}
+		req.Offset = 1
+		if hits, err := ds.SearchContext(context.Background(), req); err != nil || len(hits) == 0 {
+			t.Fatalf("%+v: %v, %v; want a page", req, hits, err)
+		}
 	}
 }
