@@ -389,9 +389,9 @@ func TestCheckpointRestoreKeepsAutoShards(t *testing.T) {
 			t.Fatalf("GOMAXPROCS=%d: no datasets restored", procs)
 		}
 		for _, st := range status {
-			if st.Shards != 2 || st.MappedShards != st.Shards || st.MaterializedDocTables != 0 {
-				t.Fatalf("GOMAXPROCS=%d %s/%s: %d shards, %d mapped, %d doc tables materialized; want 2, 2, 0",
-					procs, st.Tenant, st.Dataset, st.Shards, st.MappedShards, st.MaterializedDocTables)
+			if st.Shards != 2 || st.MappedShards != st.Shards {
+				t.Fatalf("GOMAXPROCS=%d %s/%s: %d shards, %d mapped; want 2, 2",
+					procs, st.Tenant, st.Dataset, st.Shards, st.MappedShards)
 			}
 		}
 		if len(got) != len(want) {

@@ -391,9 +391,9 @@ func TestMappedBootAtTargetStaysMapped(t *testing.T) {
 		t.Fatal("boot restored no datasets")
 	}
 	for _, st := range statuses {
-		if st.MappedShards != st.Shards || st.MaterializedDocTables != 0 {
-			t.Fatalf("%s/%s: %d of %d shards mapped, %d doc tables materialized; want every shard attached",
-				st.Tenant, st.Dataset, st.MappedShards, st.Shards, st.MaterializedDocTables)
+		if st.MappedShards != st.Shards {
+			t.Fatalf("%s/%s: %d of %d shards mapped; want every shard attached",
+				st.Tenant, st.Dataset, st.MappedShards, st.Shards)
 		}
 	}
 }
@@ -638,9 +638,9 @@ func TestMappedBootWALTailMaterializesOnlyTailedDatasets(t *testing.T) {
 		t.Fatalf("wal tail replayed nothing: %+v", st)
 	}
 	for _, ds := range p2.Store.Status() {
-		if ds.MappedBytes != mappedAtBoot[ds.Dataset] || ds.MaterializedDocTables != 0 {
-			t.Fatalf("dataset %q: mapped bytes %d after replay, %d at boot, %d doc tables materialized; want no section or doc table decoded",
-				ds.Dataset, ds.MappedBytes, mappedAtBoot[ds.Dataset], ds.MaterializedDocTables)
+		if ds.MappedBytes != mappedAtBoot[ds.Dataset] || ds.MappedShards != ds.Shards {
+			t.Fatalf("dataset %q: mapped bytes %d after replay, %d at boot, %d of %d shards mapped; want no section or shard decoded",
+				ds.Dataset, ds.MappedBytes, mappedAtBoot[ds.Dataset], ds.MappedShards, ds.Shards)
 		}
 		switch ds.Dataset {
 		case "hot":

@@ -42,7 +42,7 @@ func (d docTerms) entry(field string) *fieldTerms {
 // term with slices instead of a map. Grouping happens here, outside
 // the shard lock, into slabs that live as long as the batch, so a
 // document costs a handful of allocations however many fields and
-// tokens it has. Add uses only the grouping, after a plain Analyze.
+// tokens it has.
 type batchAnalyzer struct {
 	memo textproc.Memo
 
@@ -60,8 +60,6 @@ type batchAnalyzer struct {
 	group []int32
 	stamp []uint32
 	field uint32
-	// slot maps a term to its group when there are no ids (Add).
-	slot map[string]int32
 
 	fields slab[fieldTerms]
 	ints   slab[int32]
@@ -97,33 +95,6 @@ func (w *batchAnalyzer) analyzeDoc(ix *Index, doc *Document) docTerms {
 		i++
 	}
 	return out
-}
-
-// groupTokens groups one field's tokens, analyzed without a memo, by
-// term: the single-document Add path. The field gets a term table of
-// its own.
-func (w *batchAnalyzer) groupTokens(field string, toks []textproc.Token) fieldTerms {
-	if w.slot == nil {
-		// Sized for the first field, whose tokens bound its terms, so
-		// the map does not grow while it is filled.
-		w.slot = make(map[string]int32, len(toks))
-	} else {
-		clear(w.slot)
-	}
-	w.toks = toks
-	w.resetGroups(len(toks))
-	terms := make([]string, 0, len(toks))
-	for _, t := range toks {
-		g, ok := w.slot[t.Term]
-		if !ok {
-			// The term's id in the field's own table is its group.
-			g = w.newGroup(int32(len(terms)))
-			terms = append(terms, t.Term)
-			w.slot[t.Term] = g
-		}
-		w.addToGroup(g)
-	}
-	return w.place(field, terms[:len(terms):len(terms)])
 }
 
 // resetGroups empties the per-field scratch, making room for a field

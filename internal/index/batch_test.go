@@ -3,10 +3,13 @@ package index
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/textproc"
 )
 
 // batchCorpus builds n docs with Zipf-ish vocabulary and a few
@@ -59,8 +62,10 @@ func searchAll(t *testing.T, ix *Index) map[string][]Result {
 }
 
 // TestAddBatchEquivalence pins the batched write path bit-identical
-// to sequential Adds: same docs, same order, same scores, across
-// shard counts and batch sizes.
+// to sequential Adds, each a batch of one: same docs, same order, same
+// scores, across shard counts and batch sizes. How a batch analyzes a
+// document is held to an independent reference by
+// TestAnalyzeDocMatchesMapGrouping.
 func TestAddBatchEquivalence(t *testing.T) {
 	docs := batchCorpus(500, 42)
 	for _, shards := range []int{1, 3, 8} {
@@ -181,5 +186,83 @@ func TestAddBatchDuringReshard(t *testing.T) {
 		if _, ok := ix.Get(id); !ok {
 			t.Fatalf("batched doc %s lost across reshard", id)
 		}
+	}
+}
+
+// groupedField is one field of a document grouped by term the way the
+// shards index it: the distinct terms in first-occurrence order, each
+// with its positions, and the field's length in tokens.
+type groupedField struct {
+	terms []string
+	pos   [][]int32
+	len   int
+}
+
+// groupByMap is the reference analyzeDoc is held to: a plain Analyze
+// of text, without the batch memo, grouped by term with a map.
+func groupByMap(a *textproc.Analyzer, text string) groupedField {
+	var g groupedField
+	slot := make(map[string]int)
+	for _, t := range a.Analyze(text) {
+		i, ok := slot[t.Term]
+		if !ok {
+			i = len(g.terms)
+			slot[t.Term] = i
+			g.terms = append(g.terms, t.Term)
+			g.pos = append(g.pos, nil)
+		}
+		g.pos[i] = append(g.pos[i], int32(t.Position))
+		g.len++
+	}
+	return g
+}
+
+// grouped reads ft in groupByMap's shape.
+func grouped(ft fieldTerms) groupedField {
+	g := groupedField{len: len(ft.pos)}
+	from := int32(0)
+	for i, id := range ft.ids {
+		g.terms = append(g.terms, ft.terms[id])
+		g.pos = append(g.pos, ft.pos[from:ft.ends[i]])
+		from = ft.ends[i]
+	}
+	return g
+}
+
+// TestAnalyzeDocMatchesMapGrouping holds the batch analyzer — memo,
+// term ids, slab grouping — to groupByMap on every field of every
+// document: terms, positions and field length. One analyzer takes the
+// whole corpus, as an AddBatchContext worker takes its chunks, over
+// stemmed, stopword-only, empty and keyword-analyzed fields, and its
+// field counter wraps on the way.
+func TestAnalyzeDocMatchesMapGrouping(t *testing.T) {
+	ix := regroupIndex()
+	docs := batchCorpus(300, 5)
+	rng := rand.New(rand.NewSource(3))
+	for i := range 300 {
+		docs = append(docs, regroupDoc(rng, fmt.Sprint("r", i)))
+	}
+	ix.ensureFields(docs)
+	var w batchAnalyzer
+	w.field = math.MaxUint32 - 100
+	for i := range docs {
+		doc := &docs[i]
+		got := w.analyzeDoc(ix, doc)
+		if len(got) != len(doc.Fields) {
+			t.Fatalf("%s: %d analyzed fields, the document has %d", doc.ID, len(got), len(doc.Fields))
+		}
+		for k, ft := range got {
+			text, ok := doc.Fields[ft.field]
+			if !ok || got.entry(ft.field) != &got[k] {
+				t.Fatalf("%s: analyzed field %q twice or not carried", doc.ID, ft.field)
+			}
+			opts, _ := ix.fieldOpts(ft.field)
+			if g, want := grouped(ft), groupByMap(opts.Analyzer, text); !reflect.DeepEqual(g, want) {
+				t.Fatalf("%s field %q (%q): analyzeDoc %+v, reference %+v", doc.ID, ft.field, text, g, want)
+			}
+		}
+	}
+	if w.field >= math.MaxUint32-100 {
+		t.Fatalf("field counter %d never wrapped", w.field)
 	}
 }

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -31,111 +33,103 @@ func TestTombstoneRatio(t *testing.T) {
 	if got := ix.TombstoneRatio(); got != 0.4 {
 		t.Fatalf("ratio after 4/10 deletes = %v, want 0.4", got)
 	}
-	ix.Compact()
+	if err := ix.CompactContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if got := ix.TombstoneRatio(); got != 0 {
 		t.Fatalf("ratio after compact = %v, want 0", got)
 	}
-	if ratios := ix.ShardTombstoneRatios(); len(ratios) != 1 || ratios[0] != 0 {
-		t.Fatalf("shard ratios = %v", ratios)
-	}
-}
-
-// TestAutoCompact: with WithAutoCompact(0.3), deleting past the
-// threshold compacts the affected shard automatically — the ratio
-// drops back and dead postings are gone — and queries stay correct
-// throughout.
-func TestAutoCompact(t *testing.T) {
-	ix := New(WithShards(1), WithAutoCompact(0.3))
-	fillSequential(t, ix, 10)
-
-	// Two deletes: 2/10 = 0.2 < 0.3, no compaction yet.
-	ix.Delete("doc000")
-	ix.Delete("doc001")
-	if got := ix.TombstoneRatio(); got != 0.2 {
-		t.Fatalf("ratio below threshold = %v, want 0.2 (2 dead, 8 live)", got)
-	}
-	// Third delete crosses the threshold (3/10 = 0.3): the shard
-	// compacts itself and the ratio resets.
-	ix.Delete("doc002")
-	if got := ix.TombstoneRatio(); got != 0 {
-		t.Fatalf("ratio after auto-compact = %v, want 0", got)
-	}
-	// Postings really were pruned: the common term's list holds only
-	// live docs.
+	// The dead postings are gone, not just skipped.
 	s := ix.ring.Load().shards[0]
 	s.mu.RLock()
-	n := s.fields["body"].terms["common"].n
+	n, docs := s.fields["body"].terms["common"].n, s.numDocs()
 	s.mu.RUnlock()
-	if n != 7 {
-		t.Fatalf("postings for 'common' after auto-compact = %d, want 7", n)
-	}
-	if got := ix.mustSearch(TermQuery{Field: "body", Term: "common"}, SearchOptions{}); len(got) != 7 {
-		t.Fatalf("search after auto-compact = %d hits, want 7", len(got))
+	if n != 6 || docs != 6 {
+		t.Fatalf("after compact: %d postings for 'common' over %d ordinals, want 6 and 6", n, docs)
 	}
 }
 
-// TestAutoCompactOnReplace: replacing a document tombstones the old
-// ordinal, which also counts toward the threshold.
-func TestAutoCompactOnReplace(t *testing.T) {
-	ix := New(WithShards(1), WithAutoCompact(0.5))
-	fillSequential(t, ix, 2)
-	// Replace both docs: each replacement kills one ordinal. After the
-	// second replace 2 dead / 2 live = 0.5 triggers compaction.
-	for i := 0; i < 2; i++ {
-		id := fmt.Sprintf("doc%03d", i)
-		if err := ix.Add(Document{ID: id, Fields: map[string]string{"body": "replaced text"}}); err != nil {
-			t.Fatal(err)
+// TestCompactContextMovesCleanShards: compaction rebuilds only the
+// shards holding tombstones. On a mapped index without any it keeps
+// the ring; with tombstones in one shard, every other shard moves into
+// the new ring as it is, still mapped.
+func TestCompactContextMovesCleanShards(t *testing.T) {
+	src := New(WithShards(3))
+	fillSequential(t, src, 60)
+	mx := mappedCopy(t, src)
+	ring0 := mx.ring.Load()
+	if err := mx.CompactContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if mx.ring.Load() != ring0 || mx.RingGen() != ring0.gen || mx.MMapStats().MappedShards != 3 {
+		t.Fatalf("compacting a clean index: gen %d → %d, %d shards mapped; want the ring kept and 3 mapped",
+			ring0.gen, mx.RingGen(), mx.MMapStats().MappedShards)
+	}
+
+	victim := ring0.shards[1]
+	id := ""
+	for i := 0; id == ""; i++ {
+		if cand := fmt.Sprintf("doc%03d", i); ring0.shardFor(cand) == victim {
+			id = cand
 		}
 	}
-	if got := ix.TombstoneRatio(); got != 0 {
-		t.Fatalf("ratio after replacements = %v, want 0 (auto-compacted)", got)
+	mx.Delete(id)
+	if err := mx.CompactContext(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if got := ix.mustSearch(TermQuery{Field: "body", Term: "replaced"}, SearchOptions{}); len(got) != 2 {
-		t.Fatalf("search = %d hits, want 2", len(got))
+	r := mx.ring.Load()
+	if r.gen != ring0.gen+1 || r.shards[0] != ring0.shards[0] || r.shards[2] != ring0.shards[2] || r.shards[1] == victim {
+		t.Fatalf("compacting shard 1: gen %d, shards kept %v %v %v; want gen %d and shards 0 and 2 kept",
+			r.gen, r.shards[0] == ring0.shards[0], r.shards[1] == victim, r.shards[2] == ring0.shards[2], ring0.gen+1)
+	}
+	if st := mx.MMapStats(); st.MappedShards != 2 {
+		t.Fatalf("%d shards mapped after compacting one, want 2", st.MappedShards)
+	}
+	if _, ok := mx.Get(id); ok || mx.Len() != 59 || mx.TombstoneRatio() != 0 {
+		t.Fatalf("after compact: Get(%s) found %v, Len %d, ratio %v", id, ok, mx.Len(), mx.TombstoneRatio())
 	}
 }
 
-// TestAutoCompactPerShard: only the shard crossing the threshold
-// compacts; a sibling shard's tombstones stay until it crosses too.
-func TestAutoCompactPerShard(t *testing.T) {
-	ix := New(WithShards(4), WithAutoCompact(0.9))
-	fillSequential(t, ix, 40)
-	// Delete every doc in exactly one shard: that shard hits ratio
-	// 1.0 ≥ 0.9 and compacts; others never cross.
-	r := ix.ring.Load()
-	victim := r.shards[0]
-	var victimIDs []string
-	victim.mu.RLock()
-	for id := range victim.byID {
-		victimIDs = append(victimIDs, id)
+// TestCompactContextCancelled cancels a compaction at each point where
+// it checks ctx in turn, and checks that every abort leaves the ring,
+// the tombstones and the answers exactly as before; a retry then
+// compacts.
+func TestCompactContextCancelled(t *testing.T) {
+	ix := equivCorpus(t, 3)
+	queries := equivQueries()
+	want := make(map[string][]Result, len(queries))
+	for name, q := range queries {
+		want[name] = ix.mustSearch(q, SearchOptions{})
 	}
-	victim.mu.RUnlock()
-	// Also one delete in some other shard, below its threshold.
-	otherDeleted := false
-	for i := 0; i < 40 && !otherDeleted; i++ {
-		id := fmt.Sprintf("doc%03d", i)
-		if r.shardFor(id) != victim {
-			ix.Delete(id)
-			otherDeleted = true
+	ring0, ratio := ix.ring.Load(), ix.TombstoneRatio()
+
+	counter := &midwayCtx{Context: context.Background(), admit: 1 << 30}
+	if err := equivCorpus(t, 3).CompactContext(counter); err != nil {
+		t.Fatal(err)
+	}
+	calls := counter.errs
+	if calls < 4 {
+		t.Fatalf("a full compaction made %d ctx checks; want the entry and one per source shard at least", calls)
+	}
+	for admit := 1; admit < calls; admit++ {
+		ctx := &midwayCtx{Context: context.Background(), admit: admit}
+		if err := ix.CompactContext(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("admit %d: CompactContext = %v; want context.Canceled", admit, err)
+		}
+		if ix.ring.Load() != ring0 || ix.TombstoneRatio() != ratio {
+			t.Fatalf("admit %d: aborted compaction changed the ring or the tombstone ratio %v → %v", admit, ratio, ix.TombstoneRatio())
+		}
+		for name, q := range queries {
+			mustEqualResults(t, fmt.Sprintf("admit %d %s", admit, name), ix.mustSearch(q, SearchOptions{}), want[name])
 		}
 	}
-	for _, id := range victimIDs {
-		ix.Delete(id)
+	if err := ix.CompactContext(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	ratios := ix.ShardTombstoneRatios()
-	sawDirty := false
-	for i, s := range r.shards {
-		if s == victim {
-			if ratios[i] != 0 {
-				t.Fatalf("victim shard ratio = %v, want 0 (auto-compacted)", ratios[i])
-			}
-			continue
-		}
-		if ratios[i] > 0 {
-			sawDirty = true
-		}
+	if ix.RingGen() != ring0.gen+1 || ix.TombstoneRatio() != 0 {
+		t.Fatalf("retry: gen %d, ratio %v; want %d and 0", ix.RingGen(), ix.TombstoneRatio(), ring0.gen+1)
 	}
-	if !sawDirty {
-		t.Fatal("expected an uncompacted sibling shard with tombstones")
+	for name, q := range queries {
+		mustEqualResults(t, "retry "+name, ix.mustSearch(q, SearchOptions{}), want[name])
 	}
 }

@@ -271,3 +271,40 @@ func FuzzIndexRestore(f *testing.F) {
 		}
 	})
 }
+
+// TestAttachRejectsInconsistentFieldLengths: a field whose doc count
+// or total length disagrees with its (ordinal, length) list, or whose
+// list repeats an ordinal, does not attach. FuzzV3DocEntry found the
+// first: deletes took the count below zero, and the next snapshot
+// panicked sizing a slice by it.
+func TestAttachRejectsInconsistentFieldLengths(t *testing.T) {
+	payload := freshShardPayloads(t)[0]
+	br := binReader{buf: payload, off: int(u32At(payload, int(u32At(payload, 6*4))))}
+	if _, err := br.str(); err != nil {
+		t.Fatal(err)
+	}
+	var offs [6]int // totalLen, docCount, minLen, nLens, first ordinal, its length
+	for i := range offs {
+		offs[i] = br.off
+		if _, err := br.uvarint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	secondOrd := br.off
+	if payload[secondOrd] != payload[offs[4]]+1 || payload[secondOrd] >= 0x80 {
+		t.Fatalf("field list starts at ordinals %d, %d; want two adjacent one-byte ordinals", payload[offs[4]], payload[secondOrd])
+	}
+	for name, off := range map[string]int{"total length": offs[0], "doc count": offs[1], "repeated ordinal": secondOrd} {
+		bad := bytes.Clone(payload)
+		if bad[off]&0x7f == 0 {
+			t.Fatalf("%s: the varint at %d has no low bits to decrement", name, off)
+		}
+		bad[off]--
+		if _, s := attachFuzzShard(bad); s != nil {
+			t.Errorf("%s one less: the shard attached", name)
+		}
+	}
+	if _, s := attachFuzzShard(payload); s == nil {
+		t.Fatal("the unmodified payload does not attach")
+	}
+}

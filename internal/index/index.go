@@ -76,8 +76,7 @@ const (
 type Option func(*indexConfig)
 
 type indexConfig struct {
-	shards      int
-	autoCompact float64
+	shards int
 }
 
 // WithShards fixes the number of shards: New builds that many, and
@@ -88,20 +87,6 @@ func WithShards(n int) Option {
 	return func(c *indexConfig) {
 		if n > 0 {
 			c.shards = n
-		}
-	}
-}
-
-// WithAutoCompact makes each shard compact itself when its tombstone
-// ratio — tombstoned ordinals over (tombstoned + live) — reaches
-// ratio after a deletion. Compaction is per shard, so a delete-heavy
-// shard reclaims its postings without stalling the other shards'
-// readers. Ratios outside (0, 1] disable auto-compaction (the
-// default): callers then invoke Compact explicitly.
-func WithAutoCompact(ratio float64) Option {
-	return func(c *indexConfig) {
-		if ratio > 0 && ratio <= 1 {
-			c.autoCompact = ratio
 		}
 	}
 }
@@ -157,16 +142,14 @@ type Index struct {
 	// snapshot's count when it is not. Written only under wgate's
 	// write lock.
 	target int
-	// autoCompact is the per-shard tombstone ratio that triggers
-	// compaction after a delete; 0 disables. Immutable after New.
-	autoCompact float64
 
-	// wgate orders writers against ring swaps: Add, AddBatchContext,
+	// wgate orders writers against ring swaps: AddBatchContext,
 	// Delete and SetFieldOptions hold it shared for the whole
-	// route-and-apply, and ReshardContext holds it exclusively for the
-	// whole rebuild, so no write lands on the old ring after its
-	// documents were read, and reshards serialize. Readers never touch
-	// it, so queries keep answering from the old ring until the swap.
+	// route-and-apply, and ReshardContext and CompactContext hold it
+	// exclusively for the whole rebuild, so no write lands on the old
+	// ring after its documents were read, and rebuilds serialize.
+	// Readers never touch it, so queries keep answering from the old
+	// ring until the swap.
 	wgate sync.RWMutex
 
 	// earlyExitOff disables the single-cursor block-max loop
@@ -182,12 +165,12 @@ type Index struct {
 	scanScored  atomic.Uint64
 	scanSkipped atomic.Uint64
 
-	// ver counts completed mutations (adds, deletes, compactions,
-	// configuration changes). Together with the ring generation it
-	// forms the Stamp that validates entries in the attached
-	// cross-request cache: mutations bump it after they apply, so
-	// anything cached against the old value is never served to a
-	// reader that starts after the mutation.
+	// ver counts completed mutations (adds, deletes, configuration
+	// changes). Together with the ring generation it forms the Stamp
+	// that validates entries in the attached cross-request cache:
+	// mutations bump it after they apply, so anything cached against
+	// the old value is never served to a reader that starts after the
+	// mutation.
 	ver atomic.Uint64
 	// cache, when non-nil, is the shared cross-request cache plus this
 	// index's key namespace. See AttachCache in cache.go.
@@ -200,10 +183,9 @@ type Index struct {
 
 	// Residency counters (mapped.go): what copy-on-write has
 	// materialized onto the heap so far, and lazy decode failures.
-	mmMatTerms   atomic.Int64
-	mmMatBytes   atomic.Int64
-	mmMatDocTabs atomic.Int64
-	mmLazyErrs   atomic.Int64
+	mmMatTerms atomic.Int64
+	mmMatBytes atomic.Int64
+	mmLazyErrs atomic.Int64
 
 	// cfg guards global, shard-independent state: the scoring
 	// configuration and the registry of known fields with their
@@ -228,7 +210,7 @@ func New(opts ...Option) *Index {
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	ix := &Index{target: c.shards, autoCompact: c.autoCompact}
+	ix := &Index{target: c.shards}
 	ix.cfg.k1 = 1.2
 	ix.cfg.b = 0.75
 	ix.cfg.fields = make(map[string]FieldOptions)
@@ -414,31 +396,10 @@ func (ix *Index) scoringParams() (Ranker, float64, float64) {
 	return ix.cfg.ranker, ix.cfg.k1, ix.cfg.b
 }
 
-// Add indexes doc, replacing any existing document with the same ID.
-// Text analysis — the expensive part of indexing — and grouping the
-// tokens by term run before the shard write lock is taken, so
-// concurrent readers are only blocked for the map updates themselves.
-// Add analyzes with a plain Analyze, without AddBatchContext's memo,
-// which makes a loop of Adds the reference a batch is tested against.
-// The write gate (held shared) orders the routing decision against
-// ring swaps: an Add waits out a reshard in progress, so no document
-// is lost to one.
+// Add indexes doc, replacing any existing document with the same ID:
+// a batch of one through AddBatchContext, with no deadline.
 func (ix *Index) Add(doc Document) error {
-	if doc.ID == "" {
-		return fmt.Errorf("index: document has empty ID")
-	}
-	ix.ensureFields([]Document{doc})
-	var w batchAnalyzer
-	analyzed := make(docTerms, 0, len(doc.Fields))
-	for field, text := range doc.Fields {
-		opts, _ := ix.fieldOpts(field)
-		analyzed = append(analyzed, w.groupTokens(field, opts.Analyzer.Analyze(text)))
-	}
-	ix.wgate.RLock()
-	ix.ring.Load().shardFor(doc.ID).add(doc, analyzed)
-	ix.wgate.RUnlock()
-	ix.bumpVer()
-	return nil
+	return ix.AddBatchContext(context.Background(), []Document{doc})
 }
 
 // AddBatch indexes docs with the batched write path and no deadline.
@@ -457,8 +418,8 @@ const analyzeChunk = 16
 // is applied under ONE write-lock acquisition (in parallel across
 // shards) instead of one per document. Each worker analyzes each
 // distinct token once per batch (textproc.Memo). The result is
-// bit-identical to sequential Adds of the same slice: within a shard,
-// documents apply in slice order, so duplicate IDs resolve
+// bit-identical to one batch per document of the same slice: within a
+// shard, documents apply in slice order, so duplicate IDs resolve
 // last-write-wins exactly like the loop would.
 //
 // Cancellation is honored during validation and analysis, before
@@ -481,8 +442,9 @@ func (ix *Index) AddBatchContext(ctx context.Context, docs []Document) error {
 	if err != nil {
 		return err
 	}
-	// The write gate (held shared, like Add) keeps the ring from
-	// swapping mid-batch.
+	// The write gate (held shared) keeps the ring from swapping
+	// mid-batch: a batch waits out a rebuild in progress, so no
+	// document is lost to one.
 	ix.wgate.RLock()
 	ix.applyBatch(ix.ring.Load(), docs, analyzed)
 	ix.wgate.RUnlock()
@@ -533,16 +495,20 @@ func (ix *Index) analyzeBatch(ctx context.Context, docs []Document) ([]docTerms,
 
 // applyBatch adds the analyzed docs to the shards of r: grouped by
 // owning shard, each group under one lock acquisition on its shard,
-// groups in parallel. Within a shard documents apply in slice order.
-// The caller holds the write gate.
+// groups in parallel. The last group runs on the calling goroutine,
+// so a batch that touches one shard — a single document — starts no
+// goroutine. Within a shard documents apply in slice order. The
+// caller holds the write gate.
 func (ix *Index) applyBatch(r *ring, docs []Document, analyzed []docTerms) {
 	groups := make([][]int, len(r.shards))
+	last := 0
 	for i := range docs {
 		si := r.shardIndexFor(docs[i].ID)
 		groups[si] = append(groups[si], i)
+		last = max(last, si)
 	}
 	var wg sync.WaitGroup
-	for si, idxs := range groups {
+	for si, idxs := range groups[:last] {
 		if len(idxs) == 0 {
 			continue
 		}
@@ -552,12 +518,14 @@ func (ix *Index) applyBatch(r *ring, docs []Document, analyzed []docTerms) {
 			s.addBatch(docs, analyzed, idxs)
 		}(r.shards[si], idxs)
 	}
+	r.shards[last].addBatch(docs, analyzed, groups[last])
 	wg.Wait()
 }
 
 // Delete removes the document with the given ID. It reports whether a
-// document was removed. Like Add, it holds the write gate shared, so
-// it waits out a reshard in progress.
+// document was removed. Like AddBatchContext, it holds the write gate
+// shared, so it waits out a rebuild in progress. The document's
+// postings stay until CompactContext or a reshard drops them.
 func (ix *Index) Delete(id string) bool {
 	ix.wgate.RLock()
 	deleted := ix.ring.Load().shardFor(id).delete(id)
@@ -568,19 +536,9 @@ func (ix *Index) Delete(id string) bool {
 	return deleted
 }
 
-// Compact rebuilds posting lists without tombstoned entries. Call it
-// after bulk deletions; queries work correctly either way. Indexes
-// built with WithAutoCompact schedule this per shard automatically.
-func (ix *Index) Compact() {
-	r := ix.ring.Load()
-	eachShard(r, func(_ int, s *shard) { s.compact() })
-	ix.bumpVer()
-}
-
 // TombstoneRatio reports the fraction of uncompacted tombstoned
 // ordinals across the whole index: dead/(dead+live), 0 when empty.
-// Operators (and WithAutoCompact) use it to decide when compaction
-// is worth the write locks.
+// Operators use it to decide when CompactContext is worth a rebuild.
 func (ix *Index) TombstoneRatio() float64 {
 	dead, live := 0, 0
 	for _, s := range ix.ring.Load().shards {
@@ -593,17 +551,6 @@ func (ix *Index) TombstoneRatio() float64 {
 		return 0
 	}
 	return float64(dead) / float64(dead+live)
-}
-
-// ShardTombstoneRatios reports each shard's tombstone ratio, for
-// observability of skewed deletion patterns.
-func (ix *Index) ShardTombstoneRatios() []float64 {
-	shards := ix.ring.Load().shards
-	out := make([]float64, len(shards))
-	for i, s := range shards {
-		out[i] = s.tombstoneRatio()
-	}
-	return out
 }
 
 // Len returns the number of live documents.

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -94,7 +95,9 @@ func BenchmarkDeleteAndCompact(b *testing.B) {
 		for d := 0; d < 1000; d++ {
 			ix.Delete(fmt.Sprintf("d%d", d))
 		}
-		ix.Compact()
+		if err := ix.CompactContext(context.Background()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -245,7 +246,9 @@ func TestCompact(t *testing.T) {
 	ix := sampleIndex(t)
 	ix.Delete("g2")
 	ix.Delete("g3")
-	ix.Compact()
+	if err := ix.CompactContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	rs := ix.mustSearch(MatchQuery{Text: "zelda"}, SearchOptions{})
 	if len(rs) != 2 {
 		t.Fatalf("post-compact zelda = %v", ids(rs))

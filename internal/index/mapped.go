@@ -33,9 +33,10 @@ import (
 //     decodes only that term's bytes onto the heap, so a lightly
 //     written tenant keeps almost all of its index off-heap.
 //
-// Only compaction folds the base into the heap (materializeAllLocked);
-// a reshard regroups each source shard's postings, mapped or not, into
-// new heap shards. The encoder writes a clean shard's payload verbatim
+// Nothing folds the base into the heap in place: a rebuild
+// (CompactContext, a reshard) regroups a source shard's postings,
+// mapped or not, into a new heap shard, and compaction moves a shard
+// without tombstones over as it is. The encoder writes a clean shard's payload verbatim
 // and a written one by copying the surviving base doc entries and
 // still-mapped term entries verbatim around the overlay — the same
 // bytes a decode of everything followed by a fresh encode produces.
@@ -130,15 +131,13 @@ type mappedField struct {
 
 // MMapStats reports where an index's bytes live: still mapped, or
 // copied onto the heap. MaterializedTerms/Bytes count posting lists
-// writes copied; MaterializedDocTabs counts whole-shard conversions,
-// which only compaction performs — writes land in the overlay.
+// writes copied; documents written land in the heap overlay.
 type MMapStats struct {
-	MappedShards        int   `json:"mappedShards"`
-	MappedBytes         int64 `json:"mappedBytes"`
-	MaterializedTerms   int64 `json:"materializedTerms"`
-	MaterializedBytes   int64 `json:"materializedBytes"`
-	MaterializedDocTabs int64 `json:"materializedDocTables"`
-	LazyDecodeErrors    int64 `json:"lazyDecodeErrors"`
+	MappedShards      int   `json:"mappedShards"`
+	MappedBytes       int64 `json:"mappedBytes"`
+	MaterializedTerms int64 `json:"materializedTerms"`
+	MaterializedBytes int64 `json:"materializedBytes"`
+	LazyDecodeErrors  int64 `json:"lazyDecodeErrors"`
 }
 
 // MMapStats reports the index's mapped-vs-heap residency counters.
@@ -146,10 +145,9 @@ type MMapStats struct {
 // or restore that replaces mapped shards drops them from both.
 func (ix *Index) MMapStats() MMapStats {
 	st := MMapStats{
-		MaterializedTerms:   ix.mmMatTerms.Load(),
-		MaterializedBytes:   ix.mmMatBytes.Load(),
-		MaterializedDocTabs: ix.mmMatDocTabs.Load(),
-		LazyDecodeErrors:    ix.mmLazyErrs.Load(),
+		MaterializedTerms: ix.mmMatTerms.Load(),
+		MaterializedBytes: ix.mmMatBytes.Load(),
+		LazyDecodeErrors:  ix.mmLazyErrs.Load(),
 	}
 	r := ix.ring.Load()
 	for _, s := range r.shards {
@@ -243,21 +241,32 @@ func (ix *Index) attachShard(payload []byte, optsFor func(string) (FieldOptions,
 		if err != nil {
 			return fail(err)
 		}
+		// The list names each document counted in docCount and
+		// totalLen once, in ascending order, so deletes can never
+		// take either below zero.
+		if nLens != fp.docCount {
+			return fail(fmt.Errorf("field %q lists %d doc lengths for a doc count of %d", name, nLens, fp.docCount))
+		}
 		bits = append(bits, make([]uint64, words)...)
 		has := bits[i*words:]
 		lensOff := br.off
+		prev, sum := -1, 0
 		for j := 0; j < nLens; j++ {
 			ord, err := br.uvarint()
 			if err != nil {
 				return fail(err)
 			}
-			if ord >= nDocs {
-				return fail(fmt.Errorf("field %q doc length for ordinal %d of %d", name, ord, nDocs))
+			if ord >= nDocs || ord <= prev {
+				return fail(fmt.Errorf("field %q doc length for ordinal %d of %d after %d", name, ord, nDocs, prev))
 			}
 			if fp.docLen[ord], err = br.uvarint(); err != nil {
 				return fail(err)
 			}
+			prev, sum = ord, sum+fp.docLen[ord]
 			has[ord>>6] |= 1 << (ord & 63)
+		}
+		if sum != fp.totalLen {
+			return fail(fmt.Errorf("field %q doc lengths sum to %d, its total is %d", name, sum, fp.totalLen))
 		}
 		lens := payload[lensOff:br.off:br.off]
 		nTerms, err := br.count()
@@ -790,59 +799,4 @@ func (s *shard) findOrd(id string) (int, bool) {
 		return 0, false
 	}
 	return ord, true
-}
-
-// materializeAllLocked converts the whole shard to the heap
-// representation and detaches the mapping: the base doc table folds
-// in under the overlay, then every still-mapped term is copied. Only
-// compaction, which rewrites every list, needs it.
-func (s *shard) materializeAllLocked() {
-	if s.ms == nil {
-		return
-	}
-	s.ix.mmMatDocTabs.Add(1)
-	s.materializeDocsLocked()
-	for _, fp := range s.fields {
-		mf := fp.mapped
-		if mf == nil {
-			continue
-		}
-		for slot := 0; slot < mf.nTerms; slot++ {
-			t, err := mf.termAt(slot)
-			if err != nil {
-				mf.ix.lazyErr()
-				break
-			}
-			if _, ok := fp.terms[string(t)]; !ok {
-				fp.promoteSlotLocked(string(t), slot)
-			}
-		}
-		fp.mapped = nil
-		fp.dict.Store(nil)
-	}
-	s.ms = nil
-}
-
-// materializeDocsLocked decodes the live base entries onto the heap
-// ahead of the overlay, so ordinals keep their meaning and the base
-// becomes empty. Corrupt entries — unreachable after the frame CRC —
-// are counted and land as tombstones.
-func (s *shard) materializeDocsLocked() {
-	docs := make([]docRow, s.base, s.base+len(s.docs))
-	if len(s.byID) == 0 {
-		s.byID = make(map[string]int, s.live)
-	}
-	var prev []string
-	for ord := range s.base {
-		if !s.ms.liveAt(ord) {
-			continue
-		}
-		if row, ok := s.ms.rowAt(s.ix, ord, prev); ok {
-			docs[ord] = row
-			s.byID[row.ID] = ord
-			prev = row.Fields
-		}
-	}
-	s.docs = append(docs, s.docs...)
-	s.base = 0
 }

@@ -185,10 +185,57 @@ func heapCopy(t testing.TB, data []byte, shards int) *Index {
 	}
 	for _, s := range hx.ring.Load().shards {
 		s.mu.Lock()
-		s.materializeAllLocked()
+		s.materializeLocked()
 		s.mu.Unlock()
 	}
 	return hx
+}
+
+// materializeLocked converts a mapped shard in place to the heap
+// representation a shard built by writes has, keeping every ordinal:
+// the live base entries fold in under the overlay, then every
+// still-mapped term is copied and the mapping detached. The index
+// never does this — a rebuild regroups instead — so it is the
+// independent heap twin the overlay and the codec are checked against.
+func (s *shard) materializeLocked() {
+	if s.ms == nil {
+		return
+	}
+	docs := make([]docRow, s.base, s.base+len(s.docs))
+	if len(s.byID) == 0 {
+		s.byID = make(map[string]int, s.live)
+	}
+	var prev []string
+	for ord := range s.base {
+		if !s.ms.liveAt(ord) {
+			continue
+		}
+		if row, ok := s.ms.rowAt(s.ix, ord, prev); ok {
+			docs[ord] = row
+			s.byID[row.ID] = ord
+			prev = row.Fields
+		}
+	}
+	s.docs = append(docs, s.docs...)
+	s.base = 0
+	for _, fp := range s.fields {
+		mf := fp.mapped
+		if mf == nil {
+			continue
+		}
+		for slot := 0; slot < mf.nTerms; slot++ {
+			t, err := mf.termAt(slot)
+			if err != nil {
+				panic(err)
+			}
+			if _, ok := fp.terms[string(t)]; !ok {
+				fp.promoteSlotLocked(string(t), slot)
+			}
+		}
+		fp.mapped = nil
+		fp.dict.Store(nil)
+	}
+	s.ms = nil
 }
 
 // TestOverlayMatchesHeap: seeded random appends, replacements and
@@ -258,14 +305,17 @@ func TestOverlayMatchesHeap(t *testing.T) {
 					}
 				}
 			}
-			if st := mx.MMapStats(); st.MappedShards != shards || st.MaterializedDocTabs != 0 {
-				t.Fatalf("shards=%d seed=%d: %+v, want every shard still mapped and no doc table materialized", shards, seed, st)
+			if st := mx.MMapStats(); st.MappedShards != shards {
+				t.Fatalf("shards=%d seed=%d: %+v, want every shard still mapped", shards, seed, st)
 			}
-			// The whole-shard rewrites fold base and overlay together.
+			// The rebuilds regroup base and overlay together.
 			label := fmt.Sprintf("shards=%d seed=%d", shards, seed)
 			if seed%2 == 0 {
-				mx.Compact()
-				hx.Compact()
+				for _, ix := range []*Index{mx, hx} {
+					if err := ix.CompactContext(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+				}
 				checkOverlayTwins(t, label+" compacted", mx, hx)
 			} else {
 				for _, ix := range []*Index{mx, hx} {

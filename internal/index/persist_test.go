@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -169,7 +170,7 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
-		decoded.materializeAllLocked()
+		decoded.materializeLocked()
 		if decoded.live != s.live || decoded.dead != s.dead {
 			t.Fatalf("shard %d: live/dead = %d/%d, want %d/%d", i, decoded.live, decoded.dead, s.live, s.dead)
 		}
@@ -311,7 +312,9 @@ func TestRestoredIndexIsWritable(t *testing.T) {
 	if !restored.Delete("new1") {
 		t.Fatal("delete after restore failed")
 	}
-	restored.Compact()
+	if err := restored.CompactContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if restored.TombstoneRatio() != 0 {
 		t.Fatalf("ratio after compact = %v", restored.TombstoneRatio())
 	}

@@ -114,15 +114,27 @@ func rebuiltFromText(tb testing.TB, ix *Index, model map[string]Document, n int)
 	return fresh
 }
 
-// requireSameAsFresh reshards ix to n and requires it to answer like
+// requireSameAsFresh reshards ix to n — or, when n is 0, compacts it
+// at its current count — and requires it to answer like
 // rebuiltFromText — IDs, bit-equal scores, Stored, snippets, counts —
 // and, unless ix already had n shards (a reshard to the current count
-// rebuilds nothing), to snapshot to the same bytes.
+// rebuilds nothing), to snapshot to the same bytes. A compaction must
+// snapshot like the fresh build whichever shards it rebuilt.
 func requireSameAsFresh(tb testing.TB, label string, ix *Index, model map[string]Document, n int, queries []Query) {
 	tb.Helper()
+	compact := n == 0
+	if compact {
+		n = ix.NumShards()
+	}
 	fresh := rebuiltFromText(tb, ix, model, n)
-	rebuilds := ix.NumShards() != n
-	if err := ix.ReshardContext(context.Background(), n); err != nil {
+	rebuilds := compact || ix.NumShards() != n
+	var err error
+	if compact {
+		err = ix.CompactContext(context.Background())
+	} else {
+		err = ix.ReshardContext(context.Background(), n)
+	}
+	if err != nil {
 		tb.Fatal(err)
 	}
 	for i, q := range queries {
@@ -147,7 +159,7 @@ func requireSameAsFresh(tb testing.TB, label string, ix *Index, model map[string
 		tb.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		tb.Fatalf("%s: resharded snapshot (%d bytes) differs from the fresh build's (%d bytes)", label, a.Len(), b.Len())
+		tb.Fatalf("%s: rebuilt snapshot (%d bytes) differs from the fresh build's (%d bytes)", label, a.Len(), b.Len())
 	}
 }
 
@@ -162,14 +174,16 @@ var regroupQueries = []Query{
 	BoolQuery{Must: []Query{MatchQuery{Text: "games"}}, MustNot: []Query{TermQuery{Field: "tag", Term: "Nintendo"}}},
 }
 
-// TestReshardFromPostingsMatchesFreshBuild: a reshard regroups
-// postings into documents that land exactly where a fresh build from
-// their text would, over heap and mapped sources, with tombstones,
-// replaced IDs, stemmed, stopword and keyword-analyzer fields, and
-// empty fields.
+// TestReshardFromPostingsMatchesFreshBuild: a reshard, or a
+// compaction (a hop to 0), regroups postings into documents that land
+// exactly where a fresh build from their text would, over heap and
+// mapped sources, with tombstones, replaced IDs, stemmed, stopword and
+// keyword-analyzer fields, and empty fields. A last compaction finds
+// one tombstone, in one shard, after the hops: the others move over
+// as they are.
 func TestReshardFromPostingsMatchesFreshBuild(t *testing.T) {
 	for _, mapped := range []bool{false, true} {
-		for _, hops := range [][]int{{3, 1, 4}, {1, 2}} {
+		for _, hops := range [][]int{{3, 1, 4}, {1, 2}, {0, 3}} {
 			label := fmt.Sprintf("mapped=%v hops=%v", mapped, hops)
 			rng := rand.New(rand.NewSource(int64(len(hops))))
 			ix := regroupIndex(WithShards(2))
@@ -205,6 +219,13 @@ func TestReshardFromPostingsMatchesFreshBuild(t *testing.T) {
 			for _, n := range hops {
 				requireSameAsFresh(t, fmt.Sprintf("%s →%d", label, n), ix, model, n, regroupQueries)
 			}
+			for i := 0; ; i++ {
+				if id := fmt.Sprintf("d%03d", i); model[id].ID != "" {
+					erase(id)
+					break
+				}
+			}
+			requireSameAsFresh(t, label+" →0", ix, model, 0, regroupQueries)
 		}
 	}
 }
@@ -212,7 +233,8 @@ func TestReshardFromPostingsMatchesFreshBuild(t *testing.T) {
 // FuzzReshardFromPostings: fuzz-chosen documents (texts split into
 // fields), analyzers, delete sets and shard counts, on a heap or a
 // mapped source. A reshard must answer, and snapshot, like a fresh
-// build from the texts at the target count.
+// build from the texts at the target count; so must a compaction,
+// which bit 4 of analyzers runs before the reshard.
 func FuzzReshardFromPostings(f *testing.F) {
 	f.Add("zelda games|halo wars;the of;Epic|played plays;;Nintendo|quest", uint8(0b0100), uint64(0b101), uint8(2), uint8(3))
 	f.Add("a;b;c|A;B;C|the a;of;and|naïve R2-D2;it's;x y z", uint8(0b1011), uint64(0b10), uint8(1), uint8(4))
@@ -220,6 +242,12 @@ func FuzzReshardFromPostings(f *testing.F) {
 	f.Add("one|two|three|one two|two three|three one|x;;", uint8(0b1110), uint64(0b1000001), uint8(4), uint8(2))
 	// A reshard to the count the source already has rebuilds nothing.
 	f.Add("0", uint8(0b1110), uint64(0b1000001), uint8(2), uint8(2))
+	// Compactions, of a heap and of a mapped source; the last one
+	// rebuilds nothing, and its fields were registered before any
+	// document.
+	f.Add("zelda games|halo wars;the of;Epic|played plays;;Nintendo|quest|x|y;z", uint8(0b10100), uint64(0b1001), uint8(2), uint8(3))
+	f.Add("a;b;c|A;B;C|the a;of;and|naïve R2-D2;it's;x y z|q|r", uint8(0b11011), uint64(0b100010), uint8(3), uint8(0))
+	f.Add("0", uint8(0b11011), uint64(0), uint8(2), uint8(0))
 	f.Fuzz(func(t *testing.T, text string, analyzers uint8, deletes uint64, from, to uint8) {
 		if len(text) > 4096 {
 			return
@@ -275,6 +303,9 @@ func FuzzReshardFromPostings(f *testing.F) {
 			break
 		}
 		queries = append(queries, AllQuery{})
+		if analyzers&(1<<4) != 0 {
+			requireSameAsFresh(t, "fuzz compact", ix, model, 0, queries)
+		}
 		requireSameAsFresh(t, "fuzz", ix, model, 1+int(to%5), queries)
 	})
 }

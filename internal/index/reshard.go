@@ -6,14 +6,8 @@ import (
 )
 
 // ReshardContext rebuilds the index to n shards from the postings it
-// already holds: it holds the write gate exclusively for the whole
-// rebuild, takes each source shard in turn under that shard's read
-// lock, inverts its posting lists back into each live document's
-// analyzed form (regroup) and applies those to a staging ring through
-// the batch write path, then records n as the index's fixed shard
-// count and swaps the ring in. Nothing is re-analyzed — the index
-// keeps no field text — and only one source shard's regrouped
-// documents are held at a time.
+// already holds (see rebuild), then records n as the index's fixed
+// shard count. Nothing is re-analyzed — the index keeps no field text.
 //
 // Readers are never blocked: queries answer from the old ring until
 // the swap and from the new one after it, with bit-identical scores
@@ -23,7 +17,8 @@ import (
 // path reshards a live index: restore reshards before the daemon
 // serves, and only when WithShards fixed a count the snapshot does not
 // have. Concurrent reshards serialize on the gate; resharding to the
-// current count is a no-op. A reshard drops tombstones, like Compact.
+// current count is a no-op. A reshard drops tombstones, as
+// CompactContext does.
 //
 // Cancelling ctx aborts the rebuild between source shards or between
 // the fields of one: the staging ring is dropped, the live ring and
@@ -38,16 +33,64 @@ func (ix *Index) ReshardContext(ctx context.Context, n int) error {
 	}
 	ix.wgate.Lock()
 	defer ix.wgate.Unlock()
+	if ix.NumShards() != n {
+		if err := ix.rebuild(ctx, n); err != nil {
+			return err
+		}
+	}
+	ix.target = n
+	return nil
+}
+
+// CompactContext drops the postings and ordinals of deleted and
+// replaced documents: a rebuild at the current shard count. A shard
+// without tombstones moves into the new ring as it is, so a mapped one
+// stays mapped; each other shard is rebuilt from its live documents,
+// and answers and snapshots like a fresh build of them. An index
+// without tombstones keeps its ring. Queries answer correctly either
+// way; compaction only reclaims memory and the per-query skipping of
+// dead postings. Readers keep answering throughout and writers wait,
+// as for ReshardContext, and a cancelled ctx leaves the ring as it
+// was.
+func (ix *Index) CompactContext(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	ix.wgate.Lock()
+	defer ix.wgate.Unlock()
+	return ix.rebuild(ctx, ix.NumShards())
+}
+
+// rebuild builds a staging ring of n shards and swaps it in. It takes
+// each source shard in turn under that shard's read lock, inverts its
+// posting lists back into each live document's analyzed form
+// (regroup) and applies those to the staging ring through the batch
+// write path, so only one source shard's regrouped documents are held
+// at a time. At the current count a document routes to the same shard
+// index, so a source shard without tombstones is moved over unchanged,
+// and when no shard has any the ring is kept. ctx is checked between
+// source shards and inside regroup; on cancellation the staging ring
+// is dropped. The caller holds the write gate exclusively.
+func (ix *Index) rebuild(ctx context.Context, n int) error {
 	old := ix.ring.Load()
-	if len(old.shards) == n {
-		ix.target = n
+	staging := &ring{gen: old.gen + 1, shards: make([]*shard, n)}
+	var sources []*shard
+	for i, src := range old.shards {
+		if n == len(old.shards) && src.tombstones() == 0 {
+			staging.shards[i] = src
+		} else {
+			sources = append(sources, src)
+		}
+	}
+	if len(sources) == 0 {
 		return nil
 	}
-	staging := &ring{gen: old.gen + 1, shards: make([]*shard, n)}
-	for i := range staging.shards {
-		staging.shards[i] = newShard(ix)
+	for i, s := range staging.shards {
+		if s == nil {
+			staging.shards[i] = newShard(ix)
+		}
 	}
-	for _, src := range old.shards {
+	for _, src := range sources {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -57,7 +100,6 @@ func (ix *Index) ReshardContext(ctx context.Context, n int) error {
 		}
 		ix.applyBatch(staging, docs, analyzed)
 	}
-	ix.target = n
 	ix.ring.Store(staging)
 	return nil
 }

@@ -97,9 +97,9 @@ type shard struct {
 	// a heap shard): ordinals below it read from ms.
 	base int
 	live int
-	// dead counts tombstoned ordinals whose postings have not been
-	// compacted away yet; compact resets it. The tombstone ratio
-	// dead/(dead+live) drives per-shard auto-compaction.
+	// dead counts tombstoned ordinals: deleted and replaced documents
+	// whose postings stay until a rebuild (CompactContext or a
+	// reshard) drops them.
 	dead int
 
 	// ms, when non-nil, is the mapped v4 payload this shard was
@@ -130,10 +130,16 @@ func newShard(ix *Index) *shard {
 	}
 }
 
+// setFieldOptions updates the field's options where the shard holds
+// the field. A shard creates a field only when a document carries it
+// (fieldForLocked reads the options from the registry then), so its
+// payload is the same however the options were registered.
 func (s *shard) setFieldOptions(field string, opts FieldOptions) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.fieldForLocked(field).opts = opts
+	if fp := s.fields[field]; fp != nil {
+		fp.opts = opts
+	}
 }
 
 func (s *shard) fieldForLocked(field string) *fieldPostings {
@@ -150,18 +156,11 @@ func (s *shard) fieldForLocked(field string) *fieldPostings {
 	return fp
 }
 
-// add inserts doc using per-field tokens analyzed by the caller
-// outside the write lock.
-func (s *shard) add(doc Document, analyzed docTerms) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.addLocked(doc, analyzed)
-}
-
-// addBatch applies the shard's slice of a batched Add under a single
+// addBatch applies the shard's slice of a batch under a single
 // write-lock acquisition: idxs selects this shard's documents from
-// docs, in slice order, so the result is identical to one add() per
-// document without paying one lock round trip each.
+// docs, in slice order, so the result is identical to one batch per
+// document without paying one lock round trip each. The documents were
+// analyzed by the caller outside the write lock.
 func (s *shard) addBatch(docs []Document, analyzed []docTerms, idxs []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -177,7 +176,6 @@ func (s *shard) addLocked(doc Document, analyzed docTerms) {
 	s.dirty = true
 	if ord, ok := s.findOrd(doc.ID); ok {
 		s.deleteOrdLocked(ord)
-		defer s.maybeCompactLocked()
 	}
 	ord := s.numDocs()
 	s.docs = append(s.docs, docRow{ID: doc.ID, Fields: s.rowFields(analyzed), Stored: doc.Stored})
@@ -239,13 +237,12 @@ func (s *shard) deleteByIDLocked(id string) bool {
 	}
 	s.dirty = true
 	s.deleteOrdLocked(ord)
-	s.maybeCompactLocked()
 	return true
 }
 
 // deleteOrdLocked tombstones a document ordinal. Postings are lazily
 // skipped at query time (posting lists may still reference the
-// ordinal) and fully dropped at Compact. A base ordinal gets its dead
+// ordinal) and fully dropped by a rebuild. A base ordinal gets its dead
 // bit and leaves the fields attach recorded it carrying; nothing of
 // its entry is decoded.
 func (s *shard) deleteOrdLocked(ord int) {
@@ -284,88 +281,11 @@ func (fp *fieldPostings) dropLen(ord int) {
 	fp.docCount--
 }
 
-// maybeCompactLocked compacts this shard when its tombstone ratio has
-// crossed the index's auto-compact threshold. Deletions call it so
-// delete-heavy shards reclaim postings without the whole-index
-// Compact other shards never needed.
-func (s *shard) maybeCompactLocked() {
-	t := s.ix.autoCompact
-	if t <= 0 || s.dead == 0 {
-		return
-	}
-	if float64(s.dead)/float64(s.dead+s.live) >= t {
-		s.compactLocked()
-	}
-}
-
-// tombstoneRatio reports dead/(dead+live) for this shard; 0 for an
-// empty shard.
-func (s *shard) tombstoneRatio() float64 {
+// tombstones counts the shard's dead ordinals.
+func (s *shard) tombstones() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.dead == 0 {
-		return 0
-	}
-	return float64(s.dead) / float64(s.dead+s.live)
-}
-
-func (s *shard) compact() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.compactLocked()
-}
-
-// compactLocked rebuilds every posting list without tombstoned
-// ordinals, re-encoding the surviving postings (ordinals are stable,
-// so deltas stay valid and positions carry over unchanged).
-func (s *shard) compactLocked() {
-	if s.dead == 0 {
-		// Nothing to reclaim — and the early return keeps Compact on a
-		// clean mapped shard from materializing it.
-		return
-	}
-	// Compaction rewrites every list containing tombstones; the walk
-	// below iterates the heap maps and doc table, so a mapped shard
-	// converts first.
-	s.materializeAllLocked()
-	s.dirty = true
-	var positions []int
-	for _, fp := range s.fields {
-		removedTerm := false
-		for term, list := range fp.terms {
-			diedHere := 0
-			it := list.iter()
-			for it.next() {
-				if s.docs[it.doc].ID == "" {
-					diedHere++
-				}
-			}
-			if diedHere == 0 {
-				continue
-			}
-			if diedHere == list.n {
-				delete(fp.terms, term)
-				removedTerm = true
-				continue
-			}
-			kept := &postingList{}
-			it = list.iter()
-			pi := list.positions()
-			for it.next() {
-				if s.docs[it.doc].ID == "" {
-					pi.skip(it.tf)
-					continue
-				}
-				positions = pi.read(it.tf, positions)
-				appendPosting(kept, it.doc, positions)
-			}
-			fp.terms[term] = kept
-		}
-		if removedTerm {
-			fp.dict.Store(nil)
-		}
-	}
-	s.dead = 0
+	return s.dead
 }
 
 func (s *shard) lenLive() int {
@@ -405,7 +325,7 @@ func (s *shard) liveDFLocked(field, term string) int {
 	if s.dead == 0 {
 		// No tombstones anywhere in the shard: every posting is live,
 		// so df is the list length — O(1) instead of a full list walk.
-		// Compaction restores this fast path after deletions.
+		// CompactContext restores this fast path after deletions.
 		return list.n
 	}
 	n := 0

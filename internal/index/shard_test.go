@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -161,7 +162,9 @@ func TestDeleteCompactNonZeroShard(t *testing.T) {
 	if !ix.Delete(victim) {
 		t.Fatal("Delete returned false")
 	}
-	ix.Compact()
+	if err := ix.CompactContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if ix.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", ix.Len())
 	}

@@ -95,66 +95,26 @@ func (d *Dataset) Put(rec Record) (string, error) {
 	return d.PutContext(context.Background(), rec)
 }
 
-// PutContext inserts or replaces a record, returning its ID. When a
-// write-ahead log is attached, the call returns only after the record
-// is durable under the log's fsync policy; a *wal.WriteError return
-// means the write applied in memory but is NOT durable (the log has
-// failed — reads keep serving, further writes fail fast).
+// PutContext inserts or replaces a record, returning its ID: a batch
+// of one through the write path AddBatchContext runs, logged as a
+// one-row put-batch record. When a write-ahead log is attached, the
+// call returns only after the record is durable under the log's fsync
+// policy; a *wal.WriteError return means the write applied in memory
+// but is NOT durable (the log has failed — reads keep serving, further
+// writes fail fast). Its validation errors name no batch ordinal:
+// ingest reports a rejected upload record under its own.
 func (d *Dataset) PutContext(ctx context.Context, rec Record) (string, error) {
 	if err := checkRecord(d.schema, rec); err != nil {
 		return "", err
 	}
-	// Quota check runs BEFORE taking the write lock: usage() reads
-	// sibling datasets' counts, and holding our lock while taking
-	// theirs would invert lock order against their own Puts. The
-	// check is therefore approximate under concurrent writers, which
-	// is the usual contract for storage metering.
-	d.mu.RLock()
-	quota, usage := d.quota, d.usage
-	cur := d.lenLocked()
-	isNew := true
-	if d.schema.Key != "" {
-		isNew = !d.existsLocked(rec[d.schema.Key])
+	if d.schema.Key != "" && rec[d.schema.Key] == "" {
+		return "", fmt.Errorf("store: record missing key field %q", d.schema.Key)
 	}
-	d.mu.RUnlock()
-	if quota > 0 && usage != nil && isNew && usage()+cur >= quota {
-		return "", ErrQuotaExceeded
-	}
-
-	d.mu.Lock()
-	var id string
-	if d.schema.Key != "" {
-		id = rec[d.schema.Key]
-		if id == "" {
-			d.mu.Unlock()
-			return "", fmt.Errorf("store: record missing key field %q", d.schema.Key)
-		}
-	} else {
-		d.nextID++
-		id = strconv.Itoa(d.nextID)
-	}
-	cp := make(Record, len(rec))
-	for k, v := range rec {
-		cp[k] = v
-	}
-	d.setRecordLocked(id, cp)
-	d.ver++
-	err := d.reindexLocked(id, cp)
-	// Append under the lock (log order = apply order for this key),
-	// wait after releasing it so the fsync stalls only this caller.
-	c := d.walAppendLocked(&wal.Record{Op: wal.OpPut, ID: id, Rec: cp})
-	d.mu.Unlock()
+	ids, err := d.putBatch(ctx, []Record{rec})
 	if err != nil {
 		return "", err
 	}
-	if err := c.Wait(ctx); err != nil {
-		return "", err
-	}
-	return id, nil
-}
-
-func (d *Dataset) reindexLocked(id string, rec Record) error {
-	return d.ix.Add(docFor(d.schema, id, rec))
+	return ids[0], nil
 }
 
 // docFor projects a record into its index document: its searchable
@@ -193,7 +153,17 @@ func (d *Dataset) AddBatchContext(ctx context.Context, recs []Record) ([]string,
 			return nil, fmt.Errorf("store: batch record %d missing key field %q", i, d.schema.Key)
 		}
 	}
-	// Approximate pre-lock quota check, same contract as PutContext.
+	return d.putBatch(ctx, recs)
+}
+
+// putBatch writes validated recs: the quota check, ID assignment, the
+// index and the records, one put-batch log record, and the wait for
+// it. The quota check runs BEFORE taking the write lock: usage() reads
+// sibling datasets' counts, and holding our lock while taking theirs
+// would invert lock order against their own writes. The check is
+// therefore approximate under concurrent writers, which is the usual
+// contract for storage metering.
+func (d *Dataset) putBatch(ctx context.Context, recs []Record) ([]string, error) {
 	d.mu.RLock()
 	quota, usage := d.quota, d.usage
 	cur := d.lenLocked()

@@ -189,3 +189,31 @@ func FuzzRecordSection(f *testing.F) {
 		}
 	})
 }
+
+// TestAttachRecordSectionRejectsUnsortedIDs: a section whose ID order
+// is not strictly ascending does not attach — one whose directory
+// points two slots at one entry, so the base holds an ID twice, and
+// one whose ID order swaps two entries. FuzzRecordSection found the
+// first re-encoding to other records than it read.
+func TestAttachRecordSectionRejectsUnsortedIDs(t *testing.T) {
+	schema := multiTenantSchema("data0")
+	d := &Dataset{schema: schema, records: make(map[string]Record)}
+	for i := range 4 {
+		d.setRecordLocked(fmt.Sprint("r", i), Record{"id": fmt.Sprint("r", i), "title": "t"})
+	}
+	raw := d.encodeRecordsLocked()
+	if _, err := attachRecordSection(raw, schema); err != nil {
+		t.Fatal(err)
+	}
+	dup := bytes.Clone(raw)
+	copy(dup[8:12], dup[4:8])
+	swapped := bytes.Clone(raw)
+	idSorted := 4 + 4*4
+	copy(swapped[idSorted:idSorted+4], raw[idSorted+4:idSorted+8])
+	copy(swapped[idSorted+4:idSorted+8], raw[idSorted:idSorted+4])
+	for name, sec := range map[string][]byte{"duplicate ID": dup, "swapped IDs": swapped} {
+		if _, err := attachRecordSection(sec, schema); err == nil {
+			t.Errorf("%s: the section attached", name)
+		}
+	}
+}

