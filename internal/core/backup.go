@@ -19,7 +19,7 @@ import (
 
 // backupDoc version 2 carries the store as an opaque byte blob
 // (base64 in JSON) holding a store snapshot in the format of the
-// binary that took it (v4 here). Version 1, which
+// binary that took it (v5 here). Version 1, which
 // carried the store's v1 JSON document inline, is refused with
 // frameio.ErrUnsupportedFormat.
 type backupDoc struct {

@@ -22,7 +22,7 @@ import (
 // over the previous snapshot, so a crash mid-checkpoint leaves the
 // last good snapshot in place.
 //
-// The snapshot uses store format v4, whose per-dataset locking means
+// The snapshot uses store format v5, whose per-dataset locking means
 // a running checkpoint does not block writers on other datasets.
 //
 // Boot maps the snapshot (internal/mmapio, which falls back to a heap
@@ -110,7 +110,7 @@ func (c *Checkpointer) WALDir() string {
 // platform's store, reporting whether a restore happened. A missing
 // or corrupt primary snapshot falls back to the retained previous one
 // (see PrevPath); only when both fail does boot fail. A primary in a
-// format older than v4 is not corrupt: boot fails at once with
+// format older than v5 is not corrupt: boot fails at once with
 // frameio.ErrUnsupportedFormat, leaving both files in place.
 // Cancelling ctx aborts the load with the store unchanged.
 func (c *Checkpointer) RestoreLatestContext(ctx context.Context) (bool, error) {

@@ -144,7 +144,7 @@ func TestRestoreLatestRejectsCorrupt(t *testing.T) {
 
 // TestRestoreLatestRefusesOldFormatPrimary: a primary snapshot in a
 // format below the floor is not corrupt. Boot fails with
-// frameio.ErrUnsupportedFormat instead of falling back to the good v4
+// frameio.ErrUnsupportedFormat instead of falling back to the good v5
 // previous snapshot, and neither file is renamed or rewritten — no
 // .corrupt quarantine that a later checkpoint would build on.
 func TestRestoreLatestRefusesOldFormatPrimary(t *testing.T) {
@@ -152,6 +152,7 @@ func TestRestoreLatestRefusesOldFormatPrimary(t *testing.T) {
 		"v1": `{"version":1,"tenants":[]}`,
 		"v2": "SYMSNP2\n\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00{}",
 		"v3": "SYMSNP3\n\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00{}",
+		"v4": "SYMSNP4\n\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00{}",
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -11,6 +11,7 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/app"
 	"repro/internal/engine"
+	"repro/internal/index"
 	"repro/internal/runtime"
 	"repro/internal/store"
 	"repro/internal/webcorpus"
@@ -243,7 +244,8 @@ func TestQueryOffsetAtMaxInt(t *testing.T) {
 
 // TestQueryOffsetPastStoreRecords: a store-backed app paged at or past
 // its last record answers 200 with an empty page, and the first page
-// still lists records.
+// still lists records. The offset reaches the store, so a page at
+// offset math.MaxInt runs no index shard task and scores nothing.
 func TestQueryOffsetPastStoreRecords(t *testing.T) {
 	s, srv := newServer(t)
 	ds, err := s.Executor.Store.CreateDataset("t", "ann", store.Schema{Name: "inventory", Key: "sku", Fields: []store.Field{
@@ -269,12 +271,16 @@ func TestQueryOffsetPastStoreRecords(t *testing.T) {
 	}
 	const emptyBlock = `<div class="sym-source" data-source="inventory"></div>`
 	for offset, wantEmpty := range map[string]bool{"0": false, "5": true, "9223372036854775807": true} {
+		tasks, scored := index.GetExecutorStats().Tasks, ds.ScanStats().Scored
 		code, body := get(t, srv.Client(), srv.URL+"/query?app=shop&q=review&offset="+offset)
 		if code != http.StatusOK {
 			t.Fatalf("offset %s: status = %d %.200s", offset, code, body)
 		}
 		if got := strings.Contains(body, emptyBlock); got != wantEmpty {
 			t.Fatalf("offset %s: empty page %v, want %v: %.300s", offset, got, wantEmpty, body)
+		}
+		if offset == "9223372036854775807" && (index.GetExecutorStats().Tasks != tasks || ds.ScanStats().Scored != scored) {
+			t.Fatalf("offset %s: the index evaluated a page past the last record", offset)
 		}
 	}
 }

@@ -55,20 +55,36 @@ type batchAnalyzer struct {
 	distinct []int32
 	next     []int32
 	tokGroup []int32
-	// group[id] is the group of term id in the field being grouped,
-	// valid while stamp[id] equals field, which counts fields.
-	group []int32
-	stamp []uint32
+	// slots[id].group is the group of term id in the field being
+	// grouped, valid while slots[id].stamp equals field, which counts
+	// fields.
+	slots []termSlot
 	field uint32
 
 	fields slab[fieldTerms]
 	ints   slab[int32]
 }
 
+// termSlot is a term's group in the field being grouped, and the
+// field it was set for.
+type termSlot struct {
+	group int32
+	stamp uint32
+}
+
 // analyzeDoc runs each field of doc through its analyzer, memoized,
 // and groups the tokens by term.
 func (w *batchAnalyzer) analyzeDoc(ix *Index, doc *Document) docTerms {
 	out := docTerms(w.fields.alloc(len(doc.Fields)))
+	if w.field == 0 {
+		// The batch's first document sizes the memo's tables for all
+		// its fields: they come in map order, the shortest maybe first.
+		n := 0
+		for _, text := range doc.Fields {
+			n += len(text)
+		}
+		w.memo.Reserve(n)
+	}
 	i := 0
 	for field, text := range doc.Fields {
 		opts, _ := ix.fieldOpts(field)
@@ -76,20 +92,22 @@ func (w *batchAnalyzer) analyzeDoc(ix *Index, doc *Document) docTerms {
 		w.field++
 		if w.field == 0 {
 			// The count wrapped: clear every stamp so none is current.
-			clear(w.stamp)
+			clear(w.slots)
 			w.field = 1
+		}
+		// Every id the field holds is below the memo's term count: one
+		// growth per field covers them all.
+		if n := len(w.memo.Terms()); n > len(w.slots) {
+			w.slots = append(w.slots, make([]termSlot, n-len(w.slots))...)
 		}
 		w.resetGroups(len(w.ids))
 		for _, id := range w.ids {
-			if id >= len(w.group) {
-				w.group = append(w.group, make([]int32, id+1-len(w.group))...)
-				w.stamp = append(w.stamp, make([]uint32, id+1-len(w.stamp))...)
+			sl := &w.slots[id]
+			if sl.stamp != w.field {
+				sl.stamp = w.field
+				sl.group = w.newGroup(int32(id))
 			}
-			if w.stamp[id] != w.field {
-				w.stamp[id] = w.field
-				w.group[id] = w.newGroup(int32(id))
-			}
-			w.addToGroup(w.group[id])
+			w.addToGroup(sl.group)
 		}
 		out[i] = w.place(field, w.memo.Terms())
 		i++

@@ -14,7 +14,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -212,14 +211,9 @@ func (x *Executor) executePrimary(ctx context.Context, a *app.Application, sc *a
 	if limit <= 0 {
 		limit = DefaultPrimaryLimit
 	}
-	// The page reaches limit past the offset, saturating at
-	// math.MaxInt: a wrapped, non-positive limit would ask the source
-	// for every match with no limit at all.
-	reach := math.MaxInt
-	if q.Offset <= math.MaxInt-limit {
-		reach = limit + q.Offset
-	}
-	req := source.Request{Query: x.alteredQuery(sc, q), Limit: reach}
+	// The source applies the offset itself: one paging path, and a
+	// page past the last item costs only what the source makes of it.
+	req := source.Request{Query: x.alteredQuery(sc, q), Limit: limit, Offset: max(q.Offset, 0)}
 	stageStart := time.Now()
 	items, err := src.Search(ctx, req)
 	if err != nil {
@@ -230,20 +224,19 @@ func (x *Executor) executePrimary(ctx context.Context, a *app.Application, sc *a
 	if len(items) == 0 && req.Query != "" {
 		if corrector, ok := src.(source.QueryCorrector); ok {
 			if corrected, changed := corrector.CorrectQuery(req.Query); changed {
-				req.Query = corrected
-				items, err = src.Search(ctx, req)
+				noMatch, err := matchesNothing(ctx, src, req)
 				if err != nil {
 					return nil, err
 				}
-				trace.add("didyoumean:"+sc.ID, fmt.Sprintf("query corrected to %q", corrected), 0, len(items), nil)
+				if noMatch {
+					req.Query = corrected
+					items, err = src.Search(ctx, req)
+					if err != nil {
+						return nil, err
+					}
+					trace.add("didyoumean:"+sc.ID, fmt.Sprintf("query corrected to %q", corrected), 0, len(items), nil)
+				}
 			}
-		}
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(items) {
-			items = nil
-		} else {
-			items = items[q.Offset:]
 		}
 	}
 	trace.add("primary:"+sc.ID, fmt.Sprintf("%s source queried", src.Kind()), time.Since(stageStart), len(items), nil)
@@ -268,6 +261,19 @@ func (x *Executor) executePrimary(ctx context.Context, a *app.Application, sc *a
 		trace.add("supplemental:"+sc.ID, detail, time.Since(stageStart), n, err)
 	}
 	return block, nil
+}
+
+// matchesNothing reports whether req's query matches nothing at src,
+// given that its page came back empty: at offset 0 that says so, past
+// one the ranking may only end before the page, so the first item is
+// asked for.
+func matchesNothing(ctx context.Context, src source.Source, req source.Request) (bool, error) {
+	if req.Offset == 0 {
+		return true, nil
+	}
+	req.Limit, req.Offset = 1, 0
+	first, err := src.Search(ctx, req)
+	return len(first) == 0, err
 }
 
 // appendBlock renders one primary block at the end of page: each item

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -413,6 +414,66 @@ func TestDidYouMeanRetriesPrimary(t *testing.T) {
 	}
 	if !found {
 		t.Error("correction not traced")
+	}
+}
+
+// TestDidYouMeanAtOffset: the corrected retry answers at an offset as
+// it does at the first page — a misspelled query at offset 1 gets the
+// corrected query's ranking from its second item — and it does not
+// fire on an empty page that only lies past the end of a query's
+// matches.
+func TestDidYouMeanAtOffset(t *testing.T) {
+	f := newFixture(t, 0)
+	word := strings.ToLower(strings.Fields(f.titles[0])[0])
+	if len(word) < 4 {
+		t.Skip("short title word")
+	}
+	typo := word[:len(word)-1] + "q"
+	ds, err := f.exec.Store.DatasetContext(context.Background(), "gamerqueen", "ann", "inventory", store.PermRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrected, changed := ds.SuggestQuery(typo)
+	if !changed {
+		t.Fatalf("%q is not corrected", typo)
+	}
+	corrected = strings.TrimSpace(corrected)
+	retried := func(resp *Response) bool {
+		for _, s := range resp.Trace.Stages {
+			if strings.HasPrefix(s.Name, "didyoumean:") {
+				return true
+			}
+		}
+		return false
+	}
+	skus := func(resp *Response) (out []string) {
+		for _, it := range resp.Blocks[0].Items {
+			out = append(out, it["sku"])
+		}
+		return out
+	}
+	first, err := f.exec.Execute(context.Background(), f.app, Query{Text: corrected})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paged, err := f.exec.Execute(context.Background(), f.app, Query{Text: typo, Offset: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !retried(paged) {
+		t.Fatalf("%q at offset 1 was not corrected", typo)
+	}
+	if got, want := skus(paged), skus(first)[1:]; !slices.Equal(got, want) {
+		t.Fatalf("%q at offset 1 = %v, want %q's ranking from its second item %v", typo, got, corrected, want)
+	}
+	// "game" matches every record, so the page past them is empty
+	// though the query matched: no retry.
+	past, err := f.exec.Execute(context.Background(), f.app, Query{Text: "game " + typo, Offset: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(past.Blocks[0].Items) != 0 || retried(past) {
+		t.Fatalf("a page past the matches: %d items, retried %v", len(past.Blocks[0].Items), retried(past))
 	}
 }
 

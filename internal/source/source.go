@@ -9,6 +9,7 @@ package source
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -31,6 +32,35 @@ type Request struct {
 	Query string
 	Args  map[string]string
 	Limit int
+	// Offset skips that many leading items of the source's ranking:
+	// the answer is its items [Offset, Offset+Limit). Every source
+	// applies it, so a page past the last item costs what the source
+	// makes of it — a store answers one past its record count without
+	// evaluating anything.
+	Offset int
+}
+
+// reach is how many leading items a page of limit items past offset
+// spans, saturating at math.MaxInt; a limit of 0 or less stays as is.
+func reach(limit, offset int) int {
+	if limit <= 0 || offset <= 0 {
+		return limit
+	}
+	if offset > math.MaxInt-limit {
+		return math.MaxInt
+	}
+	return limit + offset
+}
+
+// skip drops the first offset items.
+func skip[T any](items []T, offset int) []T {
+	if offset <= 0 {
+		return items
+	}
+	if offset >= len(items) {
+		return nil
+	}
+	return items[offset:]
 }
 
 // Source is anything that can answer a search.
@@ -82,6 +112,7 @@ func (s *StoreSource) Search(ctx context.Context, req Request) ([]Item, error) {
 		Filters: s.Filters,
 		OrderBy: s.OrderBy,
 		Limit:   req.Limit,
+		Offset:  req.Offset,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("source %s: %w", s.SourceName, err)
@@ -144,6 +175,7 @@ func (s *EngineSource) Search(ctx context.Context, req Request) ([]Item, error) 
 		AddTerms:   s.AddTerms,
 		PreferURLs: s.PreferURLs,
 		Limit:      req.Limit,
+		Offset:     req.Offset,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("source %s: %w", s.SourceName, err)
@@ -214,7 +246,7 @@ func (s *ServiceSource) Search(ctx context.Context, req Request) ([]Item, error)
 	if err != nil {
 		return nil, fmt.Errorf("source %s: %w", s.SourceName, err)
 	}
-	items := resp.Items
+	items := skip(resp.Items, req.Offset)
 	if req.Limit > 0 && len(items) > req.Limit {
 		items = items[:req.Limit]
 	}
@@ -255,7 +287,7 @@ func (s *AdSource) Search(_ context.Context, req Request) ([]Item, error) {
 		}
 		query = webservice.ExpandTemplate(s.QueryTemplate, req.Args)
 	}
-	sels := s.Service.Select(query, req.Limit)
+	sels := skip(s.Service.Select(query, reach(req.Limit, req.Offset)), req.Offset)
 	out := make([]Item, len(sels))
 	for i, sel := range sels {
 		out[i] = Item{
@@ -289,7 +321,11 @@ func (f *Func) Kind() string {
 	return f.SourceKind
 }
 
-// Search implements Source.
+// Search implements Source: Fn is asked for the items up to the end
+// of the page from the first, and the first req.Offset are dropped.
 func (f *Func) Search(ctx context.Context, req Request) ([]Item, error) {
-	return f.Fn(ctx, req)
+	offset := req.Offset
+	req.Limit, req.Offset = reach(req.Limit, offset), 0
+	items, err := f.Fn(ctx, req)
+	return skip(items, offset), err
 }

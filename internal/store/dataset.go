@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -540,17 +541,39 @@ func (v view) field(name string) string {
 }
 
 // filterLocked returns the hits of raw whose records pass filters,
-// in order.
+// in order. Hits in the mapped base are read in insertion order, not
+// rank order, so each block they touch inflates once.
 func (d *Dataset) filterLocked(raw []index.Result, filters []Filter) []view {
-	views := make([]view, 0, len(raw))
-	for _, r := range raw {
-		rec, _ := d.recordViewLocked(r.ID)
-		if matchAll(d.schema, rec, filters) {
-			views = append(views, view{r, rec})
+	views := make([]view, len(raw))
+	var base []basePick
+	for k, r := range raw {
+		views[k].res = r
+		if rec, ok := d.records[r.ID]; ok {
+			views[k].rec = rec
+		} else if i, ok := d.baseLiveLocked(r.ID); ok {
+			base = append(base, basePick{view: k, pos: i})
 		}
 	}
-	return views
+	if len(base) > 0 {
+		slices.SortFunc(base, func(a, b basePick) int { return a.pos - b.pos })
+		cur := d.mrecs.cursor()
+		for _, p := range base {
+			views[p.view].rec, _ = cur.record(p.pos)
+		}
+		cur.close()
+	}
+	out := views[:0]
+	for _, v := range views {
+		if matchAll(d.schema, v.rec, filters) {
+			out = append(out, v)
+		}
+	}
+	return out
 }
+
+// basePick is a hit whose record is read from the mapped base: its
+// view and its base position.
+type basePick struct{ view, pos int }
 
 // page slices views to [offset, offset+limit) (limit 0 = to the end)
 // and copies the records of the hits in it. As in the index, an

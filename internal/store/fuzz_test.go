@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -17,7 +19,7 @@ import (
 
 // fixtureSections walks the snapshot testdata/file and returns, per
 // dataset frame ("tenant-dataset"), its record section and its index
-// snapshot's shard payloads. v3 and v4 share this framing, so it
+// snapshot's shard payloads. v3, v4 and v5 share this framing, so it
 // walks the refused v3 fixtures too.
 func fixtureSections(tb testing.TB, file string) (names []string, recSecs [][]byte, shards [][][]byte) {
 	tb.Helper()
@@ -78,7 +80,7 @@ var fuzzSeedFrames = []string{"tenant0-data0", "tenant3-data1"}
 
 // TestFuzzCorporaMatchFixture keeps the committed seed corpora of
 // FuzzRecordSection (here), FuzzV3DocEntry and FuzzV3Postings
-// (internal/index) cut from multitenant_v4.snap: one file per record
+// (internal/index) cut from multitenant_v5.snap: one file per record
 // section and per index shard payload of the frames in
 // fuzzSeedFrames. The index corpora also hold the shard payloads of
 // multitenant_v3_fieldtext.snap, a format attach must refuse, under a
@@ -87,7 +89,7 @@ var fuzzSeedFrames = []string{"tenant0-data0", "tenant3-data1"}
 func TestFuzzCorporaMatchFixture(t *testing.T) {
 	want := map[string][]byte{}
 	for _, fx := range []struct{ file, suffix string }{
-		{"multitenant_v4.snap", ""},
+		{"multitenant_v5.snap", ""},
 		{"multitenant_v3_fieldtext.snap", "-fieldtext"},
 	} {
 		names, recSecs, shards := fixtureSections(t, fx.file)
@@ -131,16 +133,22 @@ func TestFuzzCorporaMatchFixture(t *testing.T) {
 
 // FuzzRecordSection: attaching arbitrary bytes as a record section
 // of multiTenantSchema either fails or yields a section whose every
-// accessor — entry decode, ID probe, verbatim entry walk, ordered
-// walk, dead-bit bookkeeping and re-encode — returns an error or a
-// zero value without panicking, and whose re-encode attaches and
-// decodes to the same records. The section is cap-clamped, so a read
-// past its end panics instead of silently reading the neighbouring
-// bytes of a mapping.
+// accessor — entry decode, block read, ID probe, ordered walk,
+// dead-bit bookkeeping and re-encode — returns an error or a zero
+// value without panicking, and whose re-encode attaches and decodes to
+// the same records. The section is cap-clamped, so a read past its end
+// panics instead of silently reading the neighbouring bytes of a
+// mapping. Besides the golden's sections, whose blocks are stored, the
+// seeds hold a section of compressed blocks and hostile copies of it
+// (hostileSections).
 func FuzzRecordSection(f *testing.F) {
-	_, recSecs, _ := fixtureSections(f, "multitenant_v4.snap")
+	_, recSecs, _ := fixtureSections(f, "multitenant_v5.snap")
 	for _, sec := range recSecs {
 		f.Add(sec)
+	}
+	hostile := hostileSections(f)
+	for _, name := range slices.Sorted(maps.Keys(hostile)) {
+		f.Add(hostile[name])
 	}
 	schema := multiTenantSchema("data0")
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -151,15 +159,18 @@ func FuzzRecordSection(f *testing.F) {
 			return
 		}
 		d := &Dataset{schema: schema, records: make(map[string]Record), mrecs: mr}
+		cur := mr.cursor()
 		for i := 0; i < mr.count; i++ {
-			id, rec, ok := mr.entryAt(i)
-			idb, entry, eok := mr.entryBytes(i)
-			if ok != eok || (ok && (string(idb) != id || len(entry) == 0)) {
-				t.Fatalf("entry %d: entryAt %q %v, entryBytes %q %v", i, id, ok, idb, eok)
+			rec, ok := mr.recordAt(i)
+			entry, eok := cur.entry(i)
+			if ok != eok || (ok && !reflect.DeepEqual(decodeEntry(entry, schema.Fields), rec)) {
+				t.Fatalf("entry %d: recordAt %v %v, cursor %v", i, rec, ok, eok)
 			}
 			if !ok {
 				continue
 			}
+			idb, _ := mr.idBytesAt(i)
+			id := string(idb)
 			mr.find(id)
 			d.existsLocked(id)
 			if i%3 == 0 {
@@ -168,6 +179,7 @@ func FuzzRecordSection(f *testing.F) {
 				d.setRecordLocked(id, rec)
 			}
 		}
+		cur.close()
 		mr.find("")
 		d.setRecordLocked("fuzz-new", Record{"title": "v", "body": ""})
 		walk := func(d *Dataset) (out []Record) {
@@ -179,7 +191,7 @@ func FuzzRecordSection(f *testing.F) {
 			return out
 		}
 		before := walk(d)
-		again, err := attachRecordSection(d.encodeRecordsLocked(), schema)
+		again, err := attachRecordSection(d.encodeRecordsLocked(nil), schema)
 		if err != nil {
 			t.Fatalf("re-encoded section does not attach: %v", err)
 		}
@@ -188,6 +200,80 @@ func FuzzRecordSection(f *testing.F) {
 			t.Fatalf("re-encoded section reads %v, want %v", after, before)
 		}
 	})
+}
+
+// deflatedSection is a data0 record section with entries enough
+// that its blocks are compressed, where the golden's, under
+// recordDeflateMin, are stored.
+func deflatedSection(tb testing.TB) []byte {
+	tb.Helper()
+	d := &Dataset{schema: multiTenantSchema("data0"), records: make(map[string]Record)}
+	for i := range 300 {
+		id := fmt.Sprint("r", i)
+		d.setRecordLocked(id, Record{
+			"id":    id,
+			"title": fmt.Sprintf("item %d of tenant %d", i, i%4),
+			"body":  fmt.Sprintf("searchable common text plus unique%d", i),
+			"price": fmt.Sprint(5 + i%40),
+		})
+	}
+	return d.encodeRecordsLocked(nil)
+}
+
+// hostileSections are deflatedSection and copies of it with its block
+// 1 made hostile (hostileBlocks).
+func hostileSections(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	sec := deflatedSection(tb)
+	out := hostileBlocks(tb, sec, multiTenantSchema("data0"), 1)
+	out["deflated"] = sec
+	return out
+}
+
+// hostileBlocks returns copies of section sec with block b replaced by
+// a hostile one: its stream truncated, a stream that ends before or
+// runs past its declared length, a declared length past
+// frameio.MaxFrame, and a 10-byte stream that declares 1 GiB.
+func hostileBlocks(tb testing.TB, sec []byte, schema Schema, b int) map[string][]byte {
+	tb.Helper()
+	mr, err := attachRecordSection(sec, schema)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	size, comp := mr.block(b)
+	var zeros bytes.Buffer
+	zw, _ := flate.NewWriter(&zeros, flate.BestCompression)
+	zw.Write(make([]byte, 1<<20))
+	zw.Close()
+	return map[string][]byte{
+		"truncated":     withBlock(tb, mr, b, uint64(size), comp[:len(comp)/2]),
+		"short stream":  withBlock(tb, mr, b, uint64(size)+1, comp),
+		"long stream":   withBlock(tb, mr, b, uint64(size)-1, comp),
+		"past MaxFrame": withBlock(tb, mr, b, frameio.MaxFrame+1, comp),
+		"1 GiB":         withBlock(tb, mr, b, 1<<30, zeros.Bytes()[:10]),
+	}
+}
+
+// withBlock returns a copy of mr's section with block b's declared
+// inflated length and DEFLATE stream replaced, the later blocks'
+// offsets moved to match.
+func withBlock(tb testing.TB, mr *mappedRecords, b int, size uint64, comp []byte) []byte {
+	tb.Helper()
+	sec := mr.raw
+	off, end := mr.blockOff(b), len(sec)
+	if b+1 < mr.nblocks {
+		end = mr.blockOff(b + 1)
+	}
+	out := append(bytes.Clone(sec[:off]), binary.AppendUvarint(nil, size)...)
+	out = append(out, comp...)
+	delta := len(out) - end
+	out = append(out, sec[end:]...)
+	dir := 8 + mr.count*8
+	for later := b + 1; later < mr.nblocks; later++ {
+		at := dir + later*8 + 4
+		binary.LittleEndian.PutUint32(out[at:], uint32(int(binary.LittleEndian.Uint32(out[at:]))+delta))
+	}
+	return out
 }
 
 // TestAttachRecordSectionRejectsUnsortedIDs: a section whose ID order
@@ -201,14 +287,15 @@ func TestAttachRecordSectionRejectsUnsortedIDs(t *testing.T) {
 	for i := range 4 {
 		d.setRecordLocked(fmt.Sprint("r", i), Record{"id": fmt.Sprint("r", i), "title": "t"})
 	}
-	raw := d.encodeRecordsLocked()
+	raw := d.encodeRecordsLocked(nil)
 	if _, err := attachRecordSection(raw, schema); err != nil {
 		t.Fatal(err)
 	}
+	recDir := 8 // past count and nblocks
 	dup := bytes.Clone(raw)
-	copy(dup[8:12], dup[4:8])
+	copy(dup[recDir+4:recDir+8], dup[recDir:recDir+4])
 	swapped := bytes.Clone(raw)
-	idSorted := 4 + 4*4
+	idSorted := recDir + 4*4
 	copy(swapped[idSorted:idSorted+4], raw[idSorted+4:idSorted+8])
 	copy(swapped[idSorted+4:idSorted+8], raw[idSorted:idSorted+4])
 	for name, sec := range map[string][]byte{"duplicate ID": dup, "swapped IDs": swapped} {

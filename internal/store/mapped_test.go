@@ -199,23 +199,23 @@ func TestMappedSnapshotAfterCoWRoundTrips(t *testing.T) {
 }
 
 // TestSnapshotCompatMatrix covers exactly the formats the store
-// claims: the v4 golden restores to the state of a fresh build and
-// stays mapped; the frozen v1, v2 and v3 fixtures (v3 both as last
-// written and from before the index stopped keeping field text) are
-// refused with frameio.ErrUnsupportedFormat and leave the target
+// claims: the v5 golden restores to the state of a fresh build and
+// stays mapped; the frozen v1, v2, v3 and v4 fixtures (v3 both as
+// last written and from before the index stopped keeping field text)
+// are refused with frameio.ErrUnsupportedFormat and leave the target
 // store unchanged.
 func TestSnapshotCompatMatrix(t *testing.T) {
 	want := storeFingerprint(t, multiTenantStore(t))
 	s := New(WithShardTarget(3))
-	if err := s.RestoreContext(context.Background(), readFixture(t, "multitenant_v4.snap")); err != nil {
+	if err := s.RestoreContext(context.Background(), readFixture(t, "multitenant_v5.snap")); err != nil {
 		t.Fatal(err)
 	}
 	if got := storeFingerprint(t, s); got != want {
-		t.Fatalf("v4 state:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("v5 state:\n%s\nwant:\n%s", got, want)
 	}
 	requireMapped(t, s)
 	for _, name := range []string{"multitenant_v1.json", "multitenant_v2.snap",
-		"multitenant_v3.snap", "multitenant_v3_fieldtext.snap"} {
+		"multitenant_v3.snap", "multitenant_v3_fieldtext.snap", "multitenant_v4.snap"} {
 		err := s.RestoreContext(context.Background(), readFixture(t, name))
 		if !errors.Is(err, frameio.ErrUnsupportedFormat) {
 			t.Fatalf("%s: restore = %v, want ErrUnsupportedFormat", name, err)

@@ -16,20 +16,22 @@ import (
 
 // Persistence: Symphony hosts the designers' proprietary data, so
 // durability is part of the platform contract. SnapshotContext writes
-// format v4 and RestoreContext reads only v4: the formats before it
+// format v5 and RestoreContext reads only v5: the formats before it
 // (v1, a single JSON document; v2, the framed envelope with JSON
 // records; v3, whose entries repeated their field names and whose
-// directories were 64-bit) are refused with
+// directories were 64-bit; v4, whose record values were plain) are
+// refused with
 // frameio.ErrUnsupportedFormat. No reader of an older format is
 // kept: a data dir written in one does not boot, and neither does a
 // backup taken by the binary that wrote it (a backup embeds that
 // binary's snapshot), so its datasets are uploaded again.
 //
-// Format v4 is framed: the magic string, a header frame naming every
+// Format v5 is framed: the magic string, a header frame naming every
 // tenant, then one frame per dataset in deterministic (tenant,
 // dataset) order. A dataset frame carries its records as a binary
-// record section with offset directories (see mapped.go) followed by
-// the index's v4 mmap-ready stream. RestoreContext attaches
+// record section with offset directories, plain IDs and DEFLATE blocks
+// of values (see mapped.go) followed by the index's v4 mmap-ready
+// stream. RestoreContext attaches
 // datasets as lazy views over the snapshot's (typically mmap'd) bytes
 // — writes land in a heap overlay over them, so boot cost and
 // resident set scale with what the workload touches, not corpus size.
@@ -46,8 +48,8 @@ import (
 // the target store unchanged.
 
 const (
-	snapshotVersion = 4
-	snapshotMagic   = "SYMSNP4\n"
+	snapshotVersion = 5
+	snapshotMagic   = "SYMSNP5\n"
 )
 
 // PersistOption configures SnapshotContext.
@@ -156,7 +158,7 @@ func applyPersistOptions(opts []PersistOption) persistOptions {
 	return o
 }
 
-// framedHeader is the header frame of a v4 stream.
+// framedHeader is the header frame of a v5 stream.
 type framedHeader struct {
 	Version int            `json:"version"`
 	Tenants []framedTenant `json:"tenants"`
@@ -241,7 +243,7 @@ func (s *Store) collect() ([]framedTenant, []datasetRef) {
 	return meta, refs
 }
 
-// SnapshotContext serializes the whole store in format v4. Dataset
+// SnapshotContext serializes the whole store in format v5. Dataset
 // frames are encoded concurrently by a worker pool and written in
 // deterministic (tenant, dataset) order; only the frame being encoded
 // holds its dataset's read lock, so concurrent writers on other
@@ -279,13 +281,15 @@ func (s *Store) SnapshotContext(ctx context.Context, w io.Writer, opts ...Persis
 		results[i].done = make(chan struct{})
 	}
 	jobs := make(chan int)
+	workers := runtime.GOMAXPROCS(0)
+	ws := make(flateWriters, workers)
 	var wg sync.WaitGroup
-	for k := 0; k < runtime.GOMAXPROCS(0); k++ {
+	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i].buf, results[i].err = refs[i].encodeFrame(o.cache)
+				results[i].buf, results[i].err = refs[i].encodeFrame(o.cache, ws)
 				close(results[i].done)
 			}
 		}()
@@ -334,8 +338,8 @@ func (s *Store) SnapshotContext(ctx context.Context, w io.Writer, opts ...Persis
 // reuses the cached frame when the dataset's version has not moved
 // since it was encoded. The version is read under the same read lock
 // that covers the encode, so a cached (version, payload) pair always
-// agrees with itself.
-func (ref datasetRef) encodeFrame(cache *FrameCache) ([]byte, error) {
+// agrees with itself. Record blocks compress with a writer from ws.
+func (ref datasetRef) encodeFrame(cache *FrameCache, ws flateWriters) ([]byte, error) {
 	ds := ref.ds
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
@@ -355,7 +359,7 @@ func (ref datasetRef) encodeFrame(cache *FrameCache) ([]byte, error) {
 	if mr := ds.mrecs; mr != nil && len(ds.records) == 0 && mr.nGone == 0 {
 		recSec = mr.raw
 	} else {
-		recSec = ds.encodeRecordsLocked()
+		recSec = ds.encodeRecordsLocked(ws)
 	}
 	payload := make([]byte, 8, 16+len(meta)+len(recSec))
 	binary.BigEndian.PutUint64(payload, uint64(len(meta)))
@@ -382,7 +386,7 @@ func (ref datasetRef) encodeFrame(cache *FrameCache) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreContext replaces the store's contents from the v4 snapshot
+// RestoreContext replaces the store's contents from the v5 snapshot
 // held in data, attaching every dataset in place: its record section
 // and index payloads become the immutable base under a heap overlay
 // (mapped.go), so data — typically an mmapio mapping of the checkpoint
@@ -390,7 +394,7 @@ func (ref datasetRef) encodeFrame(cache *FrameCache) ([]byte, error) {
 // Each dataset keeps the shard count its snapshot was written with,
 // unless the store fixes one (WithShardTarget) and the two differ:
 // then the index reshards to it, which moves that index onto the
-// heap. A v1, v2 or v3 snapshot fails with
+// heap. A v1, v2, v3 or v4 snapshot fails with
 // frameio.ErrUnsupportedFormat.
 //
 // Frame checksums are verified during the walk, so a truncated or
@@ -485,16 +489,16 @@ func (s *Store) RestoreContext(ctx context.Context, data []byte) error {
 	return nil
 }
 
-// checkMagic accepts a stream that starts with the v4 magic. The
-// signatures of the formats before it — v3's and v2's magic and v1's
-// leading '{' (a JSON document) — are refused as an unsupported
+// checkMagic accepts a stream that starts with the v5 magic. The
+// signatures of the formats before it — v4's, v3's and v2's magic and
+// v1's leading '{' (a JSON document) — are refused as an unsupported
 // format, anything else as not a snapshot.
 func checkMagic(data []byte) error {
 	head := string(data[:min(len(data), len(snapshotMagic))])
 	switch {
 	case head == snapshotMagic:
 		return nil
-	case head == "SYMSNP3\n", head == "SYMSNP2\n":
+	case head == "SYMSNP4\n", head == "SYMSNP3\n", head == "SYMSNP2\n":
 		return fmt.Errorf("snapshot format v%c, the floor is v%d: %w", head[6], snapshotVersion, frameio.ErrUnsupportedFormat)
 	case len(head) > 0 && head[0] == '{':
 		return fmt.Errorf("snapshot format v1 (JSON document), the floor is v%d: %w", snapshotVersion, frameio.ErrUnsupportedFormat)
@@ -542,7 +546,7 @@ func parseFramedHeader(hdrBytes []byte) (map[string]*tenant, []frameExpect, erro
 	return tenants, expects, nil
 }
 
-// decodeFrame rebuilds one dataset from a v4 frame, its index at the
+// decodeFrame rebuilds one dataset from a v5 frame, its index at the
 // shard count the frame was written with, or resharded to the store's
 // fixed target when it has one and the counts differ. The frame's
 // record section and index attach as views over the frame's bytes:

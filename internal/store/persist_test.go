@@ -270,15 +270,15 @@ func TestV1V2CompatRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotMatchesGolden pins the one remaining writer: today's
-// SnapshotContext must reproduce the checked-in v4 snapshot of
+// SnapshotContext must reproduce the checked-in v5 snapshot of
 // multiTenantStore byte for byte.
 func TestSnapshotMatchesGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := multiTenantStore(t).SnapshotContext(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), readFixture(t, "multitenant_v4.snap")) {
-		t.Fatal("snapshot differs from testdata/multitenant_v4.snap")
+	if !bytes.Equal(buf.Bytes(), readFixture(t, "multitenant_v5.snap")) {
+		t.Fatal("snapshot differs from testdata/multitenant_v5.snap")
 	}
 }
 

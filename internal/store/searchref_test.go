@@ -20,7 +20,10 @@ import (
 // were before the top-k pushdown — fetch every match from the index,
 // copy every record that passes the filters, sort, then slice — kept
 // verbatim (receiver methods renamed, helpers prefixed ref) as the
-// oracle both search plans are pinned to.
+// oracle both search plans are pinned to. One change: the hits'
+// records come from one insertion-order walk of the dataset per
+// request rather than one read by ID per hit, which on a mapped
+// dataset would inflate a record block per hit.
 
 func (d *Dataset) refSearchContext(ctx context.Context, req SearchRequest) ([]Hit, error) {
 	fields := req.Fields
@@ -57,9 +60,13 @@ func (d *Dataset) refSearchContext(ctx context.Context, req SearchRequest) ([]Hi
 	if err != nil {
 		return nil, err
 	}
+	all := make(map[string]Record, d.lenLocked())
+	for id, rec := range d.recordsLocked(0) {
+		all[id] = rec
+	}
 	hits := make([]Hit, 0, len(raw))
 	for _, r := range raw {
-		rec, _ := d.recordViewLocked(r.ID)
+		rec := all[r.ID]
 		ok, err := refMatchAll(d.schema, rec, req.Filters)
 		if err != nil {
 			return nil, err

@@ -30,39 +30,48 @@ type ValueCount struct {
 // CapDistinct bounds distinct-value tracking per field.
 const CapDistinct = 10000
 
-// Stats computes per-field statistics over the dataset.
+// Stats computes per-field statistics over the dataset in one walk
+// of its records, so a mapped dataset inflates each record block once.
 func (d *Dataset) Stats() []FieldStats {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]FieldStats, 0, len(d.schema.Fields))
-	for _, f := range d.schema.Fields {
-		fs := FieldStats{Field: f.Name, Type: f.Type}
-		counts := make(map[string]int)
-		first := true
-		for _, rec := range d.recordsLocked(0) {
+	fields := d.schema.Fields
+	out := make([]FieldStats, len(fields))
+	counts := make([]map[string]int, len(fields))
+	seen := make([]bool, len(fields)) // a numeric value set Min and Max
+	for i, f := range fields {
+		out[i] = FieldStats{Field: f.Name, Type: f.Type}
+		counts[i] = make(map[string]int)
+	}
+	for _, rec := range d.recordsLocked(0) {
+		for i, f := range fields {
 			v := rec[f.Name]
 			if v == "" {
 				continue
 			}
+			fs := &out[i]
 			fs.NonEmpty++
-			if len(counts) < CapDistinct {
-				counts[v]++
+			if len(counts[i]) < CapDistinct {
+				counts[i][v]++
 			}
 			if f.Type == TypeNumber {
 				if x, err := strconv.ParseFloat(v, 64); err == nil {
-					if first || x < fs.Min {
+					if !seen[i] || x < fs.Min {
 						fs.Min = x
 					}
-					if first || x > fs.Max {
+					if !seen[i] || x > fs.Max {
 						fs.Max = x
 					}
-					first = false
+					seen[i] = true
 				}
 			}
 		}
-		fs.Distinct = len(counts)
-		top := make([]ValueCount, 0, len(counts))
-		for v, n := range counts {
+	}
+	for i := range out {
+		fs := &out[i]
+		fs.Distinct = len(counts[i])
+		top := make([]ValueCount, 0, len(counts[i]))
+		for v, n := range counts[i] {
 			top = append(top, ValueCount{v, n})
 		}
 		sort.Slice(top, func(i, j int) bool {
@@ -75,7 +84,6 @@ func (d *Dataset) Stats() []FieldStats {
 			top = top[:5]
 		}
 		fs.TopValues = top
-		out = append(out, fs)
 	}
 	return out
 }

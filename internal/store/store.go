@@ -358,6 +358,11 @@ type DatasetStatus struct {
 	MappedShards      int   `json:"mappedShards,omitempty"`
 	MappedBytes       int64 `json:"mappedBytes,omitempty"`
 	MaterializedBytes int64 `json:"materializedBytes,omitempty"`
+	// RecordBlockInflates counts the compressed record blocks inflated
+	// to serve reads and checkpoints of a restored dataset's records:
+	// a lookup by ID inflates none, a record read one, a request one
+	// per block its records are in.
+	RecordBlockInflates uint64 `json:"recordBlockInflates,omitempty"`
 }
 
 // Status reports every dataset's shard layout in deterministic
@@ -400,6 +405,8 @@ func (s *Store) Status() []DatasetStatus {
 			MappedShards:      mm.MappedShards,
 			MappedBytes:       mapped,
 			MaterializedBytes: mm.MaterializedBytes,
+
+			RecordBlockInflates: r.ds.recordBlockInflates(),
 		}
 	}
 	return out

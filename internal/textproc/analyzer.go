@@ -79,13 +79,23 @@ func (a *Analyzer) AnalyzeTerms(text string) []string {
 // lives as long as the batch it serves and is not safe for concurrent
 // use; the zero value is ready.
 type Memo struct {
-	by    map[*Analyzer]*analyzerMemo
+	// by holds one entry per analyzer the batch uses: a document has
+	// one or two, so a scan beats a map.
+	by    []analyzerMemo
 	terms []string // id -> term
 	buf   []byte
+	// size is the table size Reserve asked for, 0 for none.
+	size int
 }
+
+// Reserve sizes the tables of the analyzers the memo has not seen yet
+// for n bytes of text, so a batch whose first text is not its longest
+// does not grow them.
+func (m *Memo) Reserve(n int) { m.size = n/6 + 1 }
 
 // analyzerMemo is one analyzer's share of a Memo.
 type analyzerMemo struct {
+	a      *Analyzer
 	tokens map[string]memoTerm // lowered token -> its analysis
 	ids    map[string]int      // term -> id
 }
@@ -106,17 +116,28 @@ func (m *Memo) AnalyzeAppend(dst []Token, ids []int, a *Analyzer, text string) (
 	if a == nil {
 		a = DefaultAnalyzer
 	}
-	am := m.by[a]
-	if am == nil {
-		if m.by == nil {
-			m.by = make(map[*Analyzer]*analyzerMemo, 2)
-		}
-		am = &analyzerMemo{tokens: make(map[string]memoTerm), ids: make(map[string]int)}
-		m.by[a] = am
-	}
 	// Room for as many tokens as Tokenize allows for, so the outputs
-	// of a short batch do not grow token by token.
-	dst, ids = slices.Grow(dst, len(text)/6+1), slices.Grow(ids, len(text)/6+1)
+	// of a short batch do not grow token by token. The analyzer's
+	// tables are sized by the same bound from the first text it sees,
+	// or from what Reserve asked for if that is more, so a batch of one
+	// document does not grow them either.
+	bound := len(text)/6 + 1
+	var am *analyzerMemo
+	for i := range m.by {
+		if m.by[i].a == a {
+			am = &m.by[i]
+			break
+		}
+	}
+	if am == nil {
+		size := max(bound, m.size)
+		m.by = append(m.by, analyzerMemo{a: a, tokens: make(map[string]memoTerm, size), ids: make(map[string]int, size)})
+		am = &m.by[len(m.by)-1]
+		if m.terms == nil {
+			m.terms = make([]string, 0, size)
+		}
+	}
+	dst, ids = slices.Grow(dst, bound), slices.Grow(ids, bound)
 	t := tokenizer{text: text, buf: m.buf}
 	for {
 		tok, position, start, end, ok := t.next()
